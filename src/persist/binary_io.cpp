@@ -1,7 +1,8 @@
 #include "persist/binary_io.h"
 
 #include <array>
-#include <cstring>
+#include <fstream>
+#include <sstream>
 
 namespace vire::persist {
 
@@ -30,81 +31,41 @@ std::uint32_t crc32(std::string_view data) noexcept {
   return crc ^ 0xFFFFFFFFU;
 }
 
-void ByteWriter::u16(std::uint16_t v) {
-  u8(static_cast<std::uint8_t>(v & 0xFFU));
-  u8(static_cast<std::uint8_t>(v >> 8U));
+std::optional<std::string> read_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return std::move(buf).str();
 }
 
-void ByteWriter::u32(std::uint32_t v) {
-  u16(static_cast<std::uint16_t>(v & 0xFFFFU));
-  u16(static_cast<std::uint16_t>(v >> 16U));
+std::string seal(std::string_view magic, std::string_view body) {
+  ByteWriter w;
+  w.raw(magic.substr(0, 4));
+  w.raw(body);
+  w.u32(crc32(body));
+  return w.take();
 }
 
-void ByteWriter::u64(std::uint64_t v) {
-  u32(static_cast<std::uint32_t>(v & 0xFFFFFFFFU));
-  u32(static_cast<std::uint32_t>(v >> 32U));
-}
-
-void ByteWriter::f64(double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  u64(bits);
-}
-
-void ByteWriter::str(std::string_view v) {
-  u32(static_cast<std::uint32_t>(v.size()));
-  buffer_.append(v);
-}
-
-bool ByteReader::take(std::size_t n) noexcept {
-  if (failed_ || data_.size() - pos_ < n) {
-    failed_ = true;
-    return false;
+std::optional<std::string_view> unseal(std::string_view magic,
+                                       std::string_view data) {
+  if (data.size() < 4 + 4 || data.substr(0, 4) != magic.substr(0, 4)) {
+    return std::nullopt;
   }
-  return true;
+  const std::string_view body = data.substr(4, data.size() - 8);
+  if (crc32(body) != *ByteReader(data.substr(data.size() - 4)).u32()) {
+    return std::nullopt;
+  }
+  return body;
 }
 
-std::optional<std::uint8_t> ByteReader::u8() noexcept {
-  if (!take(1)) return std::nullopt;
-  return static_cast<std::uint8_t>(data_[pos_++]);
-}
-
-std::optional<std::uint16_t> ByteReader::u16() noexcept {
-  const auto lo = u8();
-  const auto hi = u8();
-  if (!lo || !hi) return std::nullopt;
-  return static_cast<std::uint16_t>(*lo | (static_cast<std::uint16_t>(*hi) << 8U));
-}
-
-std::optional<std::uint32_t> ByteReader::u32() noexcept {
-  const auto lo = u16();
-  const auto hi = u16();
-  if (!lo || !hi) return std::nullopt;
-  return *lo | (static_cast<std::uint32_t>(*hi) << 16U);
-}
-
-std::optional<std::uint64_t> ByteReader::u64() noexcept {
-  const auto lo = u32();
-  const auto hi = u32();
-  if (!lo || !hi) return std::nullopt;
-  return *lo | (static_cast<std::uint64_t>(*hi) << 32U);
-}
-
-std::optional<double> ByteReader::f64() noexcept {
-  const auto bits = u64();
-  if (!bits) return std::nullopt;
-  double v = 0.0;
-  std::memcpy(&v, &*bits, sizeof(v));
-  return v;
-}
-
-std::optional<std::string> ByteReader::str() {
-  const auto len = u32();
-  if (!len || !take(*len)) return std::nullopt;
-  std::string out(data_.substr(pos_, *len));
-  pos_ += *len;
-  return out;
+std::optional<std::string> read_sealed_file(const std::filesystem::path& path,
+                                            std::string_view magic) {
+  const auto data = read_file(path);
+  if (!data) return std::nullopt;
+  const auto body = unseal(magic, *data);
+  if (!body) return std::nullopt;
+  return std::string(*body);
 }
 
 }  // namespace vire::persist

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "persist/binary_io.h"
 #include "support/log.h"
@@ -13,7 +10,7 @@ namespace vire::persist {
 
 namespace {
 
-constexpr char kMagic[4] = {'V', 'C', 'K', 'P'};
+constexpr std::string_view kMagic = "VCKP";
 
 // ---- config fingerprint -----------------------------------------------
 
@@ -440,22 +437,12 @@ std::string serialize(const Checkpoint& checkpoint) {
     body.str(sample.labels);
     body.u64(sample.value);
   }
-
-  ByteWriter file;
-  file.raw(std::string_view(kMagic, 4));
-  file.raw(body.bytes());
-  file.u32(crc32(body.bytes()));
-  return file.take();
+  return seal(kMagic, body.bytes());
 }
 
-std::optional<Checkpoint> deserialize(std::string_view data) {
-  if (data.size() < 4 + 4 + 4 || std::memcmp(data.data(), kMagic, 4) != 0) {
-    return std::nullopt;
-  }
-  const std::string_view body = data.substr(4, data.size() - 8);
-  ByteReader crc_reader(data.substr(data.size() - 4));
-  if (crc32(body) != *crc_reader.u32()) return std::nullopt;
+namespace {
 
+std::optional<Checkpoint> decode_body(std::string_view body) {
   ByteReader r(body);
   const auto version = r.u32();
   if (!version || *version != kCheckpointVersion) return std::nullopt;
@@ -481,6 +468,14 @@ std::optional<Checkpoint> deserialize(std::string_view data) {
   }
   if (!r.exhausted()) return std::nullopt;
   return ckpt;
+}
+
+}  // namespace
+
+std::optional<Checkpoint> deserialize(std::string_view data) {
+  const auto body = unseal(kMagic, data);
+  if (!body) return std::nullopt;
+  return decode_body(*body);
 }
 
 std::vector<Checkpoint::CounterSample> sample_counters(
@@ -567,14 +562,8 @@ CheckpointStore::LoadResult CheckpointStore::load_newest_valid(
   auto sequences = stored_sequences();
   for (auto it = sequences.rbegin(); it != sequences.rend(); ++it) {
     const std::filesystem::path path = checkpoint_path(config_.dir, *it);
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      ++result.rejected;
-      continue;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    auto ckpt = deserialize(buf.str());
+    const auto body = read_sealed_file(path, kMagic);
+    auto ckpt = body ? decode_body(*body) : std::nullopt;
     if (!ckpt || ckpt->config_fingerprint != expected_config_fingerprint) {
       support::log_warn("CheckpointStore: rejecting %s (%s)",
                         path.string().c_str(),

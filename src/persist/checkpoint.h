@@ -4,7 +4,8 @@
 // "Crash recovery"). A checkpoint plus the WAL suffix written after it is a
 // complete recipe for reconstructing the crashed process bit for bit.
 //
-// File format (checkpoint_<wal_sequence>.ckpt, all little-endian):
+// File format (checkpoint_<wal_sequence>.ckpt, all little-endian), sealed
+// with persist::seal:
 //   "VCKP" magic | body | u32 crc32(body)
 //   body: u32 version | u64 config_fingerprint | u64 wal_sequence
 //         | f64 sim_time | engine state | middleware window | counter samples
@@ -19,6 +20,7 @@
 #include <filesystem>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/localization_engine.h"
@@ -31,8 +33,8 @@ namespace vire::persist {
 
 inline constexpr std::uint32_t kCheckpointVersion = 1;
 
-/// Reusable binary codecs for the pipeline's state snapshots. The checkpoint
-/// file format is built on these; the wire layer reuses them verbatim for
+/// The one binary codec of each record type. The checkpoint file format is
+/// built on the state codecs; the wire layer reuses them verbatim for
 /// cross-process tag migration (kExportTag/kImportTag) and reference seeding
 /// (kSeedExport/kSeedImport), so exported state is byte-compatible with
 /// checkpointed state. The read_* functions return false (leaving the output
@@ -43,6 +45,105 @@ void write_middleware_snapshot(ByteWriter& w, const sim::Middleware::Snapshot& s
 bool read_middleware_snapshot(ByteReader& r, sim::Middleware::Snapshot& s);
 void write_tag_state(ByteWriter& w, const engine::TagStateSnapshot& s);
 bool read_tag_state(ByteReader& r, engine::TagStateSnapshot& s);
+
+/// One reading: f64 time | u32 tag | u16 reader | f64 rssi_dbm. The WAL's
+/// kReading frame, the wire's ingest batches and the control journal's
+/// kBatch op all carry it. Inline: it runs once per reading on the ingest
+/// path.
+inline constexpr std::size_t kReadingEncoding = 8 + 4 + 2 + 8;
+
+inline void write_reading(ByteWriter& w, const sim::RssiReading& reading) {
+  w.f64(reading.time);
+  w.u32(reading.tag);
+  w.u16(reading.reader);
+  w.f64(reading.rssi_dbm);
+}
+
+inline bool read_reading(ByteReader& r, sim::RssiReading& out) {
+  const auto time = r.f64();
+  const auto tag = r.u32();
+  const auto reader = r.u16();
+  const auto rssi = r.f64();
+  if (!r.ok()) return false;
+  out = {*time, *tag, *reader, *rssi};
+  return true;
+}
+
+/// Reading batch: u32 count | reading*.
+inline void write_readings(ByteWriter& w,
+                           const std::vector<sim::RssiReading>& readings) {
+  w.u32(static_cast<std::uint32_t>(readings.size()));
+  for (const sim::RssiReading& reading : readings) write_reading(w, reading);
+}
+
+/// Fails before reserving when the claimed count cannot fit the bytes left.
+inline bool read_readings(ByteReader& r, std::vector<sim::RssiReading>& out) {
+  const auto count = r.u32();
+  if (!r.ok() || std::size_t{*count} * kReadingEncoding > r.remaining()) {
+    return false;
+  }
+  out.clear();
+  out.reserve(*count);
+  for (std::uint32_t i = 0; i < *count; ++i) {
+    sim::RssiReading reading;
+    if (!read_reading(r, reading)) return false;
+    out.push_back(reading);
+  }
+  return true;
+}
+
+/// One fix: u32 tag | str name | f64 time | u8 valid | u8 quality |
+/// f64 x4 (position, smoothed) | u64 survivors | u8 fallback | f64 age. The
+/// wire's fix replies and the control journal's latest-fix cache carry it.
+/// Smallest encoding (empty name), for bounding claimed fix counts:
+inline constexpr std::size_t kMinFixEncoding = 67;
+
+inline void write_fix(ByteWriter& w, const engine::Fix& fix) {
+  w.u32(fix.tag);
+  w.str(fix.name);
+  w.f64(fix.time);
+  w.u8(fix.valid ? 1 : 0);
+  w.u8(static_cast<std::uint8_t>(fix.quality));
+  w.f64(fix.position.x);
+  w.f64(fix.position.y);
+  w.f64(fix.smoothed_position.x);
+  w.f64(fix.smoothed_position.y);
+  w.u64(fix.survivor_count);
+  w.u8(fix.used_fallback ? 1 : 0);
+  w.f64(fix.age_s);
+}
+
+/// False on truncation or an out-of-range flag or quality byte.
+inline bool read_fix(ByteReader& r, engine::Fix& out) {
+  const auto tag = r.u32();
+  auto name = r.str();
+  const auto time = r.f64();
+  const auto valid = r.u8();
+  const auto quality = r.u8();
+  const auto px = r.f64();
+  const auto py = r.f64();
+  const auto sx = r.f64();
+  const auto sy = r.f64();
+  const auto survivors = r.u64();
+  const auto fallback = r.u8();
+  const auto age = r.f64();
+  if (!r.ok()) return false;
+  if (*valid > 1 || *fallback > 1 ||
+      *quality > static_cast<std::uint8_t>(engine::FixQuality::kInvalid)) {
+    return false;
+  }
+  out.tag = *tag;
+  out.name = std::move(*name);
+  out.time = *time;
+  out.valid = *valid != 0;
+  out.quality = static_cast<engine::FixQuality>(*quality);
+  out.position = {*px, *py};
+  out.smoothed_position = {*sx, *sy};
+  out.survivor_count = static_cast<std::size_t>(*survivors);
+  out.used_fallback = *fallback != 0;
+  out.age_s = *age;
+  return true;
+}
 
 /// Fingerprint of every EngineConfig field that affects fix values — the
 /// algorithm, degradation and tracking knobs. parallel_workers and the

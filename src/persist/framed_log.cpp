@@ -8,9 +8,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -76,11 +74,7 @@ std::string encode_record(std::uint8_t type, std::string_view payload) {
   w.u32(static_cast<std::uint32_t>(payload.size()));
   w.u8(type);
   w.raw(payload);
-  std::string checked;
-  checked.reserve(1 + payload.size());
-  checked.push_back(static_cast<char>(type));
-  checked.append(payload);
-  w.u32(crc32(checked));
+  w.u32(crc32(std::string_view(w.bytes()).substr(4)));
   return w.take();
 }
 
@@ -89,27 +83,25 @@ struct SegmentScan {
   std::uint64_t records = 0;        ///< valid records
   std::size_t valid_bytes = 0;      ///< header + valid records
   bool corrupt_tail = false;        ///< bytes after the valid prefix
-  std::vector<LogRecord> decoded;   ///< filled only when `keep_records`
 };
 
-/// Scans one segment file: validates the header, walks records until the
-/// first CRC/validate failure or EOF. Returns nullopt when the header itself
-/// is unreadable (the whole segment is then treated as corrupt).
-std::optional<SegmentScan> scan_segment(
-    const std::filesystem::path& path, const FramedLogFormat& format,
-    bool keep_records,
-    const std::function<bool(std::uint8_t, std::string_view)>& validate) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string data = buf.str();
-
-  if (data.size() < kHeaderSize ||
-      std::memcmp(data.data(), format.magic, 4) != 0) {
+/// Scans one segment file: validates the header, then walks records until
+/// the first CRC failure, rejected record or EOF. `visit` sees each record
+/// only when the header's start sequence equals `expected_start` (0 = any);
+/// on a mismatch the scan stops right after the header. Returns nullopt
+/// when the header itself is unreadable (the whole segment is then treated
+/// as corrupt).
+std::optional<SegmentScan> scan_segment(const std::filesystem::path& path,
+                                        const FramedLogFormat& format,
+                                        std::uint64_t expected_start,
+                                        const RecordVisitor& visit) {
+  const auto file = read_file(path);
+  if (!file || file->size() < kHeaderSize ||
+      std::memcmp(file->data(), format.magic, 4) != 0) {
     return std::nullopt;
   }
-  ByteReader header(std::string_view(data).substr(4, kHeaderSize - 4));
+  const std::string_view data(*file);
+  ByteReader header(data.substr(4, kHeaderSize - 4));
   const auto version = header.u32();
   const auto start_sequence = header.u64();
   if (!version || *version != format.version || !start_sequence) {
@@ -119,37 +111,26 @@ std::optional<SegmentScan> scan_segment(
   SegmentScan scan;
   scan.start_sequence = *start_sequence;
   scan.valid_bytes = kHeaderSize;
+  if (expected_start != 0 && scan.start_sequence != expected_start) return scan;
   std::size_t pos = kHeaderSize;
-  const std::string_view view(data);
   while (pos < data.size()) {
     if (data.size() - pos < kRecordOverhead) {
       scan.corrupt_tail = true;
       break;
     }
-    ByteReader len_reader(view.substr(pos, 4));
-    const std::uint32_t payload_len = *len_reader.u32();
+    const std::uint32_t payload_len = *ByteReader(data.substr(pos, 4)).u32();
     if (data.size() - pos < kRecordOverhead + payload_len) {
       scan.corrupt_tail = true;
       break;
     }
-    const std::string_view checked = view.substr(pos + 4, 1 + payload_len);
-    ByteReader crc_reader(view.substr(pos + 4 + 1 + payload_len, 4));
-    if (crc32(checked) != *crc_reader.u32()) {
+    const std::string_view checked = data.substr(pos + 4, 1 + payload_len);
+    const std::uint32_t crc =
+        *ByteReader(data.substr(pos + 4 + 1 + payload_len, 4)).u32();
+    if (crc32(checked) != crc ||
+        !visit(scan.start_sequence + scan.records,
+               static_cast<std::uint8_t>(checked[0]), checked.substr(1))) {
       scan.corrupt_tail = true;
       break;
-    }
-    const auto type = static_cast<std::uint8_t>(checked[0]);
-    const std::string_view payload = checked.substr(1);
-    if (validate && !validate(type, payload)) {
-      scan.corrupt_tail = true;
-      break;
-    }
-    if (keep_records) {
-      LogRecord record;
-      record.sequence = scan.start_sequence + scan.records;
-      record.type = type;
-      record.payload = std::string(payload);
-      scan.decoded.push_back(std::move(record));
     }
     ++scan.records;
     pos += kRecordOverhead + payload_len;
@@ -158,39 +139,75 @@ std::optional<SegmentScan> scan_segment(
   return scan;
 }
 
-}  // namespace
+/// A walk over a log's segments up to the end of its valid prefix.
+struct LogWalk {
+  FramedLogScan scan;
+  std::filesystem::path last_path;   ///< segment holding the prefix's end
+  std::uint64_t last_records = 0;    ///< valid records in it
+  std::size_t last_valid_bytes = 0;  ///< its valid length
+  bool torn = false;                 ///< bytes follow its valid length
+  /// Segments wholly past the valid prefix (unreadable header, sequence
+  /// gap, or anything after a torn segment).
+  std::vector<std::filesystem::path> beyond;
+};
 
-FramedLogReadResult read_framed_log(
-    const std::filesystem::path& dir, const FramedLogFormat& format,
-    std::uint64_t from_sequence,
-    const std::function<bool(std::uint8_t, std::string_view)>& validate) {
-  FramedLogReadResult result;
+LogWalk walk_log(const std::filesystem::path& dir, const FramedLogFormat& format,
+                 const RecordVisitor& visit) {
+  LogWalk walk;
   const auto segments = list_segments(dir, format);
-  bool stopped = false;
-  for (const auto& [start, path] : segments) {
-    if (stopped) break;  // sequence continuity ends at the first bad record
-    auto scan = scan_segment(path, format, /*keep_records=*/true, validate);
+  std::size_t i = 0;
+  for (; i < segments.size(); ++i) {
+    const auto scan =
+        scan_segment(segments[i].second, format, walk.scan.next_sequence, visit);
     if (!scan) {
       // Unreadable header: the whole segment is one corrupt unit.
-      ++result.corrupt_records;
+      ++walk.scan.corrupt_records;
       break;
     }
     // A gap between segments (rotation lost to a crash before any record was
-    // appended is fine; missing records are not) also ends the log.
-    if (result.next_sequence != 0 && scan->start_sequence != result.next_sequence) {
+    // appended is fine; missing records are not) ends the log.
+    if (walk.scan.next_sequence != 0 &&
+        scan->start_sequence != walk.scan.next_sequence) {
       break;
     }
-    for (LogRecord& record : scan->decoded) {
-      if (record.sequence >= from_sequence) {
-        result.records.push_back(std::move(record));
-      }
-    }
-    result.next_sequence = scan->start_sequence + scan->records;
+    walk.scan.next_sequence = scan->start_sequence + scan->records;
+    walk.last_path = segments[i].second;
+    walk.last_records = scan->records;
+    walk.last_valid_bytes = scan->valid_bytes;
     if (scan->corrupt_tail) {
-      ++result.corrupt_records;
-      stopped = true;
+      // Sequence continuity ends at the first bad record.
+      ++walk.scan.corrupt_records;
+      walk.torn = true;
+      ++i;
+      break;
     }
   }
+  for (; i < segments.size(); ++i) walk.beyond.push_back(segments[i].second);
+  return walk;
+}
+
+}  // namespace
+
+FramedLogScan scan_framed_log(const std::filesystem::path& dir,
+                              const FramedLogFormat& format,
+                              const RecordVisitor& visit) {
+  return walk_log(dir, format, visit).scan;
+}
+
+FramedLogReadResult read_framed_log(const std::filesystem::path& dir,
+                                    const FramedLogFormat& format,
+                                    std::uint64_t from_sequence,
+                                    const RecordValidator& validate) {
+  FramedLogReadResult result;
+  static_cast<FramedLogScan&>(result) = scan_framed_log(
+      dir, format,
+      [&](std::uint64_t sequence, std::uint8_t type, std::string_view payload) {
+        if (validate && !validate(type, payload)) return false;
+        if (sequence >= from_sequence) {
+          result.records.push_back({sequence, type, std::string(payload)});
+        }
+        return true;
+      });
   return result;
 }
 
@@ -203,60 +220,32 @@ FramedLog::FramedLog(FramedLogConfig config) : config_(std::move(config)) {
   }
   std::filesystem::create_directories(config_.dir);
 
-  // Resume after the valid prefix of any existing log: truncate the first
-  // torn segment at its last valid record and drop every later segment, so
+  // Resume after the valid prefix of any existing log: truncate the torn
+  // segment at its last valid record and drop every later segment, so
   // appended records extend a log read_framed_log() fully accepts.
-  const auto segments = list_segments(config_.dir, config_.format);
-  std::uint64_t resume_start = 1;  // sequences are 1-based; 0 = "no records"
-  std::uint64_t resume_records = 0;
-  std::filesystem::path resume_path;
-  bool broken = false;
-  for (const auto& [start, path] : segments) {
-    if (broken) {
-      std::filesystem::remove(path);
-      continue;
-    }
-    const auto scan = scan_segment(path, config_.format, /*keep_records=*/false,
-                                   config_.validate);
-    if (!scan) {
-      // Unreadable header: drop this and every later segment.
-      ++truncated_;
-      std::filesystem::remove(path);
-      broken = true;
-      continue;
-    }
-    if (!resume_path.empty() &&
-        scan->start_sequence != resume_start + resume_records) {
-      // Sequence gap: records are missing, the log ends at the previous segment.
-      std::filesystem::remove(path);
-      broken = true;
-      continue;
-    }
-    resume_start = scan->start_sequence;
-    resume_records = scan->records;
-    resume_path = path;
-    if (scan->corrupt_tail) {
-      ++truncated_;
-      std::filesystem::resize_file(path, scan->valid_bytes);
-      broken = true;
-    }
-  }
+  const LogWalk walk = walk_log(
+      config_.dir, config_.format,
+      [this](std::uint64_t, std::uint8_t type, std::string_view payload) {
+        return !config_.validate || config_.validate(type, payload);
+      });
+  truncated_ = walk.scan.corrupt_records;
+  if (walk.torn) std::filesystem::resize_file(walk.last_path, walk.last_valid_bytes);
+  for (const auto& path : walk.beyond) std::filesystem::remove(path);
 
-  if (!resume_path.empty()) {
-    sequence_ = resume_start + resume_records;
-    if (resume_records < config_.segment_max_records) {
-      // Keep appending to the (now clean) last segment.
-      fd_ = ::open(resume_path.c_str(), O_WRONLY | O_APPEND);
-      if (fd_ < 0) {
-        throw std::runtime_error("FramedLog: open(" + resume_path.string() +
-                                 "): " + std::strerror(errno));
-      }
-      segment_records_ = resume_records;
-    } else {
-      open_segment(sequence_);
+  if (walk.last_path.empty()) {
+    sequence_ = 1;  // sequences are 1-based; 0 = "no records"
+    open_segment(sequence_);
+  } else if (walk.last_records < config_.segment_max_records) {
+    // Keep appending to the (now clean) last segment.
+    sequence_ = walk.scan.next_sequence;
+    fd_ = ::open(walk.last_path.c_str(), O_WRONLY | O_APPEND);
+    if (fd_ < 0) {
+      throw std::runtime_error("FramedLog: open(" + walk.last_path.string() +
+                               "): " + std::strerror(errno));
     }
+    segment_records_ = walk.last_records;
   } else {
-    sequence_ = 1;
+    sequence_ = walk.scan.next_sequence;
     open_segment(sequence_);
   }
   last_sync_monotonic_s_ = monotonic_seconds();
@@ -282,7 +271,7 @@ void FramedLog::open_segment(std::uint64_t start_sequence) {
   header.raw(std::string_view(config_.format.magic, 4));
   header.u32(config_.format.version);
   header.u64(start_sequence);
-  physical_write(header.bytes());
+  physical_write(header.take());
   segment_records_ = 0;
 }
 
@@ -293,8 +282,7 @@ void FramedLog::close_segment() noexcept {
   }
 }
 
-void FramedLog::physical_write(const std::string& bytes) {
-  std::string buffer = bytes;
+void FramedLog::physical_write(std::string buffer) {
   std::size_t write_len = buffer.size();
   bool fail_after_write = false;
   if (config_.fault_hook != nullptr) {
@@ -365,7 +353,7 @@ void FramedLog::maybe_fsync() {
 
 void FramedLog::sync() {
   if (fd_ < 0 || unsynced_ == 0) return;
-  const obs::TraceSpan span(tracer_, fsync_span_name_.c_str());
+  const obs::TraceSpan span(tracer_, fsync_span_name_);
   if (::fsync(fd_) != 0) {
     support::log_warn("FramedLog: fsync failed: %s", std::strerror(errno));
   }

@@ -1,9 +1,8 @@
 #pragma once
-// Generic segmented CRC-framed append-only log — the WAL's on-disk discipline
-// (docs/robustness.md, "Crash recovery") factored out for other journals.
-// The supervisor's durable control journal (src/service/control_journal.h)
-// is the first client; the reading WAL keeps its own writer because its
-// "VWAL" byte format predates this class and must stay stable.
+// Generic segmented CRC-framed append-only log (docs/robustness.md, "Crash
+// recovery"). Every on-disk journal in the repository is a format of this
+// log: the reading WAL ("VWAL", src/persist/wal.h) and the supervisor's
+// durable control journal ("VCJL", src/service/control_journal.h).
 //
 // On-disk format (all integers little-endian):
 //   segment file <prefix>-<start_sequence>.log:
@@ -27,10 +26,22 @@
 #include <vector>
 
 #include "obs/trace.h"
-#include "persist/wal.h"  // FsyncPolicy
 #include "support/atomic_file.h"
 
 namespace vire::persist {
+
+enum class FsyncPolicy {
+  kOff,      ///< never fsync (benches; data loss bounded only by the OS)
+  kEveryN,   ///< fsync after every N appended records
+  kInterval, ///< fsync when more than `fsync_interval_s` passed since the last
+};
+
+/// Payload check: false marks a CRC-valid record as undecodable.
+using RecordValidator =
+    std::function<bool(std::uint8_t type, std::string_view payload)>;
+/// Receives one CRC-valid record of a scan; false marks it undecodable.
+using RecordVisitor = std::function<bool(
+    std::uint64_t sequence, std::uint8_t type, std::string_view payload)>;
 
 /// Identity of one log family: header magic, format version, file prefix.
 /// Two logs with different formats never read each other's segments.
@@ -54,7 +65,7 @@ struct FramedLogConfig {
   /// Optional payload validator: a CRC-valid record whose payload fails this
   /// check is treated exactly like a torn record (end-of-log). Lets typed
   /// journals extend torn-tail semantics to undecodable payloads.
-  std::function<bool(std::uint8_t type, std::string_view payload)> validate;
+  RecordValidator validate;
 };
 
 struct LogRecord {
@@ -63,21 +74,32 @@ struct LogRecord {
   std::string payload;
 };
 
-struct FramedLogReadResult {
-  std::vector<LogRecord> records;  ///< sequence >= from_sequence, in order
+/// What a walk over a log found besides its records.
+struct FramedLogScan {
   /// Records dropped at the first CRC/validate failure (torn tail).
   std::uint64_t corrupt_records = 0;
   /// Sequence the next appended record would get.
   std::uint64_t next_sequence = 0;
 };
 
-/// Reads every valid record with sequence >= `from_sequence` from the
-/// segments under `dir` that match `format`. Stops at the first corrupt
-/// record (counting it); a missing directory reads as an empty log.
+struct FramedLogReadResult : FramedLogScan {
+  std::vector<LogRecord> records;  ///< sequence >= from_sequence, in order
+};
+
+/// Calls `visit(sequence, type, payload)` for every CRC-valid record of the
+/// segments under `dir` that match `format`, in sequence order. A false
+/// return marks that record corrupt: the walk stops there exactly as at a
+/// CRC failure. A missing directory reads as an empty log. The payload view
+/// is valid only during the call.
+FramedLogScan scan_framed_log(const std::filesystem::path& dir,
+                              const FramedLogFormat& format,
+                              const RecordVisitor& visit);
+
+/// Reads every valid record with sequence >= `from_sequence`; `validate`
+/// (optional) extends the torn-tail rule to undecodable payloads.
 [[nodiscard]] FramedLogReadResult read_framed_log(
     const std::filesystem::path& dir, const FramedLogFormat& format,
-    std::uint64_t from_sequence = 0,
-    const std::function<bool(std::uint8_t, std::string_view)>& validate = {});
+    std::uint64_t from_sequence = 0, const RecordValidator& validate = {});
 
 /// Append-only segmented writer. Reopening an existing directory resumes
 /// after the valid prefix: the torn tail, if any, is truncated (and counted)
@@ -110,10 +132,11 @@ class FramedLog {
     return truncated_;
   }
 
-  /// Emits `span_name` spans around fsyncs. Pass nullptr to detach.
-  void attach_tracer(obs::Tracer* tracer, std::string span_name) noexcept {
+  /// Emits `span_name` spans (a string literal) around fsyncs. Pass nullptr
+  /// to detach.
+  void attach_tracer(obs::Tracer* tracer, const char* span_name) noexcept {
     tracer_ = tracer;
-    fsync_span_name_ = std::move(span_name);
+    fsync_span_name_ = span_name;
   }
 
   [[nodiscard]] const FramedLogConfig& config() const noexcept { return config_; }
@@ -121,7 +144,7 @@ class FramedLog {
  private:
   void open_segment(std::uint64_t start_sequence);
   void close_segment() noexcept;
-  void physical_write(const std::string& bytes);
+  void physical_write(std::string buffer);
   void maybe_fsync();
 
   FramedLogConfig config_;
@@ -133,7 +156,7 @@ class FramedLog {
   std::uint64_t unsynced_ = 0;        ///< records since the last fsync
   double last_sync_monotonic_s_ = 0.0;
   obs::Tracer* tracer_ = nullptr;
-  std::string fsync_span_name_ = "persist.log_fsync";
+  const char* fsync_span_name_ = "persist.log_fsync";
 };
 
 }  // namespace vire::persist

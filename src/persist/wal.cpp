@@ -1,114 +1,34 @@
 #include "persist/wal.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <algorithm>
-#include <cerrno>
-#include <chrono>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
-#include <string>
+#include <string_view>
 
-#include "persist/binary_io.h"
-#include "support/log.h"
+#include "persist/checkpoint.h"
 
 namespace vire::persist {
 
 namespace {
 
-constexpr char kMagic[4] = {'V', 'W', 'A', 'L'};
-constexpr std::size_t kHeaderSize = 4 + 4 + 8;  // magic + version + start_seq
-constexpr std::size_t kFrameOverhead = 4 + 1 + 4;  // len + type + crc
+FramedLogFormat wal_format() { return {{'V', 'W', 'A', 'L'}, kWalVersion, "wal"}; }
 
-double monotonic_seconds() noexcept {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-std::filesystem::path segment_path(const std::filesystem::path& dir,
-                                   std::uint64_t start_sequence) {
-  char name[32];
-  std::snprintf(name, sizeof(name), "wal-%012llu.log",
-                static_cast<unsigned long long>(start_sequence));
-  return dir / name;
-}
-
-/// Parses `wal-<digits>.log`; nullopt for anything else.
-std::optional<std::uint64_t> segment_start(const std::filesystem::path& path) {
-  const std::string name = path.filename().string();
-  if (name.size() < 9 || name.rfind("wal-", 0) != 0 ||
-      name.substr(name.size() - 4) != ".log") {
-    return std::nullopt;
-  }
-  const std::string digits = name.substr(4, name.size() - 8);
-  if (digits.empty() ||
-      digits.find_first_not_of("0123456789") != std::string::npos) {
-    return std::nullopt;
-  }
-  return std::stoull(digits);
-}
-
-std::vector<std::pair<std::uint64_t, std::filesystem::path>> list_segments(
-    const std::filesystem::path& dir) {
-  std::vector<std::pair<std::uint64_t, std::filesystem::path>> segments;
-  if (!std::filesystem::exists(dir)) return segments;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (!entry.is_regular_file()) continue;
-    if (const auto start = segment_start(entry.path())) {
-      segments.emplace_back(*start, entry.path());
-    }
-  }
-  std::sort(segments.begin(), segments.end());
-  return segments;
-}
-
-std::string encode_payload(FrameType type, const sim::RssiReading& reading,
-                           sim::SimTime time) {
-  ByteWriter w;
-  if (type == FrameType::kReading) {
-    w.f64(reading.time);
-    w.u32(reading.tag);
-    w.u16(reading.reader);
-    w.f64(reading.rssi_dbm);
-  } else {
-    w.f64(time);
-  }
-  return w.take();
-}
-
-std::string encode_ack_payload(std::uint64_t ack_sequence) {
-  ByteWriter w;
-  w.u64(ack_sequence);
-  return w.take();
-}
-
-bool decode_payload(FrameType type, std::string_view payload, WalFrame& frame) {
+/// Decodes one frame's payload; false for an unknown type or a payload of
+/// the wrong shape (the frame then counts as a torn tail).
+bool decode_payload(std::uint8_t type, std::string_view payload, WalFrame& frame) {
   ByteReader r(payload);
-  switch (type) {
-    case FrameType::kReading: {
-      const auto time = r.f64();
-      const auto tag = r.u32();
-      const auto reader = r.u16();
-      const auto rssi = r.f64();
-      if (!r.exhausted() || !time || !tag || !reader || !rssi) return false;
-      frame.reading = {*time, *tag, *reader, *rssi};
-      return true;
-    }
+  frame.type = static_cast<FrameType>(type);
+  switch (frame.type) {
+    case FrameType::kReading:
+      return read_reading(r, frame.reading) && r.exhausted();
     case FrameType::kEvict:
     case FrameType::kUpdate: {
       const auto now = r.f64();
-      if (!r.exhausted() || !now) return false;
+      if (!r.exhausted()) return false;
       frame.time = *now;
       return true;
     }
     case FrameType::kAck: {
       const auto ack = r.u64();
-      if (!r.exhausted() || !ack) return false;
+      if (!r.exhausted()) return false;
       frame.ack_sequence = *ack;
       return true;
     }
@@ -116,82 +36,28 @@ bool decode_payload(FrameType type, std::string_view payload, WalFrame& frame) {
   return false;
 }
 
-std::string encode_frame(FrameType type, const std::string& payload) {
-  ByteWriter w;
-  w.u32(static_cast<std::uint32_t>(payload.size()));
-  w.u8(static_cast<std::uint8_t>(type));
-  w.raw(payload);
-  std::string checked;
-  checked.reserve(1 + payload.size());
-  checked.push_back(static_cast<char>(type));
-  checked.append(payload);
-  w.u32(crc32(checked));
-  return w.take();
+bool valid_payload(std::uint8_t type, std::string_view payload) {
+  WalFrame frame;
+  return decode_payload(type, payload, frame);
 }
 
-struct SegmentScan {
-  std::uint64_t start_sequence = 0;
-  std::uint64_t frames = 0;        ///< valid frames
-  std::size_t valid_bytes = 0;     ///< header + valid frames
-  bool corrupt_tail = false;       ///< bytes after the valid prefix
-  std::vector<WalFrame> decoded;   ///< filled only when `keep_frames`
-};
-
-/// Scans one segment file: validates the header, walks frames until the
-/// first CRC/decode failure or EOF. Returns nullopt when the header itself
-/// is unreadable (the whole segment is then treated as corrupt).
-std::optional<SegmentScan> scan_segment(const std::filesystem::path& path,
-                                        bool keep_frames) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string data = buf.str();
-
-  if (data.size() < kHeaderSize || std::memcmp(data.data(), kMagic, 4) != 0) {
-    return std::nullopt;
+FramedLogConfig log_config(const WalConfig& config) {
+  if (config.dir.empty()) {
+    throw std::invalid_argument("WalWriter: dir must be set");
   }
-  ByteReader header(std::string_view(data).substr(4, kHeaderSize - 4));
-  const auto version = header.u32();
-  const auto start_sequence = header.u64();
-  if (!version || *version != kWalVersion || !start_sequence) return std::nullopt;
-
-  SegmentScan scan;
-  scan.start_sequence = *start_sequence;
-  scan.valid_bytes = kHeaderSize;
-  std::size_t pos = kHeaderSize;
-  const std::string_view view(data);
-  while (pos < data.size()) {
-    if (data.size() - pos < kFrameOverhead) {
-      scan.corrupt_tail = true;
-      break;
-    }
-    ByteReader len_reader(view.substr(pos, 4));
-    const std::uint32_t payload_len = *len_reader.u32();
-    if (data.size() - pos < kFrameOverhead + payload_len) {
-      scan.corrupt_tail = true;
-      break;
-    }
-    const std::string_view checked = view.substr(pos + 4, 1 + payload_len);
-    ByteReader crc_reader(view.substr(pos + 4 + 1 + payload_len, 4));
-    if (crc32(checked) != *crc_reader.u32()) {
-      scan.corrupt_tail = true;
-      break;
-    }
-    const auto type = static_cast<FrameType>(static_cast<std::uint8_t>(checked[0]));
-    WalFrame frame;
-    frame.type = type;
-    frame.sequence = scan.start_sequence + scan.frames;
-    if (!decode_payload(type, checked.substr(1), frame)) {
-      scan.corrupt_tail = true;
-      break;
-    }
-    if (keep_frames) scan.decoded.push_back(frame);
-    ++scan.frames;
-    pos += kFrameOverhead + payload_len;
-    scan.valid_bytes = pos;
+  if (config.segment_max_frames == 0) {
+    throw std::invalid_argument("WalWriter: segment_max_frames must be >= 1");
   }
-  return scan;
+  FramedLogConfig cfg;
+  cfg.dir = config.dir;
+  cfg.format = wal_format();
+  cfg.segment_max_records = config.segment_max_frames;
+  cfg.fsync = config.fsync;
+  cfg.fsync_every_n = config.fsync_every_n;
+  cfg.fsync_interval_s = config.fsync_interval_s;
+  cfg.fault_hook = config.fault_hook;
+  cfg.validate = valid_payload;
+  return cfg;
 }
 
 }  // namespace
@@ -199,248 +65,75 @@ std::optional<SegmentScan> scan_segment(const std::filesystem::path& path,
 WalReadResult read_wal(const std::filesystem::path& dir,
                        std::uint64_t from_sequence) {
   WalReadResult result;
-  const auto segments = list_segments(dir);
-  bool stopped = false;
-  for (const auto& [start, path] : segments) {
-    if (stopped) break;  // sequence continuity ends at the first bad frame
-    const auto scan = scan_segment(path, /*keep_frames=*/true);
-    if (!scan) {
-      // Unreadable header: the whole segment is one corrupt unit.
-      ++result.corrupt_frames;
-      break;
-    }
-    // A gap between segments (rotation lost to a crash before any frame was
-    // appended is fine; missing frames are not) also ends the log.
-    if (result.next_sequence != 0 && scan->start_sequence != result.next_sequence) {
-      break;
-    }
-    for (const WalFrame& frame : scan->decoded) {
-      if (frame.sequence >= from_sequence) result.frames.push_back(frame);
-    }
-    result.next_sequence = scan->start_sequence + scan->frames;
-    if (scan->corrupt_tail) {
-      ++result.corrupt_frames;
-      stopped = true;
-    }
-  }
+  const FramedLogScan scan = scan_framed_log(
+      dir, wal_format(),
+      [&](std::uint64_t sequence, std::uint8_t type, std::string_view payload) {
+        WalFrame frame;
+        frame.sequence = sequence;
+        if (!decode_payload(type, payload, frame)) return false;
+        if (sequence >= from_sequence) result.frames.push_back(frame);
+        return true;
+      });
+  result.corrupt_frames = scan.corrupt_records;
+  result.next_sequence = scan.next_sequence;
   return result;
 }
 
-WalWriter::WalWriter(WalConfig config) : config_(std::move(config)) {
-  if (config_.dir.empty()) {
-    throw std::invalid_argument("WalWriter: dir must be set");
-  }
-  if (config_.segment_max_frames == 0) {
-    throw std::invalid_argument("WalWriter: segment_max_frames must be >= 1");
-  }
-  std::filesystem::create_directories(config_.dir);
-
-  // Resume after the valid prefix of any existing log: truncate the first
-  // torn segment at its last valid frame and drop every later segment, so
-  // appended frames extend a log read_wal() fully accepts.
-  const auto segments = list_segments(config_.dir);
-  std::uint64_t resume_start = 1;  // sequences are 1-based; 0 = "no frames"
-  std::uint64_t resume_frames = 0;
-  std::filesystem::path resume_path;
-  bool broken = false;
-  for (const auto& [start, path] : segments) {
-    if (broken) {
-      std::filesystem::remove(path);
-      continue;
-    }
-    const auto scan = scan_segment(path, /*keep_frames=*/false);
-    if (!scan) {
-      // Unreadable header: drop this and every later segment.
-      ++truncated_;
-      std::filesystem::remove(path);
-      broken = true;
-      continue;
-    }
-    if (!resume_path.empty() && scan->start_sequence != resume_start + resume_frames) {
-      // Sequence gap: frames are missing, the log ends at the previous segment.
-      std::filesystem::remove(path);
-      broken = true;
-      continue;
-    }
-    resume_start = scan->start_sequence;
-    resume_frames = scan->frames;
-    resume_path = path;
-    if (scan->corrupt_tail) {
-      ++truncated_;
-      std::filesystem::resize_file(path, scan->valid_bytes);
-      broken = true;
+std::vector<sim::RssiReading> wal_tag_window(const std::filesystem::path& dir,
+                                             sim::TagId tag,
+                                             sim::SimTime horizon) {
+  std::vector<sim::RssiReading> readings;
+  for (const WalFrame& frame : read_wal(dir).frames) {
+    if (frame.type == FrameType::kReading && frame.reading.tag == tag &&
+        frame.reading.time > horizon) {
+      readings.push_back(frame.reading);
     }
   }
-
-  if (!resume_path.empty()) {
-    sequence_ = resume_start + resume_frames;
-    if (resume_frames < config_.segment_max_frames) {
-      // Keep appending to the (now clean) last segment.
-      fd_ = ::open(resume_path.c_str(), O_WRONLY | O_APPEND);
-      if (fd_ < 0) {
-        throw std::runtime_error("WalWriter: open(" + resume_path.string() +
-                                 "): " + std::strerror(errno));
-      }
-      segment_frames_ = resume_frames;
-    } else {
-      open_segment(sequence_);
-    }
-  } else {
-    sequence_ = 1;
-    open_segment(sequence_);
-  }
-  last_sync_monotonic_s_ = monotonic_seconds();
+  return readings;
 }
 
-WalWriter::~WalWriter() {
-  if (fd_ >= 0 && config_.fsync != FsyncPolicy::kOff && unsynced_ > 0) {
-    ::fsync(fd_);
-  }
-  close_segment();
-}
+WalWriter::WalWriter(WalConfig config)
+    : config_(std::move(config)), log_(log_config(config_)) {}
 
 void WalWriter::attach_metrics(obs::MetricsRegistry& registry) {
   appended_metric_ =
       &registry.counter("vire_persist_wal_appended_total", {},
                         "Frames appended to the write-ahead journal");
-  corrupt_metric_ = &registry.counter(
-      "vire_persist_wal_corrupt_total", {},
-      "Torn/corrupt WAL frames dropped (truncated at open or skipped at read)");
-  appended_metric_->inc(appended_);
-  corrupt_metric_->inc(truncated_);
+  appended_metric_->inc(appended_count());
+  registry
+      .counter("vire_persist_wal_corrupt_total", {},
+               "Torn/corrupt WAL frames dropped (truncated at open or skipped "
+               "at read)")
+      .inc(truncated_frames());
 }
 
-void WalWriter::open_segment(std::uint64_t start_sequence) {
-  close_segment();
-  const std::filesystem::path path = segment_path(config_.dir, start_sequence);
-  fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd_ < 0) {
-    throw std::runtime_error("WalWriter: open(" + path.string() +
-                             "): " + std::strerror(errno));
-  }
-  ByteWriter header;
-  header.raw(std::string_view(kMagic, 4));
-  header.u32(kWalVersion);
-  header.u64(start_sequence);
-  physical_write(header.bytes());
-  segment_frames_ = 0;
-}
-
-void WalWriter::close_segment() noexcept {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-}
-
-void WalWriter::physical_write(const std::string& bytes) {
-  std::string buffer = bytes;
-  std::size_t write_len = buffer.size();
-  bool fail_after_write = false;
-  if (config_.fault_hook != nullptr) {
-    if (const auto fault = config_.fault_hook->on_write(buffer.size())) {
-      switch (fault->kind) {
-        case support::IoFaultKind::kShortWrite:
-          write_len = buffer.empty() ? 0 : fault->offset % buffer.size();
-          fail_after_write = true;
-          break;
-        case support::IoFaultKind::kEnospc:
-          throw std::runtime_error("WalWriter: write: No space left on device "
-                                   "(fault injected)");
-        case support::IoFaultKind::kCorruptByte:
-          // Silent media corruption: the append "succeeds"; only the CRC at
-          // read time reveals it.
-          if (!buffer.empty()) buffer[fault->offset % buffer.size()] ^= 0x40;
-          break;
-      }
-    }
-  }
-  std::size_t written = 0;
-  while (written < write_len) {
-    const ssize_t n = ::write(fd_, buffer.data() + written, write_len - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error(std::string("WalWriter: write: ") +
-                               std::strerror(errno));
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  if (fail_after_write) {
-    throw std::runtime_error("WalWriter: short write (fault injected)");
-  }
-}
-
-void WalWriter::append_frame(FrameType type, const std::string& payload) {
-  if (segment_frames_ >= config_.segment_max_frames) {
-    if (config_.fsync != FsyncPolicy::kOff && unsynced_ > 0) {
-      ::fsync(fd_);
-      unsynced_ = 0;
-    }
-    open_segment(sequence_);
-  }
-  physical_write(encode_frame(type, payload));
-  ++sequence_;
-  ++segment_frames_;
-  ++appended_;
-  ++unsynced_;
+void WalWriter::append(FrameType type, std::string_view payload) {
+  log_.append(static_cast<std::uint8_t>(type), payload);
   if (appended_metric_ != nullptr) appended_metric_->inc();
-  maybe_fsync();
-}
-
-void WalWriter::maybe_fsync() {
-  bool due = false;
-  switch (config_.fsync) {
-    case FsyncPolicy::kOff:
-      return;
-    case FsyncPolicy::kEveryN:
-      due = unsynced_ >= config_.fsync_every_n;
-      break;
-    case FsyncPolicy::kInterval:
-      due = monotonic_seconds() - last_sync_monotonic_s_ >= config_.fsync_interval_s;
-      break;
-  }
-  if (due) sync();
-}
-
-void WalWriter::sync() {
-  if (fd_ < 0 || unsynced_ == 0) return;
-  const obs::TraceSpan span(tracer_, "persist.wal_fsync");
-  if (::fsync(fd_) != 0) {
-    support::log_warn("WalWriter: fsync failed: %s", std::strerror(errno));
-  }
-  unsynced_ = 0;
-  last_sync_monotonic_s_ = monotonic_seconds();
 }
 
 void WalWriter::on_accepted(const sim::RssiReading& reading) {
-  append_frame(FrameType::kReading, encode_payload(FrameType::kReading, reading, 0.0));
+  ByteWriter w;
+  write_reading(w, reading);
+  append(FrameType::kReading, w.bytes());
 }
 
 void WalWriter::on_evict(sim::SimTime now) {
-  append_frame(FrameType::kEvict, encode_payload(FrameType::kEvict, {}, now));
+  ByteWriter w;
+  w.f64(now);
+  append(FrameType::kEvict, w.bytes());
 }
 
 void WalWriter::append_update_marker(sim::SimTime now) {
-  append_frame(FrameType::kUpdate, encode_payload(FrameType::kUpdate, {}, now));
+  ByteWriter w;
+  w.f64(now);
+  append(FrameType::kUpdate, w.bytes());
 }
 
 void WalWriter::append_ack_marker(std::uint64_t ack_sequence) {
-  append_frame(FrameType::kAck, encode_ack_payload(ack_sequence));
-}
-
-std::size_t WalWriter::prune(std::uint64_t up_to_sequence) {
-  std::size_t removed = 0;
-  const auto segments = list_segments(config_.dir);
-  // The next segment's start is this segment's end, so a segment goes only
-  // when it lies wholly before the checkpoint. The open segment is the last
-  // in sorted order and is never a candidate.
-  for (std::size_t i = 0; i + 1 < segments.size(); ++i) {
-    if (segments[i + 1].first <= up_to_sequence) {
-      std::filesystem::remove(segments[i].second);
-      ++removed;
-    }
-  }
-  return removed;
+  ByteWriter w;
+  w.u64(ack_sequence);
+  append(FrameType::kAck, w.bytes());
 }
 
 }  // namespace vire::persist

@@ -9,13 +9,10 @@
 // the WAL suffix through the normal ingest()/evict_stale()/update() path,
 // and the recovered process is bit-identical to one that never crashed.
 //
-// On-disk format (all integers little-endian, doubles by bit pattern):
-//   segment file wal-<start_sequence>.log:
-//     "VWAL" magic | u32 version | u64 start_sequence      (header)
-//     frame*                                               (append-only)
-//   frame:
-//     u32 payload_len | u8 type | payload | u32 crc32(type byte + payload)
-//   payloads:
+// On-disk format: a persist::FramedLog format (framed_log.h) with magic
+// "VWAL", version kWalVersion and segment files wal-<start_sequence>.log.
+// Record types and payloads (all integers little-endian, doubles by bit
+// pattern):
 //     kReading: f64 time | u32 tag | u16 reader | f64 rssi_dbm
 //     kEvict:   f64 now
 //     kUpdate:  f64 now
@@ -30,10 +27,12 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <string_view>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "persist/framed_log.h"
 #include "sim/types.h"
 #include "support/atomic_file.h"
 
@@ -57,12 +56,6 @@ struct WalFrame {
   sim::RssiReading reading;         ///< valid for kReading
   sim::SimTime time = 0.0;          ///< valid for kEvict / kUpdate
   std::uint64_t ack_sequence = 0;   ///< valid for kAck
-};
-
-enum class FsyncPolicy {
-  kOff,      ///< never fsync (benches; data loss bounded only by the OS)
-  kEveryN,   ///< fsync after every N appended frames
-  kInterval, ///< fsync when more than `fsync_interval_s` passed since the last
 };
 
 struct WalConfig {
@@ -91,6 +84,13 @@ struct WalReadResult {
 [[nodiscard]] WalReadResult read_wal(const std::filesystem::path& dir,
                                      std::uint64_t from_sequence = 0);
 
+/// The readings of `tag` journaled under `dir` with time > `horizon`, in
+/// journal order: a moved tag's middleware window, when `horizon` is the
+/// last poll time minus the window length (the same strict half-open bound
+/// Middleware::evict_stale keeps).
+[[nodiscard]] std::vector<sim::RssiReading> wal_tag_window(
+    const std::filesystem::path& dir, sim::TagId tag, sim::SimTime horizon);
+
 /// Append-only journal writer. Plugs into the middleware as its
 /// ReadingJournal (attach_journal) and additionally records engine-update
 /// markers. Reopening an existing directory resumes after the valid prefix:
@@ -99,7 +99,6 @@ struct WalReadResult {
 class WalWriter final : public sim::ReadingJournal {
  public:
   explicit WalWriter(WalConfig config);
-  ~WalWriter() override;
 
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
@@ -117,46 +116,42 @@ class WalWriter final : public sim::ReadingJournal {
   void append_ack_marker(std::uint64_t ack_sequence);
 
   /// Force an fsync of the current segment now, regardless of policy.
-  void sync();
+  void sync() { log_.sync(); }
 
   /// Sequence the next frame will get.
-  [[nodiscard]] std::uint64_t next_sequence() const noexcept { return sequence_; }
+  [[nodiscard]] std::uint64_t next_sequence() const noexcept {
+    return log_.next_sequence();
+  }
   /// Frames appended by this writer instance.
-  [[nodiscard]] std::uint64_t appended_count() const noexcept { return appended_; }
+  [[nodiscard]] std::uint64_t appended_count() const noexcept {
+    return log_.appended_count();
+  }
   /// Torn frames dropped from the tail when this writer (re)opened the log.
   [[nodiscard]] std::uint64_t truncated_frames() const noexcept {
-    return truncated_;
+    return log_.truncated_records();
   }
 
   /// Deletes segments whose every frame has sequence < `up_to_sequence`
   /// (safe after a checkpoint at that sequence). Returns segments removed.
-  std::size_t prune(std::uint64_t up_to_sequence);
+  std::size_t prune(std::uint64_t up_to_sequence) {
+    return log_.prune(up_to_sequence);
+  }
 
   /// Registers vire_persist_wal_{appended,corrupt}_total. Pure side channel.
   void attach_metrics(obs::MetricsRegistry& registry);
   /// Emits persist.wal_fsync spans. Pass nullptr to detach.
-  void attach_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
+  void attach_tracer(obs::Tracer* tracer) noexcept {
+    log_.attach_tracer(tracer, "persist.wal_fsync");
+  }
 
   [[nodiscard]] const WalConfig& config() const noexcept { return config_; }
 
  private:
-  void open_segment(std::uint64_t start_sequence);
-  void close_segment() noexcept;
-  void append_frame(FrameType type, const std::string& payload);
-  void physical_write(const std::string& bytes);
-  void maybe_fsync();
+  void append(FrameType type, std::string_view payload);
 
   WalConfig config_;
-  int fd_ = -1;
-  std::uint64_t sequence_ = 0;          ///< next frame's global sequence
-  std::uint64_t segment_frames_ = 0;    ///< frames in the open segment
-  std::uint64_t appended_ = 0;
-  std::uint64_t truncated_ = 0;
-  std::uint64_t unsynced_ = 0;          ///< frames since the last fsync
-  double last_sync_monotonic_s_ = 0.0;  ///< for FsyncPolicy::kInterval
+  FramedLog log_;
   obs::Counter* appended_metric_ = nullptr;
-  obs::Counter* corrupt_metric_ = nullptr;
-  obs::Tracer* tracer_ = nullptr;
 };
 
 }  // namespace vire::persist

@@ -32,7 +32,13 @@ ServiceClient::ServiceClient(const std::filesystem::path& socket_path,
                              ClientConfig config)
     : config_(std::move(config)), decoder_(config_.max_payload) {
   connect(socket_path);
-  if (config_.handshake) handshake();
+  try {
+    handshake();
+  } catch (...) {
+    ::close(fd_);  // no destructor runs for a half-constructed client
+    fd_ = -1;
+    throw;
+  }
 }
 
 ServiceClient::ServiceClient(const std::filesystem::path& socket_path,
@@ -173,10 +179,6 @@ void ServiceClient::stream_sequenced(
     const std::vector<sim::RssiReading>& readings) {
   send_all(encode_frame(MsgType::kIngestSeq,
                         encode_ingest_seq(sequence, ctx, readings)));
-}
-
-std::vector<engine::Fix> ServiceClient::poll(sim::SimTime now) {
-  return poll(now, obs::TraceContext{});
 }
 
 std::vector<engine::Fix> ServiceClient::poll(sim::SimTime now,

@@ -7,9 +7,9 @@
 //   * every read is bounded by ClientConfig::read_timeout_s via poll(2) —
 //     a hung or wedged server surfaces as TimeoutError, never an infinite
 //     block;
-//   * a version/hello handshake runs at connect (ClientConfig::handshake),
-//     so a peer speaking a different kWireVersion fails fast with a clear
-//     error instead of limping through CRC resyncs;
+//   * every connection opens with a version/hello handshake, so a peer
+//     speaking a different kWireVersion fails fast with a clear error
+//     instead of limping through CRC resyncs;
 //   * writes use MSG_NOSIGNAL — a peer dying mid-write is a TransportError
 //     return, not SIGPIPE process death.
 //
@@ -54,10 +54,8 @@ struct ClientConfig {
   std::size_t max_payload = kMaxFramePayload;
   /// Per-read deadline in seconds; <= 0 blocks forever (legacy behavior).
   double read_timeout_s = 5.0;
-  /// Exchange kHello/kHelloAck at connect; a version skew throws
-  /// TransportError with the server's reason text.
-  bool handshake = true;
-  /// Name sent in the hello frame (diagnostics only).
+  /// Name sent in the kHello frame every connection opens with (diagnostics
+  /// only). A version skew throws TransportError with the server's reason.
   std::string peer_name = "client";
 };
 
@@ -93,8 +91,7 @@ class ServiceClient {
   /// Round trips. Each throws TransportError (TimeoutError on deadline) on
   /// a transport failure, std::runtime_error on a kError response (message
   /// = the server's error text).
-  std::vector<engine::Fix> poll(sim::SimTime now);
-  std::vector<engine::Fix> poll(sim::SimTime now, const obs::TraceContext& ctx);
+  std::vector<engine::Fix> poll(sim::SimTime now, const obs::TraceContext& ctx = {});
   std::optional<engine::Fix> latest_fix(sim::TagId tag);
   /// Flight-recorder JSON for the tag, or nullopt when the server has none.
   std::optional<std::string> explain(sim::TagId tag);

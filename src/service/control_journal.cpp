@@ -1,11 +1,11 @@
 #include "service/control_journal.h"
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "persist/binary_io.h"
+#include "persist/checkpoint.h"
+#include "service/wire.h"
 #include "support/atomic_file.h"
 
 namespace vire::service {
@@ -24,104 +24,75 @@ constexpr std::uint8_t kOpPollsDone = 9;
 constexpr std::uint8_t kOpShardDraining = 10;
 constexpr std::uint8_t kOpShardActive = 11;
 
-constexpr char kCheckpointMagic[4] = {'V', 'C', 'J', 'C'};
+constexpr std::string_view kCheckpointMagic = "VCJC";
 constexpr std::uint32_t kCheckpointVersion = 1;
 constexpr char kCheckpointFile[] = "checkpoint.bin";
 
-persist::FramedLogFormat journal_format() {
-  persist::FramedLogFormat format;
-  format.magic[0] = 'V';
-  format.magic[1] = 'C';
-  format.magic[2] = 'J';
-  format.magic[3] = 'L';
-  format.version = 1;
-  format.file_prefix = "ops";
-  return format;
-}
+persist::FramedLogFormat journal_format() { return {{'V', 'C', 'J', 'L'}, 1, "ops"}; }
 
-void encode_fix(persist::ByteWriter& w, const engine::Fix& fix) {
-  w.u32(fix.tag);
-  w.str(fix.name);
-  w.f64(fix.time);
-  w.u8(fix.valid ? 1 : 0);
-  w.u8(static_cast<std::uint8_t>(fix.quality));
-  w.f64(fix.position.x);
-  w.f64(fix.position.y);
-  w.f64(fix.smoothed_position.x);
-  w.f64(fix.smoothed_position.y);
-  w.u64(fix.survivor_count);
-  w.u8(fix.used_fallback ? 1 : 0);
-  w.f64(fix.age_s);
-}
+/// One decoded op record; which fields are set depends on the type.
+struct Op {
+  std::uint32_t shard = 0;        ///< every op but kTrack / kSetReference
+  std::uint64_t sequence = 0;     ///< kBatch batch sequence, kPollsDone through
+  sim::SimTime time = 0.0;        ///< kPoll
+  std::vector<sim::RssiReading> readings;  ///< kBatch
+  TrackRequest track;             ///< kTrack
+  std::vector<sim::TagId> ids;    ///< kSetReference
+};
 
-bool decode_fix(persist::ByteReader& r, engine::Fix& out) {
-  const auto tag = r.u32();
-  auto name = r.str();
-  const auto time = r.f64();
-  const auto valid = r.u8();
-  const auto quality = r.u8();
-  const auto px = r.f64();
-  const auto py = r.f64();
-  const auto sx = r.f64();
-  const auto sy = r.f64();
-  const auto survivors = r.u64();
-  const auto fallback = r.u8();
-  const auto age = r.f64();
-  if (!r.ok()) return false;
-  if (*valid > 1 || *fallback > 1 || *quality > 3) return false;
-  out.tag = *tag;
-  out.name = std::move(*name);
-  out.time = *time;
-  out.valid = *valid != 0;
-  out.quality = static_cast<engine::FixQuality>(*quality);
-  out.position = {*px, *py};
-  out.smoothed_position = {*sx, *sy};
-  out.survivor_count = static_cast<std::size_t>(*survivors);
-  out.used_fallback = *fallback != 0;
-  out.age_s = *age;
-  return true;
-}
-
-/// Structural validation hook handed to the framed log: a CRC-valid record
-/// whose payload does not decode for its type is treated as a torn tail.
-bool validate_op(std::uint8_t type, std::string_view payload) {
+/// The op decoder, also handed to the framed log as its validator: a
+/// CRC-valid record that does not decode for its type (or has an unknown
+/// type) is treated as a torn tail.
+bool decode_op(std::uint8_t type, std::string_view payload, Op& op) {
   persist::ByteReader r(payload);
   switch (type) {
-    case kOpTrack: {
-      r.u32();
-      r.str();
-      const auto has_zone = r.u8();
-      if (!r.ok() || *has_zone > 1) return false;
-      if (*has_zone != 0) r.u32();
-      return r.exhausted();
-    }
-    case kOpSetReference: {
-      const auto count = r.u32();
-      if (!r.ok() || payload.size() != 4 + std::size_t{*count} * 4) return false;
+    case kOpTrack:
+      return read_track(r, op.track) && r.exhausted();
+    case kOpSetReference:
+      return read_tag_ids(r, op.ids) && r.exhausted();
+    case kOpBatch: {
+      const auto shard = r.u32();
+      const auto sequence = r.u64();
+      if (!persist::read_readings(r, op.readings) || !r.exhausted()) return false;
+      op.shard = *shard;
+      op.sequence = *sequence;
       return true;
     }
-    case kOpBatch: {
-      r.u32();
-      r.u64();
-      const auto count = r.u32();
-      if (!r.ok()) return false;
-      constexpr std::size_t kReadingBytes = 8 + 4 + 2 + 8;
-      return payload.size() == 4 + 8 + 4 + std::size_t{*count} * kReadingBytes;
+    case kOpPoll: {
+      const auto shard = r.u32();
+      const auto time = r.f64();
+      if (!r.exhausted()) return false;
+      op.shard = *shard;
+      op.time = *time;
+      return true;
     }
-    case kOpPoll:
-      return payload.size() == 4 + 8;
+    case kOpPollsDone: {
+      const auto shard = r.u32();
+      const auto through = r.u64();
+      if (!r.exhausted()) return false;
+      op.shard = *shard;
+      op.sequence = *through;
+      return true;
+    }
     case kOpAddShard:
     case kOpRemoveShard:
     case kOpBreakerOpen:
     case kOpBreakerClose:
     case kOpShardDraining:
-    case kOpShardActive:
-      return payload.size() == 4;
-    case kOpPollsDone:
-      return payload.size() == 4 + 8;
+    case kOpShardActive: {
+      const auto shard = r.u32();
+      if (!r.exhausted()) return false;
+      op.shard = *shard;
+      return true;
+    }
     default:
       return false;
   }
+}
+
+bool validate_op(std::uint8_t type, std::string_view payload) {
+  Op op;
+  return decode_op(type, payload, op);
 }
 
 persist::FramedLogConfig log_config(const ControlJournalConfig& config) {
@@ -152,17 +123,11 @@ std::string encode_checkpoint_body(const ControlCheckpoint& state) {
     w.u8(m.breaker_open ? 1 : 0);
     w.u64(m.polls_done);
   }
-  w.u32(static_cast<std::uint32_t>(state.reference_ids.size()));
-  for (const auto id : state.reference_ids) w.u32(id);
+  write_tag_ids(w, state.reference_ids);
   w.u32(static_cast<std::uint32_t>(state.tags.size()));
-  for (const auto& t : state.tags) {
-    w.u32(t.tag);
-    w.str(t.name);
-    w.u8(t.zone.has_value() ? 1 : 0);
-    if (t.zone.has_value()) w.u32(*t.zone);
-  }
+  for (const auto& t : state.tags) write_track(w, t);
   w.u32(static_cast<std::uint32_t>(state.latest.size()));
-  for (const auto& fix : state.latest) encode_fix(w, fix);
+  for (const auto& fix : state.latest) persist::write_fix(w, fix);
   return w.take();
 }
 
@@ -196,67 +161,20 @@ bool decode_checkpoint_body(std::string_view body, ControlCheckpoint& out) {
     m.polls_done = *polls;
     out.members.push_back(m);
   }
-  const auto n_refs = r.u32();
-  if (!r.ok()) return false;
-  out.reference_ids.clear();
-  for (std::uint32_t i = 0; i < *n_refs; ++i) {
-    const auto id = r.u32();
-    if (!r.ok()) return false;
-    out.reference_ids.push_back(*id);
-  }
+  if (!read_tag_ids(r, out.reference_ids)) return false;
   const auto n_tags = r.u32();
   if (!r.ok()) return false;
   out.tags.clear();
   for (std::uint32_t i = 0; i < *n_tags; ++i) {
-    ControlCheckpoint::Tag t;
-    const auto tag = r.u32();
-    auto name = r.str();
-    const auto has_zone = r.u8();
-    if (!r.ok() || *has_zone > 1) return false;
-    t.tag = *tag;
-    t.name = std::move(*name);
-    if (*has_zone != 0) {
-      const auto zone = r.u32();
-      if (!r.ok()) return false;
-      t.zone = *zone;
-    }
-    out.tags.push_back(std::move(t));
+    if (!read_track(r, out.tags.emplace_back())) return false;
   }
   const auto n_latest = r.u32();
   if (!r.ok()) return false;
   out.latest.clear();
   for (std::uint32_t i = 0; i < *n_latest; ++i) {
-    engine::Fix fix;
-    if (!decode_fix(r, fix)) return false;
-    out.latest.push_back(std::move(fix));
+    if (!persist::read_fix(r, out.latest.emplace_back())) return false;
   }
   return r.exhausted();
-}
-
-/// Loads checkpoint.bin if present and intact; nullopt otherwise (a corrupt
-/// or torn checkpoint falls back to full-journal replay, never a crash).
-std::optional<ControlCheckpoint> load_checkpoint(
-    const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return std::nullopt;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  std::string data = buffer.str();
-  if (data.size() < sizeof(kCheckpointMagic) + 4) return std::nullopt;
-  if (std::string_view(data.data(), 4) !=
-      std::string_view(kCheckpointMagic, 4)) {
-    return std::nullopt;
-  }
-  const std::string_view body(data.data() + 4, data.size() - 8);
-  persist::ByteReader crc_reader(
-      std::string_view(data.data() + data.size() - 4, 4));
-  const auto stored_crc = crc_reader.u32();
-  if (!stored_crc.has_value() || persist::crc32(body) != *stored_crc) {
-    return std::nullopt;
-  }
-  ControlCheckpoint state;
-  if (!decode_checkpoint_body(body, state)) return std::nullopt;
-  return state;
 }
 
 ControlCheckpoint::Member& ensure_member(ControlCheckpoint& state,
@@ -278,6 +196,119 @@ ControlCheckpoint::Member* find_member(ControlCheckpoint& state,
   return nullptr;
 }
 
+using OpLogs = std::map<std::uint32_t, std::deque<JournaledOp>>;
+
+/// Drops the polls through journal sequence `through` from one op-log.
+void erase_polls_through(OpLogs& oplogs, std::uint32_t shard,
+                         std::uint64_t through) {
+  const auto it = oplogs.find(shard);
+  if (it == oplogs.end()) return;
+  auto& ops = it->second;
+  ops.erase(std::remove_if(ops.begin(), ops.end(),
+                           [&](const JournaledOp& op) {
+                             return op.kind == JournaledOp::Kind::kPoll &&
+                                    op.journal_sequence <= through;
+                           }),
+            ops.end());
+}
+
+/// Folds one decoded op into the control state and the per-member op-logs
+/// (consuming `op`). The one interpretation of the journal, shared by
+/// recover() and collect_oplog().
+void fold_op(std::uint64_t sequence, std::uint8_t type, Op& op,
+             ControlCheckpoint& state, OpLogs& oplogs) {
+  switch (type) {
+    case kOpTrack: {
+      auto it = std::find_if(state.tags.begin(), state.tags.end(),
+                             [&](const auto& e) { return e.tag == op.track.tag; });
+      if (it != state.tags.end()) {
+        *it = std::move(op.track);
+      } else {
+        state.tags.push_back(std::move(op.track));
+      }
+      break;
+    }
+    case kOpSetReference:
+      state.reference_ids = std::move(op.ids);
+      break;
+    case kOpBatch: {
+      state.ingest_sequence = std::max(state.ingest_sequence, op.sequence);
+      if (op.sequence > ensure_member(state, op.shard).last_ack) {
+        JournaledOp entry;
+        entry.kind = JournaledOp::Kind::kBatch;
+        entry.journal_sequence = sequence;
+        entry.batch_sequence = op.sequence;
+        entry.readings = std::move(op.readings);
+        oplogs[op.shard].push_back(std::move(entry));
+      }
+      break;
+    }
+    case kOpPoll: {
+      state.last_poll_time = std::max(state.last_poll_time, op.time);
+      if (sequence > ensure_member(state, op.shard).polls_done) {
+        JournaledOp entry;
+        entry.kind = JournaledOp::Kind::kPoll;
+        entry.journal_sequence = sequence;
+        entry.time = op.time;
+        oplogs[op.shard].push_back(std::move(entry));
+      }
+      break;
+    }
+    case kOpAddShard:
+      ensure_member(state, op.shard).phase = MemberPhase::kJoining;
+      state.next_shard_id = std::max(state.next_shard_id, op.shard + 1);
+      break;
+    case kOpShardActive:
+      ensure_member(state, op.shard).phase = MemberPhase::kActive;
+      break;
+    case kOpShardDraining:
+      ensure_member(state, op.shard).phase = MemberPhase::kDraining;
+      break;
+    case kOpRemoveShard:
+      state.members.erase(
+          std::remove_if(state.members.begin(), state.members.end(),
+                         [&](const auto& m) { return m.id == op.shard; }),
+          state.members.end());
+      oplogs.erase(op.shard);
+      break;
+    case kOpBreakerOpen:
+    case kOpBreakerClose:
+      ensure_member(state, op.shard).breaker_open = type == kOpBreakerOpen;
+      break;
+    case kOpPollsDone:
+      if (auto* member = find_member(state, op.shard)) {
+        member->polls_done = std::max(member->polls_done, op.sequence);
+        erase_polls_through(oplogs, op.shard, op.sequence);
+      }
+      break;
+    default:
+      break;  // decode_op rejects unknown types
+  }
+}
+
+/// Folds every journal record with sequence >= `from_sequence` under `dir`
+/// into `state` and `oplogs`, counting the folded records in `folded`. With
+/// `only_shard` set, folds just the ops addressed to that member.
+persist::FramedLogScan fold_journal(const std::filesystem::path& dir,
+                                    std::uint64_t from_sequence,
+                                    std::optional<std::uint32_t> only_shard,
+                                    ControlCheckpoint& state, OpLogs& oplogs,
+                                    std::uint64_t& folded) {
+  Op op;
+  return persist::scan_framed_log(
+      dir, journal_format(),
+      [&](std::uint64_t sequence, std::uint8_t type, std::string_view payload) {
+        if (!decode_op(type, payload, op)) return false;
+        const bool addressed = type != kOpTrack && type != kOpSetReference;
+        if (only_shard && !(addressed && op.shard == *only_shard)) return true;
+        if (sequence >= from_sequence) {
+          fold_op(sequence, type, op, state, oplogs);
+          ++folded;
+        }
+        return true;
+      });
+}
+
 }  // namespace
 
 std::string_view to_string(MemberPhase phase) noexcept {
@@ -297,139 +328,20 @@ ControlJournal::ControlJournal(ControlJournalConfig config)
 
 RecoveredControlState ControlJournal::recover() {
   RecoveredControlState result;
-  const auto checkpoint_path =
-      config_.dir / std::filesystem::path(kCheckpointFile);
-  auto snapshot = load_checkpoint(checkpoint_path);
-  if (snapshot.has_value()) {
+  const auto body = persist::read_sealed_file(
+      config_.dir / std::filesystem::path(kCheckpointFile), kCheckpointMagic);
+  // A corrupt or torn checkpoint falls back to full-journal replay.
+  ControlCheckpoint snapshot;
+  if (body && decode_checkpoint_body(*body, snapshot)) {
     result.recovered = true;
-    result.state = std::move(*snapshot);
+    result.state = std::move(snapshot);
   }
 
-  auto scan = persist::read_framed_log(config_.dir, journal_format(),
-                                       result.state.journal_floor, validate_op);
+  const auto scan = fold_journal(config_.dir, result.state.journal_floor,
+                                 std::nullopt, result.state, result.oplogs,
+                                 result.replayed_ops);
   result.corrupt_records = scan.corrupt_records + log_.truncated_records();
-  if (!scan.records.empty()) result.recovered = true;
-
-  auto& state = result.state;
-  for (const auto& record : scan.records) {
-    persist::ByteReader r(record.payload);
-    switch (record.type) {
-      case kOpTrack: {
-        ControlCheckpoint::Tag t;
-        t.tag = *r.u32();
-        t.name = *r.str();
-        if (*r.u8() != 0) t.zone = *r.u32();
-        auto it = std::find_if(state.tags.begin(), state.tags.end(),
-                               [&](const auto& e) { return e.tag == t.tag; });
-        if (it != state.tags.end()) {
-          *it = std::move(t);
-        } else {
-          state.tags.push_back(std::move(t));
-        }
-        break;
-      }
-      case kOpSetReference: {
-        const auto count = *r.u32();
-        state.reference_ids.clear();
-        for (std::uint32_t i = 0; i < count; ++i) {
-          state.reference_ids.push_back(*r.u32());
-        }
-        break;
-      }
-      case kOpBatch: {
-        const auto shard = *r.u32();
-        const auto batch_seq = *r.u64();
-        const auto count = *r.u32();
-        state.ingest_sequence = std::max(state.ingest_sequence, batch_seq);
-        auto& member = ensure_member(state, shard);
-        if (batch_seq > member.last_ack) {
-          JournaledOp op;
-          op.kind = JournaledOp::Kind::kBatch;
-          op.journal_sequence = record.sequence;
-          op.batch_sequence = batch_seq;
-          op.readings.reserve(count);
-          for (std::uint32_t i = 0; i < count; ++i) {
-            sim::RssiReading reading;
-            reading.time = *r.f64();
-            reading.tag = *r.u32();
-            reading.reader = static_cast<sim::ReaderId>(*r.u16());
-            reading.rssi_dbm = *r.f64();
-            op.readings.push_back(reading);
-          }
-          result.oplogs[shard].push_back(std::move(op));
-        }
-        break;
-      }
-      case kOpPoll: {
-        const auto shard = *r.u32();
-        const auto time = *r.f64();
-        auto& member = ensure_member(state, shard);
-        state.last_poll_time = std::max(state.last_poll_time, time);
-        if (record.sequence > member.polls_done) {
-          JournaledOp op;
-          op.kind = JournaledOp::Kind::kPoll;
-          op.journal_sequence = record.sequence;
-          op.time = time;
-          result.oplogs[shard].push_back(std::move(op));
-        }
-        break;
-      }
-      case kOpAddShard: {
-        const auto shard = *r.u32();
-        ensure_member(state, shard).phase = MemberPhase::kJoining;
-        state.next_shard_id = std::max(state.next_shard_id, shard + 1);
-        break;
-      }
-      case kOpShardActive: {
-        const auto shard = *r.u32();
-        ensure_member(state, shard).phase = MemberPhase::kActive;
-        break;
-      }
-      case kOpShardDraining: {
-        const auto shard = *r.u32();
-        ensure_member(state, shard).phase = MemberPhase::kDraining;
-        break;
-      }
-      case kOpRemoveShard: {
-        const auto shard = *r.u32();
-        state.members.erase(
-            std::remove_if(state.members.begin(), state.members.end(),
-                           [&](const auto& m) { return m.id == shard; }),
-            state.members.end());
-        result.oplogs.erase(shard);
-        break;
-      }
-      case kOpBreakerOpen:
-      case kOpBreakerClose: {
-        const auto shard = *r.u32();
-        ensure_member(state, shard).breaker_open =
-            record.type == kOpBreakerOpen;
-        break;
-      }
-      case kOpPollsDone: {
-        const auto shard = *r.u32();
-        const auto through = *r.u64();
-        if (auto* member = find_member(state, shard)) {
-          member->polls_done = std::max(member->polls_done, through);
-          auto it = result.oplogs.find(shard);
-          if (it != result.oplogs.end()) {
-            auto& ops = it->second;
-            ops.erase(std::remove_if(ops.begin(), ops.end(),
-                                     [&](const JournaledOp& op) {
-                                       return op.kind ==
-                                                  JournaledOp::Kind::kPoll &&
-                                              op.journal_sequence <= through;
-                                     }),
-                      ops.end());
-          }
-        }
-        break;
-      }
-      default:
-        break;  // unknown op from a future version: skip, counted below
-    }
-    ++result.replayed_ops;
-  }
+  if (result.replayed_ops > 0) result.recovered = true;
   if (replayed_metric_ != nullptr) replayed_metric_->inc(result.replayed_ops);
   if (truncated_metric_ != nullptr && result.corrupt_records > 0) {
     truncated_metric_->inc(result.corrupt_records);
@@ -439,59 +351,13 @@ RecoveredControlState ControlJournal::recover() {
 
 std::deque<JournaledOp> ControlJournal::collect_oplog(
     std::uint32_t shard, std::uint64_t last_ack, std::uint64_t polls_done) {
-  std::deque<JournaledOp> ops;
-  auto scan =
-      persist::read_framed_log(config_.dir, journal_format(), 0, validate_op);
-  for (const auto& record : scan.records) {
-    persist::ByteReader r(record.payload);
-    switch (record.type) {
-      case kOpBatch: {
-        if (*r.u32() != shard) break;
-        const auto batch_seq = *r.u64();
-        if (batch_seq <= last_ack) break;
-        const auto count = *r.u32();
-        JournaledOp op;
-        op.kind = JournaledOp::Kind::kBatch;
-        op.journal_sequence = record.sequence;
-        op.batch_sequence = batch_seq;
-        op.readings.reserve(count);
-        for (std::uint32_t i = 0; i < count; ++i) {
-          sim::RssiReading reading;
-          reading.time = *r.f64();
-          reading.tag = *r.u32();
-          reading.reader = static_cast<sim::ReaderId>(*r.u16());
-          reading.rssi_dbm = *r.f64();
-          op.readings.push_back(reading);
-        }
-        ops.push_back(std::move(op));
-        break;
-      }
-      case kOpPoll: {
-        if (*r.u32() != shard) break;
-        if (record.sequence <= polls_done) break;
-        JournaledOp op;
-        op.kind = JournaledOp::Kind::kPoll;
-        op.journal_sequence = record.sequence;
-        op.time = *r.f64();
-        ops.push_back(std::move(op));
-        break;
-      }
-      case kOpPollsDone: {
-        if (*r.u32() != shard) break;
-        const auto through = *r.u64();
-        ops.erase(std::remove_if(ops.begin(), ops.end(),
-                                 [&](const JournaledOp& op) {
-                                   return op.kind == JournaledOp::Kind::kPoll &&
-                                          op.journal_sequence <= through;
-                                 }),
-                  ops.end());
-        break;
-      }
-      default:
-        break;
-    }
-  }
-  return ops;
+  ControlCheckpoint state;
+  state.members.push_back(
+      {shard, MemberPhase::kActive, last_ack, /*breaker_open=*/false, polls_done});
+  OpLogs oplogs;
+  std::uint64_t folded = 0;
+  (void)fold_journal(config_.dir, 0, shard, state, oplogs, folded);
+  return std::move(oplogs[shard]);
 }
 
 std::uint64_t ControlJournal::append(std::uint8_t type,
@@ -505,20 +371,12 @@ std::uint64_t ControlJournal::append(std::uint8_t type,
 std::uint64_t ControlJournal::record_track(sim::TagId tag,
                                            const std::string& name,
                                            std::optional<std::uint32_t> zone) {
-  persist::ByteWriter w;
-  w.u32(tag);
-  w.str(name);
-  w.u8(zone.has_value() ? 1 : 0);
-  if (zone.has_value()) w.u32(*zone);
-  return append(kOpTrack, w.bytes());
+  return append(kOpTrack, encode_track({tag, name, zone}));
 }
 
 std::uint64_t ControlJournal::record_set_reference(
     const std::vector<sim::TagId>& ids) {
-  persist::ByteWriter w;
-  w.u32(static_cast<std::uint32_t>(ids.size()));
-  for (const auto id : ids) w.u32(id);
-  return append(kOpSetReference, w.bytes());
+  return append(kOpSetReference, encode_reference_ids(ids));
 }
 
 std::uint64_t ControlJournal::record_batch(
@@ -527,13 +385,7 @@ std::uint64_t ControlJournal::record_batch(
   persist::ByteWriter w;
   w.u32(shard);
   w.u64(batch_sequence);
-  w.u32(static_cast<std::uint32_t>(readings.size()));
-  for (const auto& reading : readings) {
-    w.f64(reading.time);
-    w.u32(reading.tag);
-    w.u16(static_cast<std::uint16_t>(reading.reader));
-    w.f64(reading.rssi_dbm);
-  }
+  persist::write_readings(w, readings);
   return append(kOpBatch, w.bytes());
 }
 
@@ -545,34 +397,29 @@ std::uint64_t ControlJournal::record_poll(std::uint32_t shard,
   return append(kOpPoll, w.bytes());
 }
 
+std::uint64_t ControlJournal::record_shard_op(std::uint8_t type,
+                                              std::uint32_t shard) {
+  return append(type, encode_u32(shard));
+}
+
 std::uint64_t ControlJournal::record_add_shard(std::uint32_t shard) {
-  persist::ByteWriter w;
-  w.u32(shard);
-  return append(kOpAddShard, w.bytes());
+  return record_shard_op(kOpAddShard, shard);
 }
 
 std::uint64_t ControlJournal::record_shard_active(std::uint32_t shard) {
-  persist::ByteWriter w;
-  w.u32(shard);
-  return append(kOpShardActive, w.bytes());
+  return record_shard_op(kOpShardActive, shard);
 }
 
 std::uint64_t ControlJournal::record_shard_draining(std::uint32_t shard) {
-  persist::ByteWriter w;
-  w.u32(shard);
-  return append(kOpShardDraining, w.bytes());
+  return record_shard_op(kOpShardDraining, shard);
 }
 
 std::uint64_t ControlJournal::record_remove_shard(std::uint32_t shard) {
-  persist::ByteWriter w;
-  w.u32(shard);
-  return append(kOpRemoveShard, w.bytes());
+  return record_shard_op(kOpRemoveShard, shard);
 }
 
 std::uint64_t ControlJournal::record_breaker(std::uint32_t shard, bool open) {
-  persist::ByteWriter w;
-  w.u32(shard);
-  return append(open ? kOpBreakerOpen : kOpBreakerClose, w.bytes());
+  return record_shard_op(open ? kOpBreakerOpen : kOpBreakerClose, shard);
 }
 
 std::uint64_t ControlJournal::record_polls_done(
@@ -587,15 +434,11 @@ void ControlJournal::checkpoint(const ControlCheckpoint& state) {
   // Sync the log BEFORE the state file: a checkpoint must never claim a
   // floor whose suffix is not at least as durable as the checkpoint itself.
   log_.sync();
-  const std::string body = encode_checkpoint_body(state);
-  persist::ByteWriter w;
-  w.raw(std::string_view(kCheckpointMagic, 4));
-  w.raw(body);
-  w.u32(persist::crc32(body));
   support::AtomicWriteOptions options;
   options.fault_hook = config_.fault_hook;
   support::atomic_write_file(
-      config_.dir / std::filesystem::path(kCheckpointFile), w.bytes(), options);
+      config_.dir / std::filesystem::path(kCheckpointFile),
+      persist::seal(kCheckpointMagic, encode_checkpoint_body(state)), options);
   log_.prune(state.journal_floor);
   since_checkpoint_ = 0;
   if (checkpoints_metric_ != nullptr) checkpoints_metric_->inc();

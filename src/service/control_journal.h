@@ -13,13 +13,17 @@
 //
 // Layout under config.dir:
 //   ops-<start_sequence>.log   segmented op records ("VCJL" magic)
-//   checkpoint.bin             folded control state ("VCJC" magic, CRC body,
-//                              written via support::atomic_write_file)
+//   checkpoint.bin             folded control state, sealed with
+//                              persist::seal ("VCJC" magic, CRC body) and
+//                              written via support::atomic_write_file
 //
-// Op records (u8 type | payload, little-endian):
-//   kTrack         u32 tag | str name | u8 has_zone | [u32 zone]
-//   kSetReference  u32 count | u32 tag*
-//   kBatch         u32 shard | u64 batch_seq | u32 count | readings
+// Op records (u8 type | payload, little-endian). Payloads reuse the one
+// codec of each record type, so the wire and persist codecs are part of
+// this on-disk format (tests/persist/fixtures/journal pins the bytes):
+//   kTrack         wire kTrack payload: u32 tag | str name | u8 has_zone |
+//                  [u32 zone]
+//   kSetReference  wire kSetReference payload: u32 count | u32 tag*
+//   kBatch         u32 shard | u64 batch_seq | persist::write_readings
 //   kPoll          u32 shard | f64 time          (poll a down shard owes)
 //   kAddShard / kShardActive / kShardDraining / kRemoveShard   u32 shard
 //   kBreakerOpen / kBreakerClose                               u32 shard
@@ -44,6 +48,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "persist/framed_log.h"
+#include "service/wire.h"
 #include "sim/types.h"
 
 namespace vire::service {
@@ -103,11 +108,8 @@ struct ControlCheckpoint {
   std::vector<Member> members;
 
   std::vector<sim::TagId> reference_ids;
-  struct Tag {
-    sim::TagId tag = 0;
-    std::string name;
-    std::optional<std::uint32_t> zone;
-  };
+  /// Tracked tags, stored in the kTrack wire layout.
+  using Tag = TrackRequest;
   std::vector<Tag> tags;
   /// Merged latest-fix cache (feeds kHold degradation after restart).
   std::vector<engine::Fix> latest;
@@ -186,6 +188,8 @@ class ControlJournal {
 
  private:
   std::uint64_t append(std::uint8_t type, std::string_view payload);
+  /// Appends an op whose payload is the shard id alone.
+  std::uint64_t record_shard_op(std::uint8_t type, std::uint32_t shard);
 
   ControlJournalConfig config_;
   persist::FramedLog log_;

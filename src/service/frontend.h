@@ -44,31 +44,19 @@ class Frontend {
  public:
   virtual ~Frontend() = default;
 
-  virtual void ingest(const std::vector<sim::RssiReading>& readings) = 0;
-  /// Sequenced ingest (kIngestSeq): `sequence` keys the sender's resend
-  /// window. Implementations without ack plumbing treat it as plain ingest.
-  virtual void ingest_sequenced(const std::vector<sim::RssiReading>& readings,
-                                std::uint64_t sequence) {
-    (void)sequence;
-    ingest(readings);
-  }
-  /// Sequenced ingest with a propagated trace context (wire v3). The context
-  /// is capture-only — implementations may record it for trace correlation
-  /// but must never let it affect localization. Default: drop it.
-  virtual void ingest_sequenced(const std::vector<sim::RssiReading>& readings,
-                                std::uint64_t sequence,
-                                const obs::TraceContext& ctx) {
-    (void)ctx;
-    ingest_sequenced(readings, sequence);
-  }
+  /// Reading batch in (kIngest, kIngestSeq). A nonzero `sequence` keys the
+  /// sender's resend window (0 = unsequenced); implementations without ack
+  /// plumbing ignore it. `ctx` is the propagated trace context and is
+  /// capture-only: implementations may record it for trace correlation but
+  /// must never let it affect localization. Overrides repeat the defaults,
+  /// which bind to the static type of the call.
+  virtual void ingest(const std::vector<sim::RssiReading>& readings,
+                      std::uint64_t sequence = 0,
+                      const obs::TraceContext& ctx = {}) = 0;
 
-  virtual std::vector<engine::Fix> poll(sim::SimTime now) = 0;
-  /// Poll with a propagated trace context (capture-only, like ingest).
+  /// Evict + update at `now` (kPoll); `ctx` is capture-only like ingest's.
   virtual std::vector<engine::Fix> poll(sim::SimTime now,
-                                        const obs::TraceContext& ctx) {
-    (void)ctx;
-    return poll(now);
-  }
+                                        const obs::TraceContext& ctx = {}) = 0;
   [[nodiscard]] virtual std::optional<engine::Fix> latest_fix(
       sim::TagId tag) const = 0;
   /// Flight-recorder provenance as JSON; nullopt when there is none.

@@ -142,8 +142,7 @@ void ServiceServer::handle(Connection& conn, const Frame& frame) {
           send_frame(conn, MsgType::kError, "malformed sequenced ingest payload");
           return;
         }
-        frontend_.ingest_sequenced(batch->readings, batch->sequence,
-                                   batch->ctx);
+        frontend_.ingest(batch->readings, batch->sequence, batch->ctx);
         return;  // fire-and-forget; durability observable via kHeartbeat
       }
       case MsgType::kPoll: {

@@ -318,37 +318,12 @@ void ShardedService::ingest(const sim::RssiReading& reading) {
   enqueue_reading(*shards_.at(router_.route(reading.tag, zone)), reading);
 }
 
-void ShardedService::ingest(const std::vector<sim::RssiReading>& readings) {
-  for (const auto& reading : readings) ingest(reading);
-}
-
-void ShardedService::ingest_sequenced(const std::vector<sim::RssiReading>& readings,
-                                      std::uint64_t sequence) {
+void ShardedService::ingest(const std::vector<sim::RssiReading>& readings,
+                            std::uint64_t sequence,
+                            const obs::TraceContext& ctx) {
   ensure_ready();
-  // Redelivery of a batch every live shard already journaled an ack for:
-  // drop it whole. (A batch past the cursor re-ingests; the middleware's
-  // last-write-wins duplicate policy and the resume gates absorb overlap.)
-  if (sequence != 0 && sequence <= last_ack_sequence()) return;
-  ingest(readings);
-  for (auto& [id, shard] : shards_) {
-    if (shard->awaiting_recovery) continue;
-    // Ack marker strictly AFTER the batch's readings: flush them into the
-    // FIFO queue first, then append the marker behind them on the worker.
-    flush_pending(*shard);
-    Shard* s = shard.get();
-    shard->queue->push_control([s, sequence] {
-      if (s->wal != nullptr) s->wal->append_ack_marker(sequence);
-      s->acked.store(sequence, std::memory_order_release);
-    });
-  }
-}
-
-void ShardedService::ingest_sequenced(const std::vector<sim::RssiReading>& readings,
-                                      std::uint64_t sequence,
-                                      const obs::TraceContext& ctx) {
   // Capture-only adoption: note the propagated context on each receiving
-  // shard's timeline (no-op while tracing is disabled), then ingest exactly
-  // as an uncontexted batch would.
+  // shard's timeline (no-op while tracing is disabled).
   if (ctx.trace_id != 0) {
     for (auto& [id, shard] : shards_) {
       if (shard->awaiting_recovery) continue;
@@ -360,7 +335,23 @@ void ShardedService::ingest_sequenced(const std::vector<sim::RssiReading>& readi
               ",\"sequence\":" + std::to_string(sequence) + "}");
     }
   }
-  ingest_sequenced(readings, sequence);
+  // Redelivery of a batch every live shard already journaled an ack for:
+  // drop it whole. (A batch past the cursor re-ingests; the middleware's
+  // last-write-wins duplicate policy and the resume gates absorb overlap.)
+  if (sequence != 0 && sequence <= last_ack_sequence()) return;
+  for (const auto& reading : readings) ingest(reading);
+  if (sequence == 0) return;
+  for (auto& [id, shard] : shards_) {
+    if (shard->awaiting_recovery) continue;
+    // Ack marker strictly AFTER the batch's readings: flush them into the
+    // FIFO queue first, then append the marker behind them on the worker.
+    flush_pending(*shard);
+    Shard* s = shard.get();
+    shard->queue->push_control([s, sequence] {
+      if (s->wal != nullptr) s->wal->append_ack_marker(sequence);
+      s->acked.store(sequence, std::memory_order_release);
+    });
+  }
 }
 
 std::uint64_t ShardedService::last_ack_sequence() const {
@@ -425,7 +416,8 @@ std::optional<std::string> ShardedService::provenance_json() {
   return out;
 }
 
-std::vector<engine::Fix> ShardedService::poll(sim::SimTime now) {
+std::vector<engine::Fix> ShardedService::poll(sim::SimTime now,
+                                              const obs::TraceContext& /*ctx*/) {
   ensure_ready();
   const obs::ScopedTimer timer(poll_seconds_);
   for (auto& [id, shard] : shards_) flush_pending(*shard);
@@ -604,20 +596,12 @@ persist::RecoveryReport ShardedService::recover_shard(std::uint32_t shard_id) {
 std::vector<sim::RssiReading> ShardedService::migration_readings(Shard& source,
                                                                  sim::TagId tag) {
   const double horizon = last_poll_time_ - config_.middleware.window_s;
-  std::vector<sim::RssiReading> readings;
   if (persistence_enabled()) {
     // The moved tag's WAL suffix: every journaled reading still inside the
-    // middleware window. The filter threshold matches evict_stale's strict
-    // half-open window, so the replayed set is exactly the source's buffer.
-    const auto wal = persist::read_wal(wal_dir(source.id));
-    for (const auto& frame : wal.frames) {
-      if (frame.type != persist::FrameType::kReading) continue;
-      if (frame.reading.tag != tag) continue;
-      if (frame.reading.time <= horizon) continue;
-      readings.push_back(frame.reading);
-    }
-    return readings;
+    // middleware window, so the replayed set is exactly the source's buffer.
+    return persist::wal_tag_window(wal_dir(source.id), tag, horizon);
   }
+  std::vector<sim::RssiReading> readings;
   // No WAL: lift the tag's window straight out of the source middleware.
   const auto snapshot =
       run_on(*source.queue, [&] { return source.middleware->snapshot(); });

@@ -148,27 +148,24 @@ class ShardedService : public Frontend {
   /// counted as lost; readings at or before a recovered shard's resume time
   /// are dropped by the resume gate (the shard already holds them).
   void ingest(const sim::RssiReading& reading);
-  void ingest(const std::vector<sim::RssiReading>& readings) override;
-  /// Sequenced ingest (kIngestSeq): ingests the batch, then journals a
-  /// FrameType::kAck marker behind its readings on every live shard's WAL —
-  /// so heartbeat()'s last_ack_sequence reports exactly the batches whose
+  /// A nonzero `sequence` (kIngestSeq) also journals a FrameType::kAck
+  /// marker behind the batch's readings on every live shard's WAL — so
+  /// heartbeat()'s last_ack_sequence reports exactly the batches whose
   /// readings are durably journaled. A batch at or below the current ack
   /// cursor is dropped whole (idempotent redelivery after a sender retry).
-  void ingest_sequenced(const std::vector<sim::RssiReading>& readings,
-                        std::uint64_t sequence) override;
-  /// Sequenced ingest with an adopted trace context (wire v3): records a
-  /// capture-only "wire.ingest_batch" instant carrying the sender's trace id
-  /// on each receiving shard's tracer, then ingests normally. Localization
-  /// output is bit-identical with or without a context.
-  void ingest_sequenced(const std::vector<sim::RssiReading>& readings,
-                        std::uint64_t sequence,
-                        const obs::TraceContext& ctx) override;
+  /// A trace context is noted as a capture-only "wire.ingest_batch" instant
+  /// on each receiving shard's tracer; localization output is bit-identical
+  /// with or without one.
+  void ingest(const std::vector<sim::RssiReading>& readings,
+              std::uint64_t sequence = 0,
+              const obs::TraceContext& ctx = {}) override;
 
   /// Flushes pending batches, runs evict_stale + update on every shard at
   /// `now`, and returns the merged fixes in tag order — bit-identical to a
   /// single engine polled at the same times over the same stream. Blocks
   /// until every shard finished (poll is the service's barrier).
-  std::vector<engine::Fix> poll(sim::SimTime now) override;
+  std::vector<engine::Fix> poll(sim::SimTime now,
+                                const obs::TraceContext& ctx = {}) override;
 
   /// Latest fix of a tag from the most recent poll that produced one.
   [[nodiscard]] std::optional<engine::Fix> latest_fix(

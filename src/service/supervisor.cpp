@@ -326,7 +326,9 @@ void Supervisor::tick() {
 // ---------------------------------------------------------------------------
 // Frontend
 
-void Supervisor::ingest(const std::vector<sim::RssiReading>& readings) {
+void Supervisor::ingest(const std::vector<sim::RssiReading>& readings,
+                        std::uint64_t /*sequence*/,
+                        const obs::TraceContext& /*ctx*/) {
   std::lock_guard lock(mutex_);
   if (readings.empty()) return;
   std::map<std::uint32_t, std::vector<sim::RssiReading>> parts;
@@ -396,7 +398,8 @@ void Supervisor::ingest(const std::vector<sim::RssiReading>& readings) {
   maybe_checkpoint();
 }
 
-std::vector<engine::Fix> Supervisor::poll(sim::SimTime now) {
+std::vector<engine::Fix> Supervisor::poll(sim::SimTime now,
+                                          const obs::TraceContext& /*ctx*/) {
   std::lock_guard lock(mutex_);
   const obs::ScopedTimer timer(poll_seconds_);
   polls_total_->inc();
@@ -1478,14 +1481,8 @@ std::vector<sim::RssiReading> Supervisor::migration_readings_cross(
   // re-fed set is exactly the source's buffer. shardd hosts a single-shard
   // ShardedService, so its WAL lives under <data_dir>/shard-0/wal.
   const double horizon = last_poll_time_ - config_.middleware_window_s;
-  std::vector<sim::RssiReading> readings;
-  const auto wal = persist::read_wal(source.data_dir / "shard-0" / "wal");
-  for (const auto& frame : wal.frames) {
-    if (frame.type != persist::FrameType::kReading) continue;
-    if (frame.reading.tag != tag) continue;
-    if (frame.reading.time <= horizon) continue;
-    readings.push_back(frame.reading);
-  }
+  auto readings =
+      persist::wal_tag_window(source.data_dir / "shard-0" / "wal", tag, horizon);
   // Un-acked batches never reached the source's WAL; their readings live
   // only in our op-log. Append them after the WAL suffix (they are newer
   // than every acked reading by construction).

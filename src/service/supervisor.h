@@ -218,9 +218,13 @@ class Supervisor : public Frontend {
   // Frontend. ingest() assigns each batch an internal sequence and journals
   // it in the owning shards' op-logs until durably acked. poll() forwards to
   // every shard (reviving dead ones inline when the breaker allows) and
-  // degrades a DOWN shard's tags to FixQuality::kHold answers.
-  void ingest(const std::vector<sim::RssiReading>& readings) override;
-  std::vector<engine::Fix> poll(sim::SimTime now) override;
+  // degrades a DOWN shard's tags to FixQuality::kHold answers. Both stamp
+  // their own trace contexts; the caller's sequence and context are unused.
+  void ingest(const std::vector<sim::RssiReading>& readings,
+              std::uint64_t sequence = 0,
+              const obs::TraceContext& ctx = {}) override;
+  std::vector<engine::Fix> poll(sim::SimTime now,
+                                const obs::TraceContext& ctx = {}) override;
   [[nodiscard]] std::optional<engine::Fix> latest_fix(
       sim::TagId tag) const override;
   std::optional<std::string> explain_json(sim::TagId tag) override;

@@ -14,11 +14,6 @@ namespace {
 /// Bytes after the length prefix that are not payload: type byte + CRC.
 constexpr std::uint32_t kFrameOverhead = 5;
 
-/// Smallest possible encoded Fix (empty name): u32 tag + u32 name length +
-/// f64 time + u8 valid + u8 quality + 4x f64 positions + u64 survivors +
-/// u8 fallback + f64 age. Bounds the fix-count a payload can honestly claim.
-constexpr std::size_t kMinFixEncoding = 67;
-
 bool known_type(std::uint8_t t) noexcept {
   switch (static_cast<MsgType>(t)) {
     case MsgType::kIngest:
@@ -62,50 +57,6 @@ std::uint32_t read_u32le(const char* p) noexcept {
     v = __builtin_bswap32(v);
   }
   return v;
-}
-
-void encode_fix(persist::ByteWriter& w, const engine::Fix& fix) {
-  w.u32(fix.tag);
-  w.str(fix.name);
-  w.f64(fix.time);
-  w.u8(fix.valid ? 1 : 0);
-  w.u8(static_cast<std::uint8_t>(fix.quality));
-  w.f64(fix.position.x);
-  w.f64(fix.position.y);
-  w.f64(fix.smoothed_position.x);
-  w.f64(fix.smoothed_position.y);
-  w.u64(fix.survivor_count);
-  w.u8(fix.used_fallback ? 1 : 0);
-  w.f64(fix.age_s);
-}
-
-std::optional<engine::Fix> decode_fix(persist::ByteReader& r) {
-  engine::Fix fix;
-  const auto tag = r.u32();
-  auto name = r.str();
-  const auto time = r.f64();
-  const auto valid = r.u8();
-  const auto quality = r.u8();
-  const auto px = r.f64();
-  const auto py = r.f64();
-  const auto sx = r.f64();
-  const auto sy = r.f64();
-  const auto survivors = r.u64();
-  const auto fallback = r.u8();
-  const auto age = r.f64();
-  if (!r.ok()) return std::nullopt;
-  if (*valid > 1 || *fallback > 1 || *quality > 3) return std::nullopt;
-  fix.tag = *tag;
-  fix.name = std::move(*name);
-  fix.time = *time;
-  fix.valid = *valid != 0;
-  fix.quality = static_cast<engine::FixQuality>(*quality);
-  fix.position = {*px, *py};
-  fix.smoothed_position = {*sx, *sy};
-  fix.survivor_count = static_cast<std::size_t>(*survivors);
-  fix.used_fallback = *fallback != 0;
-  fix.age_s = *age;
-  return fix;
 }
 
 }  // namespace
@@ -211,40 +162,14 @@ void FrameDecoder::finish() {
 
 std::string encode_ingest(const std::vector<sim::RssiReading>& readings) {
   persist::ByteWriter w;
-  w.u32(static_cast<std::uint32_t>(readings.size()));
-  for (const auto& r : readings) {
-    w.f64(r.time);
-    w.u32(r.tag);
-    w.u16(r.reader);
-    w.f64(r.rssi_dbm);
-  }
+  persist::write_readings(w, readings);
   return w.take();
 }
 
 std::optional<std::vector<sim::RssiReading>> decode_ingest(std::string_view payload) {
   persist::ByteReader r(payload);
-  const auto count = r.u32();
-  if (!r.ok()) return std::nullopt;
-  // Fixed-size readings; an honest count can never overrun the payload.
-  if (static_cast<std::size_t>(*count) * kReadingEncoding != r.remaining()) {
-    return std::nullopt;
-  }
   std::vector<sim::RssiReading> readings;
-  readings.reserve(*count);
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    sim::RssiReading reading;
-    const auto time = r.f64();
-    const auto tag = r.u32();
-    const auto reader = r.u16();
-    const auto rssi = r.f64();
-    if (!r.ok()) return std::nullopt;
-    reading.time = *time;
-    reading.tag = *tag;
-    reading.reader = *reader;
-    reading.rssi_dbm = *rssi;
-    readings.push_back(reading);
-  }
-  if (!r.exhausted()) return std::nullopt;
+  if (!persist::read_readings(r, readings) || !r.exhausted()) return std::nullopt;
   return readings;
 }
 
@@ -291,7 +216,7 @@ std::optional<std::uint8_t> decode_snapshot_request(std::string_view payload) {
 std::string encode_fixes(const std::vector<engine::Fix>& fixes) {
   persist::ByteWriter w;
   w.u32(static_cast<std::uint32_t>(fixes.size()));
-  for (const auto& fix : fixes) encode_fix(w, fix);
+  for (const auto& fix : fixes) persist::write_fix(w, fix);
   return w.take();
 }
 
@@ -302,15 +227,14 @@ std::optional<std::vector<engine::Fix>> decode_fixes(std::string_view payload) {
   // Bound the claimed count by what the payload could possibly hold BEFORE
   // reserving: each Fix decodes to ~100+ bytes in memory, so trusting a
   // hostile u32 here would let a 1 MiB payload force a ~100 MB reservation.
-  if (static_cast<std::uint64_t>(*count) * kMinFixEncoding > r.remaining()) {
+  if (static_cast<std::uint64_t>(*count) * persist::kMinFixEncoding >
+      r.remaining()) {
     return std::nullopt;
   }
   std::vector<engine::Fix> fixes;
   fixes.reserve(*count);
   for (std::uint32_t i = 0; i < *count; ++i) {
-    auto fix = decode_fix(r);
-    if (!fix.has_value()) return std::nullopt;
-    fixes.push_back(std::move(*fix));
+    if (!persist::read_fix(r, fixes.emplace_back())) return std::nullopt;
   }
   if (!r.exhausted()) return std::nullopt;
   return fixes;
@@ -319,7 +243,7 @@ std::optional<std::vector<engine::Fix>> decode_fixes(std::string_view payload) {
 std::string encode_fix_reply(const std::optional<engine::Fix>& fix) {
   persist::ByteWriter w;
   w.u8(fix.has_value() ? 1 : 0);
-  if (fix.has_value()) encode_fix(w, *fix);
+  if (fix.has_value()) persist::write_fix(w, *fix);
   return w.take();
 }
 
@@ -331,9 +255,9 @@ std::optional<std::optional<engine::Fix>> decode_fix_reply(std::string_view payl
     if (!r.exhausted()) return std::nullopt;
     return std::optional<engine::Fix>(std::nullopt);
   }
-  auto fix = decode_fix(r);
-  if (!fix.has_value() || !r.exhausted()) return std::nullopt;
-  return std::optional<engine::Fix>(std::move(*fix));
+  engine::Fix fix;
+  if (!persist::read_fix(r, fix) || !r.exhausted()) return std::nullopt;
+  return std::optional<engine::Fix>(std::move(fix));
 }
 
 std::string encode_hello(const Hello& hello) {
@@ -369,18 +293,10 @@ std::optional<HeartbeatAck> decode_heartbeat_ack(std::string_view payload) {
   const auto seq = r.u64();
   const auto wal = r.u64();
   const auto ack_seq = r.u64();
-  if (!r.ok()) return std::nullopt;
-  HeartbeatAck ack;
-  ack.seq = *seq;
-  ack.wal_next_sequence = *wal;
-  ack.last_ack_sequence = *ack_seq;
-  if (r.exhausted()) return ack;  // 24-byte v2 ack: clock fields stay zero
   const auto mono = r.f64();
   const auto dumps = r.u64();
-  if (!r.ok() || !r.exhausted()) return std::nullopt;
-  ack.mono_now_us = *mono;
-  ack.anomaly_dumps = *dumps;
-  return ack;
+  if (!r.exhausted()) return std::nullopt;
+  return HeartbeatAck{*seq, *wal, *ack_seq, *mono, *dumps};
 }
 
 std::string encode_ingest_seq(std::uint64_t sequence,
@@ -390,7 +306,7 @@ std::string encode_ingest_seq(std::uint64_t sequence,
   w.u64(sequence);
   w.u64(ctx.trace_id);
   w.u64(ctx.parent_span_id);
-  w.raw(encode_ingest(readings));
+  persist::write_readings(w, readings);
   return w.take();
 }
 
@@ -404,13 +320,12 @@ std::optional<SequencedBatch> decode_ingest_seq(std::string_view payload) {
   const auto sequence = r.u64();
   const auto trace_id = r.u64();
   const auto parent_span = r.u64();
-  if (!r.ok()) return std::nullopt;
-  auto readings = decode_ingest(payload.substr(3 * sizeof(std::uint64_t)));
-  if (!readings.has_value()) return std::nullopt;
   SequencedBatch batch;
+  if (!persist::read_readings(r, batch.readings) || !r.exhausted()) {
+    return std::nullopt;
+  }
   batch.sequence = *sequence;
   batch.ctx = {*trace_id, *parent_span};
-  batch.readings = std::move(*readings);
   return batch;
 }
 
@@ -425,15 +340,10 @@ std::string encode_poll(const PollRequest& request) {
 std::optional<PollRequest> decode_poll(std::string_view payload) {
   persist::ByteReader r(payload);
   const auto now = r.f64();
-  if (!r.ok()) return std::nullopt;
-  PollRequest request;
-  request.now = *now;
-  if (r.exhausted()) return request;  // bare v2 `now`: zero context
   const auto trace_id = r.u64();
   const auto span = r.u64();
-  if (!r.ok() || !r.exhausted()) return std::nullopt;
-  request.ctx = {*trace_id, *span};
-  return request;
+  if (!r.exhausted()) return std::nullopt;
+  return PollRequest{*now, {*trace_id, *span}};
 }
 
 std::string encode_trace_dump(const obs::TraceDump& dump) {
@@ -508,53 +418,67 @@ std::optional<obs::TraceDump> decode_trace_dump(std::string_view payload) {
   return dump;
 }
 
-std::string encode_track(const TrackRequest& request) {
-  persist::ByteWriter w;
+void write_track(persist::ByteWriter& w, const TrackRequest& request) {
   w.u32(request.tag);
   w.str(request.name);
   w.u8(request.zone.has_value() ? 1 : 0);
   if (request.zone.has_value()) w.u32(*request.zone);
+}
+
+bool read_track(persist::ByteReader& r, TrackRequest& out) {
+  const auto tag = r.u32();
+  auto name = r.str();
+  const auto has_zone = r.u8();
+  if (!r.ok() || *has_zone > 1) return false;
+  out.tag = *tag;
+  out.name = std::move(*name);
+  out.zone.reset();
+  if (*has_zone != 0) {
+    const auto zone = r.u32();
+    if (!r.ok()) return false;
+    out.zone = *zone;
+  }
+  return true;
+}
+
+std::string encode_track(const TrackRequest& request) {
+  persist::ByteWriter w;
+  write_track(w, request);
   return w.take();
 }
 
 std::optional<TrackRequest> decode_track(std::string_view payload) {
   persist::ByteReader r(payload);
-  const auto tag = r.u32();
-  auto name = r.str();
-  const auto has_zone = r.u8();
-  if (!r.ok() || *has_zone > 1) return std::nullopt;
   TrackRequest request;
-  request.tag = *tag;
-  request.name = std::move(*name);
-  if (*has_zone != 0) {
-    const auto zone = r.u32();
-    if (!r.ok()) return std::nullopt;
-    request.zone = *zone;
-  }
-  if (!r.exhausted()) return std::nullopt;
+  if (!read_track(r, request) || !r.exhausted()) return std::nullopt;
   return request;
+}
+
+void write_tag_ids(persist::ByteWriter& w, const std::vector<sim::TagId>& ids) {
+  w.u32(static_cast<std::uint32_t>(ids.size()));
+  for (const auto id : ids) w.u32(id);
+}
+
+bool read_tag_ids(persist::ByteReader& r, std::vector<sim::TagId>& out) {
+  const auto count = r.u32();
+  if (!r.ok() || std::size_t{*count} * 4 > r.remaining()) return false;
+  out.clear();
+  out.reserve(*count);
+  for (std::uint32_t i = 0; i < *count; ++i) out.push_back(*r.u32());
+  return true;
 }
 
 std::string encode_reference_ids(const std::vector<sim::TagId>& ids) {
   persist::ByteWriter w;
-  w.u32(static_cast<std::uint32_t>(ids.size()));
-  for (const auto id : ids) w.u32(id);
+  write_tag_ids(w, ids);
   return w.take();
 }
 
 std::optional<std::vector<sim::TagId>> decode_reference_ids(
     std::string_view payload) {
   persist::ByteReader r(payload);
-  const auto count = r.u32();
-  if (!r.ok()) return std::nullopt;
-  if (static_cast<std::size_t>(*count) * 4 != r.remaining()) return std::nullopt;
   std::vector<sim::TagId> ids;
-  ids.reserve(*count);
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    const auto id = r.u32();
-    if (!r.ok()) return std::nullopt;
-    ids.push_back(*id);
-  }
+  if (!read_tag_ids(r, ids) || !r.exhausted()) return std::nullopt;
   return ids;
 }
 

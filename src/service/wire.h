@@ -28,6 +28,7 @@
 #include "engine/localization_engine.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "persist/checkpoint.h"
 #include "sim/middleware.h"
 #include "sim/types.h"
 
@@ -40,24 +41,17 @@ namespace vire::service {
 /// error instead of a remotely poisoned stream.
 inline constexpr std::uint32_t kMaxFramePayload = 1u << 20;
 
-/// Encoded size of one RssiReading inside kIngest payloads
-/// (f64 time + u32 tag + u16 reader + f64 rssi).
-inline constexpr std::size_t kReadingEncoding = 22;
-
 /// Most readings one kIngestSeq frame can carry under kMaxFramePayload
 /// (u64 sequence + u64 trace id + u64 parent span + u32 count precede the
 /// readings). Senders must chunk larger batches (Supervisor::ingest does).
 inline constexpr std::size_t kMaxReadingsPerBatch =
-    (kMaxFramePayload - 28) / kReadingEncoding;
+    (kMaxFramePayload - 28) / persist::kReadingEncoding;
 
-/// Protocol version carried by the kHello handshake. Bump whenever a frame's
-/// payload layout changes incompatibly; peers with a different version are
-/// rejected fast with kVersionMismatch instead of limping through CRC
-/// resyncs. v2 added hello/heartbeat/sequenced-ingest/control frames; v3
-/// added trace-context propagation on kIngestSeq/kPoll, the kTraceDump /
-/// kProvenanceDump pull frames, and the extended heartbeat ack; v4 added the
-/// elastic-membership frames (kExportTag/kImportTag, kSeedExport/kSeedImport,
-/// kAddShard/kRemoveShard) carrying checkpoint-codec state snapshots.
+/// Protocol version carried by the kHello handshake, which every client
+/// sends at connect. Bump whenever a frame's payload layout changes
+/// incompatibly; peers with a different version are rejected fast with
+/// kVersionMismatch instead of limping through CRC resyncs. A session
+/// decodes exactly one payload layout per frame type — this version's.
 inline constexpr std::uint32_t kWireVersion = 4;
 
 enum class MsgType : std::uint8_t {
@@ -179,7 +173,11 @@ class FrameDecoder {
 
 // Typed payload codecs. Every decode returns nullopt on malformed input
 // (wrong length, overrunning string prefix, unknown enum value) — never
-// throws, never reads out of bounds.
+// throws, never reads out of bounds. Readings and fixes use the persist
+// codecs (persist/checkpoint.h), the same bytes the WAL and control journal
+// store.
+
+/// kIngest: u32 count | reading* (persist::write_readings).
 [[nodiscard]] std::string encode_ingest(const std::vector<sim::RssiReading>& readings);
 [[nodiscard]] std::optional<std::vector<sim::RssiReading>> decode_ingest(
     std::string_view payload);
@@ -213,10 +211,10 @@ struct Hello {
 
 /// kHeartbeat carries a u64 probe sequence (encode_u64); the ack echoes it
 /// plus the shard's durability cursor, so the supervisor learns which ingest
-/// batches survived a crash without replaying blind. v3 appends the shard's
-/// monotonic trace-clock reading (for NTP-style offset estimation) and its
-/// cumulative anomaly auto-dump count; a 24-byte v2 ack still decodes with
-/// those fields zero.
+/// batches survived a crash without replaying blind, the shard's monotonic
+/// trace-clock reading (for NTP-style offset estimation) and its cumulative
+/// anomaly auto-dump count: u64 seq | u64 wal_next | u64 last_ack |
+/// f64 mono_now_us | u64 anomaly_dumps.
 struct HeartbeatAck {
   std::uint64_t seq = 0;               ///< echoed probe sequence
   std::uint64_t wal_next_sequence = 0; ///< shard WAL frontier
@@ -245,9 +243,7 @@ struct SequencedBatch {
 [[nodiscard]] std::optional<SequencedBatch> decode_ingest_seq(
     std::string_view payload);
 
-/// kPoll: f64 now | u64 trace id | u64 span id. A bare 8-byte `now` (the v2
-/// layout) still decodes with a zero context, so hand-rolled pollers keep
-/// working within a v3 session.
+/// kPoll: f64 now | u64 trace id | u64 span id.
 struct PollRequest {
   sim::SimTime now = 0.0;
   obs::TraceContext ctx;
@@ -272,9 +268,17 @@ struct TrackRequest {
 };
 [[nodiscard]] std::string encode_track(const TrackRequest& request);
 [[nodiscard]] std::optional<TrackRequest> decode_track(std::string_view payload);
+/// The same layout inside a larger record (the control journal's kTrack op
+/// and checkpoint tag table).
+void write_track(persist::ByteWriter& w, const TrackRequest& request);
+bool read_track(persist::ByteReader& r, TrackRequest& out);
 
 /// kSetReference: u32 count | u32 tag*.
 [[nodiscard]] std::string encode_reference_ids(const std::vector<sim::TagId>& ids);
+/// The same layout inside a larger record; read_tag_ids fails before
+/// reserving when the claimed count cannot fit the bytes left.
+void write_tag_ids(persist::ByteWriter& w, const std::vector<sim::TagId>& ids);
+bool read_tag_ids(persist::ByteReader& r, std::vector<sim::TagId>& out);
 [[nodiscard]] std::optional<std::vector<sim::TagId>> decode_reference_ids(
     std::string_view payload);
 

@@ -173,8 +173,11 @@ TEST(CheckpointCrossVersion, PreRefactorFixtureRestoresAndReplaysBitIdentically)
       << " missing — run with VIRE_REGEN_CHECKPOINT_FIXTURE=1 to create it";
   std::ostringstream buf;
   buf << in.rdbuf();
-  const auto ckpt = deserialize(buf.str());
+  const std::string bytes = buf.str();
+  const auto ckpt = deserialize(bytes);
   ASSERT_TRUE(ckpt.has_value()) << "pre-refactor checkpoint no longer parses";
+  EXPECT_EQ(serialize(*ckpt), bytes)
+      << "re-serializing the fixture must reproduce its bytes exactly";
 
   // The config fingerprint must be stable across the refactor: data-layout
   // changes are not allowed to masquerade as algorithm changes.

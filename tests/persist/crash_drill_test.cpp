@@ -39,7 +39,11 @@ constexpr double kWarmupS = 40.0;
 constexpr double kPollS = 5.0;
 constexpr int kPolls = 12;
 constexpr int kCheckpointEveryPolls = 4;
-constexpr std::uint64_t kKillAfterMarkers = 8;
+constexpr std::uint64_t kKillAfterMarkers = 10;
+// The poll that writes the kill marker must not also checkpoint: the kill
+// lands in that poll's sleep, and a checkpoint there leaves recovery nothing
+// to replay.
+static_assert(kKillAfterMarkers % kCheckpointEveryPolls != 0);
 
 std::uint64_t bits(double v) {
   std::uint64_t u = 0;

@@ -265,8 +265,11 @@ class CannedSnapshotFrontend final : public Frontend {
  public:
   explicit CannedSnapshotFrontend(std::string snapshot)
       : snapshot_(std::move(snapshot)) {}
-  void ingest(const std::vector<sim::RssiReading>&) override {}
-  std::vector<engine::Fix> poll(sim::SimTime) override { return {}; }
+  void ingest(const std::vector<sim::RssiReading>&, std::uint64_t,
+              const obs::TraceContext&) override {}
+  std::vector<engine::Fix> poll(sim::SimTime, const obs::TraceContext&) override {
+    return {};
+  }
   [[nodiscard]] std::optional<engine::Fix> latest_fix(
       sim::TagId) const override {
     return std::nullopt;

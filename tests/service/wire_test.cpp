@@ -487,7 +487,7 @@ TEST(WireTest, SequencedIngestCarriesTraceContext) {
   EXPECT_EQ(plain->ctx.parent_span_id, 0u);
 }
 
-TEST(WireTest, PollRequestRoundTripAndLegacyEightByteAccepted) {
+TEST(WireTest, PollRequestRoundTripAndBareTimeRejected) {
   PollRequest req;
   req.now = 64.25;
   req.ctx = {0x1122334455667788ULL, 9};
@@ -497,16 +497,13 @@ TEST(WireTest, PollRequestRoundTripAndLegacyEightByteAccepted) {
   EXPECT_EQ(decoded->ctx.trace_id, req.ctx.trace_id);
   EXPECT_EQ(decoded->ctx.parent_span_id, 9u);
 
-  // A v2 peer sends a bare f64: accepted, zero context.
-  const auto legacy = decode_poll(encode_time(12.5));
-  ASSERT_TRUE(legacy.has_value());
-  EXPECT_EQ(legacy->now, 12.5);
-  EXPECT_EQ(legacy->ctx.trace_id, 0u);
+  // One layout per frame type: a bare f64 (the retired v2 poll) is malformed.
+  EXPECT_FALSE(decode_poll(encode_time(12.5)).has_value());
 
   EXPECT_FALSE(decode_poll("short").has_value());
 }
 
-TEST(WireTest, HeartbeatAckV3CarriesClockAndDumps_Legacy24ByteAccepted) {
+TEST(WireTest, HeartbeatAckCarriesClockAndDumps_Short24ByteRejected) {
   HeartbeatAck ack;
   ack.seq = 3;
   ack.wal_next_sequence = 100;
@@ -520,12 +517,8 @@ TEST(WireTest, HeartbeatAckV3CarriesClockAndDumps_Legacy24ByteAccepted) {
   EXPECT_EQ(decoded->mono_now_us, 123456.789);
   EXPECT_EQ(decoded->anomaly_dumps, 4u);
 
-  // A v2 ack is exactly the first 24 bytes: clock/dump fields default.
-  const auto legacy = decode_heartbeat_ack(encoded.substr(0, 24));
-  ASSERT_TRUE(legacy.has_value());
-  EXPECT_EQ(legacy->seq, 3u);
-  EXPECT_EQ(legacy->mono_now_us, 0.0);
-  EXPECT_EQ(legacy->anomaly_dumps, 0u);
+  // The retired 24-byte v2 ack is malformed.
+  EXPECT_FALSE(decode_heartbeat_ack(encoded.substr(0, 24)).has_value());
 }
 
 // v4 elastic-membership payloads: tag-state export/import and the seed
