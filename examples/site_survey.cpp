@@ -89,8 +89,10 @@ void render_proximity_maps(env::PaperEnvironment which) {
     return;
   }
   const auto& grid = localizer.virtual_grid().grid();
-  for (std::size_t m = 0; m < result->elimination.maps.size() && m < 2; ++m) {
-    const auto& map = result->elimination.maps[m];
+  const auto maps = core::proximity_maps(localizer.virtual_grid(), obs.tracking_rssi[0],
+                                         result->elimination);
+  for (std::size_t m = 0; m < maps.size() && m < 2; ++m) {
+    const auto& map = maps[m];
     char title[80];
     std::snprintf(title, sizeof(title), "reader %d proximity map (threshold %.2f dB)",
                   map.reader(), map.threshold_db());

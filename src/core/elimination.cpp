@@ -1,14 +1,21 @@
 #include "core/elimination.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace vire::core {
 
 EliminationEngine::EliminationEngine(EliminationConfig config) : config_(config) {
-  if (config.fixed_threshold_db < 0.0 || config.initial_threshold_db <= 0.0 ||
+  // Thresholds must be finite: the spread kernel below reads a NaN distance
+  // as +inf, which only matches "NaN never marks" for finite thresholds (and
+  // an infinite start would never finish the adaptive walk).
+  const bool finite = std::isfinite(config.fixed_threshold_db) &&
+                      std::isfinite(config.initial_threshold_db) &&
+                      std::isfinite(config.step_db) &&
+                      std::isfinite(config.min_threshold_db);
+  if (!finite || config.fixed_threshold_db < 0.0 || config.initial_threshold_db <= 0.0 ||
       config.step_db <= 0.0 || config.min_threshold_db < 0.0 ||
       config.min_area_cell_fraction < 0.0) {
     throw std::invalid_argument("EliminationEngine: invalid parameters");
@@ -28,13 +35,24 @@ EliminationResult EliminationEngine::run(const VirtualGrid& grid,
   if (static_cast<int>(tracking.size()) != grid.reader_count()) {
     throw std::invalid_argument("EliminationEngine: tracking vector size mismatch");
   }
-  switch (config_.mode) {
-    case ThresholdMode::kFixed: return run_fixed(grid, tracking);
-    case ThresholdMode::kAdaptive: return run_adaptive(grid, tracking);
-    case ThresholdMode::kAdaptivePerReader:
-      return run_adaptive_per_reader(grid, tracking);
+  if (config_.mode == ThresholdMode::kAdaptivePerReader) {
+    return run_adaptive_per_reader(grid, tracking);
   }
-  return run_fixed(grid, tracking);
+  return run_common_threshold(grid, tracking);
+}
+
+std::vector<ProximityMap> proximity_maps(const VirtualGrid& grid,
+                                         const sim::RssiVector& tracking,
+                                         const EliminationResult& result) {
+  if (result.thresholds_db.size() != tracking.size()) {
+    throw std::invalid_argument("proximity_maps: thresholds/tracking size mismatch");
+  }
+  std::vector<ProximityMap> maps;
+  for (std::size_t k = 0; k < tracking.size(); ++k) {
+    if (std::isnan(tracking[k])) continue;
+    maps.emplace_back(grid, static_cast<int>(k), tracking[k], result.thresholds_db[k]);
+  }
+  return maps;
 }
 
 namespace {
@@ -48,175 +66,111 @@ std::vector<int> valid_readers(const sim::RssiVector& tracking) {
   return out;
 }
 
-/// Per-node |S_k(T_i) - s_k| for one voting reader, computed ONCE per
-/// locate. Every threshold step then costs one compare per node instead of
-/// re-walking the grid: `dist <= t` reproduces the original
-/// "skip-NaN, mark if |v - s| <= t" semantics exactly (a NaN distance never
-/// compares true).
-struct ReaderDistances {
-  int reader = 0;
-  double tracking_rssi = 0.0;
-  std::vector<double> dist;
+/// Per-node spread of the voting readers' distances d_k = |S_k(T_i) - s_k|:
+/// `hi` is the largest, `lo` the smallest, with a NaN distance (a NaN node
+/// value) read as +inf. Reader k's map marks node i iff d_k <= t, and a NaN
+/// d_k never marks; for a finite t that makes, bit for bit,
+///   intersection of the maps at t == {i : hi[i] <= t}
+///   union of the maps at t        == {i : lo[i] <= t}.
+/// One pass over the K reader planes thus serves every threshold step.
+struct DistanceSpread {
+  std::vector<double> hi;
+  std::vector<double> lo;
 };
 
-std::vector<ReaderDistances> compute_distances(const VirtualGrid& grid,
-                                               const sim::RssiVector& tracking,
-                                               const std::vector<int>& readers) {
-  std::vector<ReaderDistances> out;
-  out.reserve(readers.size());
+DistanceSpread distance_spread(const VirtualGrid& grid, const sim::RssiVector& tracking,
+                               const std::vector<int>& readers) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::size_t n = grid.node_count();
+  DistanceSpread spread;
+  spread.hi.assign(n, 0.0);
+  spread.lo.assign(n, kInf);
+  double* const hi = spread.hi.data();
+  double* const lo = spread.lo.data();
   for (const int k : readers) {
-    ReaderDistances rd;
-    rd.reader = k;
-    rd.tracking_rssi = tracking[static_cast<std::size_t>(k)];
-    const std::span<const double> values = grid.reader_values(k);
-    rd.dist.resize(values.size());
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      rd.dist[i] = std::abs(values[i] - rd.tracking_rssi);
+    const double* const values = grid.reader_values(k).data();
+    const double s = tracking[static_cast<std::size_t>(k)];
+    for (std::size_t i = 0; i < n; ++i) {
+      double d = std::abs(values[i] - s);
+      d = d == d ? d : kInf;  // NaN -> +inf, branch-free
+      hi[i] = hi[i] < d ? d : hi[i];
+      lo[i] = d < lo[i] ? d : lo[i];
     }
-    out.push_back(std::move(rd));
   }
-  return out;
+  return spread;
 }
 
-std::vector<ProximityMap> build_maps(const std::vector<ReaderDistances>& dists,
-                                     double threshold) {
-  std::vector<ProximityMap> maps;
-  maps.reserve(dists.size());
-  for (const ReaderDistances& rd : dists) {
-    maps.push_back(ProximityMap::from_distances(rd.dist, rd.reader,
-                                                rd.tracking_rssi, threshold));
-  }
-  return maps;
-}
-
-/// Surviving-intersection size at a candidate threshold without
-/// materialising the per-reader masks: word-wise AND over compare-words,
-/// then popcount. This is the elimination walk's inner loop.
-std::size_t count_intersection(const std::vector<ReaderDistances>& dists,
-                               double threshold, std::size_t node_count) {
-  if (dists.empty()) return 0;
-  std::size_t count = 0;
-  std::size_t i = 0;
-  while (i < node_count) {
-    const std::size_t lanes =
-        std::min<std::size_t>(BitMask::kWordBits, node_count - i);
-    BitMask::Word word = lanes == BitMask::kWordBits
-                             ? ~BitMask::Word{0}
-                             : (BitMask::Word{1} << lanes) - 1;
-    for (const ReaderDistances& rd : dists) {
-      BitMask::Word bits = 0;
-      const double* d = rd.dist.data() + i;
-      for (std::size_t lane = 0; lane < lanes; ++lane) {
-        bits |= static_cast<BitMask::Word>(d[lane] <= threshold) << lane;
-      }
-      word &= bits;
-      if (word == 0) break;
-    }
-    count += static_cast<std::size_t>(std::popcount(word));
-    i += lanes;
-  }
-  return count;
-}
-
-/// Union of all maps — the degenerate-measurement fallback so the localizer
-/// can still produce an answer when the readers fully disagree.
-BitMask union_of_maps(const std::vector<ProximityMap>& maps,
-                      std::size_t node_count) {
-  BitMask out(node_count, false);
-  for (const auto& map : maps) out |= map.mask();
-  return out;
+/// Number of entries <= threshold: the intersection size when run on `hi`.
+std::size_t count_at_most(const std::vector<double>& values, double threshold) {
+  return static_cast<std::size_t>(std::count_if(
+      values.begin(), values.end(), [threshold](double v) { return v <= threshold; }));
 }
 
 }  // namespace
 
-EliminationResult EliminationEngine::run_fixed(const VirtualGrid& grid,
-                                               const sim::RssiVector& tracking) const {
-  EliminationResult result;
-  result.thresholds_db.assign(tracking.size(), config_.fixed_threshold_db);
-  result.initial_threshold_db = config_.fixed_threshold_db;
-  result.final_threshold_db = config_.fixed_threshold_db;
-  const auto readers = valid_readers(tracking);
-  const auto dists = compute_distances(grid, tracking, readers);
-  result.maps = build_maps(dists, config_.fixed_threshold_db);
-  result.survivors = result.maps.empty() ? BitMask(grid.node_count(), false)
-                                         : intersect_maps(result.maps);
-  if (!result.maps.empty()) {
-    result.survivors_per_step.push_back(count_marked(result.survivors));
-  }
-  if (!result.maps.empty() && count_marked(result.survivors) == 0) {
-    // A too-small fixed threshold "sweeps away" the real position (paper
-    // Sec. 5.3); a deployed system must still answer, so fall back to the
-    // union of the per-reader maps. The resulting scatter is what drives
-    // the left-hand rise of the Fig. 8 U-curve.
-    result.survivors = union_of_maps(result.maps, grid.node_count());
-  }
-  return result;
-}
-
-EliminationResult EliminationEngine::run_adaptive(
+EliminationResult EliminationEngine::run_common_threshold(
     const VirtualGrid& grid, const sim::RssiVector& tracking) const {
-  const std::vector<int> readers = valid_readers(tracking);
+  const bool adaptive = config_.mode == ThresholdMode::kAdaptive;
+  const double start =
+      adaptive ? config_.initial_threshold_db : config_.fixed_threshold_db;
   EliminationResult result;
-  result.thresholds_db.assign(tracking.size(), config_.initial_threshold_db);
-  result.initial_threshold_db = config_.initial_threshold_db;
-  result.final_threshold_db = config_.initial_threshold_db;
+  result.thresholds_db.assign(tracking.size(), start);
+  result.initial_threshold_db = start;
+  result.final_threshold_db = start;
+  const std::vector<int> readers = valid_readers(tracking);
   if (readers.empty()) {
     result.survivors.assign(grid.node_count(), false);
     return result;
   }
-  const std::size_t min_area = min_survivors(grid);
-  const auto dists = compute_distances(grid, tracking, readers);
+  const DistanceSpread spread = distance_spread(grid, tracking, readers);
 
-  // Walk the common threshold downward; keep the smallest one whose
-  // intersection still covers the minimum area. The walk itself only needs
-  // the intersection COUNT per candidate; the accepted threshold's maps and
-  // mask are materialised once at the end (identical inputs => identical
-  // maps, so deferring the build changes nothing).
-  double best_threshold = config_.initial_threshold_db;
-  result.survivors_per_step.push_back(
-      count_intersection(dists, best_threshold, grid.node_count()));
-
-  for (double threshold = config_.initial_threshold_db - config_.step_db;
-       threshold >= config_.min_threshold_db - 1e-12;
-       threshold -= config_.step_db) {
-    const std::size_t survivors =
-        count_intersection(dists, threshold, grid.node_count());
-    if (survivors < min_area) break;
-    best_threshold = threshold;
-    ++result.refinement_steps;
-    result.survivors_per_step.push_back(survivors);
+  // Adaptive: walk the common threshold downward and keep the smallest one
+  // whose intersection still covers the minimum area. Each step is a count
+  // over `hi`; the mask is packed once, for the accepted threshold.
+  double best_threshold = start;
+  std::size_t best_count = count_at_most(spread.hi, start);
+  result.survivors_per_step.push_back(best_count);
+  if (adaptive) {
+    const std::size_t min_area = min_survivors(grid);
+    for (double threshold = start - config_.step_db;
+         threshold >= config_.min_threshold_db - 1e-12;
+         threshold -= config_.step_db) {
+      const std::size_t survivors = count_at_most(spread.hi, threshold);
+      if (survivors < min_area) break;
+      best_threshold = threshold;
+      best_count = survivors;
+      ++result.refinement_steps;
+      result.survivors_per_step.push_back(survivors);
+    }
   }
-
-  for (int k : readers) {
+  for (const int k : readers) {
     result.thresholds_db[static_cast<std::size_t>(k)] = best_threshold;
   }
   result.final_threshold_db = best_threshold;
-  result.maps = build_maps(dists, best_threshold);
-  result.survivors = intersect_maps(result.maps);
-  if (count_marked(result.survivors) == 0) {
-    result.survivors = union_of_maps(result.maps, grid.node_count());
-  }
+
+  // An empty intersection (a too-small fixed threshold "sweeps away" the
+  // real position, paper Sec. 5.3, or the readers fully disagree) falls back
+  // to the union of the per-reader maps so a deployed system still answers.
+  // The resulting scatter drives the left-hand rise of the Fig. 8 U-curve.
+  fill_mask_from_distances(best_count == 0 ? spread.lo : spread.hi, best_threshold,
+                           result.survivors);
   return result;
 }
 
 EliminationResult EliminationEngine::run_adaptive_per_reader(
     const VirtualGrid& grid, const sim::RssiVector& tracking) const {
-  const std::vector<int> readers = valid_readers(tracking);
   EliminationResult result;
   result.thresholds_db.assign(tracking.size(), config_.initial_threshold_db);
   result.initial_threshold_db = config_.initial_threshold_db;
   result.final_threshold_db = config_.initial_threshold_db;
-  if (readers.empty()) {
+  std::vector<ProximityMap> maps = proximity_maps(grid, tracking, result);
+  if (maps.empty()) {
     result.survivors.assign(grid.node_count(), false);
     return result;
   }
   const std::size_t min_area = min_survivors(grid);
-  const auto dists = compute_distances(grid, tracking, readers);
-
-  std::vector<ProximityMap> maps = build_maps(dists, config_.initial_threshold_db);
-  std::vector<double> thresholds(readers.size(), config_.initial_threshold_db);
-  std::vector<bool> frozen(readers.size(), false);
-  auto intersection = intersect_maps(maps);
+  std::vector<bool> frozen(maps.size(), false);
+  BitMask intersection = intersect_maps(maps);
   result.survivors_per_step.push_back(count_marked(intersection));
 
   // Greedy: shrink the largest-area unfrozen reader while the intersection
@@ -234,17 +188,16 @@ EliminationResult EliminationEngine::run_adaptive_per_reader(
     if (best < 0) break;
     const auto i = static_cast<std::size_t>(best);
 
-    while (thresholds[i] - config_.step_db >= config_.min_threshold_db - 1e-12) {
-      const double candidate = thresholds[i] - config_.step_db;
-      ProximityMap trial = ProximityMap::from_distances(
-          dists[i].dist, dists[i].reader, dists[i].tracking_rssi, candidate);
+    while (maps[i].threshold_db() - config_.step_db >=
+           config_.min_threshold_db - 1e-12) {
+      ProximityMap trial(grid, maps[i].reader(), maps[i].tracking_rssi_dbm(),
+                         maps[i].threshold_db() - config_.step_db);
       // Intersection with the trial map swapped in — no map-vector copy.
       BitMask trial_intersection = trial.mask();
       for (std::size_t m = 0; m < maps.size(); ++m) {
         if (m != i) trial_intersection &= maps[m].mask();
       }
       if (count_marked(trial_intersection) < min_area) break;
-      thresholds[i] = candidate;
       maps[i] = std::move(trial);
       intersection = std::move(trial_intersection);
       ++result.refinement_steps;
@@ -253,15 +206,14 @@ EliminationResult EliminationEngine::run_adaptive_per_reader(
     frozen[i] = true;
   }
 
-  for (std::size_t i = 0; i < readers.size(); ++i) {
-    result.thresholds_db[static_cast<std::size_t>(readers[i])] = thresholds[i];
+  result.final_threshold_db = maps.front().threshold_db();
+  for (const ProximityMap& map : maps) {
+    result.thresholds_db[static_cast<std::size_t>(map.reader())] = map.threshold_db();
+    result.final_threshold_db = std::min(result.final_threshold_db, map.threshold_db());
   }
-  result.final_threshold_db =
-      *std::min_element(thresholds.begin(), thresholds.end());
-  result.maps = std::move(maps);
   result.survivors = std::move(intersection);
-  if (count_marked(result.survivors) == 0) {
-    result.survivors = union_of_maps(result.maps, grid.node_count());
+  if (result.survivors.none()) {
+    for (const ProximityMap& map : maps) result.survivors |= map.mask();
   }
   return result;
 }

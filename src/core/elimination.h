@@ -11,6 +11,12 @@
 // minimum area (by default half a physical cell's worth of virtual regions
 // — shrinking further makes the estimate latch onto single noisy regions).
 //
+// Both common-threshold modes run as one pass over the K reader planes that
+// records, per node, the largest and smallest reader distance: the
+// intersection at threshold t is then "largest <= t" and the union fallback
+// "smallest <= t", so no per-reader map is ever built (docs/algorithm.md,
+// "Data layout & SIMD").
+//
 // AdaptivePerReader mode: the literal greedy reading of the paper's
 // three-step procedure — repeatedly pick the reader with the largest marked
 // area and shrink its own threshold while the intersection keeps the
@@ -44,10 +50,9 @@ struct EliminationConfig {
 struct EliminationResult {
   /// Intersection of the per-reader maps: the "most probable regions".
   BitMask survivors;
-  /// Final per-reader thresholds (all equal except per-reader mode).
+  /// Final per-reader thresholds (all equal except per-reader mode). The
+  /// per-reader maps they define are rebuilt on demand by proximity_maps().
   std::vector<double> thresholds_db;
-  /// Final per-reader proximity maps (diagnostics, Fig. 5-style rendering).
-  std::vector<ProximityMap> maps;
   /// Threshold-reduction steps actually applied by the adaptive modes (0 for
   /// kFixed): the refinement depth the runtime metrics track per locate.
   int refinement_steps = 0;
@@ -80,14 +85,21 @@ class EliminationEngine {
   [[nodiscard]] std::size_t min_survivors(const VirtualGrid& grid) const noexcept;
 
  private:
-  [[nodiscard]] EliminationResult run_fixed(const VirtualGrid& grid,
-                                            const sim::RssiVector& tracking) const;
-  [[nodiscard]] EliminationResult run_adaptive(const VirtualGrid& grid,
-                                               const sim::RssiVector& tracking) const;
+  /// kFixed and kAdaptive: one common threshold for every voting reader.
+  [[nodiscard]] EliminationResult run_common_threshold(
+      const VirtualGrid& grid, const sim::RssiVector& tracking) const;
   [[nodiscard]] EliminationResult run_adaptive_per_reader(
       const VirtualGrid& grid, const sim::RssiVector& tracking) const;
 
   EliminationConfig config_;
 };
+
+/// The final per-reader proximity maps of `result` (diagnostics, Fig. 5-style
+/// rendering): one map per reader with a non-NaN tracking RSSI, in reader
+/// order, each at its threshold in result.thresholds_db. `tracking` must be
+/// the vector the result was computed from.
+[[nodiscard]] std::vector<ProximityMap> proximity_maps(const VirtualGrid& grid,
+                                                       const sim::RssiVector& tracking,
+                                                       const EliminationResult& result);
 
 }  // namespace vire::core

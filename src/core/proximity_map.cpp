@@ -24,16 +24,12 @@ void fill_mask_from_distances(std::span<const double> distances, double threshol
   }
 }
 
-ProximityMap::ProximityMap(int reader, double tracking_rssi_dbm, double threshold_db)
+ProximityMap::ProximityMap(const VirtualGrid& grid, int reader,
+                           double tracking_rssi_dbm, double threshold_db)
     : reader_(reader), threshold_db_(threshold_db), tracking_rssi_(tracking_rssi_dbm) {
   if (threshold_db < 0.0) {
     throw std::invalid_argument("ProximityMap: threshold must be >= 0");
   }
-}
-
-ProximityMap::ProximityMap(const VirtualGrid& grid, int reader,
-                           double tracking_rssi_dbm, double threshold_db)
-    : ProximityMap(reader, tracking_rssi_dbm, threshold_db) {
   const std::span<const double> values = grid.reader_values(reader);
   std::vector<double> distances(values.size());
   for (std::size_t i = 0; i < values.size(); ++i) {
@@ -41,15 +37,6 @@ ProximityMap::ProximityMap(const VirtualGrid& grid, int reader,
   }
   fill_mask_from_distances(distances, threshold_db, mask_);
   marked_count_ = mask_.count();
-}
-
-ProximityMap ProximityMap::from_distances(std::span<const double> distances,
-                                          int reader, double tracking_rssi_dbm,
-                                          double threshold_db) {
-  ProximityMap map(reader, tracking_rssi_dbm, threshold_db);
-  fill_mask_from_distances(distances, threshold_db, map.mask_);
-  map.marked_count_ = map.mask_.count();
-  return map;
 }
 
 BitMask intersect_maps(const std::vector<ProximityMap>& maps) {

@@ -8,8 +8,9 @@
 // every reader.
 //
 // Masks are word-packed (see core/bitmask.h): intersect_maps() is a
-// word-wise AND and count_marked() a popcount, which is what makes the
-// elimination threshold walk O(node_count / 64) per combine step.
+// word-wise AND and count_marked() a popcount. The common-threshold
+// elimination modes never build these maps (see core/elimination.h); they
+// serve the per-reader mode and diagnostics via proximity_maps().
 
 #include <cstddef>
 #include <span>
@@ -29,13 +30,6 @@ class ProximityMap {
   ProximityMap(const VirtualGrid& grid, int reader, double tracking_rssi_dbm,
                double threshold_db);
 
-  /// Fast path for the elimination walk: builds the map from precomputed
-  /// per-node distances |S_k(T_i) - s_k| (NaN where either side was NaN —
-  /// a NaN distance never satisfies `<= threshold`, matching the public
-  /// constructor bit for bit).
-  static ProximityMap from_distances(std::span<const double> distances, int reader,
-                                     double tracking_rssi_dbm, double threshold_db);
-
   [[nodiscard]] int reader() const noexcept { return reader_; }
   [[nodiscard]] double threshold_db() const noexcept { return threshold_db_; }
   [[nodiscard]] double tracking_rssi_dbm() const noexcept { return tracking_rssi_; }
@@ -46,8 +40,6 @@ class ProximityMap {
   [[nodiscard]] std::size_t size() const noexcept { return mask_.size(); }
 
  private:
-  ProximityMap(int reader, double tracking_rssi_dbm, double threshold_db);
-
   int reader_;
   double threshold_db_;
   double tracking_rssi_;
@@ -56,7 +48,8 @@ class ProximityMap {
 };
 
 /// Packs `distances[i] <= threshold` into `mask` (word-wise; NaN compares
-/// false). The shared kernel behind both ProximityMap constructors.
+/// false). The packing kernel behind ProximityMap and the elimination
+/// survivor mask.
 void fill_mask_from_distances(std::span<const double> distances, double threshold,
                               BitMask& mask);
 

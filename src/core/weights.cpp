@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace vire::core {
@@ -28,35 +29,39 @@ std::vector<int> label_components(const BitMask& mask, int cols, int rows,
   }
   component_sizes.clear();
   std::vector<int> labels(mask.size(), -1);
-  std::vector<std::size_t> stack;
+  const auto width = static_cast<std::size_t>(cols);
+  const std::size_t n = mask.size();
+  // Each stack entry carries its column, so neighbours are found by index
+  // arithmetic alone: the % and / happen once per component, not per node.
+  struct Cell {
+    std::size_t idx;
+    std::size_t col;
+  };
+  std::vector<Cell> stack;
 
-  for (std::size_t seed = 0; seed < mask.size(); ++seed) {
-    if (!mask[seed] || labels[seed] >= 0) continue;
+  mask.for_each_set([&](std::size_t seed) {
+    if (labels[seed] >= 0) return;
     const int label = static_cast<int>(component_sizes.size());
     std::size_t size = 0;
-    stack.push_back(seed);
     labels[seed] = label;
+    stack.push_back({seed, seed % width});
+    auto visit = [&](std::size_t idx, std::size_t col) {
+      if (mask.test(idx) && labels[idx] < 0) {
+        labels[idx] = label;
+        stack.push_back({idx, col});
+      }
+    };
     while (!stack.empty()) {
-      const std::size_t cur = stack.back();
+      const Cell cur = stack.back();
       stack.pop_back();
       ++size;
-      const int c = static_cast<int>(cur % static_cast<std::size_t>(cols));
-      const int r = static_cast<int>(cur / static_cast<std::size_t>(cols));
-      const int nc[4] = {c - 1, c + 1, c, c};
-      const int nr[4] = {r, r, r - 1, r + 1};
-      for (int d = 0; d < 4; ++d) {
-        if (nc[d] < 0 || nc[d] >= cols || nr[d] < 0 || nr[d] >= rows) continue;
-        const std::size_t idx = static_cast<std::size_t>(nr[d]) *
-                                    static_cast<std::size_t>(cols) +
-                                static_cast<std::size_t>(nc[d]);
-        if (mask[idx] && labels[idx] < 0) {
-          labels[idx] = label;
-          stack.push_back(idx);
-        }
-      }
+      if (cur.col > 0) visit(cur.idx - 1, cur.col - 1);
+      if (cur.col + 1 < width) visit(cur.idx + 1, cur.col + 1);
+      if (cur.idx >= width) visit(cur.idx - width, cur.col);
+      if (cur.idx + width < n) visit(cur.idx + width, cur.col);
     }
     component_sizes.push_back(size);
-  }
+  });
   return labels;
 }
 
@@ -83,9 +88,11 @@ WeightedEstimate compute_estimate(const VirtualGrid& grid,
   constexpr double kEps = 1e-6;
   const int reader_count = grid.reader_count();
 
-  for (std::size_t node = 0; node < survivors.size(); ++node) {
-    if (!survivors[node]) continue;
-
+  const std::size_t survivor_count = survivors.count();
+  est.nodes.reserve(survivor_count);
+  est.w1.reserve(survivor_count);
+  est.w2.reserve(survivor_count);
+  survivors.for_each_set([&](std::size_t node) {
     // w1: inverse normalised RSSI discrepancy across readers.
     double discrepancy = 0.0;
     int used = 0;
@@ -97,9 +104,12 @@ WeightedEstimate compute_estimate(const VirtualGrid& grid,
       discrepancy += std::abs(s_node - s_track) / denom;
       ++used;
     }
-    if (used == 0) continue;  // node incomparable with this tracking vector
+    if (used == 0) return;  // node incomparable with this tracking vector
     discrepancy /= used;
-    const double w1 = std::pow(1.0 / (discrepancy + kEps), w1_exponent);
+    // pow(x, 1.0) == x exactly (see weights.h), so the default exponent
+    // skips the libm call without moving a bit.
+    const double base = 1.0 / (discrepancy + kEps);
+    const double w1 = w1_exponent == 1.0 ? base : std::pow(base, w1_exponent);
 
     // w2: density weight n_ci^2 (normalisation constants cancel below).
     const auto size = static_cast<double>(component_sizes[
@@ -109,10 +119,10 @@ WeightedEstimate compute_estimate(const VirtualGrid& grid,
     est.nodes.push_back(node);
     est.w1.push_back(w1);
     est.w2.push_back(w2);
-  }
+  });
 
-  est.cluster_sizes = component_sizes;
   est.cluster_weights.assign(component_sizes.size(), 0.0);
+  est.cluster_sizes = std::move(component_sizes);
   if (est.nodes.empty()) return est;
 
   est.weights.resize(est.nodes.size());

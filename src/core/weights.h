@@ -55,9 +55,13 @@ struct WeightedEstimate {
 /// Computes the weighted centroid of the surviving regions.
 /// Returns nodes empty (position {0,0}) if no region survived.
 /// `w1_exponent` sharpens the discrepancy weight: w1 = (1/(d+eps))^p. The
-/// paper's formula corresponds to p = 1; p = 2 (the library default set in
-/// VireConfig) mirrors LANDMARC's own 1/E^2 convention and measurably
-/// tightens the centroid (see bench_ablation_weights).
+/// paper's formula corresponds to p = 1, which is also the VireConfig
+/// default; p = 2 mirrors LANDMARC's own 1/E^2 convention and tightens the
+/// centroid (see bench_ablation_weights). p = 1 takes w1 = 1/(d+eps) without
+/// calling std::pow. That is bit-identical, not an approximation: glibc's pow
+/// is accurate to < 1 ULP and the exact result x is representable, so
+/// pow(x, 1.0) returns x itself. tests/core/weights_test.cpp pins this bit
+/// for bit over the whole exponent range, so a libm that differs fails there.
 [[nodiscard]] WeightedEstimate compute_estimate(const VirtualGrid& grid,
                                                 const BitMask& survivors,
                                                 const sim::RssiVector& tracking,

@@ -31,6 +31,7 @@
 // crash the server or desync other connections
 // (tests/service/service_server_test.cpp).
 
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -104,7 +105,8 @@ class ServiceServer {
   int listen_fd_ = -1;
   int wake_fds_[2] = {-1, -1};  ///< self-pipe to interrupt poll() on stop
   std::thread loop_thread_;
-  bool running_ = false;
+  /// Written by start()/stop(), read by the event-loop thread.
+  std::atomic<bool> running_{false};
   std::uint64_t accepted_ = 0;
 };
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 namespace vire::core {
 namespace {
@@ -116,7 +117,7 @@ TEST(EliminationAdaptive, NaNReaderSkipped) {
   tracking[2] = kNan;
   const auto result = engine.run(vg, tracking);
   EXPECT_GT(result.survivor_count(), 0u);
-  EXPECT_EQ(result.maps.size(), 3u);  // one map per valid reader
+  EXPECT_EQ(proximity_maps(vg, tracking, result).size(), 3u);  // one per valid reader
 }
 
 TEST(EliminationAdaptive, AllNaNGivesEmpty) {
@@ -161,6 +162,14 @@ TEST(Elimination, InvalidConfigThrows) {
   EXPECT_THROW(EliminationEngine{bad}, std::invalid_argument);
   bad = {};
   bad.initial_threshold_db = -1.0;
+  EXPECT_THROW(EliminationEngine{bad}, std::invalid_argument);
+  // Non-finite thresholds: the spread kernel reads NaN distances as +inf,
+  // which matches the maps only below an infinite threshold.
+  bad = {};
+  bad.fixed_threshold_db = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(EliminationEngine{bad}, std::invalid_argument);
+  bad = {};
+  bad.initial_threshold_db = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(EliminationEngine{bad}, std::invalid_argument);
 }
 

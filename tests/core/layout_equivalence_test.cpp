@@ -96,6 +96,39 @@ Scenario make_scenario(std::uint64_t seed) {
   return s;
 }
 
+/// Elimination result vs the scalar reference, bit for bit: threshold walk,
+/// per-reader maps (rebuilt on demand from the result) and survivors.
+void expect_same_elimination(const VirtualGrid& grid, const sim::RssiVector& tracking,
+                             const EliminationResult& got,
+                             const ref::EliminationRef& want) {
+  EXPECT_EQ(got.refinement_steps, want.refinement_steps);
+  EXPECT_TRUE(same_double(got.initial_threshold_db, want.initial_threshold_db));
+  EXPECT_TRUE(same_double(got.final_threshold_db, want.final_threshold_db));
+  ASSERT_EQ(got.thresholds_db.size(), want.thresholds_db.size());
+  for (std::size_t k = 0; k < want.thresholds_db.size(); ++k) {
+    EXPECT_TRUE(same_double(got.thresholds_db[k], want.thresholds_db[k]))
+        << "threshold for reader " << k;
+  }
+  EXPECT_EQ(got.survivors_per_step, want.survivors_per_step);
+
+  const std::vector<ProximityMap> maps = proximity_maps(grid, tracking, got);
+  ASSERT_EQ(maps.size(), want.maps.size());
+  for (std::size_t m = 0; m < want.maps.size(); ++m) {
+    ASSERT_EQ(maps[m].marked_count(), want.map_counts[m]) << "map " << m;
+    ASSERT_EQ(maps[m].size(), want.maps[m].size());
+    for (std::size_t node = 0; node < want.maps[m].size(); ++node) {
+      ASSERT_EQ(maps[m].marked(node), want.maps[m][node])
+          << "map " << m << " node " << node;
+    }
+  }
+
+  ASSERT_EQ(got.survivors.size(), want.survivors.size());
+  ASSERT_EQ(count_marked(got.survivors), ref::count(want.survivors));
+  for (std::size_t node = 0; node < want.survivors.size(); ++node) {
+    ASSERT_EQ(got.survivors[node], want.survivors[node]) << "survivor " << node;
+  }
+}
+
 void check_scenario(std::uint64_t seed) {
   SCOPED_TRACE("seed=" + std::to_string(seed));
   const Scenario s = make_scenario(seed);
@@ -137,37 +170,14 @@ void check_scenario(std::uint64_t seed) {
     }
   }
 
-  // --- Elimination: word-wise walk vs scalar reference, all modes. ---
+  // --- Elimination: distance-spread kernel vs scalar reference, all modes. ---
   const EliminationEngine engine(s.elim_config);
   const EliminationResult got = engine.run(grid, s.tracking);
   const ref::EliminationRef want =
       ref::run_elimination(nested, s.tracking, s.elim_config);
 
-  EXPECT_EQ(got.refinement_steps, want.refinement_steps);
-  EXPECT_TRUE(same_double(got.initial_threshold_db, want.initial_threshold_db));
-  EXPECT_TRUE(same_double(got.final_threshold_db, want.final_threshold_db));
-  ASSERT_EQ(got.thresholds_db.size(), want.thresholds_db.size());
-  for (std::size_t k = 0; k < want.thresholds_db.size(); ++k) {
-    EXPECT_TRUE(same_double(got.thresholds_db[k], want.thresholds_db[k]))
-        << "threshold for reader " << k;
-  }
-  EXPECT_EQ(got.survivors_per_step, want.survivors_per_step);
-
-  ASSERT_EQ(got.maps.size(), want.maps.size());
-  for (std::size_t m = 0; m < want.maps.size(); ++m) {
-    ASSERT_EQ(got.maps[m].marked_count(), want.map_counts[m]) << "map " << m;
-    ASSERT_EQ(got.maps[m].size(), want.maps[m].size());
-    for (std::size_t node = 0; node < want.maps[m].size(); ++node) {
-      ASSERT_EQ(got.maps[m].marked(node), want.maps[m][node])
-          << "map " << m << " node " << node;
-    }
-  }
-
-  ASSERT_EQ(got.survivors.size(), want.survivors.size());
-  ASSERT_EQ(count_marked(got.survivors), ref::count(want.survivors));
-  for (std::size_t node = 0; node < want.survivors.size(); ++node) {
-    ASSERT_EQ(got.survivors[node], want.survivors[node]) << "survivor " << node;
-  }
+  expect_same_elimination(grid, s.tracking, got, want);
+  if (::testing::Test::HasFatalFailure()) return;
 
   // --- Final fix: flat-layout centroid vs nested-layout reference. ---
   const WeightedEstimate estimate = compute_estimate(
@@ -211,8 +221,45 @@ TEST(LayoutEquivalence, AllTrackingNanMeansNoSurvivors) {
         ref::run_elimination(nested, s.tracking, s.elim_config);
     EXPECT_EQ(count_marked(got.survivors), 0u);
     EXPECT_EQ(ref::count(want.survivors), 0u);
-    EXPECT_TRUE(got.maps.empty());
+    EXPECT_TRUE(proximity_maps(grid, s.tracking, got).empty());
     EXPECT_TRUE(want.maps.empty());
+  }
+}
+
+TEST(LayoutEquivalence, EmptyIntersectionTakesTheUnionFallback) {
+  // Readers that disagree leave the intersection empty, and every mode then
+  // answers with the union of the per-reader maps: the lo <= t half of the
+  // spread kernel. The first K-1 readers each point at a different node;
+  // the last one hears an RSSI no virtual node comes near, so its map is
+  // empty and no threshold can rescue the intersection.
+  for (const std::uint64_t seed : {3u, 17u, 40u, 101u}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    Scenario s = make_scenario(seed);
+    s.grid_config.method = InterpolationMethod::kLinear;
+    const VirtualGrid grid(s.real_grid, s.reference_rssi, s.grid_config);
+    const ref::NestedGrid nested = ref::build_grid(
+        s.real_grid, s.reference_rssi, s.grid_config.subdivision,
+        s.grid_config.boundary_extension_cells, s.grid_config.method);
+    const std::size_t readers = s.tracking.size();
+    for (std::size_t k = 0; k + 1 < readers; ++k) {
+      const double v = grid.rssi(static_cast<int>(k),
+                                 (k + 1) * grid.node_count() / readers);
+      s.tracking[k] = std::isnan(v) ? -55.0 : v;
+    }
+    s.tracking[readers - 1] = -200.0;
+    for (const auto mode : {ThresholdMode::kFixed, ThresholdMode::kAdaptive,
+                            ThresholdMode::kAdaptivePerReader}) {
+      s.elim_config.mode = mode;
+      const EliminationResult got =
+          EliminationEngine(s.elim_config).run(grid, s.tracking);
+      const ref::EliminationRef want =
+          ref::run_elimination(nested, s.tracking, s.elim_config);
+      ASSERT_FALSE(want.survivors_per_step.empty());
+      ASSERT_EQ(want.survivors_per_step.back(), 0u) << "intersection not empty";
+      ASSERT_GT(ref::count(want.survivors), 0u) << "union empty";
+      expect_same_elimination(grid, s.tracking, got, want);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
   }
 }
 

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
 
 namespace vire::core {
 namespace {
@@ -193,6 +197,34 @@ TEST(ComputeEstimate, W1ExponentSharpens) {
     return 0.0;
   };
   EXPECT_GT(weight_of(sharp, good), weight_of(mild, good));
+}
+
+// compute_estimate takes w1 = base instead of std::pow(base, 1.0) for the
+// default exponent. That is only bit-identical if this libm returns x itself
+// for pow(x, 1.0); pin it over positive finite doubles from every binade,
+// subnormals included. The exponent is volatile so the compiler cannot fold
+// the call away and the test really exercises the library.
+TEST(PowExponentOne, ReturnsItsArgumentBitForBit) {
+  volatile double one = 1.0;
+  std::mt19937_64 rng(0x5eed);
+  std::vector<double> xs = {std::numeric_limits<double>::denorm_min(),
+                            std::numeric_limits<double>::min(),
+                            std::numeric_limits<double>::max(),
+                            std::numeric_limits<double>::epsilon(), 1.0};
+  constexpr std::uint64_t kMantissa = (std::uint64_t{1} << 52) - 1;
+  for (std::uint64_t i = 0; xs.size() < 200'000; ++i) {
+    const std::uint64_t exponent = i % 2047;  // 0 = subnormal, 2046 = top finite
+    const std::uint64_t bits = (exponent << 52) | (rng() & kMantissa);
+    if (bits != 0) xs.push_back(std::bit_cast<double>(bits));
+  }
+  std::size_t mismatches = 0;
+  for (const double x : xs) {
+    const double y = std::pow(x, one);
+    if (std::bit_cast<std::uint64_t>(y) != std::bit_cast<std::uint64_t>(x)) {
+      if (++mismatches <= 5) ADD_FAILURE() << "pow(" << x << ", 1.0) = " << y;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << xs.size() << " values";
 }
 
 TEST(ComputeEstimate, MaskSizeMismatchThrows) {
