@@ -153,6 +153,10 @@ Frame ServiceClient::read_frame() {
 Frame ServiceClient::request(MsgType type, std::string_view payload,
                              MsgType expected, const char* what) {
   send_all(encode_frame(type, payload));
+  return receive(expected, what);
+}
+
+Frame ServiceClient::receive(MsgType expected, const char* what) {
   Frame reply = read_frame();
   if (reply.type == MsgType::kError) {
     throw std::runtime_error("ServiceClient: " + reply.payload);
@@ -183,8 +187,16 @@ void ServiceClient::stream_sequenced(
 
 std::vector<engine::Fix> ServiceClient::poll(sim::SimTime now,
                                              const obs::TraceContext& ctx) {
-  const Frame reply = request(MsgType::kPoll, encode_poll({now, ctx}),
-                              MsgType::kFixBatch, "poll");
+  send_poll(now, ctx);
+  return receive_poll();
+}
+
+void ServiceClient::send_poll(sim::SimTime now, const obs::TraceContext& ctx) {
+  send_all(encode_frame(MsgType::kPoll, encode_poll({now, ctx})));
+}
+
+std::vector<engine::Fix> ServiceClient::receive_poll() {
+  const Frame reply = receive(MsgType::kFixBatch, "poll");
   auto fixes = decode_fixes(reply.payload);
   if (!fixes.has_value()) {
     throw std::runtime_error("ServiceClient: bad poll response");

@@ -2,8 +2,11 @@
 // Wire-protocol clients of the localization service (docs/service.md).
 //
 // ServiceClient is a minimal blocking client: one connection, one
-// outstanding request at a time. Robustness hardening lives here rather
-// than in callers:
+// outstanding request per connection. A caller driving several connections
+// may split a poll into send_poll() and receive_poll() to have every peer
+// working at once, as long as each connection's reply is read before that
+// connection carries another request. Robustness hardening lives here
+// rather than in callers:
 //   * every read is bounded by ClientConfig::read_timeout_s via poll(2) —
 //     a hung or wedged server surfaces as TimeoutError, never an infinite
 //     block;
@@ -92,6 +95,11 @@ class ServiceClient {
   /// a transport failure, std::runtime_error on a kError response (message
   /// = the server's error text).
   std::vector<engine::Fix> poll(sim::SimTime now, const obs::TraceContext& ctx = {});
+  /// poll() in two halves: send_poll() writes the request and returns at
+  /// once; receive_poll() blocks for its reply. poll() is the two in
+  /// sequence. Nothing else may be sent on this client in between.
+  void send_poll(sim::SimTime now, const obs::TraceContext& ctx = {});
+  std::vector<engine::Fix> receive_poll();
   std::optional<engine::Fix> latest_fix(sim::TagId tag);
   /// Flight-recorder JSON for the tag, or nullopt when the server has none.
   std::optional<std::string> explain(sim::TagId tag);
@@ -140,9 +148,11 @@ class ServiceClient {
   /// Blocks until one complete frame arrives or the deadline expires.
   Frame read_frame();
   std::string snapshot(std::uint8_t format);
-  /// One round trip expecting `expected` (kError → runtime_error).
+  /// One round trip expecting `expected`: send, then receive().
   Frame request(MsgType type, std::string_view payload, MsgType expected,
                 const char* what);
+  /// Reads one reply expecting `expected` (kError → runtime_error).
+  Frame receive(MsgType expected, const char* what);
 
   ClientConfig config_;
   int fd_ = -1;

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <exception>
 #include <fstream>
 #include <limits>
 #include <stdexcept>
@@ -409,11 +410,54 @@ std::vector<engine::Fix> Supervisor::poll(sim::SimTime now,
   // with tracing on or off.
   const obs::TraceContext poll_ctx{trace_id_for(~poll_no), poll_no};
   if (now > last_poll_time_) last_poll_time_ = now;  // migration horizon
-  std::vector<engine::Fix> merged;
+  const auto poll_fn = [now, &poll_ctx](ServiceClient& c) {
+    return c.poll(now, poll_ctx);
+  };
+  // Scatter: every reachable shard gets its poll before any reply is read,
+  // so the shards' engines run at once and the fleet poll costs about the
+  // slowest shard, not the sum. Each connection carries one outstanding
+  // request; reviving a shard here talks to that shard alone.
+  enum class Sent { kUnreachable, kFailed, kPending };
+  std::vector<std::pair<ManagedShard*, Sent>> sent;
   for (auto& [id, shard] : shards_) {
     if (shard.phase != MemberPhase::kActive) continue;  // owns no tags
-    auto fixes = with_shard(
-        shard, [now, &poll_ctx](ServiceClient& c) { return c.poll(now, poll_ctx); });
+    Sent state = Sent::kUnreachable;
+    if (try_revive(shard)) {
+      try {
+        shard.client->send_poll(now, poll_ctx);
+        state = Sent::kPending;
+      } catch (const TransportError&) {
+        handle_death(shard, DeathCause::kSocket);
+        state = Sent::kFailed;
+      }
+    }
+    sent.emplace_back(&shard, state);
+  }
+  // Gather in id order. A transport failure spends the rest of the shard's
+  // attempt budget serially; a refusal (kError) is held until every other
+  // reply has been read, so no connection is left with a stale reply.
+  std::vector<engine::Fix> merged;
+  std::exception_ptr refused;
+  for (auto [shard_ptr, state] : sent) {
+    ManagedShard& shard = *shard_ptr;
+    const std::uint32_t id = shard.id;
+    std::optional<std::vector<engine::Fix>> fixes;
+    try {
+      if (state == Sent::kPending) {
+        try {
+          fixes = shard.client->receive_poll();
+        } catch (const TransportError&) {
+          handle_death(shard, DeathCause::kSocket);
+          state = Sent::kFailed;
+        }
+      }
+      if (state == Sent::kFailed) {
+        fixes = with_shard(shard, poll_fn, /*first_attempt=*/1);
+      }
+    } catch (const std::exception&) {
+      if (refused == nullptr) refused = std::current_exception();
+      continue;
+    }
     const double shard_end_us = tracer_.now_us();
     // E2E matching: a fix materialized by this poll covers every batch still
     // in flight for its shard, so its ingest-to-fix latency is measured from
@@ -465,6 +509,7 @@ std::vector<engine::Fix> Supervisor::poll(sim::SimTime now,
       observe_ingest_to_fix((shard_end_us - oldest_stamp_us) / 1e6);
     }
   }
+  if (refused != nullptr) std::rethrow_exception(refused);
   std::sort(merged.begin(), merged.end(),
             [](const engine::Fix& a, const engine::Fix& b) {
               return a.tag < b.tag;
@@ -1509,9 +1554,10 @@ void Supervisor::refresh_state_metrics() {
 }
 
 template <typename Fn>
-auto Supervisor::with_shard(ManagedShard& shard, Fn fn)
+auto Supervisor::with_shard(ManagedShard& shard, Fn fn, int first_attempt)
     -> std::optional<decltype(fn(std::declval<ServiceClient&>()))> {
-  for (int attempt = 0; attempt <= config_.request_retries; ++attempt) {
+  for (int attempt = first_attempt; attempt <= config_.request_retries;
+       ++attempt) {
     if (!try_revive(shard)) return std::nullopt;
     try {
       return fn(*shard.client);

@@ -216,10 +216,12 @@ class Supervisor : public Frontend {
   void tick();
 
   // Frontend. ingest() assigns each batch an internal sequence and journals
-  // it in the owning shards' op-logs until durably acked. poll() forwards to
-  // every shard (reviving dead ones inline when the breaker allows) and
-  // degrades a DOWN shard's tags to FixQuality::kHold answers. Both stamp
-  // their own trace contexts; the caller's sequence and context are unused.
+  // it in the owning shards' op-logs until durably acked. poll() sends every
+  // shard its poll (reviving dead ones inline when the breaker allows)
+  // before reading any reply, so the shards compute at once; it degrades a
+  // DOWN shard's tags to FixQuality::kHold answers, and reports a shard's
+  // refusal only after every other reply is read. Both stamp their own
+  // trace contexts; the caller's sequence and context are unused.
   void ingest(const std::vector<sim::RssiReading>& readings,
               std::uint64_t sequence = 0,
               const obs::TraceContext& ctx = {}) override;
@@ -407,8 +409,11 @@ class Supervisor : public Frontend {
   [[nodiscard]] std::uint64_t trace_id_for(std::uint64_t sequence) const;
   void observe_ingest_to_fix(double latency_s);
 
+  /// Runs `fn` against the shard, reviving it first and retrying transport
+  /// failures up to SupervisorConfig::request_retries. `first_attempt` > 0
+  /// says that many attempts were already spent; nullopt = unreachable.
   template <typename Fn>
-  auto with_shard(ManagedShard& shard, Fn fn)
+  auto with_shard(ManagedShard& shard, Fn fn, int first_attempt = 0)
       -> std::optional<decltype(fn(std::declval<ServiceClient&>()))>;
 
   env::Deployment deployment_;

@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -22,6 +23,7 @@
 
 #include "env/deployment.h"
 #include "service/server.h"
+#include "service/wire.h"
 #include "service/sharded_service.h"
 
 namespace vire::service {
@@ -86,6 +88,62 @@ TEST(ClientRobustnessTest, SilentServerDrawsTimeoutErrorNotHang) {
 
   ::close(listener);
   fs::remove(path);
+}
+
+TEST(ClientRobustnessTest, SilentPollReplyDrawsTimeoutErrorNotHang) {
+  const fs::path path = fs::temp_directory_path() / "vire_silent_poll.sock";
+  const int listener = make_silent_listener(path);
+  ASSERT_GE(listener, 0);
+  // Answers the hello, then reads and discards everything until the client
+  // hangs up: the poll request lands, its reply never comes.
+  std::thread peer([listener] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    FrameDecoder decoder;
+    char buf[4096];
+    ssize_t n = 0;
+    while (!decoder.next().has_value() &&
+           (n = ::read(fd, buf, sizeof(buf))) > 0) {
+      decoder.feed(std::string_view(buf, static_cast<std::size_t>(n)));
+    }
+    const std::string ack =
+        encode_frame(MsgType::kHelloAck, encode_hello({kWireVersion, "mute"}));
+    if (::write(fd, ack.data(), ack.size()) ==
+        static_cast<ssize_t>(ack.size())) {
+      while (::read(fd, buf, sizeof(buf)) > 0) {
+      }
+    }
+    ::close(fd);
+  });
+
+  {
+    ClientConfig config;
+    config.read_timeout_s = 0.2;
+    ServiceClient client(path, config);
+    client.send_poll(1.0);
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_THROW((void)client.receive_poll(), TimeoutError);
+    const double elapsed =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+            .count();
+    EXPECT_GE(elapsed, 0.15) << "deadline must actually be waited out";
+    EXPECT_LT(elapsed, 5.0) << "deadline must bound the wait";
+  }  // the client hangs up, which ends the peer
+
+  peer.join();
+  ::close(listener);
+  fs::remove(path);
+}
+
+TEST(ClientRobustnessTest, RefusedPollLeavesTheConnectionUsable) {
+  Rig rig = make_rig("vire_client_refused_poll");
+  ServiceClient client(rig.socket_path);
+  // No reference ids are set, so the service refuses the update (kError).
+  client.send_poll(1.0);
+  EXPECT_THROW((void)client.receive_poll(), std::runtime_error);
+  // The refusal was consumed with its reply: the next round trip is in step.
+  EXPECT_EQ(client.heartbeat(7).seq, 7u);
+  rig.server->stop();
 }
 
 TEST(ClientRobustnessTest, ConnectFailureIsTransportError) {

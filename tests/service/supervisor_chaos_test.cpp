@@ -21,6 +21,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -34,6 +35,7 @@
 
 #include "engine/localization_engine.h"
 #include "env/environment.h"
+#include "service/client.h"
 #include "service/supervisor.h"
 #include "service/wire.h"
 #include "sim/simulator.h"
@@ -165,6 +167,21 @@ void register_capture(Supervisor& supervisor, const Capture& capture) {
   for (const auto& [tag, name] : capture.tracked) {
     supervisor.track(tag, name, std::nullopt);
   }
+}
+
+/// The value of the unlabeled `vire_service_polls_total` sample in a shard's
+/// own scrape, or -1 when absent. The match is anchored at a line start:
+/// the `# TYPE` and `# HELP` lines name the series too.
+double shard_polls_total(const std::string& prom) {
+  const std::string key = "vire_service_polls_total ";
+  for (std::size_t at = 0; at < prom.size();) {
+    const std::size_t end = std::min(prom.find('\n', at), prom.size());
+    if (prom.compare(at, key.size(), key) == 0) {
+      return std::strtod(prom.c_str() + at + key.size(), nullptr);
+    }
+    at = end + 1;
+  }
+  return -1.0;
 }
 
 /// Wrapper binary whose behavior the test flips at runtime: while
@@ -556,6 +573,86 @@ TEST(SupervisorChaosTest, LiveShardAddRemoveKeepsBitIdentity) {
   // The last active pair cannot be reduced to one.
   ASSERT_NO_THROW((void)supervisor.admin_remove_shard(1));
   EXPECT_THROW(supervisor.admin_remove_shard(2), std::runtime_error);
+
+  supervisor.stop();
+  fs::remove_all(root);
+}
+
+TEST(SupervisorChaosTest, PollRunsShardsConcurrently) {
+  SKIP_ON_SINGLE_CORE();
+  const Capture& capture = shared_capture();
+  const fs::path root = fs::temp_directory_path() / "vire_supervisor_scatter";
+  fs::remove_all(root);
+  fs::create_directories(root);
+
+  Supervisor supervisor(env::Deployment::paper_testbed(), drill_config(root));
+  supervisor.start();
+  ASSERT_EQ(supervisor.shard_state(0), ShardState::kUp);
+  ASSERT_EQ(supervisor.shard_state(1), ShardState::kUp);
+  register_capture(supervisor, capture);
+  supervisor.ingest(capture.segments[0]);
+  supervisor.ingest(capture.segments[1]);
+
+  // A second connection to shard 1 watches its own poll counter while the
+  // supervisor's poll is blocked on a stopped shard 0.
+  ServiceClient probe(root / "shard-1.sock");
+  const double polls_before = shard_polls_total(probe.snapshot_prometheus());
+  ASSERT_GE(polls_before, 0.0);
+
+  const pid_t stopped = supervisor.shard_pid(0);
+  ASSERT_GT(stopped, 0);
+  ASSERT_EQ(::kill(stopped, SIGSTOP), 0);
+  std::vector<engine::Fix> fixes;
+  std::thread poller(
+      [&] { fixes = supervisor.poll(capture.poll_times[0]); });
+
+  bool advanced = false;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(3);
+  while (!advanced && std::chrono::steady_clock::now() < deadline) {
+    advanced =
+        shard_polls_total(probe.snapshot_prometheus()) > polls_before;
+    if (!advanced) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(::kill(stopped, SIGCONT), 0);
+  poller.join();
+
+  EXPECT_TRUE(advanced)
+      << "shard 1 must run its poll while shard 0's is still outstanding";
+  expect_poll_identical(fixes, capture.golden[0], 0);
+  EXPECT_EQ(supervisor.restarts(), 0u);
+
+  supervisor.stop();
+  fs::remove_all(root);
+}
+
+TEST(SupervisorChaosTest, RefusedPollKeepsEveryShardInStep) {
+  SKIP_ON_SINGLE_CORE();
+  const Capture& capture = shared_capture();
+  const fs::path root = fs::temp_directory_path() / "vire_supervisor_refused";
+  fs::remove_all(root);
+  fs::create_directories(root);
+
+  Supervisor supervisor(env::Deployment::paper_testbed(), drill_config(root));
+  supervisor.start();
+  for (const auto& [tag, name] : capture.tracked) {
+    supervisor.track(tag, name, std::nullopt);
+  }
+  // No reference ids yet: every shard refuses the update with kError. Each
+  // refusal must be read off its connection before the poll reports it, or
+  // the next request on that connection reads the stale kError.
+  EXPECT_THROW((void)supervisor.poll(1.0), std::runtime_error);
+
+  supervisor.set_reference_ids(capture.reference_ids);
+  supervisor.ingest(capture.segments[0]);
+  for (int poll = 0; poll < kPolls; ++poll) {
+    supervisor.ingest(capture.segments[static_cast<std::size_t>(poll) + 1]);
+    expect_poll_identical(supervisor.poll(capture.poll_times[poll]),
+                          capture.golden[poll], poll);
+  }
+  EXPECT_EQ(supervisor.restarts(), 0u);
+  EXPECT_EQ(supervisor.shard_state(0), ShardState::kUp);
+  EXPECT_EQ(supervisor.shard_state(1), ShardState::kUp);
 
   supervisor.stop();
   fs::remove_all(root);
