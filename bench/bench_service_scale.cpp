@@ -1,15 +1,21 @@
-// Performance: sharded-service ingest throughput and query latency vs shard
-// count. One captured simulator stream is replayed through the full service
-// path (router -> shard queues -> worker threads -> engines) at each shard
-// count; readings/s covers ingest+poll, and the p99 latency is measured on
-// latest_fix() queries interleaved with the load.
+// Performance: service ingest throughput and query latency vs shard count.
+// One captured simulator stream is replayed at each shard count; readings/s
+// covers ingest+poll, and the p99 latency is measured on latest_fix()
+// queries interleaved with the load.
+//   * shards=1 is the one-engine host (ShardedService: queue -> worker
+//     thread -> middleware -> engine, persistence off) — the service-path
+//     overhead over the bare engine, and the row perf_floor.json guards.
+//   * shards=2, 4, ... go through the only multi-shard coordinator: a
+//     Supervisor (router, reference broadcast, control journal, poll merge)
+//     over an InProcessShardRunner, each shard a one-engine host behind a
+//     server thread reached over its Unix socket. These rows include the
+//     wire hop and the journal, so they price the fleet, not bare sharding.
 //
 // Honesty rules (docs/benchmarks.md): hardware_threads is reported raw, and
 // on a single-hardware-thread machine the shard-count scaling curve is
 // REFUSED — every shard worker would time-slice one core, so a "curve"
 // would measure oversubscription, not sharding. Only shards=1 is measured
-// there (that number is still meaningful: it is the service-path overhead
-// over the bare engine).
+// there.
 //
 // Env knobs: VIRE_TAGS (default 48), VIRE_ROUNDS (poll rounds, default 12),
 // VIRE_QUERIES (queries per round, default 200).
@@ -18,13 +24,18 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "env/environment.h"
 #include "obs/bench_report.h"
+#include "service/shard_runner.h"
 #include "service/sharded_service.h"
+#include "service/supervisor.h"
 #include "sim/simulator.h"
 #include "support/csv.h"
 #include "support/rng.h"
@@ -50,7 +61,7 @@ int main() {
   const unsigned hw_raw = std::thread::hardware_concurrency();
   const bool can_scale = hw_raw > 1;
 
-  std::printf("=== Sharded service throughput vs shard count ===\n");
+  std::printf("=== Service throughput vs shard count ===\n");
   std::printf("tags: %d, poll rounds: %d, queries/round: %d, hardware threads: %u%s\n\n",
               tag_count, rounds, queries, hw_raw,
               hw_raw == 0 ? " (undetected)" : "");
@@ -113,30 +124,48 @@ int main() {
   report.throughput_unit = "readings_per_sec";
 
   support::CsvWriter csv("bench_out/service_scale.csv");
-  csv.header({"shards", "readings_per_sec", "query_p99_us", "queue_drops"});
-  std::printf("%8s %18s %14s %12s\n", "shards", "readings/sec", "query p99 us",
-              "drops");
+  csv.header({"shards", "readings_per_sec", "query_p99_us"});
+  std::printf("%8s %18s %14s\n", "shards", "readings/sec", "query p99 us");
 
+  const std::filesystem::path fleet_root =
+      std::filesystem::temp_directory_path() / "vire_bench_service_scale";
   const auto bench_start = std::chrono::steady_clock::now();
   for (const int shards : shard_counts) {
-    service::ServiceConfig config;
-    config.shards = shards;
-    config.engine.min_refresh_interval_s = 10.0;
-    config.middleware.window_s = 10.0;
-    service::ShardedService service(deployment, config);
-    service.set_reference_ids(reference_ids);
-    for (const auto id : tags) service.track(id);
+    // Both paths answer the same Frontend calls the timed loop makes.
+    std::unique_ptr<service::ShardedService> host;
+    std::unique_ptr<service::InProcessShardRunner> runner;
+    std::unique_ptr<service::Supervisor> supervisor;
+    service::Frontend* frontend = nullptr;
+    if (shards == 1) {
+      service::ServiceConfig config;
+      config.middleware.window_s = 10.0;
+      host = std::make_unique<service::ShardedService>(deployment, config);
+      frontend = host.get();
+    } else {
+      std::filesystem::remove_all(fleet_root);
+      runner = std::make_unique<service::InProcessShardRunner>(deployment);
+      service::SupervisorConfig config;
+      config.shards = shards;
+      config.root_dir = fleet_root;
+      config.middleware_window_s = 10.0;
+      supervisor = std::make_unique<service::Supervisor>(deployment, config,
+                                                         nullptr, runner.get());
+      supervisor->start();
+      frontend = supervisor.get();
+    }
+    frontend->set_reference_ids(reference_ids);
+    for (const auto id : tags) frontend->track(id, {}, std::nullopt);
 
     std::vector<double> query_us;
     query_us.reserve(static_cast<std::size_t>(rounds) * queries);
     const auto start = std::chrono::steady_clock::now();
-    service.ingest(warmup);
+    frontend->ingest(warmup);
     for (int r = 0; r < rounds; ++r) {
-      service.ingest(segments[static_cast<std::size_t>(r)]);
-      (void)service.poll(poll_times[static_cast<std::size_t>(r)]);
+      frontend->ingest(segments[static_cast<std::size_t>(r)]);
+      (void)frontend->poll(poll_times[static_cast<std::size_t>(r)]);
       for (int q = 0; q < queries; ++q) {
         const auto t0 = std::chrono::steady_clock::now();
-        (void)service.latest_fix(tags[static_cast<std::size_t>(q) % tags.size()]);
+        (void)frontend->latest_fix(tags[static_cast<std::size_t>(q) % tags.size()]);
         query_us.push_back(1e6 * std::chrono::duration<double>(
                                      std::chrono::steady_clock::now() - t0)
                                      .count());
@@ -150,11 +179,11 @@ int main() {
     std::sort(query_us.begin(), query_us.end());
     const double p99 =
         query_us[static_cast<std::size_t>(0.99 * (query_us.size() - 1))];
+    if (supervisor != nullptr) supervisor->stop();
 
-    std::printf("%8d %18.0f %14.2f %12llu\n", shards, readings_per_sec, p99,
-                static_cast<unsigned long long>(service.dropped_batches()));
+    std::printf("%8d %18.0f %14.2f\n", shards, readings_per_sec, p99);
     csv.row({std::to_string(shards), std::to_string(readings_per_sec),
-             std::to_string(p99), std::to_string(service.dropped_batches())});
+             std::to_string(p99)});
     report.results.emplace_back("readings_per_sec_shards_" + std::to_string(shards),
                                 readings_per_sec);
     report.results.emplace_back("query_p99_us_shards_" + std::to_string(shards),
@@ -162,6 +191,7 @@ int main() {
     report.throughput = std::max(report.throughput, readings_per_sec);
   }
 
+  std::filesystem::remove_all(fleet_root);
   report.wall_ms = 1e3 * std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - bench_start)
                              .count();

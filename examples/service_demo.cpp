@@ -1,16 +1,20 @@
-// Service demo: a 4-shard localization service behind its Unix-socket wire
-// protocol, fed a faulted warehouse stream. One simulator run (reader 2
-// dies mid-run, reader 1 drops 10% of reads) is captured through a
-// ReadingRecorder, streamed to the service over the socket, and polled for
-// merged fixes; then one tag's fix provenance is pulled with `explain`, and
-// the merged per-shard Prometheus snapshot is printed and written to
-// bench_out/service_demo_metrics.prom.
+// Service demo: a 4-shard localization fleet behind its Unix-socket wire
+// protocol, fed a faulted warehouse stream. A Supervisor coordinates four
+// one-engine shards that an InProcessShardRunner hosts as server threads in
+// this process (vire_supervisord runs the same supervisor over vire_shardd
+// processes). One simulator run (reader 2 dies mid-run, reader 1 drops 10%
+// of reads) is captured through a ReadingRecorder, streamed to the
+// supervisor over its socket, and polled for merged fixes; then one tag's
+// fix provenance is pulled with `explain`, and the fleet's Prometheus
+// scrape (each shard's series labelled process="shard-N") is printed and
+// written to bench_out/service_demo_metrics.prom.
 //
 //   ./build/examples/service_demo
 //
 // Everything is deterministic: same seeds, same fixes, every run.
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -19,9 +23,28 @@
 
 #include "env/environment.h"
 #include "fault/fault_injector.h"
+#include "service/client.h"
 #include "service/server.h"
-#include "service/sharded_service.h"
+#include "service/shard_runner.h"
+#include "service/supervisor.h"
 #include "sim/simulator.h"
+
+namespace {
+
+/// Quadrant zone of a position within the deployment's sensing area (2x2
+/// zones, row-major: 0 = lower-left .. 3 = upper-right), registered with
+/// each tag as its zone-affinity hint.
+std::uint32_t zone_for_position(const vire::env::Deployment& deployment,
+                                vire::geom::Vec2 position) noexcept {
+  const vire::geom::Aabb area = deployment.sensing_area();
+  const double cx = 0.5 * (area.lo.x + area.hi.x);
+  const double cy = 0.5 * (area.lo.y + area.hi.y);
+  const std::uint32_t col = position.x >= cx ? 1 : 0;
+  const std::uint32_t row = position.y >= cy ? 1 : 0;
+  return row * 2 + col;
+}
+
+}  // namespace
 
 int main() {
   using namespace vire;
@@ -69,32 +92,32 @@ int main() {
     poll_times.push_back(simulator.now());
   }
 
-  // ---- Bring up the 4-shard service + UDS server -----------------------
-  service::ServiceConfig config;
+  // ---- Bring up the 4-shard fleet + the supervisor's UDS server ---------
+  // Shards keep their WALs, checkpoints and anomaly dumps under the root.
+  const fs::path root = fs::temp_directory_path() / "vire_service_demo";
+  fs::remove_all(root);
+  service::InProcessShardRunner runner(deployment);
+  service::SupervisorConfig config;
   config.shards = 4;
-  config.engine.min_refresh_interval_s = 10.0;
-  config.engine.degradation.health.quarantine_after = 2;
-  config.engine.degradation.health.recover_after = 2;
-  // The faulted stream transitions OK -> DEGRADED by design; keep the
-  // flight recorder (explain needs it) but skip the anomaly auto-dumps.
-  config.engine.observability.max_auto_dumps = 0;
-  config.middleware.window_s = 10.0;
-  service::ShardedService service(deployment, config);
-  service.set_reference_ids(reference_ids);
+  config.root_dir = root;
+  config.middleware_window_s = 10.0;
+  service::Supervisor supervisor(deployment, config, nullptr, &runner);
+  supervisor.start();
+  supervisor.set_reference_ids(reference_ids);
+  std::printf("fleet: supervisor + 4 shards under %s\n", root.string().c_str());
   for (const auto& asset : assets) {
-    const auto zone = service::zone_for_position(deployment, asset.position);
-    service.track(asset.tag, asset.name, zone);
+    const std::uint32_t zone = zone_for_position(deployment, asset.position);
+    supervisor.track(asset.tag, asset.name, zone);
+    std::printf("  %-12s zone %u -> shard %u\n", asset.name, zone,
+                supervisor.router().route(asset.tag, zone));
   }
 
   const fs::path socket_path = fs::temp_directory_path() / "vire_service_demo.sock";
   service::ServerConfig server_config;
   server_config.socket_path = socket_path;
-  service::ServiceServer server(service, server_config);
+  service::ServiceServer server(supervisor, server_config);
   server.start();
-  std::printf("service: 4 shards, socket %s\n", socket_path.string().c_str());
-  for (const auto& asset : assets) {
-    std::printf("  %-12s -> shard %u\n", asset.name, service.owner_of(asset.tag));
-  }
+  std::printf("supervisor socket %s\n", socket_path.string().c_str());
 
   // ---- Stream + poll over the wire -------------------------------------
   service::ServiceClient client(socket_path);
@@ -128,15 +151,15 @@ int main() {
     std::printf("  (no record)\n");
   }
 
-  // ---- Merged per-shard metrics snapshot --------------------------------
+  // ---- Fleet metrics scrape ----------------------------------------------
   const std::string prom = client.snapshot_prometheus();
   fs::create_directories("bench_out");
   std::ofstream out("bench_out/service_demo_metrics.prom");
   out << prom;
   out.close();
   int shown = 0;
-  std::printf("\nmerged Prometheus snapshot (first service lines; full copy in "
-              "bench_out/service_demo_metrics.prom):\n");
+  std::printf("\nfleet Prometheus scrape (first shard service lines; full copy "
+              "in bench_out/service_demo_metrics.prom):\n");
   std::size_t pos = 0;
   while (pos < prom.size() && shown < 14) {
     const std::size_t eol = prom.find('\n', pos);
@@ -149,10 +172,10 @@ int main() {
   }
 
   server.stop();
-  std::printf("\ndemo complete: %llu readings accepted, %zu tracked tags, "
-              "4 shards, 0 determinism excuses\n",
-              static_cast<unsigned long long>(
-                  service.metrics().counter("vire_service_readings_total").value()),
-              service.tracked_count());
+  supervisor.stop();
+  fs::remove_all(root);
+  std::printf("\ndemo complete: %d polls, %zu tracked tags, 4 shards, 0 "
+              "determinism excuses\n",
+              kPolls, assets.size());
   return 0;
 }

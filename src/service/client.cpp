@@ -41,14 +41,6 @@ ServiceClient::ServiceClient(const std::filesystem::path& socket_path,
   }
 }
 
-ServiceClient::ServiceClient(const std::filesystem::path& socket_path,
-                             std::size_t max_payload)
-    : ServiceClient(socket_path, [max_payload] {
-        ClientConfig config;
-        config.max_payload = max_payload;
-        return config;
-      }()) {}
-
 ServiceClient::~ServiceClient() {
   if (fd_ >= 0) ::close(fd_);
 }

@@ -73,9 +73,6 @@ class ServiceClient {
   /// Connects immediately; throws TransportError on failure.
   explicit ServiceClient(const std::filesystem::path& socket_path,
                          ClientConfig config = {});
-  /// Back-compat shim for the original (path, max_payload) signature.
-  ServiceClient(const std::filesystem::path& socket_path,
-                std::size_t max_payload);
   ~ServiceClient();
 
   ServiceClient(const ServiceClient&) = delete;

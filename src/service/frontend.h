@@ -1,8 +1,8 @@
 #pragma once
 // Frontend: the request-handling surface the wire server drives
-// (docs/service.md). Two implementations exist — ShardedService (shards as
-// threads inside this process) and Supervisor (shards as child processes) —
-// and ServiceServer speaks to either one, so vire_shardd and vire_supervisord
+// (docs/service.md). Two implementations exist — ShardedService (one
+// engine: a shard) and Supervisor (the coordinator of a fleet of shards) —
+// and ServiceServer speaks to either one, so a shard and vire_supervisord
 // share a single server/event-loop implementation.
 //
 // Threading: like ShardedService, every mutating call comes from ONE driver
@@ -92,8 +92,8 @@ class Frontend {
   virtual std::optional<std::string> provenance_json() { return std::nullopt; }
 
   // -- elastic membership (wire v4) --------------------------------------
-  // Implemented by ShardedService (per-shard state moves) and by Supervisor
-  // (admin_* drive the cross-process add/remove state machine). Defaults
+  // Implemented by ShardedService (a shard's tag and seed state moves) and
+  // by Supervisor (admin_* drive the add/remove state machine). Defaults
   // throw; the server surfaces that as kError, so frontends that cannot
   // migrate state refuse cleanly instead of silently dropping tags.
 

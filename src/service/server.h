@@ -10,9 +10,9 @@
 // is running, do not call the frontend's mutating API from elsewhere
 // (snapshot exports stay safe from any thread).
 //
-// The same server fronts either Frontend implementation: ShardedService in
-// a monolithic process, one-engine shards in vire_shardd, and the
-// Supervisor in vire_supervisord.
+// The same server fronts both Frontend implementations: the one-engine
+// ShardedService of a shard (vire_shardd, InProcessShardRunner) and the
+// Supervisor that coordinates a fleet of them (vire_supervisord).
 //
 // Robustness: each connection owns a FrameDecoder registered with the
 // frontend's metrics registry, so every rejected frame lands in
@@ -111,7 +111,3 @@ class ServiceServer {
 };
 
 }  // namespace vire::service
-
-// Historical location of ServiceClient; kept so existing includes of
-// service/server.h keep compiling after the client split.
-#include "service/client.h"  // IWYU pragma: keep

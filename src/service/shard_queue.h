@@ -7,15 +7,12 @@
 // shard's engine sees the same ingest/evict/update sequence regardless of
 // scheduling — bit-identical fixes at any shard count fall out of that.
 //
-// Backpressure applies to reading batches only. Control ops (evict, update,
-// control closures, stop) always enqueue: dropping an update would desync
-// the shard from the poll schedule, and blocking one could deadlock the
-// barrier that drains the queues. Two overflow policies:
-//   kBlock      — the producer waits for room (lossless, deterministic; the
-//                 equivalence tests run this);
-//   kDropOldest — the oldest queued *reading batch* is discarded to make
-//                 room (lossy, keeps ingest latency bounded when a shard
-//                 falls behind; drops are counted, never silent).
+// Backpressure applies to reading batches only: a producer pushing into a
+// full queue waits for room (lossless, so the stream a shard sees never
+// depends on scheduling). Control ops (evict, update, control closures,
+// stop) always enqueue: dropping an update would desync the shard from the
+// poll schedule, and blocking one could deadlock the barrier that drains
+// the queue.
 
 #include <condition_variable>
 #include <cstddef>
@@ -32,11 +29,6 @@
 
 namespace vire::service {
 
-enum class OverflowPolicy {
-  kBlock,
-  kDropOldest,
-};
-
 class ShardQueue {
  public:
   struct Op {
@@ -48,35 +40,20 @@ class ShardQueue {
     std::promise<std::vector<engine::Fix>> fixes;     ///< kUpdate
   };
 
-  ShardQueue(std::size_t capacity, OverflowPolicy policy)
-      : capacity_(capacity == 0 ? 1 : capacity), policy_(policy) {}
+  explicit ShardQueue(std::size_t capacity)
+      : capacity_(capacity == 0 ? 1 : capacity) {}
 
   ShardQueue(const ShardQueue&) = delete;
   ShardQueue& operator=(const ShardQueue&) = delete;
 
-  /// Enqueues a reading batch subject to capacity/policy. Returns the number
-  /// of older batches dropped to make room (always 0 under kBlock).
-  std::size_t push_readings(std::vector<sim::RssiReading> batch) {
-    std::size_t dropped = 0;
+  /// Enqueues a reading batch, waiting for room while `capacity` batches
+  /// are already queued.
+  void push_readings(std::vector<sim::RssiReading> batch) {
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      if (policy_ == OverflowPolicy::kBlock) {
-        if (reading_batches_ >= capacity_) {
-          ++blocked_;
-          not_full_.wait(lock, [&] { return reading_batches_ < capacity_; });
-        }
-      } else {
-        while (reading_batches_ >= capacity_) {
-          for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-            if (it->kind == Op::Kind::kReadings) {
-              queue_.erase(it);
-              --reading_batches_;
-              ++dropped_;
-              ++dropped;
-              break;
-            }
-          }
-        }
+      if (reading_batches_ >= capacity_) {
+        ++blocked_;
+        not_full_.wait(lock, [&] { return reading_batches_ < capacity_; });
       }
       Op op;
       op.kind = Op::Kind::kReadings;
@@ -86,7 +63,6 @@ class ShardQueue {
       if (queue_.size() > high_water_) high_water_ = queue_.size();
     }
     not_empty_.notify_one();
-    return dropped;
   }
 
   void push_evict(sim::SimTime now) {
@@ -157,18 +133,11 @@ class ShardQueue {
     std::lock_guard<std::mutex> lock(mutex_);
     return high_water_;
   }
-  /// Reading batches discarded under kDropOldest.
-  [[nodiscard]] std::uint64_t dropped() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return dropped_;
-  }
-  /// push_readings calls that had to wait under kBlock.
+  /// push_readings calls that had to wait for room.
   [[nodiscard]] std::uint64_t blocked() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return blocked_;
   }
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] OverflowPolicy policy() const noexcept { return policy_; }
 
  private:
   void push_control_op(Op op) {
@@ -181,14 +150,12 @@ class ShardQueue {
   }
 
   const std::size_t capacity_;
-  const OverflowPolicy policy_;
   mutable std::mutex mutex_;
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
   std::deque<Op> queue_;
   std::size_t reading_batches_ = 0;
   std::size_t high_water_ = 0;
-  std::uint64_t dropped_ = 0;
   std::uint64_t blocked_ = 0;
 };
 

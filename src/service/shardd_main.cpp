@@ -1,12 +1,12 @@
 // vire_shardd: one shard process of the multi-process deployment
 // (docs/service.md, "Multi-process deployment").
 //
-// A thin main over ShardedService with a single engine: serves the wire
-// protocol on --socket, journals to --data-dir/{wal,checkpoints}. Always
-// constructed in recover mode — the supervisor re-registers reference ids
-// and tracked tags first, then sends kRecover to replay the WAL through the
-// normal pipeline (registration is not journaled). Runs until SIGTERM or
-// SIGINT.
+// A thin main over the one-engine ShardedService: serves the wire protocol
+// on --socket, journals to --data-dir/shard-0/{wal,checkpoints}. Built from
+// the same shard_service_config as an in-process shard, so always in
+// recover mode — the supervisor re-registers reference ids and tracked tags
+// first, then sends kRecover to replay the WAL through the normal pipeline
+// (registration is not journaled). Runs until SIGTERM or SIGINT.
 //
 //   vire_shardd --socket PATH --data-dir DIR [--shard-id N] [--workers N]
 //               [--window SECONDS] [--checkpoint-every N] [--obs-dir DIR]
@@ -26,8 +26,9 @@
 #include <string>
 
 #include "env/deployment.h"
+#include "service/client.h"
 #include "service/server.h"
-#include "service/sharded_service.h"
+#include "service/shard_runner.h"
 
 namespace {
 
@@ -123,19 +124,16 @@ int main(int argc, char** argv) {
   pthread_sigmask(SIG_BLOCK, &shutdown_set, nullptr);
 
   const env::Deployment deployment = env::Deployment::paper_testbed();
-  service::ServiceConfig config;
-  config.shards = 1;
-  config.engine.parallel_workers = workers;
-  config.middleware.window_s = window_s;
-  config.data_dir = data_dir;
-  config.checkpoint_every_updates = checkpoint_every;
-  config.recover = true;
-  // Anomaly dumps default under the shard's own data dir, not the process
-  // cwd: multiple shardd processes share a cwd under the supervisor, and a
-  // shared "obs_out" would interleave their dumps.
-  config.engine.observability.anomaly_dump_dir =
-      obs_dir.empty() ? data_dir / "obs" : obs_dir;
-  if (trace) config.engine.observability.enable_tracing = true;
+  service::ShardLaunch launch;
+  launch.id = static_cast<std::uint32_t>(shard_id);
+  launch.socket = socket_path;
+  launch.data_dir = data_dir;
+  launch.engine_workers = workers;
+  launch.middleware_window_s = window_s;
+  launch.checkpoint_every_updates = checkpoint_every;
+  launch.trace = trace;
+  service::ServiceConfig config = service::shard_service_config(launch);
+  if (!obs_dir.empty()) config.engine.observability.anomaly_dump_dir = obs_dir;
   if (trace_capacity > 0) {
     config.engine.observability.trace_capacity =
         static_cast<std::size_t>(trace_capacity);

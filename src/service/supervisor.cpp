@@ -1,17 +1,10 @@
 #include "service/supervisor.h"
 
-#include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <chrono>
 #include <exception>
 #include <fstream>
 #include <limits>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "obs/exporters.h"
@@ -19,18 +12,6 @@
 #include "support/rng.h"
 
 namespace vire::service {
-
-double SteadyClock::now() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-void SteadyClock::sleep_for(double seconds) {
-  if (seconds > 0.0) {
-    std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-  }
-}
 
 std::string_view to_string(ShardState state) noexcept {
   switch (state) {
@@ -65,21 +46,22 @@ std::string shard_json(std::uint32_t id) {
 }  // namespace
 
 Supervisor::Supervisor(const env::Deployment& deployment,
-                       SupervisorConfig config, Clock* clock)
+                       SupervisorConfig config, Clock* clock,
+                       ShardRunner* runner)
     : deployment_(deployment),
       config_(std::move(config)),
       clock_(clock != nullptr ? clock : &steady_clock_),
+      runner_(runner),
       router_(config_.router) {
   if (config_.shards < 1) {
     throw std::invalid_argument("Supervisor: shards must be >= 1");
   }
-  if (config_.shardd_binary.empty()) {
-    throw std::invalid_argument("Supervisor: shardd_binary is required");
+  if (runner_ == nullptr) {
+    owned_runner_ = std::make_unique<ProcessShardRunner>(
+        config_.shardd_binary, config_.shardd_extra_args, clock_);
+    runner_ = owned_runner_.get();
   }
-  if (config_.fleet_tracing) {
-    tracer_.set_enabled(true);
-    config_.shardd_extra_args.emplace_back("--trace");
-  }
+  if (config_.fleet_tracing) tracer_.set_enabled(true);
 
   restarts_total_ = &metrics_.counter("vire_supervisor_restarts_total", {},
                                       "Successful shard process restarts");
@@ -225,10 +207,11 @@ void Supervisor::restore_from_journal(RecoveredControlState recovered) {
 }
 
 Supervisor::~Supervisor() {
+  if (owned_runner_ == nullptr) return;  // the caller's runner keeps them
   try {
     stop();
   } catch (...) {
-    // Destructor must not throw; children get reaped by init if we lose them.
+    // Destructor must not throw; the runner's destructor ends what is left.
   }
 }
 
@@ -261,11 +244,7 @@ void Supervisor::stop() {
   // ops (only a SIGKILL leaves an un-acked suffix behind).
   if (started_) drain_and_checkpoint();
   for (auto& [id, shard] : shards_) {
-    shard.client.reset();
-    if (shard.pid > 0) ::kill(shard.pid, SIGTERM);
-  }
-  for (auto& [id, shard] : shards_) {
-    shutdown_child(shard, 2.0);
+    release(shard, /*graceful=*/true);
     shard.state = ShardState::kDown;
     // Keep the breaker open forever so a stray poll() after stop() degrades
     // instead of respawning.
@@ -281,7 +260,7 @@ void Supervisor::tick() {
   for (auto& [id, shard] : shards_) {
     switch (shard.state) {
       case ShardState::kUp: {
-        if (shard.pid > 0 && process_dead(shard)) {
+        if (runner_->exited(id)) {
           handle_death(shard, DeathCause::kWaitpid);
           break;
         }
@@ -570,7 +549,7 @@ std::string Supervisor::snapshot_json() const {
     out += ",\"phase\":\"" + std::string(to_string(shard.phase)) + "\"";
     out += ",\"adopted\":";
     out += shard.adopted ? "true" : "false";
-    out += ",\"pid\":" + std::to_string(shard.pid);
+    out += ",\"pid\":" + std::to_string(runner_->pid(id));
     out += ",\"restart_count\":" + std::to_string(shard.restart_count);
     out += ",\"heartbeat_age_s\":" +
            obs::format_double(shard.last_heartbeat_ok > 0.0
@@ -751,7 +730,7 @@ ShardState Supervisor::shard_state(std::uint32_t shard) const {
 
 pid_t Supervisor::shard_pid(std::uint32_t shard) const {
   std::lock_guard lock(mutex_);
-  return shards_.at(shard).pid;
+  return runner_->pid(shards_.at(shard).id);
 }
 
 std::uint64_t Supervisor::restarts() const noexcept {
@@ -820,154 +799,79 @@ void Supervisor::ensure_shard_metrics(std::uint32_t id) {
       "Estimated shard trace-clock offset vs the supervisor (µs)");
 }
 
-void Supervisor::spawn(ManagedShard& shard) {
-  std::error_code ec;
-  std::filesystem::create_directories(shard.data_dir, ec);
-  std::vector<std::string> args = {
-      config_.shardd_binary.string(),
-      "--socket", shard.socket.string(),
-      "--data-dir", shard.data_dir.string(),
-      "--shard-id", std::to_string(shard.id),
-      "--workers", std::to_string(config_.engine_workers),
-      "--window", obs::format_double(config_.middleware_window_s),
-      "--checkpoint-every", std::to_string(config_.checkpoint_every_updates),
-  };
-  args.insert(args.end(), config_.shardd_extra_args.begin(),
-              config_.shardd_extra_args.end());
-  std::vector<char*> argv;
-  argv.reserve(args.size() + 1);
-  for (std::string& a : args) argv.push_back(a.data());
-  argv.push_back(nullptr);
-
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    shard.pid = -1;
-    return;
-  }
-  if (pid == 0) {
-    // Child: only async-signal-safe calls between fork and exec.
-    ::execv(argv[0], argv.data());
-    ::_exit(127);
-  }
-  shard.pid = pid;
-  shard.adopted = false;
-  // Pidfile for the adoption handshake: a future supervisor incarnation
-  // finds the (by then orphaned) process through it. Plain ofstream is fine
-  // — a torn pidfile just fails adoption and falls back to respawn.
-  std::ofstream pidfile(shard.data_dir / "shardd.pid", std::ios::trunc);
-  pidfile << pid << '\n';
-  tracer_.instant("supervisor.spawn", "{\"shard\":" + std::to_string(shard.id) +
-                                          ",\"pid\":" + std::to_string(pid) +
-                                          "}");
+ShardLaunch Supervisor::launch_for(const ManagedShard& shard) const {
+  ShardLaunch launch;
+  launch.id = shard.id;
+  launch.socket = shard.socket;
+  launch.data_dir = shard.data_dir;
+  launch.engine_workers = config_.engine_workers;
+  launch.middleware_window_s = config_.middleware_window_s;
+  launch.checkpoint_every_updates = config_.checkpoint_every_updates;
+  launch.trace = config_.fleet_tracing;
+  return launch;
 }
 
-bool Supervisor::try_adopt(ManagedShard& shard) {
-  // A SIGKILLed supervisor's shardd children were reparented to init and
-  // kept serving. We cannot waitpid a non-child, so liveness is kill(pid,0)
-  // (ESRCH = gone) and the socket handshake proves it is actually serving.
-  long pid = -1;
-  {
-    std::ifstream pidfile(shard.data_dir / "shardd.pid");
-    if (!(pidfile >> pid) || pid <= 0) return false;
-  }
-  if (pid == static_cast<long>(::getpid())) return false;  // corrupt pidfile
-  if (::kill(static_cast<pid_t>(pid), 0) != 0 && errno == ESRCH) return false;
+std::unique_ptr<ServiceClient> Supervisor::connect(
+    const ManagedShard& shard) const {
+  ClientConfig cc;
+  cc.read_timeout_s = config_.request_timeout_s;
+  cc.peer_name = "supervisor";
+  return std::make_unique<ServiceClient>(shard.socket, cc);
+}
+
+bool Supervisor::try_adopt(ManagedShard& shard, const ShardLaunch& launch) {
+  if (!runner_->adopt(launch)) return false;
   try {
-    ClientConfig cc;
-    cc.read_timeout_s = config_.request_timeout_s;
-    cc.peer_name = "supervisor";
-    shard.client = std::make_unique<ServiceClient>(shard.socket, cc);
+    shard.client = connect(shard);
   } catch (const TransportError&) {
-    // Alive but not serving (wedged orphan): clear it so spawn() owns the
-    // socket path again.
-    ::kill(static_cast<pid_t>(pid), SIGKILL);
+    // Alive but not serving (wedged orphan): clear it so a fresh start owns
+    // the socket path again.
+    runner_->kill(shard.id);
     return false;
   }
-  shard.pid = static_cast<pid_t>(pid);
   shard.adopted = true;
   adoptions_total_->inc();
-  tracer_.instant("supervisor.adopt", "{\"shard\":" + std::to_string(shard.id) +
-                                          ",\"pid\":" + std::to_string(pid) +
-                                          "}");
+  tracer_.instant("supervisor.adopt",
+                  "{\"shard\":" + std::to_string(shard.id) + ",\"pid\":" +
+                      std::to_string(runner_->pid(shard.id)) + "}");
   return true;
 }
 
-void Supervisor::kill_child(ManagedShard& shard, int signal) noexcept {
-  if (shard.pid <= 0) return;
-  ::kill(shard.pid, signal);
-  if (shard.adopted) {
-    // Not our child: init reaps it; poll for ESRCH instead of waitpid.
-    const double deadline = clock_->now() + 2.0;
-    while (::kill(shard.pid, 0) == 0 && clock_->now() < deadline) {
-      clock_->sleep_for(0.005);
-    }
+void Supervisor::release(ManagedShard& shard, bool graceful) noexcept {
+  shard.client.reset();
+  if (graceful) {
+    runner_->stop(shard.id);
   } else {
-    int status = 0;
-    ::waitpid(shard.pid, &status, 0);
+    runner_->kill(shard.id);
   }
-  shard.pid = -1;
   shard.adopted = false;
-}
-
-void Supervisor::shutdown_child(ManagedShard& shard, double grace_s) noexcept {
-  if (shard.pid <= 0) return;
-  const double deadline = clock_->now() + grace_s;
-  for (;;) {
-    if (process_dead(shard)) {
-      shard.pid = -1;
-      shard.adopted = false;
-      return;
-    }
-    if (clock_->now() >= deadline) {
-      kill_child(shard, SIGKILL);
-      return;
-    }
-    clock_->sleep_for(0.01);
-  }
-}
-
-bool Supervisor::process_dead(ManagedShard& shard) noexcept {
-  if (shard.pid <= 0) return true;
-  if (shard.adopted) {
-    return ::kill(shard.pid, 0) != 0 && errno == ESRCH;
-  }
-  int status = 0;
-  const pid_t reaped = ::waitpid(shard.pid, &status, WNOHANG);
-  return reaped == shard.pid || (reaped == -1 && errno == ECHILD);
 }
 
 bool Supervisor::bring_up(ManagedShard& shard) {
   const obs::TraceSpan span(&tracer_, "supervisor.bring_up",
                             shard_json(shard.id));
   shard.client.reset();
-  // Adoption first: when we hold no process (typically the first bring-up
-  // after a supervisor restart) a previous incarnation's shardd may still be
-  // running over this shard's data. Re-attaching keeps its warm engine state
-  // AND its WAL exactly where the old supervisor left them.
-  if (shard.pid <= 0 && try_adopt(shard)) {
-    // Connected to a live orphan; registration + replay below.
-  } else {
-    kill_child(shard, SIGKILL);  // no-op when already reaped
-    spawn(shard);
-    if (shard.pid < 0) return false;
-
+  // Adoption first: a previous incarnation's shard may still be running
+  // over this shard's data. Re-attaching keeps its warm engine state AND
+  // its WAL exactly where the old supervisor left them.
+  const ShardLaunch launch = launch_for(shard);
+  if (!try_adopt(shard, launch)) {
+    release(shard, /*graceful=*/false);  // no-op when already gone
+    if (!runner_->start(launch)) return false;
+    tracer_.instant("supervisor.spawn",
+                    "{\"shard\":" + std::to_string(shard.id) + ",\"pid\":" +
+                        std::to_string(runner_->pid(shard.id)) + "}");
     const double deadline = clock_->now() + config_.spawn_wait_s;
     for (;;) {
-      int status = 0;
-      const pid_t reaped = ::waitpid(shard.pid, &status, WNOHANG);
-      if (reaped == shard.pid || (reaped == -1 && errno == ECHILD)) {
-        shard.pid = -1;  // died before serving (e.g. --abort-on-start)
-        return false;
+      if (runner_->exited(shard.id)) {
+        return false;  // died before serving (e.g. --abort-on-start)
       }
       try {
-        ClientConfig cc;
-        cc.read_timeout_s = config_.request_timeout_s;
-        cc.peer_name = "supervisor";
-        shard.client = std::make_unique<ServiceClient>(shard.socket, cc);
+        shard.client = connect(shard);
         break;
       } catch (const TransportError&) {
         if (clock_->now() >= deadline) {
-          kill_child(shard, SIGKILL);
+          release(shard, /*graceful=*/false);
           return false;
         }
         clock_->sleep_for(config_.connect_retry_s);
@@ -988,8 +892,7 @@ bool Supervisor::bring_up(ManagedShard& shard) {
     observe_ack(shard, shard.client->recover_now());
     replay(shard);
   } catch (const std::exception&) {
-    shard.client.reset();
-    kill_child(shard, SIGKILL);
+    release(shard, /*graceful=*/false);
     return false;
   }
   return true;
@@ -1115,8 +1018,7 @@ void Supervisor::handle_death(ManagedShard& shard, DeathCause cause) {
                   "{\"shard\":" + std::to_string(shard.id) + ",\"cause\":\"" +
                       std::string(to_string(cause)) + "\"}",
                   'g');
-  shard.client.reset();
-  kill_child(shard, SIGKILL);  // a wedged-but-alive child must not linger
+  release(shard, /*graceful=*/false);  // a wedged-but-alive shard must not linger
   const double now = clock_->now();
   shard.death_times.push_back(now);
   while (!shard.death_times.empty() &&
@@ -1363,8 +1265,7 @@ std::uint64_t Supervisor::admin_remove_shard(std::uint32_t id) {
     shard.phase = MemberPhase::kDraining;
   }
   const std::uint64_t moved = drain_shard(shard, /*in_router=*/was_active);
-  ::kill(shard.pid, SIGTERM);
-  shutdown_child(shard, 2.0);
+  release(shard, /*graceful=*/true);
   if (journal_ != nullptr) journal_->record_remove_shard(id);
   shards_.erase(it);
   membership_changes_remove_->inc();
@@ -1447,8 +1348,7 @@ void Supervisor::resume_membership() {
         complete_join(shard);
       } else if (shard.phase == MemberPhase::kDraining) {
         const std::uint64_t moved = drain_shard(shard, /*in_router=*/false);
-        ::kill(shard.pid, SIGTERM);
-        shutdown_child(shard, 2.0);
+        release(shard, /*graceful=*/true);
         if (journal_ != nullptr) journal_->record_remove_shard(id);
         shards_.erase(it);
         membership_changes_remove_->inc();
@@ -1506,7 +1406,7 @@ void Supervisor::migrate_tag_cross(sim::TagId tag, std::uint32_t from_id,
   }
   // Re-feed the moved tag's WAL suffix through the destination's NORMAL
   // ingest path (journaled into its WAL like any live reading), then land
-  // the exported state on top — same order as the in-process rebalance.
+  // the exported state on top.
   for (std::size_t off = 0; off < readings.size();
        off += kMaxReadingsPerBatch) {
     const std::size_t len =
@@ -1521,9 +1421,9 @@ void Supervisor::migrate_tag_cross(sim::TagId tag, std::uint32_t from_id,
 
 std::vector<sim::RssiReading> Supervisor::migration_readings_cross(
     const ManagedShard& source, sim::TagId tag) const {
-  // The tag's journaled suffix still inside the middleware window — the same
-  // strict half-open filter ShardedService::migration_readings uses, so the
-  // re-fed set is exactly the source's buffer. shardd hosts a single-shard
+  // The tag's journaled suffix still inside the middleware window (strictly
+  // after the horizon, the middleware's own eviction rule), so the re-fed
+  // set is exactly the source's buffer. A shard is a one-engine
   // ShardedService, so its WAL lives under <data_dir>/shard-0/wal.
   const double horizon = last_poll_time_ - config_.middleware_window_s;
   auto readings =

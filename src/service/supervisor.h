@@ -1,19 +1,22 @@
 #pragma once
-// Supervisor: self-healing multi-process deployment of the sharded
-// localization service (docs/service.md, "Multi-process deployment").
+// Supervisor: the one coordinator of a multi-shard localization fleet
+// (docs/service.md, "Architecture").
 //
-// The supervisor owns the ShardRouter and spawns one shard *process* per
-// shard (vire_shardd — a thin main over a single-engine ShardedService),
-// each serving the wire protocol on its own Unix socket and journaling to
-// its own WAL/checkpoint directory. The supervisor itself implements
-// Frontend, so vire_supervisord fronts the whole fleet through the same
-// ServiceServer that fronts a single shard.
+// The supervisor owns the ShardRouter, the reference broadcast, the poll
+// merge, migration and crash recovery. Each shard is a one-engine
+// ShardedService serving the wire protocol on its own Unix socket and
+// journaling to its own WAL/checkpoint directory; a ShardRunner decides
+// how it is hosted (ProcessShardRunner: one vire_shardd process per shard;
+// InProcessShardRunner: a server thread in this process). Requests always
+// go over ServiceClient, however the shard is hosted. The supervisor itself
+// implements Frontend, so vire_supervisord fronts the whole fleet through
+// the same ServiceServer that fronts a single shard.
 //
 // Failure detection — three independent ways:
 //   * heartbeat: kHeartbeat probes on an interval; a probe that times out
 //     or a shard with no successful ack within heartbeat_timeout_s is dead;
 //   * socket: any request hitting EOF/ECONNRESET/EPIPE (TransportError);
-//   * waitpid: the child is reaped (exit or signal) before it was asked to.
+//   * waitpid: the runner reports the shard exited before it was asked to.
 //
 // Restart policy: exponential backoff with deterministic jitter between
 // restarts; a crash-loop circuit breaker marks the shard DOWN after
@@ -37,15 +40,15 @@
 // process — op-logs, the ingest cursor, router membership, breaker states —
 // is journaled write-ahead to <root>/journal/ (service/control_journal.h)
 // and checkpointed periodically. A supervisor restarted over an existing
-// root rebuilds all of it, re-adopts still-running orphaned shard processes
-// (pidfile + socket handshake; it cannot waitpid them, so liveness is
-// kill(pid,0)/ESRCH) or respawns dead ones, and replays only the un-acked
-// suffix — merged polls stay bit-identical through a SIGKILL of the
-// *supervisor* itself. Membership is elastic at runtime: admin_add_shard /
-// admin_remove_shard (wire kAddShard/kRemoveShard) walk a journaled
-// joining->active->draining state machine, seed newcomers with a
-// reference-only snapshot and re-feed moved tags from the source shard's
-// WAL suffix through normal ingest.
+// root rebuilds all of it, re-adopts still-running shards through its
+// runner (for processes: pidfile + socket handshake; it cannot waitpid
+// them, so liveness is kill(pid,0)/ESRCH) or restarts dead ones, and
+// replays only the un-acked suffix — merged polls stay bit-identical
+// through a SIGKILL of the *supervisor* itself. Membership is elastic at
+// runtime: admin_add_shard / admin_remove_shard (wire kAddShard /
+// kRemoveShard) walk a journaled joining->active->draining state machine,
+// seed newcomers with a reference-only snapshot and re-feed moved tags from
+// the source shard's WAL suffix through normal ingest.
 
 #include <sys/types.h>
 
@@ -68,25 +71,10 @@
 #include "service/control_journal.h"
 #include "service/frontend.h"
 #include "service/shard_router.h"
+#include "service/shard_runner.h"
 #include "sim/types.h"
 
 namespace vire::service {
-
-/// Time source seam. Production uses SteadyClock; the restart-storm test
-/// injects a fake clock so backoff/breaker windows elapse instantly.
-class Clock {
- public:
-  virtual ~Clock() = default;
-  /// Monotonic seconds.
-  virtual double now() = 0;
-  virtual void sleep_for(double seconds) = 0;
-};
-
-class SteadyClock final : public Clock {
- public:
-  double now() override;
-  void sleep_for(double seconds) override;
-};
 
 enum class ShardState : std::uint8_t {
   kStarting = 0, ///< spawned, not yet connected/caught up
@@ -108,12 +96,12 @@ struct SupervisorConfig {
   int shards = 2;
   /// Root for per-shard sockets (shard-<id>.sock) and data dirs (shard-<id>).
   std::filesystem::path root_dir;
-  /// Path to the vire_shardd binary.
+  /// Path to the vire_shardd binary (the built-in process runner).
   std::filesystem::path shardd_binary;
   /// Extra argv appended to every shard spawn (test seam: --abort-on-start).
   std::vector<std::string> shardd_extra_args;
 
-  // Forwarded to each shard process.
+  // Forwarded to each shard.
   int engine_workers = 1;
   double middleware_window_s = 10.0;
   int checkpoint_every_updates = 8;
@@ -193,23 +181,29 @@ struct SupervisorConfig {
 class Supervisor : public Frontend {
  public:
   /// `clock` may be null (a built-in SteadyClock is used); when provided it
-  /// must outlive the supervisor.
+  /// must outlive the supervisor. `runner` hosts the shards; null builds a
+  /// ProcessShardRunner over config.shardd_binary. A caller's runner must
+  /// outlive the supervisor.
   Supervisor(const env::Deployment& deployment, SupervisorConfig config,
-             Clock* clock = nullptr);
+             Clock* clock = nullptr, ShardRunner* runner = nullptr);
+  /// With the built-in process runner this is stop(). A supervisor over a
+  /// caller's runner instead leaves its shards running there, for the next
+  /// supervisor over the same root and runner to adopt — the in-process
+  /// stand-in for a supervisor SIGKILL.
   ~Supervisor() override;
 
   Supervisor(const Supervisor&) = delete;
   Supervisor& operator=(const Supervisor&) = delete;
 
-  /// Spawns every shard process and brings it up. A shard that fails to
-  /// come up is left in backoff (or breaker-open) — start() itself never
+  /// Starts (or adopts) every shard and brings it up. A shard that fails
+  /// to come up is left in backoff (or breaker-open) — start() itself never
   /// throws for a crashing shard; tick() keeps retrying it.
   void start();
-  /// SIGTERMs every child (SIGKILL after a grace period) and reaps it.
-  /// Idempotent.
+  /// Drains every shard, checkpoints the control journal, then stops each
+  /// shard through the runner (graceful, then kill). Idempotent.
   void stop();
 
-  /// Drives supervision: reaps dead children, sends due heartbeats, trims
+  /// Drives supervision: reaps dead shards, sends due heartbeats, trims
   /// acked op-log entries, executes scheduled restarts and breaker probes.
   /// Call periodically (vire_supervisord ticks every heartbeat_interval_s/2);
   /// safe to call concurrently with the server thread's Frontend calls.
@@ -298,10 +292,8 @@ class Supervisor : public Frontend {
     std::uint32_t id = 0;
     std::filesystem::path socket;
     std::filesystem::path data_dir;
-    pid_t pid = -1;
-    /// True when `pid` is an orphan from a previous supervisor incarnation
-    /// re-adopted via its pidfile: not our child, so liveness checks use
-    /// kill(pid, 0)/ESRCH instead of waitpid.
+    /// True when the running shard was left behind by a previous supervisor
+    /// incarnation and adopted rather than started.
     bool adopted = false;
     /// Membership state machine position (journaled; control_journal.h).
     MemberPhase phase = MemberPhase::kActive;
@@ -345,19 +337,18 @@ class Supervisor : public Frontend {
   [[nodiscard]] ManagedShard make_shard(std::uint32_t id);
   void ensure_shard_metrics(std::uint32_t id);
 
-  void spawn(ManagedShard& shard);
-  /// Re-attach to a still-running orphan from a previous supervisor
-  /// incarnation: pidfile -> kill(pid,0) liveness -> socket handshake.
-  bool try_adopt(ManagedShard& shard);
-  void kill_child(ManagedShard& shard, int signal) noexcept;
-  /// Waits `grace_s` for the child to exit (the caller sends SIGTERM first),
-  /// then SIGKILLs; reaps children, ESRCH-polls adoptees.
-  void shutdown_child(ManagedShard& shard, double grace_s) noexcept;
-  /// True when the shard's process is gone (waitpid for children, ESRCH for
-  /// adoptees). Reaps a dead child as a side effect.
-  [[nodiscard]] bool process_dead(ManagedShard& shard) noexcept;
-  /// Spawn + connect + handshake + re-register + recover + replay. Returns
-  /// false (child killed/reaped) on any failure.
+  [[nodiscard]] ShardLaunch launch_for(const ManagedShard& shard) const;
+  /// Connects + handshakes with the shard's socket; throws TransportError.
+  [[nodiscard]] std::unique_ptr<ServiceClient> connect(
+      const ManagedShard& shard) const;
+  /// Re-attach to a shard a previous supervisor incarnation left running:
+  /// the runner finds it, the socket handshake proves it serves.
+  bool try_adopt(ManagedShard& shard, const ShardLaunch& launch);
+  /// Drops the connection and ends the shard through the runner: `graceful`
+  /// stops it (queued work finishes), otherwise it is killed.
+  void release(ManagedShard& shard, bool graceful) noexcept;
+  /// Start (or adopt) + connect + handshake + re-register + recover +
+  /// replay. Returns false (shard killed) on any failure.
   bool bring_up(ManagedShard& shard);
   void replay(ManagedShard& shard);
   void push_oplog(ManagedShard& shard, OpEntry entry);
@@ -420,6 +411,10 @@ class Supervisor : public Frontend {
   SupervisorConfig config_;
   SteadyClock steady_clock_;
   Clock* clock_;
+  /// The built-in process runner when the caller supplied none; declared
+  /// after the clock it may pace.
+  std::unique_ptr<ShardRunner> owned_runner_;
+  ShardRunner* runner_ = nullptr;
   ShardRouter router_;
   mutable std::mutex mutex_;  ///< serializes server thread vs tick loop
   std::map<std::uint32_t, ManagedShard> shards_;  ///< id order

@@ -1,4 +1,4 @@
-// UDS server/client round trip over the sharded service, plus hostile-bytes
+// UDS server/client round trip over the one-engine service, plus hostile-bytes
 // behavior: malformed payloads draw kError and land in the rejection
 // metrics; a poisoned stream drops only that connection.
 
@@ -8,6 +8,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "service/client.h"
 #include "service/sharded_service.h"
 
 #include <chrono>
@@ -59,7 +60,7 @@ Rig make_rig(const std::string& name) {
   rig.end_time = simulator.now();
 
   ServiceConfig config;
-  config.shards = 2;
+  config.shards = 1;
   config.engine.min_refresh_interval_s = 10.0;
   config.middleware.window_s = 10.0;
   rig.service = std::make_unique<ShardedService>(deployment, config);
@@ -101,8 +102,8 @@ TEST(ServiceServerTest, StreamPollQueryRoundTrip) {
 
   const std::string prom = client.snapshot_prometheus();
   EXPECT_NE(prom.find("vire_service_polls_total"), std::string::npos);
-  EXPECT_NE(prom.find("shard=\"0\""), std::string::npos);
-  EXPECT_NE(prom.find("shard=\"1\""), std::string::npos);
+  // The engine's own registry is exported beside the service's.
+  EXPECT_NE(prom.find("vire_engine_updates_total"), std::string::npos);
   const std::string json = client.snapshot_json();
   EXPECT_NE(json.find("vire_service_readings_total"), std::string::npos);
 
@@ -143,7 +144,7 @@ TEST(ServiceServerTest, MalformedPayloadDrawsErrorAndCounts) {
   good.stream(rig.readings);
   EXPECT_EQ(good.poll(rig.end_time).size(), 1u);
 
-  const std::string prom = rig.service->merged_prometheus();
+  const std::string prom = rig.service->snapshot_prometheus();
   EXPECT_NE(
       prom.find("vire_service_rejected_frames_total{reason=\"malformed\"} 1"),
       std::string::npos)
@@ -176,7 +177,7 @@ TEST(ServiceServerTest, PoisonedStreamDropsOnlyThatConnection) {
 
   good.stream(rig.readings);
   EXPECT_EQ(good.poll(rig.end_time).size(), 1u) << "other connections keep working";
-  const std::string prom = rig.service->merged_prometheus();
+  const std::string prom = rig.service->snapshot_prometheus();
   EXPECT_NE(
       prom.find("vire_service_rejected_frames_total{reason=\"oversized\"} 1"),
       std::string::npos)
@@ -245,7 +246,7 @@ TEST(ServiceServerTest, VersionMismatchDrawsReasonedRejectAndCloses) {
   EXPECT_EQ(n, 0) << "connection must be closed after the mismatch verdict";
   ::close(fd);
 
-  const std::string prom = rig.service->merged_prometheus();
+  const std::string prom = rig.service->snapshot_prometheus();
   EXPECT_NE(prom.find("vire_service_rejected_frames_total"
                       "{reason=\"version_mismatch\"} 1"),
             std::string::npos)

@@ -1,9 +1,13 @@
-// The sharded service's core acceptance bar (ISSUE 7): poll() output is
-// fix-for-fix BIT-IDENTICAL to a single-engine run over the same reading
-// stream and poll schedule, at any shard count x any parallel_workers —
-// including after an in-process shard crash+recovery, a full-service
-// recovery (construct-with-recover + whole-stream re-feed), a fork+SIGKILL
-// whole-process crash, and live add/remove-shard rebalances.
+// The service's core acceptance bar: merged poll() output is fix-for-fix
+// BIT-IDENTICAL to a single-engine run over the same reading stream and
+// poll schedule, at any shard count x any parallel_workers — including
+// after a shard crash+recovery, live add/remove-shard rebalances and a
+// supervisor that disappears mid-stream and is replaced. The multi-shard
+// cases run a Supervisor over an InProcessShardRunner (every shard a
+// one-engine ShardedService behind a server thread), so nothing forks and
+// the whole suite runs under TSan. The one-engine host's own recovery —
+// construct-with-recover plus a whole-stream re-feed, after a clean drop
+// and after a fork+SIGKILL — is checked directly.
 //
 // Harness: one simulator run is captured through a ReadingRecorder into
 // per-segment reading batches (warmup, then one segment per poll interval);
@@ -14,20 +18,22 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <chrono>
+#include <algorithm>
 #include <csignal>
 #include <cstring>
 #include <filesystem>
 #include <memory>
-#include <thread>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "engine/localization_engine.h"
 #include "env/environment.h"
-#include "persist/wal.h"
+#include "service/shard_runner.h"
 #include "service/sharded_service.h"
+#include "service/supervisor.h"
 #include "sim/simulator.h"
 
 namespace vire::service {
@@ -105,24 +111,53 @@ const Capture& shared_capture() {
   return capture;
 }
 
-ServiceConfig service_config(const Capture& capture, int shards, int workers,
-                             fs::path data_dir = {}) {
+/// A one-engine host over `data_dir`, registered with the capture's tags.
+std::unique_ptr<ShardedService> make_host(const Capture& capture, int workers,
+                                          const fs::path& data_dir,
+                                          bool recover = false) {
   ServiceConfig config;
-  config.shards = shards;
   config.engine = engine_config(workers);
   config.middleware.window_s = 10.0;
-  config.data_dir = std::move(data_dir);
+  config.data_dir = data_dir;
   config.checkpoint_every_updates = 2;
+  config.recover = recover;
+  auto host = std::make_unique<ShardedService>(env::Deployment::paper_testbed(),
+                                               config);
+  host->set_reference_ids(capture.reference_ids);
+  for (const auto& [tag, name] : capture.tracked) host->track(tag, name);
+  return host;
+}
+
+fs::path fresh_root(const std::string& name) {
+  const fs::path root = fs::temp_directory_path() / name;
+  fs::remove_all(root);
+  fs::create_directories(root);
+  return root;
+}
+
+SupervisorConfig fleet_config(const fs::path& root, int shards, int workers) {
+  SupervisorConfig config;
+  config.shards = shards;
+  config.root_dir = root;
+  config.engine_workers = workers;
+  config.middleware_window_s = 10.0;
+  config.checkpoint_every_updates = 2;
+  config.seed = 7;
   return config;
 }
 
-std::unique_ptr<ShardedService> make_service(const Capture& capture,
-                                             ServiceConfig config) {
-  const env::Deployment deployment = env::Deployment::paper_testbed();
-  auto service = std::make_unique<ShardedService>(deployment, config);
-  service->set_reference_ids(capture.reference_ids);
-  for (const auto& [tag, name] : capture.tracked) service->track(tag, name);
-  return service;
+/// A started supervisor over `runner`, registered with the capture's tags.
+std::unique_ptr<Supervisor> make_fleet(const Capture& capture,
+                                       const SupervisorConfig& config,
+                                       ShardRunner& runner) {
+  auto supervisor = std::make_unique<Supervisor>(
+      env::Deployment::paper_testbed(), config, nullptr, &runner);
+  supervisor->start();
+  supervisor->set_reference_ids(capture.reference_ids);
+  for (const auto& [tag, name] : capture.tracked) {
+    supervisor->track(tag, name, std::nullopt);
+  }
+  return supervisor;
 }
 
 void expect_poll_identical(const std::vector<engine::Fix>& actual,
@@ -154,270 +189,275 @@ TEST(ShardEquivalenceTest, MatrixMatchesSingleEngineBitIdentically) {
     for (const int workers : {1, 4}) {
       SCOPED_TRACE("shards=" + std::to_string(shards) +
                    " workers=" + std::to_string(workers));
-      auto service = make_service(capture, service_config(capture, shards, workers));
-      service->ingest(capture.segments[0]);
+      const fs::path root = fresh_root("vire_equivalence_matrix");
+      InProcessShardRunner runner;
+      auto fleet = make_fleet(capture, fleet_config(root, shards, workers), runner);
+      fleet->ingest(capture.segments[0]);
       for (int poll = 0; poll < kPolls; ++poll) {
-        service->ingest(capture.segments[static_cast<std::size_t>(poll) + 1]);
-        const auto fixes = service->poll(capture.poll_times[poll]);
+        fleet->ingest(capture.segments[static_cast<std::size_t>(poll) + 1]);
+        const auto fixes = fleet->poll(capture.poll_times[poll]);
         expect_poll_identical(fixes, capture.golden[poll], poll);
       }
-      EXPECT_EQ(service->dropped_batches(), 0u) << "kBlock must be lossless";
+      fleet->stop();
+      fs::remove_all(root);
     }
   }
 }
 
 TEST(ShardEquivalenceTest, LatestFixAndExplainServeMergedResults) {
   const Capture& capture = shared_capture();
-  auto service = make_service(capture, service_config(capture, 3, 1));
-  service->ingest(capture.segments[0]);
+  const fs::path root = fresh_root("vire_equivalence_latest");
+  InProcessShardRunner runner;
+  auto fleet = make_fleet(capture, fleet_config(root, 3, 1), runner);
+  fleet->ingest(capture.segments[0]);
   for (int poll = 0; poll < kPolls; ++poll) {
-    service->ingest(capture.segments[static_cast<std::size_t>(poll) + 1]);
-    (void)service->poll(capture.poll_times[poll]);
+    fleet->ingest(capture.segments[static_cast<std::size_t>(poll) + 1]);
+    (void)fleet->poll(capture.poll_times[poll]);
   }
   for (const auto& [tag, name] : capture.tracked) {
-    const auto fix = service->latest_fix(tag);
+    const auto fix = fleet->latest_fix(tag);
     ASSERT_TRUE(fix.has_value()) << name;
     const auto& expected = capture.golden.back();
     const auto it = std::find_if(expected.begin(), expected.end(),
                                  [t = tag](const auto& f) { return f.tag == t; });
     ASSERT_NE(it, expected.end());
     EXPECT_EQ(bits(fix->position.x), bits(it->position.x)) << name;
-    const auto record = service->explain(tag);
+    const auto record = fleet->explain_json(tag);
     ASSERT_TRUE(record.has_value()) << name;
-    EXPECT_EQ(record->tag, tag) << name;
+    EXPECT_NE(record->find("\"tag\":" + std::to_string(tag)), std::string::npos)
+        << *record;
   }
+  fleet->stop();
+  fs::remove_all(root);
 }
 
-TEST(ShardEquivalenceTest, InProcessShardCrashRecoversBitIdentically) {
+TEST(ShardEquivalenceTest, KilledShardRecoversBitIdentically) {
   const Capture& capture = shared_capture();
-  const fs::path dir = fs::temp_directory_path() / "vire_shard_crash_inproc";
-  fs::remove_all(dir);
-  auto service = make_service(capture, service_config(capture, 3, 1, dir));
+  const fs::path root = fresh_root("vire_equivalence_crash");
+  InProcessShardRunner runner;
+  auto fleet = make_fleet(capture, fleet_config(root, 3, 1), runner);
 
   constexpr int kCrashAfterPoll = 5;
-  const std::uint32_t victim = service->owner_of(capture.tracked[0].first);
-  service->ingest(capture.segments[0]);
+  const std::uint32_t victim =
+      fleet->router().route(capture.tracked[0].first, std::nullopt);
+  fleet->ingest(capture.segments[0]);
   for (int poll = 0; poll < kPolls; ++poll) {
-    service->ingest(capture.segments[static_cast<std::size_t>(poll) + 1]);
-    const auto fixes = service->poll(capture.poll_times[poll]);
+    fleet->ingest(capture.segments[static_cast<std::size_t>(poll) + 1]);
+    const auto fixes = fleet->poll(capture.poll_times[poll]);
     expect_poll_identical(fixes, capture.golden[poll], poll);
     if (poll == kCrashAfterPoll) {
-      service->crash_shard(victim);
-      const auto report = service->recover_shard(victim);
-      EXPECT_TRUE(report.checkpoint_loaded || report.frames_replayed > 0);
-      EXPECT_EQ(bits(report.recovered_time),
-                bits(capture.poll_times[poll]))
-          << "shard must resume exactly at the last completed poll";
+      // SIGKILL semantics: queued work is lost, the supervisor's connection
+      // sees EOF, no checkpoint is written. The next request detects the
+      // death; the restarted shard recovers from its own WAL + checkpoint
+      // and the supervisor replays the un-acked suffix.
+      runner.kill(victim);
+      EXPECT_TRUE(runner.exited(victim));
     }
   }
-  fs::remove_all(dir);
+  EXPECT_EQ(fleet->restarts(), 1u);
+  EXPECT_EQ(fleet->shard_state(victim), ShardState::kUp);
+  fleet->stop();
+  fs::remove_all(root);
 }
 
-TEST(ShardEquivalenceTest, FullServiceRecoveryReplaysAndContinues) {
+// A supervisor destroyed without stop() leaves its shards running in the
+// runner; the next supervisor over the same root and runner rebuilds its
+// control state from the journal, adopts the running shards instead of
+// restarting them, replays the un-acked suffix and carries on bit-identically.
+TEST(ShardEquivalenceTest, NextSupervisorAdoptsRunningShards) {
   const Capture& capture = shared_capture();
-  const fs::path dir = fs::temp_directory_path() / "vire_shard_full_recovery";
-  fs::remove_all(dir);
+  const fs::path root = fresh_root("vire_equivalence_adopt");
+  const SupervisorConfig config = fleet_config(root, 2, 1);
+  InProcessShardRunner runner;
+
+  constexpr int kHandoverPoll = 5;
+  {
+    auto first = make_fleet(capture, config, runner);
+    first->ingest(capture.segments[0]);
+    for (int poll = 0; poll < kHandoverPoll; ++poll) {
+      first->ingest(capture.segments[static_cast<std::size_t>(poll) + 1]);
+      const auto fixes = first->poll(capture.poll_times[poll]);
+      expect_poll_identical(fixes, capture.golden[poll], poll);
+    }
+    // Mid-stream: this segment is delivered, its poll is not.
+    first->ingest(capture.segments[static_cast<std::size_t>(kHandoverPoll) + 1]);
+  }  // no stop(): the shards keep running
+  ASSERT_FALSE(runner.exited(0));
+  ASSERT_FALSE(runner.exited(1));
+
+  Supervisor second(env::Deployment::paper_testbed(), config, nullptr, &runner);
+  EXPECT_TRUE(second.recovered_from_journal());
+  second.start();
+  EXPECT_TRUE(second.shard_adopted(0));
+  EXPECT_TRUE(second.shard_adopted(1));
+  for (int poll = kHandoverPoll; poll < kPolls; ++poll) {
+    if (poll > kHandoverPoll) {
+      second.ingest(capture.segments[static_cast<std::size_t>(poll) + 1]);
+    }
+    const auto fixes = second.poll(capture.poll_times[poll]);
+    expect_poll_identical(fixes, capture.golden[poll], poll);
+  }
+  EXPECT_EQ(second.restarts(), 0u) << "adopted shards must not be restarted";
+  second.stop();
+  EXPECT_TRUE(runner.exited(0));
+  EXPECT_TRUE(runner.exited(1));
+  fs::remove_all(root);
+}
+
+TEST(ShardEquivalenceTest, HostRecoveryReplaysAndContinues) {
+  const Capture& capture = shared_capture();
+  const fs::path dir = fresh_root("vire_host_recovery");
   // Crash one poll past a checkpoint boundary (cadence 2 => checkpoints after
   // polls 1 and 3), so recovery must REPLAY poll 4's update, not just load
   // the checkpoint — that exercises the replayed-fix substitution path.
   constexpr int kCrashAfterPoll = 4;
 
   {
-    auto service = make_service(capture, service_config(capture, 3, 1, dir));
-    service->ingest(capture.segments[0]);
+    auto host = make_host(capture, 1, dir);
+    host->ingest(capture.segments[0]);
     for (int poll = 0; poll <= kCrashAfterPoll; ++poll) {
-      service->ingest(capture.segments[static_cast<std::size_t>(poll) + 1]);
-      (void)service->poll(capture.poll_times[poll]);
+      host->ingest(capture.segments[static_cast<std::size_t>(poll) + 1]);
+      (void)host->poll(capture.poll_times[poll]);
     }
     // Dropped without further ceremony — the WAL already holds everything.
   }
 
   // Recover at a DIFFERENT worker count, re-feed the WHOLE stream from t=0
-  // and re-issue every poll. Polls the shards executed before their last
-  // checkpoint are gone (fixes are not journaled) and come back incomplete;
-  // the replayed poll is served bit-identically from recovered fixes; later
-  // polls run live. Resume gates drop every re-fed duplicate reading.
-  auto config = service_config(capture, 3, 4, dir);
-  config.recover = true;
-  auto service = make_service(capture, config);
-  const auto report = service->recover();
-  ASSERT_EQ(report.shards.size(), 3u);
-  for (const auto& shard : report.shards) {
-    EXPECT_EQ(bits(shard.resume_time), bits(capture.poll_times[kCrashAfterPoll]))
-        << "shard " << shard.shard;
-    EXPECT_GE(shard.report.updates_replayed, 1u) << "shard " << shard.shard;
-  }
+  // and re-issue every poll. Polls executed before the last checkpoint are
+  // gone (fixes are not journaled) and come back incomplete; the replayed
+  // polls are served bit-identically from recovered fixes; later polls run
+  // live. The resume gate drops every re-fed duplicate reading.
+  auto host = make_host(capture, 4, dir, /*recover=*/true);
+  const auto report = host->recover();
+  EXPECT_EQ(bits(report.recovered_time), bits(capture.poll_times[kCrashAfterPoll]));
+  EXPECT_GE(report.updates_replayed, 1u);
 
-  service->ingest(capture.segments[0]);
+  host->ingest(capture.segments[0]);
   for (int poll = 0; poll < kPolls; ++poll) {
-    service->ingest(capture.segments[static_cast<std::size_t>(poll) + 1]);
-    const auto fixes = service->poll(capture.poll_times[poll]);
+    host->ingest(capture.segments[static_cast<std::size_t>(poll) + 1]);
+    const auto fixes = host->poll(capture.poll_times[poll]);
     if (poll < kCrashAfterPoll) continue;  // pre-checkpoint history: not reproducible
     expect_poll_identical(fixes, capture.golden[poll], poll);
   }
   // Every gated poll was answered from recovery state, never re-executed.
   const auto* substituted =
-      service->metrics().find_counter("vire_service_poll_substituted_total");
+      host->metrics().find_counter("vire_service_poll_substituted_total");
   ASSERT_NE(substituted, nullptr);
-  EXPECT_EQ(substituted->value(),
-            static_cast<std::uint64_t>(3 * (kCrashAfterPoll + 1)));
+  EXPECT_EQ(substituted->value(), static_cast<std::uint64_t>(1 * (kCrashAfterPoll + 1)));
   fs::remove_all(dir);
 }
 
 TEST(ShardEquivalenceTest, LiveRebalanceKeepsBitIdentity) {
   const Capture& capture = shared_capture();
-  for (const bool persistent : {false, true}) {
-    SCOPED_TRACE(persistent ? "wal-replay migration" : "window-snapshot migration");
-    const fs::path dir =
-        persistent ? fs::temp_directory_path() / "vire_shard_rebalance" : fs::path{};
-    if (persistent) fs::remove_all(dir);
-    auto service = make_service(capture, service_config(capture, 2, 1, dir));
+  const fs::path root = fresh_root("vire_equivalence_rebalance");
+  InProcessShardRunner runner;
+  auto fleet = make_fleet(capture, fleet_config(root, 2, 1), runner);
 
-    std::uint32_t added = 0;
-    service->ingest(capture.segments[0]);
-    for (int poll = 0; poll < kPolls; ++poll) {
-      service->ingest(capture.segments[static_cast<std::size_t>(poll) + 1]);
-      const auto fixes = service->poll(capture.poll_times[poll]);
-      expect_poll_identical(fixes, capture.golden[poll], poll);
-      if (poll == 3) {
-        const auto [id, rebalance] = service->add_shard();
-        added = id;
-        EXPECT_EQ(service->shard_count(), 3u);
-        (void)rebalance;  // moved count depends on the ring; zero is legal
-      }
-      if (poll == 7) {
-        const auto rebalance = service->remove_shard(added);
-        EXPECT_EQ(service->shard_count(), 2u);
-        (void)rebalance;
-      }
+  std::uint32_t added = 0;
+  fleet->ingest(capture.segments[0]);
+  for (int poll = 0; poll < kPolls; ++poll) {
+    fleet->ingest(capture.segments[static_cast<std::size_t>(poll) + 1]);
+    const auto fixes = fleet->poll(capture.poll_times[poll]);
+    expect_poll_identical(fixes, capture.golden[poll], poll);
+    if (poll == 3) {
+      added = static_cast<std::uint32_t>(fleet->admin_add_shard());
+      EXPECT_EQ(fleet->shard_count(), 3u);
     }
-    if (persistent) fs::remove_all(dir);
+    if (poll == 7) {
+      (void)fleet->admin_remove_shard(added);  // zero moved tags is legal
+      EXPECT_EQ(fleet->shard_count(), 2u);
+      EXPECT_TRUE(runner.exited(added));
+    }
   }
+  fleet->stop();
+  fs::remove_all(root);
 }
 
 TEST(ShardEquivalenceTest, RebalanceMovesTagStateExactly) {
-  // Force a migration regardless of ring layout: pin a tracked tag to shard
-  // 0, stream half the run, then re-pin to shard 1 via remove/add cycling —
-  // instead, simplest deterministic mover: remove the tag's current owner.
+  // Deterministic mover regardless of ring layout: remove the tag's owner.
   const Capture& capture = shared_capture();
-  auto service = make_service(capture, service_config(capture, 3, 1));
-  service->ingest(capture.segments[0]);
+  const fs::path root = fresh_root("vire_equivalence_mover");
+  InProcessShardRunner runner;
+  auto fleet = make_fleet(capture, fleet_config(root, 3, 1), runner);
+  fleet->ingest(capture.segments[0]);
   for (int poll = 0; poll < 5; ++poll) {
-    service->ingest(capture.segments[static_cast<std::size_t>(poll) + 1]);
-    (void)service->poll(capture.poll_times[poll]);
+    fleet->ingest(capture.segments[static_cast<std::size_t>(poll) + 1]);
+    (void)fleet->poll(capture.poll_times[poll]);
   }
   const sim::TagId tag = capture.tracked[1].first;
-  const std::uint32_t owner = service->owner_of(tag);
-  const auto report = service->remove_shard(owner);
-  EXPECT_GE(report.moved_tags, 1u);
-  EXPECT_NE(service->owner_of(tag), owner);
+  const std::uint32_t owner = fleet->router().route(tag, std::nullopt);
+  EXPECT_GE(fleet->admin_remove_shard(owner), 1u);
+  EXPECT_NE(fleet->router().route(tag, std::nullopt), owner);
   for (int poll = 5; poll < kPolls; ++poll) {
-    service->ingest(capture.segments[static_cast<std::size_t>(poll) + 1]);
-    const auto fixes = service->poll(capture.poll_times[poll]);
+    fleet->ingest(capture.segments[static_cast<std::size_t>(poll) + 1]);
+    const auto fixes = fleet->poll(capture.poll_times[poll]);
     expect_poll_identical(fixes, capture.golden[poll], poll);
   }
+  fleet->stop();
+  fs::remove_all(root);
 }
 
-TEST(ShardEquivalenceTest, ZonePinsStickThroughRebalance) {
+// Whole-process crash of the one-engine host: fork a child that drives it
+// persistently and SIGKILL it mid-run, then recover in the parent at a
+// different worker count and demand bit-identity for every poll — replayed
+// and live alike. The child reports over a pipe once it is past poll 5 and
+// has the next segment queued, then waits to be killed, so the kill lands at
+// the same point of the run however the scheduler treats the two processes.
+TEST(ShardEquivalenceTest, SigkilledHostRecoversBitIdentically) {
+  const fs::path dir = fresh_root("vire_host_sigkill");
+  constexpr int kKillAfterPoll = 5;
   const Capture& capture = shared_capture();
-  auto service = make_service(capture, service_config(capture, 2, 1));
-  const sim::TagId pinned = 9001;
-  service->pin_zone(2, 1);
-  service->track(pinned, "pinned", /*zone=*/2);
-  EXPECT_EQ(service->owner_of(pinned), 1u);
-  const auto [id, rebalance] = service->add_shard();
-  (void)rebalance;
-  EXPECT_NE(id, 1u);
-  EXPECT_EQ(service->owner_of(pinned), 1u)
-      << "zone-pinned tag must not move when the ring changes";
-}
 
-// Whole-process crash: fork a child that drives a persistent 2-shard
-// service, SIGKILL it mid-run (progress watched via its shards' WALs),
-// then recover in the parent at a different worker count and demand
-// bit-identity for every poll — replayed and live alike.
-TEST(ShardEquivalenceTest, SigkilledServiceRecoversBitIdentically) {
-  if (std::thread::hardware_concurrency() <= 1) {
-    GTEST_SKIP() << "single hardware thread: the kill-race child starves and "
-                    "the timing window cannot be hit reliably (docs/robustness.md)";
-  }
-  const fs::path dir = fs::temp_directory_path() / "vire_shard_sigkill";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  constexpr int kShards = 2;
-  constexpr std::uint64_t kKillAfterMarkers = 2 * 6;  // both shards past poll 5
-
-  // Fork FIRST: no engine/service threads exist in this process yet.
+  int ready[2];
+  ASSERT_EQ(pipe(ready), 0);
+  // Every service this test builds in the parent is built after the fork;
+  // earlier tests joined all of their threads.
   const pid_t pid = fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
-    const Capture capture = capture_scenario();
-    auto service = make_service(capture, service_config(capture, kShards, 1, dir));
-    service->ingest(capture.segments[0]);
-    for (int poll = 0; poll < kPolls; ++poll) {
-      service->ingest(capture.segments[static_cast<std::size_t>(poll) + 1]);
-      (void)service->poll(capture.poll_times[poll]);
-      // Slow down so the parent's SIGKILL reliably lands mid-run.
-      std::this_thread::sleep_for(std::chrono::milliseconds(poll >= 4 ? 150 : 20));
+    close(ready[0]);
+    auto host = make_host(capture, 1, dir);
+    host->ingest(capture.segments[0]);
+    for (int poll = 0; poll <= kKillAfterPoll; ++poll) {
+      host->ingest(capture.segments[static_cast<std::size_t>(poll) + 1]);
+      (void)host->poll(capture.poll_times[poll]);
     }
-    _exit(7);  // finished un-killed: the parent reports the race as a failure
+    host->ingest(capture.segments[static_cast<std::size_t>(kKillAfterPoll) + 2]);
+    const char byte = 'k';
+    if (write(ready[1], &byte, 1) != 1) _exit(6);
+    for (;;) pause();
   }
-
-  bool killed = false;
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(90);
-  while (std::chrono::steady_clock::now() < deadline) {
-    int status = 0;
-    if (waitpid(pid, &status, WNOHANG) == pid) {
-      FAIL() << "child exited (status " << status << ") before the kill";
-    }
-    std::uint64_t markers = 0;
-    for (int shard = 0; shard < kShards; ++shard) {
-      const auto wal = persist::read_wal(dir / ("shard-" + std::to_string(shard)) /
-                                         "wal");
-      for (const auto& frame : wal.frames) {
-        if (frame.type == persist::FrameType::kUpdate) ++markers;
-      }
-    }
-    if (markers >= kKillAfterMarkers) {
-      kill(pid, SIGKILL);
-      killed = true;
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  close(ready[1]);
+  char byte = 0;
+  const ssize_t got = read(ready[0], &byte, 1);
+  close(ready[0]);
+  if (got != 1) {
+    kill(pid, SIGKILL);
+    waitpid(pid, nullptr, 0);
+    FAIL() << "child never reached poll " << kKillAfterPoll;
   }
-  ASSERT_TRUE(killed) << "child never reached " << kKillAfterMarkers
-                      << " update markers";
+  ASSERT_EQ(kill(pid, SIGKILL), 0);
   int status = 0;
   ASSERT_EQ(waitpid(pid, &status, 0), pid);
   ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
 
-  const Capture& capture = shared_capture();
-  auto config = service_config(capture, kShards, 4, dir);
-  config.recover = true;
-  auto service = make_service(capture, config);
-  const auto report = service->recover();
-  ASSERT_EQ(report.shards.size(), static_cast<std::size_t>(kShards));
-  // The kill lands mid-run, so shards may have skewed progress; everything
-  // after the furthest-ahead shard's resume time must replay/continue to
-  // bit-identity. Earlier polls are only comparable when every shard can
-  // still answer them (checkpoint-truncated history comes back incomplete).
-  sim::SimTime max_resume = 0.0;
-  for (const auto& shard : report.shards) {
-    max_resume = std::max(max_resume, shard.resume_time);
-  }
-  ASSERT_LT(max_resume, capture.poll_times.back()) << "kill landed too late";
+  auto host = make_host(capture, 4, dir, /*recover=*/true);
+  const auto report = host->recover();
+  const sim::SimTime resume = report.recovered_time;
+  EXPECT_EQ(bits(resume), bits(capture.poll_times[kKillAfterPoll]))
+      << "the host resumes at its last completed poll";
 
-  service->ingest(capture.segments[0]);
+  host->ingest(capture.segments[0]);
   bool compared_live = false;
   for (int poll = 0; poll < kPolls; ++poll) {
-    service->ingest(capture.segments[static_cast<std::size_t>(poll) + 1]);
-    const auto fixes = service->poll(capture.poll_times[poll]);
-    if (capture.poll_times[poll] <= max_resume &&
+    host->ingest(capture.segments[static_cast<std::size_t>(poll) + 1]);
+    const auto fixes = host->poll(capture.poll_times[poll]);
+    if (capture.poll_times[poll] <= resume &&
         fixes.size() != capture.golden[poll].size()) {
-      continue;  // pre-checkpoint history on some shard: not reproducible
+      continue;  // pre-checkpoint history: not reproducible
     }
     expect_poll_identical(fixes, capture.golden[poll], poll);
-    if (capture.poll_times[poll] > max_resume) compared_live = true;
+    if (capture.poll_times[poll] > resume) compared_live = true;
   }
   EXPECT_TRUE(compared_live);
   fs::remove_all(dir);

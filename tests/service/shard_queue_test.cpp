@@ -1,5 +1,5 @@
-// ShardQueue semantics: FIFO order, backpressure under both overflow
-// policies, control ops bypassing capacity, and crash-discard behavior.
+// ShardQueue semantics: FIFO order, blocking backpressure, control ops
+// bypassing capacity, and crash-discard behavior.
 
 #include "service/shard_queue.h"
 
@@ -19,7 +19,7 @@ sim::RssiReading reading(sim::TagId tag) {
 }
 
 TEST(ShardQueueTest, PopsInFifoOrder) {
-  ShardQueue queue(16, OverflowPolicy::kBlock);
+  ShardQueue queue(16);
   queue.push_readings({reading(1)});
   queue.push_evict(2.0);
   queue.push_readings({reading(3)});
@@ -35,8 +35,8 @@ TEST(ShardQueueTest, PopsInFifoOrder) {
   EXPECT_EQ(f.get().size(), 0u);
 }
 
-TEST(ShardQueueTest, BlockPolicyWaitsForRoomAndCounts) {
-  ShardQueue queue(1, OverflowPolicy::kBlock);
+TEST(ShardQueueTest, FullQueueWaitsForRoomAndCounts) {
+  ShardQueue queue(1);
   queue.push_readings({reading(1)});
   std::thread producer([&] { queue.push_readings({reading(2)}); });
   // The producer must be parked until the consumer makes room.
@@ -48,29 +48,18 @@ TEST(ShardQueueTest, BlockPolicyWaitsForRoomAndCounts) {
   op = queue.pop();
   EXPECT_EQ(op.readings[0].tag, 2u);
   EXPECT_EQ(queue.blocked(), 1u);
-  EXPECT_EQ(queue.dropped(), 0u);
-}
-
-TEST(ShardQueueTest, DropOldestEvictsOldestReadingBatch) {
-  ShardQueue queue(2, OverflowPolicy::kDropOldest);
-  EXPECT_EQ(queue.push_readings({reading(1)}), 0u);
-  EXPECT_EQ(queue.push_readings({reading(2)}), 0u);
-  EXPECT_EQ(queue.push_readings({reading(3)}), 1u) << "oldest batch dropped";
-  EXPECT_EQ(queue.dropped(), 1u);
-  EXPECT_EQ(queue.pop().readings[0].tag, 2u);
-  EXPECT_EQ(queue.pop().readings[0].tag, 3u);
 }
 
 TEST(ShardQueueTest, ControlOpsBypassCapacity) {
-  ShardQueue queue(1, OverflowPolicy::kBlock);
+  ShardQueue queue(1);
   queue.push_readings({reading(1)});
-  // None of these may block or drop despite the full queue.
+  // None of these may block despite the full queue.
   queue.push_evict(1.0);
   auto f = queue.push_update(2.0);
   queue.push_control([] {});
   queue.push_stop();
   EXPECT_EQ(queue.depth(), 5u);
-  EXPECT_EQ(queue.dropped(), 0u);
+  EXPECT_EQ(queue.blocked(), 0u);
   (void)queue.pop();
   (void)queue.pop();
   queue.pop().fixes.set_value({});
@@ -78,7 +67,7 @@ TEST(ShardQueueTest, ControlOpsBypassCapacity) {
 }
 
 TEST(ShardQueueTest, DiscardPendingBreaksUpdatePromises) {
-  ShardQueue queue(8, OverflowPolicy::kBlock);
+  ShardQueue queue(8);
   queue.push_readings({reading(1)});
   auto f = queue.push_update(1.0);
   EXPECT_EQ(queue.discard_pending(), 2u);
@@ -87,7 +76,7 @@ TEST(ShardQueueTest, DiscardPendingBreaksUpdatePromises) {
 }
 
 TEST(ShardQueueTest, HighWaterTracksDeepestQueue) {
-  ShardQueue queue(8, OverflowPolicy::kBlock);
+  ShardQueue queue(8);
   for (int i = 0; i < 5; ++i) queue.push_readings({reading(1)});
   for (int i = 0; i < 5; ++i) (void)queue.pop();
   EXPECT_EQ(queue.high_water(), 5u);
