@@ -6,19 +6,24 @@
 // is the server's hot path.
 //
 // Also cross-checks the determinism contract: every worker count must
-// reproduce the serial fixes bit-for-bit.
+// reproduce the serial fixes bit-for-bit. Last, it times every tag's locate
+// on its own and splits the cost between intersection locates and those that
+// fall back to the union of the reader maps.
 //
 // Env knobs: VIRE_TAGS (default 64), VIRE_ROUNDS (default 30).
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/vire_localizer.h"
 #include "engine/localization_engine.h"
 #include "env/environment.h"
 #include "obs/bench_report.h"
@@ -173,6 +178,63 @@ int main() {
         "tags_per_sec_workers_" + std::to_string(workers), tags_per_sec);
     report.throughput = std::max(report.throughput, tags_per_sec);
   }
+
+  // Per-locate cost split. Elimination falls back to the union of the reader
+  // maps when the intersection is empty, and that path keeps most of the
+  // grid alive, so the mean locate sits well above the median. Each tag's
+  // locate is timed best of 3 (warm caches) on the engine's configuration.
+  core::VireLocalizer localizer(deployment.reference_grid(), engine::EngineConfig{}.vire);
+  {
+    std::vector<sim::RssiVector> refs;
+    for (const auto id : reference_ids) refs.push_back(middleware.rssi_vector(id));
+    localizer.set_reference_rssi(refs);
+  }
+  std::vector<double> all_us, fallback_us, intersection_us;
+  for (const auto id : tags) {
+    const sim::RssiVector rssi = middleware.rssi_vector(id);
+    double best_us = 0.0;
+    std::optional<core::LocateSummary> located;
+    for (int rep = 0; rep < 3; ++rep) {
+      const auto start = std::chrono::steady_clock::now();
+      located = localizer.locate_summary(rssi);
+      const double us = std::chrono::duration<double, std::micro>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+      best_us = rep == 0 ? us : std::min(best_us, us);
+    }
+    if (!located) continue;
+    all_us.push_back(best_us);
+    const bool union_fallback = !located->survivors_per_step.empty() &&
+                                located->survivors_per_step.back() == 0;
+    (union_fallback ? fallback_us : intersection_us).push_back(best_us);
+  }
+  const auto mean = [](const std::vector<double>& v) {
+    double sum = 0.0;
+    for (const double x : v) sum += x;
+    return v.empty() ? 0.0 : sum / static_cast<double>(v.size());
+  };
+  const auto median = [](std::vector<double> v) {
+    if (v.empty()) return 0.0;
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  const double fallback_pct =
+      all_us.empty() ? 0.0
+                     : 100.0 * static_cast<double>(fallback_us.size()) /
+                           static_cast<double>(all_us.size());
+  std::printf("\nPer-locate cost (locate_summary, best of 3, %zu valid locates):\n",
+              all_us.size());
+  std::printf("  all            mean %8.2f us  median %8.2f us\n", mean(all_us),
+              median(all_us));
+  std::printf("  intersection   mean %8.2f us  (%zu locates)\n", mean(intersection_us),
+              intersection_us.size());
+  std::printf("  union fallback mean %8.2f us  (%zu locates, %.1f%%)\n",
+              mean(fallback_us), fallback_us.size(), fallback_pct);
+  report.results.emplace_back("locate_mean_us", mean(all_us));
+  report.results.emplace_back("locate_median_us", median(all_us));
+  report.results.emplace_back("intersection_locate_mean_us", mean(intersection_us));
+  report.results.emplace_back("union_fallback_locate_mean_us", mean(fallback_us));
+  report.results.emplace_back("union_fallback_pct", fallback_pct);
 
   report.wall_ms = 1e3 * std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - bench_start)

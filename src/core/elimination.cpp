@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <stdexcept>
+
+#include "core/locate_scratch.h"
 
 namespace vire::core {
 
@@ -73,35 +76,44 @@ std::vector<int> valid_readers(const sim::RssiVector& tracking) {
 ///   intersection of the maps at t == {i : hi[i] <= t}
 ///   union of the maps at t        == {i : lo[i] <= t}.
 /// One pass over the K reader planes thus serves every threshold step.
-struct DistanceSpread {
-  std::vector<double> hi;
-  std::vector<double> lo;
-};
-
-DistanceSpread distance_spread(const VirtualGrid& grid, const sim::RssiVector& tracking,
-                               const std::vector<int>& readers) {
+///
+/// The pass is node-major in tiles: a tile's running max/min stay in a
+/// stack buffer while every reader plane streams through it, so each plane
+/// is read once and `hi`/`lo` are written once. Per node the readers still
+/// fold in reader order, and max/min are exact, so the result does not
+/// depend on the tiling. The caller passes the calling thread's scratch
+/// buffers (core/locate_scratch.h), so nothing is allocated per locate.
+void distance_spread(const VirtualGrid& grid, const sim::RssiVector& tracking,
+                     const std::vector<int>& readers, std::vector<double>& hi,
+                     std::vector<double>& lo) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr std::size_t kTile = 256;
   const std::size_t n = grid.node_count();
-  DistanceSpread spread;
-  spread.hi.assign(n, 0.0);
-  spread.lo.assign(n, kInf);
-  double* const hi = spread.hi.data();
-  double* const lo = spread.lo.data();
-  for (const int k : readers) {
-    const double* const values = grid.reader_values(k).data();
-    const double s = tracking[static_cast<std::size_t>(k)];
-    for (std::size_t i = 0; i < n; ++i) {
-      double d = std::abs(values[i] - s);
-      d = d == d ? d : kInf;  // NaN -> +inf, branch-free
-      hi[i] = hi[i] < d ? d : hi[i];
-      lo[i] = d < lo[i] ? d : lo[i];
+  hi.resize(n);
+  lo.resize(n);
+  double tile_hi[kTile] = {};
+  double tile_lo[kTile] = {};
+  for (std::size_t base = 0; base < n; base += kTile) {
+    const std::size_t len = std::min(kTile, n - base);
+    std::fill_n(tile_hi, len, 0.0);
+    std::fill_n(tile_lo, len, kInf);
+    for (const int k : readers) {
+      const double* const values = grid.reader_values(k).data() + base;
+      const double s = tracking[static_cast<std::size_t>(k)];
+      for (std::size_t j = 0; j < len; ++j) {
+        double d = std::abs(values[j] - s);
+        d = d == d ? d : kInf;  // NaN -> +inf, branch-free
+        tile_hi[j] = tile_hi[j] < d ? d : tile_hi[j];
+        tile_lo[j] = d < tile_lo[j] ? d : tile_lo[j];
+      }
     }
+    std::copy_n(tile_hi, len, hi.data() + base);
+    std::copy_n(tile_lo, len, lo.data() + base);
   }
-  return spread;
 }
 
 /// Number of entries <= threshold: the intersection size when run on `hi`.
-std::size_t count_at_most(const std::vector<double>& values, double threshold) {
+std::size_t count_at_most(std::span<const double> values, double threshold) {
   return static_cast<std::size_t>(std::count_if(
       values.begin(), values.end(), [threshold](double v) { return v <= threshold; }));
 }
@@ -122,20 +134,23 @@ EliminationResult EliminationEngine::run_common_threshold(
     result.survivors.assign(grid.node_count(), false);
     return result;
   }
-  const DistanceSpread spread = distance_spread(grid, tracking, readers);
+  detail::LocateScratch& scratch = detail::locate_scratch();
+  distance_spread(grid, tracking, readers, scratch.hi, scratch.lo);
 
   // Adaptive: walk the common threshold downward and keep the smallest one
   // whose intersection still covers the minimum area. Each step is a count
   // over `hi`; the mask is packed once, for the accepted threshold.
+  // Counts only fall as the threshold falls, so a start below the minimum
+  // area (always so when the intersection is empty) accepts no step.
   double best_threshold = start;
-  std::size_t best_count = count_at_most(spread.hi, start);
+  std::size_t best_count = count_at_most(scratch.hi, start);
   result.survivors_per_step.push_back(best_count);
-  if (adaptive) {
-    const std::size_t min_area = min_survivors(grid);
+  const std::size_t min_area = min_survivors(grid);
+  if (adaptive && best_count >= min_area) {
     for (double threshold = start - config_.step_db;
          threshold >= config_.min_threshold_db - 1e-12;
          threshold -= config_.step_db) {
-      const std::size_t survivors = count_at_most(spread.hi, threshold);
+      const std::size_t survivors = count_at_most(scratch.hi, threshold);
       if (survivors < min_area) break;
       best_threshold = threshold;
       best_count = survivors;
@@ -152,7 +167,7 @@ EliminationResult EliminationEngine::run_common_threshold(
   // real position, paper Sec. 5.3, or the readers fully disagree) falls back
   // to the union of the per-reader maps so a deployed system still answers.
   // The resulting scatter drives the left-hand rise of the Fig. 8 U-curve.
-  fill_mask_from_distances(best_count == 0 ? spread.lo : spread.hi, best_threshold,
+  fill_mask_from_distances(best_count == 0 ? scratch.lo : scratch.hi, best_threshold,
                            result.survivors);
   return result;
 }

@@ -2,6 +2,7 @@
 
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/metrics.h"
 
@@ -73,6 +74,30 @@ std::optional<VireResult> VireLocalizer::locate(const sim::RssiVector& tracking,
   if (result.estimate.nodes.empty()) return std::nullopt;
   result.position = result.estimate.position;
   return result;
+}
+
+std::optional<LocateSummary> VireLocalizer::locate_summary(const sim::RssiVector& tracking,
+                                                           LocateStats* stats) const {
+  if (!virtual_grid_) return std::nullopt;
+  EliminationResult elimination;
+  {
+    const obs::Stopwatch watch;
+    elimination = elimination_.run(*virtual_grid_, tracking);
+    if (stats != nullptr) stats->elimination_seconds = watch.elapsed_seconds();
+  }
+  LocateSummary summary;
+  {
+    const obs::Stopwatch watch;
+    summary.estimate = summarize_estimate(*virtual_grid_, elimination.survivors, tracking,
+                                          config_.weighting, config_.w1_exponent);
+    if (stats != nullptr) stats->weighting_seconds = watch.elapsed_seconds();
+  }
+  if (summary.estimate.survivor_count == 0) return std::nullopt;
+  summary.refinement_steps = elimination.refinement_steps;
+  summary.initial_threshold_db = elimination.initial_threshold_db;
+  summary.final_threshold_db = elimination.final_threshold_db;
+  summary.survivors_per_step = std::move(elimination.survivors_per_step);
+  return summary;
 }
 
 }  // namespace vire::core

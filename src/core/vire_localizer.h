@@ -47,6 +47,20 @@ struct VireResult {
   }
 };
 
+/// What a fix keeps of one locate: the position and its provenance, without
+/// the per-node vectors of VireResult. The engine holds one of these per tag
+/// between its locate fan-out and the merge.
+struct LocateSummary {
+  /// Position, weighted-survivor count (== VireResult::survivor_count())
+  /// and per-cluster provenance.
+  EstimateSummary estimate;
+  /// Threshold-refinement provenance, as in EliminationResult.
+  int refinement_steps = 0;
+  double initial_threshold_db = 0.0;
+  double final_threshold_db = 0.0;
+  std::vector<std::size_t> survivors_per_step;
+};
+
 /// Optional per-locate timing side channel (wall time, seconds). Filled when
 /// a caller passes it to locate(); used by the engine's stage histograms.
 /// Never feeds back into the estimate, so determinism is unaffected.
@@ -83,6 +97,12 @@ class VireLocalizer {
   /// receives per-stage wall times (a pure observability side channel).
   [[nodiscard]] std::optional<VireResult> locate(const sim::RssiVector& tracking,
                                                  LocateStats* stats = nullptr) const;
+
+  /// locate() without the per-node vectors: the same elimination and
+  /// weighting kernels, the same bits for every field it returns, and no
+  /// per-node allocation. This is the engine's per-tag path.
+  [[nodiscard]] std::optional<LocateSummary> locate_summary(
+      const sim::RssiVector& tracking, LocateStats* stats = nullptr) const;
 
   /// Degradation-aware variant: readers with reader_mask[k] == false are
   /// excluded — their proximity maps never enter the elimination

@@ -29,12 +29,9 @@ enum class WeightingMode { kCombined, kW1Only, kW2Only, kUniform };
 
 /// 4-connected component labelling of a mask laid out row-major on a
 /// cols x rows lattice. Returns a label per cell (-1 for false cells) and
-/// fills `component_sizes[label]`. The vector<bool> overload converts and
-/// delegates (kept for callers/tests that still hold unpacked masks).
+/// fills `component_sizes[label]`. Components are numbered by their smallest
+/// cell, so label 0 holds the first set cell in row-major order.
 [[nodiscard]] std::vector<int> label_components(const BitMask& mask,
-                                                int cols, int rows,
-                                                std::vector<std::size_t>& component_sizes);
-[[nodiscard]] std::vector<int> label_components(const std::vector<bool>& mask,
                                                 int cols, int rows,
                                                 std::vector<std::size_t>& component_sizes);
 
@@ -48,6 +45,17 @@ struct WeightedEstimate {
   /// Per-cluster provenance: region count and total normalised weight of
   /// each 4-connected surviving cluster (aligned; cluster order = label
   /// order from label_components). Empty when nothing survived.
+  std::vector<std::size_t> cluster_sizes;
+  std::vector<double> cluster_weights;
+};
+
+/// The part of a weighted estimate that a fix keeps: the centroid and its
+/// cluster provenance, without the per-node vectors of WeightedEstimate.
+struct EstimateSummary {
+  geom::Vec2 position;
+  /// Surviving nodes with at least one comparable reader: the nodes that
+  /// carry weight (WeightedEstimate::nodes.size()).
+  std::size_t survivor_count = 0;
   std::vector<std::size_t> cluster_sizes;
   std::vector<double> cluster_weights;
 };
@@ -67,10 +75,14 @@ struct WeightedEstimate {
                                                 const sim::RssiVector& tracking,
                                                 WeightingMode mode = WeightingMode::kCombined,
                                                 double w1_exponent = 1.0);
-[[nodiscard]] WeightedEstimate compute_estimate(const VirtualGrid& grid,
-                                                const std::vector<bool>& survivors,
-                                                const sim::RssiVector& tracking,
-                                                WeightingMode mode = WeightingMode::kCombined,
-                                                double w1_exponent = 1.0);
+
+/// compute_estimate() without the per-node vectors: the same kernel and the
+/// same bits for position and clusters, and no per-node allocation. This is
+/// what the engine's per-tag locate runs.
+[[nodiscard]] EstimateSummary summarize_estimate(const VirtualGrid& grid,
+                                                 const BitMask& survivors,
+                                                 const sim::RssiVector& tracking,
+                                                 WeightingMode mode = WeightingMode::kCombined,
+                                                 double w1_exponent = 1.0);
 
 }  // namespace vire::core

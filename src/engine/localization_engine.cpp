@@ -449,14 +449,16 @@ std::vector<Fix> LocalizationEngine::update(const sim::Middleware& middleware,
   }
 
   // Snapshot the batch in tag order. RSSI vectors are fetched serially
-  // (the middleware is not guarded); locate() is a pure function of the
-  // localizer's immutable grid, so only it is fanned out.
+  // (the middleware is not guarded); locate is a pure function of the
+  // localizer's immutable grid, so only it is fanned out. Each item keeps
+  // the compact LocateSummary (position and provenance), not the per-node
+  // vectors of a full VireResult, until the merge.
   struct Item {
     sim::TagId id;
     const std::string* name;
     sim::RssiVector rssi;
     int valid_readers = 0;
-    std::optional<core::VireResult> result;
+    std::optional<core::LocateSummary> result;
     std::optional<landmarc::LandmarcResult> fallback;
     core::LocateStats stats;
   };
@@ -481,7 +483,7 @@ std::vector<Fix> LocalizationEngine::update(const sim::Middleware& middleware,
     const bool tracing = tracer_.enabled();
     const double locate_start_us = tracing ? tracer_.now_us() : 0.0;
     if (item.valid_readers >= config_.min_valid_readers && item.valid_readers > 0) {
-      item.result = localizer_.locate(item.rssi, &item.stats);
+      item.result = localizer_.locate_summary(item.rssi, &item.stats);
       if (tracing && item.result) {
         // Elimination runs first inside locate(), weighting follows; both
         // durations come from the stage timers, so the child spans are laid
@@ -535,13 +537,13 @@ std::vector<Fix> LocalizationEngine::update(const sim::Middleware& middleware,
     if (item.result) {
       fix.valid = true;
       fix.quality = degraded_mode ? FixQuality::kDegraded : FixQuality::kOk;
-      fix.position = item.result->position;
-      fix.survivor_count = item.result->survivor_count();
+      fix.position = item.result->estimate.position;
+      fix.survivor_count = item.result->estimate.survivor_count;
       inst_.stage_elimination->observe(item.stats.elimination_seconds);
       inst_.stage_weighting->observe(item.stats.weighting_seconds);
       inst_.survivors->observe(static_cast<double>(fix.survivor_count));
       inst_.refinement_steps->observe(
-          static_cast<double>(item.result->elimination.refinement_steps));
+          static_cast<double>(item.result->refinement_steps));
     } else if (item.fallback) {
       fix.valid = true;
       fix.quality = FixQuality::kDegraded;
@@ -618,14 +620,14 @@ std::vector<Fix> LocalizationEngine::update(const sim::Middleware& middleware,
             {item.rssi[k], k < mask.size() ? static_cast<bool>(mask[k]) : true});
       }
       if (item.result) {
-        const core::EliminationResult& elim = item.result->elimination;
-        rec.refinement.initial_threshold_db = elim.initial_threshold_db;
-        rec.refinement.final_threshold_db = elim.final_threshold_db;
-        rec.refinement.steps = elim.refinement_steps;
-        rec.refinement.survivors_per_step.assign(elim.survivors_per_step.begin(),
-                                                 elim.survivors_per_step.end());
+        const core::LocateSummary& located = *item.result;
+        rec.refinement.initial_threshold_db = located.initial_threshold_db;
+        rec.refinement.final_threshold_db = located.final_threshold_db;
+        rec.refinement.steps = located.refinement_steps;
+        rec.refinement.survivors_per_step.assign(located.survivors_per_step.begin(),
+                                                 located.survivors_per_step.end());
         rec.survivor_count = fix.survivor_count;
-        const core::WeightedEstimate& est = item.result->estimate;
+        const core::EstimateSummary& est = located.estimate;
         rec.clusters.reserve(est.cluster_sizes.size());
         for (std::size_t c = 0; c < est.cluster_sizes.size(); ++c) {
           rec.clusters.push_back({est.cluster_sizes[c], est.cluster_weights[c]});

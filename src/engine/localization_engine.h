@@ -19,8 +19,9 @@
 // degraded or held one.
 //
 // Concurrency: with `parallel_workers != 1` the engine owns a ThreadPool
-// and fans the per-tag locate() calls (and the per-reader grid
-// interpolation) out over it. Tags are independent once the virtual grid
+// and fans the per-tag locates (VireLocalizer::locate_summary, whose
+// working memory is per thread) and the per-reader grid interpolation out
+// over it. Tags are independent once the virtual grid
 // is built, and results are merged back in tag order, so the returned Fix
 // vector is bit-identical for every worker count (see tests/determinism).
 // Health assessment, masking, fallback-reference assembly and the hold

@@ -5,13 +5,17 @@
 // and the w1/w2 weighted centroid — and asserts bit-for-bit agreement:
 // identical plane values, identical mask bits and marked counts, identical
 // threshold walks (steps, accepted thresholds, survivors-per-step), and
-// identical final fixes. 200+ seeded scenarios sweep grid sizes, NaN holes,
+// identical final fixes: nodes, weights, cluster sizes and cluster weights,
+// from both compute_estimate and summarize_estimate. The oracle labels
+// clusters with its own flood fill, never the production run labeller.
+// 200+ seeded scenarios sweep grid sizes, NaN holes,
 // reader counts K in {2..8} and every ThresholdMode/WeightingMode.
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <random>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -190,11 +194,28 @@ void check_scenario(std::uint64_t seed) {
     EXPECT_TRUE(same_double(estimate.weights[i], expected.weights[i]))
         << "weight " << i;
   }
-  if (!expected.nodes.empty()) {
-    EXPECT_TRUE(same_double(estimate.position.x, expected.position.x))
-        << estimate.position.x << " != " << expected.position.x;
-    EXPECT_TRUE(same_double(estimate.position.y, expected.position.y))
-        << estimate.position.y << " != " << expected.position.y;
+  // The engine's summary path runs the same kernel without the per-node
+  // vectors; both must agree with the oracle on every field they share.
+  const EstimateSummary summary = summarize_estimate(
+      grid, got.survivors, s.tracking, s.weighting, s.w1_exponent);
+  ASSERT_EQ(summary.survivor_count, expected.nodes.size());
+  for (const auto& [name, position, sizes, weights] :
+       {std::tuple{"compute_estimate", estimate.position, estimate.cluster_sizes,
+                   estimate.cluster_weights},
+        std::tuple{"summarize_estimate", summary.position, summary.cluster_sizes,
+                   summary.cluster_weights}}) {
+    SCOPED_TRACE(name);
+    ASSERT_EQ(sizes, expected.cluster_sizes);
+    ASSERT_EQ(weights.size(), expected.cluster_weights.size());
+    for (std::size_t c = 0; c < expected.cluster_weights.size(); ++c) {
+      EXPECT_TRUE(same_double(weights[c], expected.cluster_weights[c])) << "cluster " << c;
+    }
+    if (!expected.nodes.empty()) {
+      EXPECT_TRUE(same_double(position.x, expected.position.x))
+          << position.x << " != " << expected.position.x;
+      EXPECT_TRUE(same_double(position.y, expected.position.y))
+          << position.y << " != " << expected.position.y;
+    }
   }
 }
 

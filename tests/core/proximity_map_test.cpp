@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
 
 namespace vire::core {
 namespace {
@@ -104,6 +105,31 @@ TEST(IntersectMaps, SingleMapIsIdentity) {
   const VirtualGrid vg = make_grid();
   const ProximityMap map(vg, 0, -60.0, 1.0);
   EXPECT_EQ(intersect_maps({map}), map.mask());
+}
+
+TEST(FillMaskFromDistances, MatchesPerLaneCompare) {
+  // Every length from 0 to 200 covers whole words, partial tail words and
+  // single-lane words; NaN distances never mark.
+  std::mt19937_64 rng(0xf111);
+  for (std::size_t n = 0; n <= 200; ++n) {
+    std::vector<double> distances(n);
+    for (double& d : distances) {
+      d = std::uniform_real_distribution<double>(0.0, 4.0)(rng);
+      if (std::uniform_int_distribution<int>(0, 9)(rng) == 0) d = kNan;
+    }
+    const double threshold = 2.0;
+    BitMask mask(3, true);  // stale contents are replaced
+    fill_mask_from_distances(distances, threshold, mask);
+    ASSERT_EQ(mask.size(), n);
+    std::size_t expected_count = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const bool expected = distances[i] <= threshold;
+      expected_count += expected ? 1 : 0;
+      ASSERT_EQ(mask.test(i), expected) << "n=" << n << " lane " << i;
+    }
+    // The word tail beyond n stays zero, so the popcount agrees.
+    EXPECT_EQ(mask.count(), expected_count) << "n=" << n;
+  }
 }
 
 TEST(CountMarked, Counts) {

@@ -297,12 +297,54 @@ inline EliminationRef run_elimination(const NestedGrid& grid,
   return result;
 }
 
+/// Flood-fill 4-connected labelling, seeded from each unlabelled set cell in
+/// ascending index order (the labelling compute_estimate used before it
+/// switched to runs). Kept here so the oracle never calls the production
+/// labeller it is checking.
+inline std::vector<int> label_components(const std::vector<bool>& mask, int cols,
+                                         int rows,
+                                         std::vector<std::size_t>& component_sizes) {
+  component_sizes.clear();
+  std::vector<int> labels(mask.size(), -1);
+  const auto width = static_cast<std::size_t>(cols);
+  const std::size_t n = static_cast<std::size_t>(cols) * static_cast<std::size_t>(rows);
+  std::vector<std::size_t> stack;
+  for (std::size_t seed = 0; seed < n; ++seed) {
+    if (!mask[seed] || labels[seed] >= 0) continue;
+    const int label = static_cast<int>(component_sizes.size());
+    std::size_t size = 0;
+    labels[seed] = label;
+    stack.push_back(seed);
+    auto visit = [&](std::size_t idx) {
+      if (mask[idx] && labels[idx] < 0) {
+        labels[idx] = label;
+        stack.push_back(idx);
+      }
+    };
+    while (!stack.empty()) {
+      const std::size_t cur = stack.back();
+      stack.pop_back();
+      ++size;
+      const std::size_t col = cur % width;
+      if (col > 0) visit(cur - 1);
+      if (col + 1 < width) visit(cur + 1);
+      if (cur >= width) visit(cur - width);
+      if (cur + width < n) visit(cur + width);
+    }
+    component_sizes.push_back(size);
+  }
+  return labels;
+}
+
 /// Old compute_estimate on the nested layout (w1/w2 weighted centroid).
-/// Returns the centroid plus the surviving nodes and normalised weights.
+/// Returns the centroid, the surviving nodes and normalised weights, and
+/// each cluster's size and summed weight.
 struct EstimateRef {
   geom::Vec2 position;
   std::vector<std::size_t> nodes;
   std::vector<double> weights;
+  std::vector<std::size_t> cluster_sizes;
+  std::vector<double> cluster_weights;
 };
 
 inline EstimateRef compute_estimate(const NestedGrid& grid,
@@ -340,6 +382,8 @@ inline EstimateRef compute_estimate(const NestedGrid& grid,
     w1s.push_back(w1);
     w2s.push_back(w2);
   }
+  est.cluster_sizes = component_sizes;
+  est.cluster_weights.assign(component_sizes.size(), 0.0);
   if (est.nodes.empty()) return est;
 
   est.weights.resize(est.nodes.size());
@@ -359,6 +403,8 @@ inline EstimateRef compute_estimate(const NestedGrid& grid,
   for (std::size_t i = 0; i < est.nodes.size(); ++i) {
     est.weights[i] /= sum;
     position += grid.lattice.position(est.nodes[i]) * est.weights[i];
+    est.cluster_weights[static_cast<std::size_t>(labels[est.nodes[i]])] +=
+        est.weights[i];
   }
   est.position = position;
   return est;
