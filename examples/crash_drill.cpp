@@ -5,13 +5,12 @@
 //   ./build/examples/crash_drill
 //
 // The drill:
-//   1. golden runs — the paper-testbed scenario, uninterrupted, at
-//      parallel_workers 1 and 4; their fixes must already be bit-identical;
+//   1. golden run — the paper-testbed scenario, uninterrupted;
 //   2. crash+recover — a forked child runs the same scenario with the WAL
 //      and periodic checkpoints enabled; the parent watches the WAL and
 //      SIGKILLs the child mid-run, then recovers (checkpoint + WAL replay +
-//      deterministic catch-up) at a DIFFERENT worker count and diffs every
-//      fix against the golden trace by bit pattern;
+//      deterministic catch-up) into a fresh engine and diffs every fix
+//      against the golden trace by bit pattern;
 //   3. torn-tail variant — the WAL's last frame is corrupted before
 //      recovery; the truncated tail must be detected, counted, and the
 //      recovered fixes must still match golden;
@@ -61,9 +60,8 @@ std::uint64_t bits(double v) {
   return u;
 }
 
-engine::EngineConfig make_engine_config(int workers) {
+engine::EngineConfig make_engine_config() {
   engine::EngineConfig config;
-  config.parallel_workers = workers;
   config.min_refresh_interval_s = 10.0;
   return config;
 }
@@ -76,7 +74,7 @@ struct Pipeline {
 /// Builds the deterministic drill scenario: paper testbed, seed 11, two
 /// tracked tags. Every phase (golden, crashed child, recovery) constructs
 /// the exact same pipeline, so the reading stream is regenerable at will.
-Pipeline make_pipeline(int workers, sim::ReadingInterceptor* interceptor) {
+Pipeline make_pipeline(sim::ReadingInterceptor* interceptor) {
   const env::Environment environment =
       env::make_paper_environment(env::PaperEnvironment::kEnv1SemiOpen);
   const env::Deployment deployment = env::Deployment::paper_testbed();
@@ -93,7 +91,7 @@ Pipeline make_pipeline(int workers, sim::ReadingInterceptor* interceptor) {
   const sim::TagId forklift = p.simulator->add_tag({2.3, 1.1});
 
   p.engine = std::make_unique<engine::LocalizationEngine>(
-      deployment, make_engine_config(workers));
+      deployment, make_engine_config());
   p.simulator->middleware().attach_metrics(p.engine->metrics());
   p.engine->set_reference_ids(reference_ids);
   p.engine->track(pallet, "pallet");
@@ -132,8 +130,8 @@ bool same_poll(const std::vector<engine::Fix>& a,
 }
 
 /// The uninterrupted reference trace: one Fix vector per poll.
-std::vector<std::vector<engine::Fix>> run_golden(int workers) {
-  Pipeline p = make_pipeline(workers, nullptr);
+std::vector<std::vector<engine::Fix>> run_golden() {
+  Pipeline p = make_pipeline(nullptr);
   p.simulator->run_for(kWarmupS);
   std::vector<std::vector<engine::Fix>> polls;
   for (int poll = 0; poll < kPolls; ++poll) {
@@ -148,8 +146,8 @@ std::vector<std::vector<engine::Fix>> run_golden(int workers) {
 /// Child body: the same scenario with persistence on. Never returns — the
 /// parent SIGKILLs it (a normal exit means the kill raced and the drill
 /// must be retried with a longer run).
-[[noreturn]] void run_child(const std::filesystem::path& dir, int workers) {
-  Pipeline p = make_pipeline(workers, nullptr);
+[[noreturn]] void run_child(const std::filesystem::path& dir) {
+  Pipeline p = make_pipeline(nullptr);
 
   persist::WalConfig wal_config;
   wal_config.dir = dir / "wal";
@@ -192,7 +190,7 @@ std::vector<std::vector<engine::Fix>> run_golden(int workers) {
 /// Forks the persistent scenario and SIGKILLs it once the WAL shows
 /// `kKillAfterMarkers` update markers. Returns false if the child exited on
 /// its own (kill raced).
-bool crash_scenario(const std::filesystem::path& dir, int workers) {
+bool crash_scenario(const std::filesystem::path& dir) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   const pid_t pid = fork();
@@ -200,7 +198,7 @@ bool crash_scenario(const std::filesystem::path& dir, int workers) {
     std::perror("fork");
     return false;
   }
-  if (pid == 0) run_child(dir, workers);  // never returns
+  if (pid == 0) run_child(dir);  // never returns
 
   bool killed = false;
   for (;;) {
@@ -232,23 +230,23 @@ bool crash_scenario(const std::filesystem::path& dir, int workers) {
   return killed;
 }
 
-/// Recovers from `dir` at `workers` workers and replays + continues the
-/// scenario, diffing every fix against the golden trace.
-bool recover_and_verify(const std::filesystem::path& dir, int workers,
+/// Recovers from `dir` and replays + continues the scenario, diffing every
+/// fix against the golden trace.
+bool recover_and_verify(const std::filesystem::path& dir,
                         const std::vector<std::vector<engine::Fix>>& golden,
                         std::uint64_t expect_min_corrupt_frames,
                         std::uint64_t expect_min_rejected_checkpoints) {
   persist::CatchUpGate gate;
   gate.set_open(false);  // regenerated stream is muted during catch-up
-  Pipeline p = make_pipeline(workers, &gate);
+  Pipeline p = make_pipeline(&gate);
 
   persist::RecoveryManager manager({dir / "wal", dir / "ckpt"});
   const persist::RecoveryReport report =
       manager.recover(*p.engine, p.simulator->middleware());
   std::printf(
-      "  recovered at workers=%d: checkpoint@%llu, %llu frames replayed "
+      "  recovered: checkpoint@%llu, %llu frames replayed "
       "(%llu updates), %llu corrupt, %llu checkpoints rejected, t=%.0fs\n",
-      workers, static_cast<unsigned long long>(report.checkpoint_sequence),
+      static_cast<unsigned long long>(report.checkpoint_sequence),
       static_cast<unsigned long long>(report.frames_replayed),
       static_cast<unsigned long long>(report.updates_replayed),
       static_cast<unsigned long long>(report.corrupt_frames),
@@ -364,43 +362,35 @@ int main() {
               kPolls, kCheckpointEveryPolls,
               static_cast<unsigned long long>(kKillAfterMarkers));
 
-  std::printf("\n[1/4] golden runs (workers 1 and 4)\n");
-  const auto golden = run_golden(1);
-  const auto golden4 = run_golden(4);
-  for (int poll = 0; poll < kPolls; ++poll) {
-    if (!same_poll(golden[static_cast<std::size_t>(poll)],
-                   golden4[static_cast<std::size_t>(poll)], "golden-workers",
-                   poll)) {
-      return 1;
-    }
-  }
-  std::printf("  workers 1 == workers 4, %d polls\n", kPolls);
+  std::printf("\n[1/4] golden run\n");
+  const auto golden = run_golden();
+  std::printf("  %d polls\n", kPolls);
 
-  // All engines (and their thread pools) are destroyed here: fork() below
-  // happens while the process is single-threaded.
+  // The golden engine is destroyed here: fork() below happens while the
+  // process is single-threaded.
   const std::filesystem::path base = "crash_drill_out";
 
-  std::printf("\n[2/4] SIGKILL at workers=4, recover at workers=1\n");
-  if (!crash_scenario(base / "clean", 4)) return 1;
-  if (!recover_and_verify(base / "clean", 1, golden, 0, 0)) return 1;
+  std::printf("\n[2/4] SIGKILL mid-run, recover\n");
+  if (!crash_scenario(base / "clean")) return 1;
+  if (!recover_and_verify(base / "clean", golden, 0, 0)) return 1;
 
-  std::printf("\n[3/4] torn WAL tail, recover at workers=4\n");
-  if (!crash_scenario(base / "torn", 1)) return 1;
+  std::printf("\n[3/4] torn WAL tail, recover\n");
+  if (!crash_scenario(base / "torn")) return 1;
   {
     const auto segment = newest_file(base / "torn" / "wal");
     std::printf("  corrupting tail of %s\n", segment.string().c_str());
     corrupt_last_bytes(segment);
   }
-  if (!recover_and_verify(base / "torn", 4, golden, 1, 0)) return 1;
+  if (!recover_and_verify(base / "torn", golden, 1, 0)) return 1;
 
   std::printf("\n[4/4] corrupt newest checkpoint, fall back to the older one\n");
-  if (!crash_scenario(base / "ckpt_corrupt", 4)) return 1;
+  if (!crash_scenario(base / "ckpt_corrupt")) return 1;
   {
     const auto newest = newest_file(base / "ckpt_corrupt" / "ckpt");
     std::printf("  corrupting %s\n", newest.string().c_str());
     corrupt_last_bytes(newest);
   }
-  if (!recover_and_verify(base / "ckpt_corrupt", 4, golden, 0, 1)) return 1;
+  if (!recover_and_verify(base / "ckpt_corrupt", golden, 0, 1)) return 1;
 
   std::printf("\ncrash drill: ALL VARIANTS BIT-IDENTICAL\n");
   return 0;

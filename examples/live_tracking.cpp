@@ -47,11 +47,8 @@ int main(int argc, char** argv) {
   engine_config.min_refresh_interval_s = 20.0;
   engine_config.tracking.alpha = 0.45;
   engine_config.tracking.beta = 0.05;
-  // Two workers exercise the pool instrumentation; fixes are bit-identical
-  // at any worker count, so the example output does not change.
-  engine_config.parallel_workers = 2;
-  // Trace the session too: pool.task spans carry the worker indices and the
-  // engine stages nest under engine.update (see docs/observability.md).
+  // Trace the session too: the engine stages nest under engine.update (see
+  // docs/observability.md).
   engine_config.observability.enable_tracing = true;
   engine_config.observability.anomaly_dump_dir = out_dir;
   engine::LocalizationEngine engine(deployment, engine_config);
@@ -92,7 +89,7 @@ int main(int argc, char** argv) {
               cart_err.count());
   std::printf("  virtual-grid rebuilds: %d (rate-limited)\n", engine.grid_rebuilds());
 
-  // Full pipeline metrics snapshot (engine + middleware + pool) plus the
+  // Full pipeline metrics snapshot (engine + middleware) plus the
   // session trace on exit.
   obs::write_json_snapshot(engine.metrics(),
                            out_dir / "live_tracking_metrics.json");

@@ -18,6 +18,9 @@
 #                      more than the tolerance below bench/perf_floor.json
 #                      (scripts/check_perf_floor.py). Unset => report only.
 #   VIRE_BATCH_TAGS/VIRE_BATCH_ROUNDS    workload of bench_perf_engine_batch
+#                      (default 529 tags, the dense_fleet density: about a
+#                      third of its locates take the union fallback, and
+#                      the bench fails when none does)
 #   VIRE_FAULT_TAGS/VIRE_FAULT_ROUNDS    workload of bench_fault_degradation
 #   VIRE_RECOVERY_POLLS/VIRE_RECOVERY_READINGS/VIRE_RECOVERY_CHECKPOINTS
 #                      workload of bench_recovery (journaled polls, synthetic
@@ -41,15 +44,17 @@ if [ ! -d "$BUILD_DIR/bench" ]; then
   exit 1
 fi
 
-# Resolve before cd: a relative dest stays anchored at the caller's cwd.
+# Resolve before cd: a relative dest (or script path) stays anchored at the
+# caller's cwd.
 mkdir -p "$DEST_DIR"
 DEST_DIR="$(cd "$DEST_DIR" && pwd)"
+SCRIPT_DIR="$(cd "$(dirname "$0")" && pwd)"
 
 # The benches write bench_out/ relative to their working directory.
 cd "$BUILD_DIR"
 
 echo "== bench_perf_engine_batch =="
-VIRE_TAGS="${VIRE_BATCH_TAGS:-16}" VIRE_ROUNDS="${VIRE_BATCH_ROUNDS:-3}" \
+VIRE_TAGS="${VIRE_BATCH_TAGS:-529}" VIRE_ROUNDS="${VIRE_BATCH_ROUNDS:-10}" \
   ./bench/bench_perf_engine_batch
 
 echo "== bench_fault_degradation =="
@@ -100,7 +105,6 @@ echo "collect_bench: copied $count report(s) to $DEST_DIR"
 # Perf-regression guard: compare the engine-batch throughput against the
 # checked-in floor. Advisory by default (machines differ); CI's metrics job
 # sets VIRE_ENFORCE_PERF_FLOOR=1 to make a >tolerance drop fail the build.
-SCRIPT_DIR="$(cd "$(dirname "$0")" && pwd)"
 for guarded in BENCH_perf_engine_batch.json BENCH_service_scale.json \
                BENCH_obs_overhead.json BENCH_supervisor_journal.json; do
   [ -f "bench_out/$guarded" ] || continue

@@ -5,8 +5,11 @@
 // per-survivor sums live here rather than in fresh vectors per call: a
 // union-fallback locate keeps more than half of the grid alive, and
 // allocating and first-touching that much memory per tag was a large part
-// of its cost. There is one instance per thread, so a caller that fans
-// locates out over a ThreadPool needs no worker index and no lock. Every
+// of its cost. There is one instance per thread because locates do run
+// concurrently: the evaluation runner (src/eval/runner.cpp) spreads its
+// Monte-Carlo trials, each with its own localizer, over
+// support::parallel_for, and in-process shard hosts each locate on their own
+// worker thread. Per-thread buffers need no worker index and no lock. Every
 // buffer is overwritten before it is read, so nothing carries over from one
 // locate to the next and results do not depend on which thread ran them.
 // Buffers only grow; their size is bounded by the largest grid a thread has

@@ -23,18 +23,18 @@ VireLocalizer::VireLocalizer(const geom::RegularGrid& real_grid, VireConfig conf
     : real_grid_(real_grid), config_(config), elimination_(config.elimination) {}
 
 void VireLocalizer::set_reference_rssi(
-    const std::vector<sim::RssiVector>& reference_rssi, support::ThreadPool* pool) {
-  virtual_grid_.emplace(real_grid_, reference_rssi, config_.virtual_grid, pool);
+    const std::vector<sim::RssiVector>& reference_rssi) {
+  virtual_grid_.emplace(real_grid_, reference_rssi, config_.virtual_grid);
 }
 
 void VireLocalizer::update_reference_rssi(
     const std::vector<sim::RssiVector>& reference_rssi,
-    const std::vector<int>& dirty_readers, support::ThreadPool* pool) {
+    const std::vector<int>& dirty_readers) {
   if (!virtual_grid_) {
-    set_reference_rssi(reference_rssi, pool);
+    set_reference_rssi(reference_rssi);
     return;
   }
-  virtual_grid_->reinterpolate_readers(reference_rssi, dirty_readers, pool);
+  virtual_grid_->reinterpolate_readers(reference_rssi, dirty_readers);
 }
 
 std::optional<VireResult> VireLocalizer::locate(const sim::RssiVector& tracking,

@@ -49,7 +49,7 @@ struct VireResult {
 
 /// What a fix keeps of one locate: the position and its provenance, without
 /// the per-node vectors of VireResult. The engine holds one of these per tag
-/// between its locate fan-out and the merge.
+/// between its locate phase and the merge.
 struct LocateSummary {
   /// Position, weighted-survivor count (== VireResult::survivor_count())
   /// and per-cluster provenance.
@@ -77,10 +77,8 @@ class VireLocalizer {
   /// (Re)builds the virtual grid from fresh reference readings (row-major
   /// over the real grid, one RssiVector per reference tag). Call again
   /// whenever the middleware window moves — this is the paper's "updated if
-  /// the RSSI reading of a real reference tag is changed". With a pool the
-  /// per-reader interpolation runs concurrently (bit-identical to serial).
-  void set_reference_rssi(const std::vector<sim::RssiVector>& reference_rssi,
-                          support::ThreadPool* pool = nullptr);
+  /// the RSSI reading of a real reference tag is changed".
+  void set_reference_rssi(const std::vector<sim::RssiVector>& reference_rssi);
 
   /// Incremental variant: re-interpolates only `dirty_readers`' planes of
   /// the existing virtual grid from the fresh readings. The caller must have
@@ -89,8 +87,7 @@ class VireLocalizer {
   /// at a fraction of the cost. Falls back to a full build when no grid
   /// exists yet.
   void update_reference_rssi(const std::vector<sim::RssiVector>& reference_rssi,
-                             const std::vector<int>& dirty_readers,
-                             support::ThreadPool* pool = nullptr);
+                             const std::vector<int>& dirty_readers);
 
   /// Locates one tracking tag. nullopt if no virtual grid has been built or
   /// no region survives with comparable readings. `stats`, when non-null,

@@ -59,7 +59,7 @@ geom::RegularGrid make_virtual_lattice(const geom::RegularGrid& real_grid,
 
 VirtualGrid::VirtualGrid(const geom::RegularGrid& real_grid,
                          const std::vector<sim::RssiVector>& reference_rssi,
-                         VirtualGridConfig config, support::ThreadPool* pool)
+                         VirtualGridConfig config)
     : config_(config),
       real_grid_(real_grid),
       virtual_grid_(make_virtual_lattice(real_grid, config)) {
@@ -76,20 +76,8 @@ VirtualGrid::VirtualGrid(const geom::RegularGrid& real_grid,
   node_count_ = virtual_grid_.node_count();
   values_.assign(static_cast<std::size_t>(reader_count_) * node_count_, kNan);
 
-  // Per-reader scalar field over the real lattice. Readers are independent
-  // (each writes only its own plane) and the interpolation is pure
-  // arithmetic, so fanning readers over the pool is bit-identical to the
-  // serial loop.
-  if (pool != nullptr && pool->size() > 1 && reader_count_ > 1) {
-    support::parallel_for(
-        0, static_cast<std::size_t>(reader_count_),
-        [&](std::size_t k) {
-          interpolate_reader(static_cast<int>(k), reference_rssi);
-        },
-        pool);
-  } else {
-    for (int k = 0; k < reader_count_; ++k) interpolate_reader(k, reference_rssi);
-  }
+  // Per-reader scalar field over the real lattice, one plane per reader.
+  for (int k = 0; k < reader_count_; ++k) interpolate_reader(k, reference_rssi);
 }
 
 void VirtualGrid::validate_references(
@@ -103,7 +91,7 @@ void VirtualGrid::validate_references(
 
 void VirtualGrid::reinterpolate_readers(
     const std::vector<sim::RssiVector>& reference_rssi,
-    const std::vector<int>& readers, support::ThreadPool* pool) {
+    const std::vector<int>& readers) {
   if (reference_rssi.size() != real_grid_.node_count()) {
     throw std::invalid_argument(
         "VirtualGrid: reference RSSI count must match the real grid");
@@ -114,14 +102,7 @@ void VirtualGrid::reinterpolate_readers(
       throw std::invalid_argument("VirtualGrid: reader index out of range");
     }
   }
-  if (pool != nullptr && pool->size() > 1 && readers.size() > 1) {
-    support::parallel_for(
-        0, readers.size(),
-        [&](std::size_t i) { interpolate_reader(readers[i], reference_rssi); },
-        pool);
-  } else {
-    for (const int k : readers) interpolate_reader(k, reference_rssi);
-  }
+  for (const int k : readers) interpolate_reader(k, reference_rssi);
 }
 
 void VirtualGrid::interpolate_reader(

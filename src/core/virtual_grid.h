@@ -19,7 +19,6 @@
 #include "core/interpolation.h"
 #include "geom/grid.h"
 #include "sim/types.h"
-#include "support/thread_pool.h"
 
 namespace vire::core {
 
@@ -44,22 +43,17 @@ class VirtualGrid {
   /// @param reference_rssi  row-major per real node, one RssiVector (K
   ///                        readers) each — straight from the middleware
   /// @param config      subdivision / interpolation / boundary extension
-  /// @param pool        optional thread pool; the per-reader scalar fields
-  ///                    are interpolated concurrently (one task per reader,
-  ///                    disjoint output planes — bit-identical to serial)
   VirtualGrid(const geom::RegularGrid& real_grid,
               const std::vector<sim::RssiVector>& reference_rssi,
-              VirtualGridConfig config = {}, support::ThreadPool* pool = nullptr);
+              VirtualGridConfig config = {});
 
   /// Re-interpolates only the listed readers' planes from fresh reference
   /// readings (same shape as the constructor's). Untouched planes keep their
   /// exact values, so the result is bit-identical to a full rebuild whenever
   /// the other readers' readings are unchanged — the engine's incremental
-  /// refresh relies on exactly that. Planes are disjoint, so a pool fan-out
-  /// over the dirty readers is bit-identical to the serial loop.
+  /// refresh relies on exactly that.
   void reinterpolate_readers(const std::vector<sim::RssiVector>& reference_rssi,
-                             const std::vector<int>& readers,
-                             support::ThreadPool* pool = nullptr);
+                             const std::vector<int>& readers);
 
   [[nodiscard]] const geom::RegularGrid& grid() const noexcept { return virtual_grid_; }
   [[nodiscard]] const VirtualGridConfig& config() const noexcept { return config_; }

@@ -21,8 +21,7 @@
 //
 // Hysteresis (quarantine_after / recover_after consecutive assessments)
 // keeps single noisy windows from flapping the mask. Everything is a pure
-// function of the reading history, so assessments are deterministic and
-// bit-identical across engine worker counts.
+// function of the reading history, so assessments are deterministic.
 
 #include <cstdint>
 #include <vector>

@@ -66,9 +66,6 @@ LocalizationEngine::LocalizationEngine(const env::Deployment& deployment,
       health_(deployment.reader_count(), config.degradation.health),
       tracer_(config.observability.trace_capacity),
       recorder_(config.observability.flight_recorder_fixes) {
-  if (config_.parallel_workers < 0) {
-    throw std::invalid_argument("LocalizationEngine: parallel_workers must be >= 0");
-  }
   if (config_.degradation.fallback_min_readers < 1) {
     throw std::invalid_argument(
         "LocalizationEngine: fallback_min_readers must be >= 1");
@@ -143,13 +140,6 @@ LocalizationEngine::LocalizationEngine(const env::Deployment& deployment,
 
   tracer_.set_enabled(config_.observability.enable_tracing);
   tracer_.set_thread_name("engine");
-
-  if (config_.parallel_workers != 1) {
-    pool_ = std::make_unique<support::ThreadPool>(
-        static_cast<std::size_t>(config_.parallel_workers));
-    pool_->attach_metrics(metrics_);
-    pool_->attach_tracer(&tracer_);
-  }
 }
 
 void LocalizationEngine::set_reference_ids(std::vector<sim::TagId> ids) {
@@ -302,7 +292,7 @@ void LocalizationEngine::restore(const EngineStateSnapshot& snapshot) {
   // registry-wide, and refresh_references()'s unchanged-skip must see exactly
   // the state the uninterrupted engine had.
   if (grid_rebuilds_ > 0 && !last_reference_rssi_.empty()) {
-    localizer_.set_reference_rssi(last_reference_rssi_, pool_.get());
+    localizer_.set_reference_rssi(last_reference_rssi_);
   }
 }
 
@@ -374,9 +364,9 @@ void LocalizationEngine::refresh_references(
                                 "}"
                           : std::string{});
     if (partial) {
-      localizer_.update_reference_rssi(reference_rssi, dirty_readers, pool_.get());
+      localizer_.update_reference_rssi(reference_rssi, dirty_readers);
     } else {
-      localizer_.set_reference_rssi(reference_rssi, pool_.get());
+      localizer_.set_reference_rssi(reference_rssi);
     }
   }
   last_reference_rssi_ = reference_rssi;
@@ -448,9 +438,9 @@ std::vector<Fix> LocalizationEngine::update(const sim::Middleware& middleware,
     fallback_.set_references(std::move(references));
   }
 
-  // Snapshot the batch in tag order. RSSI vectors are fetched serially
-  // (the middleware is not guarded); locate is a pure function of the
-  // localizer's immutable grid, so only it is fanned out. Each item keeps
+  // Snapshot the batch in tag order, locate every item, then merge in tag
+  // order. Keeping the locates in their own phase lets the stage="locate"
+  // histogram and the engine.locate span time them alone. Each item keeps
   // the compact LocateSummary (position and provenance), not the per-node
   // vectors of a full VireResult, until the merge.
   struct Item {
@@ -474,57 +464,46 @@ std::vector<Fix> LocalizationEngine::update(const sim::Middleware& middleware,
     items.push_back(std::move(item));
   }
 
-  // Workers only write their own item (results and timings); histograms are
-  // fed in the serial merge below, so no shared state enters the fan-out.
-  // Both localizers are const here, and the fallback references were frozen
-  // above, so the fan-out stays free of shared mutable state.
-  auto locate_item = [&](std::size_t i) {
-    Item& item = items[i];
-    const bool tracing = tracer_.enabled();
-    const double locate_start_us = tracing ? tracer_.now_us() : 0.0;
-    if (item.valid_readers >= config_.min_valid_readers && item.valid_readers > 0) {
-      item.result = localizer_.locate_summary(item.rssi, &item.stats);
-      if (tracing && item.result) {
-        // Elimination runs first inside locate(), weighting follows; both
-        // durations come from the stage timers, so the child spans are laid
-        // end to end from the measured locate start.
-        const std::string tag_args = "{\"tag\":" + std::to_string(item.id) + "}";
-        const double elim_end_us =
-            locate_start_us + 1e6 * item.stats.elimination_seconds;
-        tracer_.complete("engine.elimination", locate_start_us, elim_end_us,
-                         tag_args);
-        tracer_.complete("engine.weighting", elim_end_us,
-                         elim_end_us + 1e6 * item.stats.weighting_seconds,
-                         tag_args);
-      }
-    }
-    if (!item.result && fallback_ready &&
-        item.valid_readers >= config_.degradation.fallback_min_readers) {
-      item.fallback = fallback_.locate(item.rssi);
-    }
-    if (tracing) {
-      tracer_.complete("engine.locate_tag", locate_start_us, tracer_.now_us(),
-                       "{\"tag\":" + std::to_string(item.id) + "}");
-    }
-  };
+  // Histograms are fed in the merge below; a locate writes only its own
+  // item (results and timings).
   {
     const obs::ScopedTimer locate_timer(inst_.stage_locate);
     const obs::TraceSpan span(
         &tracer_, "engine.locate",
         tracer_.enabled() ? "{\"items\":" + std::to_string(items.size()) + "}"
                           : std::string{});
-    if (pool_) {
-      support::parallel_for(0, items.size(), locate_item, pool_.get());
-    } else {
-      for (std::size_t i = 0; i < items.size(); ++i) locate_item(i);
+    for (Item& item : items) {
+      const bool tracing = tracer_.enabled();
+      const double locate_start_us = tracing ? tracer_.now_us() : 0.0;
+      if (item.valid_readers >= config_.min_valid_readers && item.valid_readers > 0) {
+        item.result = localizer_.locate_summary(item.rssi, &item.stats);
+        if (tracing && item.result) {
+          // Elimination runs first inside locate(), weighting follows; both
+          // durations come from the stage timers, so the child spans are laid
+          // end to end from the measured locate start.
+          const std::string tag_args = "{\"tag\":" + std::to_string(item.id) + "}";
+          const double elim_end_us =
+              locate_start_us + 1e6 * item.stats.elimination_seconds;
+          tracer_.complete("engine.elimination", locate_start_us, elim_end_us,
+                           tag_args);
+          tracer_.complete("engine.weighting", elim_end_us,
+                           elim_end_us + 1e6 * item.stats.weighting_seconds,
+                           tag_args);
+        }
+      }
+      if (!item.result && fallback_ready &&
+          item.valid_readers >= config_.degradation.fallback_min_readers) {
+        item.fallback = fallback_.locate(item.rssi);
+      }
+      if (tracing) {
+        tracer_.complete("engine.locate_tag", locate_start_us, tracer_.now_us(),
+                         "{\"tag\":" + std::to_string(item.id) + "}");
+      }
     }
   }
 
-  // Merge serially in tag order: tracker updates, hold bookkeeping and Fix
-  // assembly happen in the same deterministic order regardless of worker
-  // count. All provenance capture (flight records, quality transitions)
-  // lives here for the same reason — the trace and recorder contents are
-  // identical at any worker count modulo timestamps.
+  // Merge in tag order: tracker updates, hold bookkeeping, Fix assembly and
+  // all provenance capture (flight records, quality transitions).
   std::vector<Fix> fixes;
   fixes.reserve(items.size());
   bool quality_drop = false;

@@ -18,20 +18,17 @@
 // FixQuality level so consumers can tell a confident estimate from a
 // degraded or held one.
 //
-// Concurrency: with `parallel_workers != 1` the engine owns a ThreadPool
-// and fans the per-tag locates (VireLocalizer::locate_summary, whose
-// working memory is per thread) and the per-reader grid interpolation out
-// over it. Tags are independent once the virtual grid
-// is built, and results are merged back in tag order, so the returned Fix
-// vector is bit-identical for every worker count (see tests/determinism).
-// Health assessment, masking, fallback-reference assembly and the hold
-// bookkeeping all run in the serial sections, so the degradation machinery
-// preserves that contract.
+// Concurrency: an engine is serial and owned by one thread. A fleet scales
+// by giving each shard process its own engine (docs/service.md); the
+// Supervisor's merged polls are bit-identical to one engine fed the whole
+// stream (tests/service/shard_equivalence_test.cpp). update() runs in three
+// phases (snapshot the batch in tag order, locate every tag, merge in tag
+// order) so the stage="locate" histogram and the engine.locate span time the
+// locates alone.
 
 #include <cstdint>
 #include <filesystem>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -47,7 +44,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/middleware.h"
-#include "support/thread_pool.h"
 
 namespace vire::engine {
 
@@ -71,8 +67,7 @@ struct DegradationConfig {
 };
 
 /// Tracing + flight-recorder knobs (see docs/observability.md). Both are
-/// pure side channels: fixes are bit-identical with them on or off, at any
-/// worker count.
+/// pure side channels: fixes are bit-identical with them on or off.
 struct ObservabilityConfig {
   /// Start the span tracer enabled. It can be toggled at runtime through
   /// tracer().set_enabled(); disabled tracing costs one relaxed atomic load
@@ -110,11 +105,6 @@ struct EngineConfig {
   /// A tag whose RSSI vector has fewer than this many valid healthy readers
   /// is not localized with VIRE (the fallback/hold ladder takes over).
   int min_valid_readers = 3;
-  /// Worker threads for the per-tag locate() fan-out and the per-reader
-  /// grid interpolation. 1 runs fully serial (no pool is created);
-  /// 0 selects hardware concurrency. Every setting produces bit-identical
-  /// fixes — parallelism changes throughput, never results.
-  int parallel_workers = 1;
   DegradationConfig degradation;
   ObservabilityConfig observability;
 };
@@ -135,7 +125,7 @@ enum class FixQuality {
 /// The engine's complete mutable state, for crash-safe checkpoints
 /// (src/persist/). Everything update() reads or writes across calls is here:
 /// restoring a snapshot into an engine built from the same deployment and
-/// config reproduces every subsequent fix bit for bit, at any worker count.
+/// config reproduces every subsequent fix bit for bit.
 /// Maps are flattened to sorted vectors so serialization is deterministic.
 struct EngineStateSnapshot {
   std::vector<sim::TagId> reference_ids;
@@ -239,10 +229,6 @@ class LocalizationEngine {
   /// Diagnostics: how many times the virtual grid has been rebuilt.
   [[nodiscard]] int grid_rebuilds() const noexcept { return grid_rebuilds_; }
   [[nodiscard]] const EngineConfig& config() const noexcept { return config_; }
-  /// Number of pool workers backing update() (1 when running serial).
-  [[nodiscard]] std::size_t worker_count() const noexcept {
-    return pool_ ? pool_->size() : 1;
-  }
 
   /// The per-reader health monitor driving the degradation ladder.
   [[nodiscard]] const HealthMonitor& health() const noexcept { return health_; }
@@ -261,8 +247,7 @@ class LocalizationEngine {
   /// The pipeline span tracer (Chrome trace-event JSON; see
   /// docs/observability.md). Always constructed; starts enabled iff
   /// ObservabilityConfig::enable_tracing. Other components plug into the
-  /// same timeline via their attach_tracer() (middleware, fault injector —
-  /// the pool is attached automatically).
+  /// same timeline via their attach_tracer() (middleware, fault injector).
   [[nodiscard]] obs::Tracer& tracer() noexcept { return tracer_; }
   [[nodiscard]] const obs::Tracer& tracer() const noexcept { return tracer_; }
 
@@ -348,12 +333,8 @@ class LocalizationEngine {
   /// readings match is skipped without rebuilding.
   std::vector<sim::RssiVector> last_reference_rssi_;
   int grid_rebuilds_ = 0;
-  /// Declared before pool_: workers may bump pool metrics until joined, so
-  /// the registry must be destroyed after the pool.
   obs::MetricsRegistry metrics_;
   Instruments inst_;
-  /// Same destruction-order rule as metrics_: workers emit pool.task spans
-  /// until joined, so the tracer must outlive the pool.
   obs::Tracer tracer_;
   obs::FlightRecorder recorder_;
   /// Previous update's quality per tag, for the quality-transition anomaly
@@ -361,7 +342,6 @@ class LocalizationEngine {
   std::map<sim::TagId, FixQuality> last_quality_;
   std::uint64_t fix_sequence_ = 0;
   int auto_dumps_ = 0;
-  std::unique_ptr<support::ThreadPool> pool_;
 };
 
 }  // namespace vire::engine

@@ -19,7 +19,7 @@ struct BenchReport {
   double wall_ms = 0.0;     ///< total measured wall time of the bench
   double throughput = 0.0;  ///< headline rate in `throughput_unit`
   std::string throughput_unit = "items_per_sec";
-  /// Optional named sub-results, e.g. one throughput per worker count.
+  /// Optional named sub-results, e.g. one throughput per shard count.
   std::vector<std::pair<std::string, double>> results;
 };
 

@@ -8,7 +8,7 @@
 //    taken at registration and snapshot time;
 //  * instrumentation is a pure side channel: nothing computed from a metric
 //    may feed back into localization, so the engine's bit-identical
-//    determinism contract holds with metrics enabled at any worker count;
+//    determinism contract holds with metrics enabled;
 //  * the library depends on the C++ standard library only, so every layer
 //    (support, sim, engine, eval) can link it without cycles.
 

@@ -12,7 +12,7 @@
 //    per-sample, so the mutex is uncontended in practice;
 //  * tracing is a pure side channel: timestamps are wall clock and never
 //    feed back into localization, so the engine's bit-identical determinism
-//    contract holds with tracing on at any worker count (covered by
+//    contract holds with tracing on (covered by
 //    tests/engine/trace_pipeline_test.cpp).
 //
 // Timestamps are microseconds since the tracer's construction (steady

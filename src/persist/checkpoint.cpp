@@ -383,8 +383,8 @@ std::optional<std::uint64_t> checkpoint_sequence(const std::filesystem::path& pa
 
 std::uint64_t engine_config_fingerprint(
     const engine::EngineConfig& config) noexcept {
-  // Canonical byte encoding of every fix-affecting field. parallel_workers
-  // and observability are excluded on purpose (see header).
+  // Canonical byte encoding of every fix-affecting field. Observability is
+  // excluded on purpose (see header).
   ByteWriter w;
   w.u32(static_cast<std::uint32_t>(config.vire.virtual_grid.subdivision));
   w.u8(static_cast<std::uint8_t>(config.vire.virtual_grid.method));

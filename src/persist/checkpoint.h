@@ -146,10 +146,10 @@ inline bool read_fix(ByteReader& r, engine::Fix& out) {
 }
 
 /// Fingerprint of every EngineConfig field that affects fix values — the
-/// algorithm, degradation and tracking knobs. parallel_workers and the
-/// observability block are deliberately EXCLUDED: both are pure side
-/// channels (fixes are bit-identical across them), so a checkpoint taken at
-/// workers=4 restores cleanly into an engine running workers=1.
+/// algorithm, degradation and tracking knobs. The observability block is
+/// deliberately EXCLUDED: it is a pure side channel (fixes are bit-identical
+/// with tracing and the flight recorder on or off), so a checkpoint taken
+/// with tracing on restores cleanly into an engine running without it.
 [[nodiscard]] std::uint64_t engine_config_fingerprint(
     const engine::EngineConfig& config) noexcept;
 

@@ -9,7 +9,7 @@
 // Middleware::ingest(), Middleware::evict_stale(), LocalizationEngine::
 // update(). Because every one of those is a deterministic function of its
 // input stream, the recovered process's fixes are bit-identical to an
-// uninterrupted run, at any parallel_workers setting (the crash drill in
+// uninterrupted run under any crash schedule (the crash drill in
 // examples/crash_drill.cpp locks this).
 //
 // Call order on restart:

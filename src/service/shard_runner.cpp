@@ -30,7 +30,6 @@ void SteadyClock::sleep_for(double seconds) {
 
 ServiceConfig shard_service_config(const ShardLaunch& launch) {
   ServiceConfig config;
-  config.engine.parallel_workers = launch.engine_workers;
   config.engine.observability.enable_tracing = launch.trace;
   // Anomaly dumps default under the shard's own data dir, not the process
   // cwd: shards share a cwd under the supervisor, and a shared "obs_out"
@@ -75,7 +74,6 @@ bool ProcessShardRunner::start(const ShardLaunch& launch) {
       "--socket", launch.socket.string(),
       "--data-dir", launch.data_dir.string(),
       "--shard-id", std::to_string(launch.id),
-      "--workers", std::to_string(launch.engine_workers),
       "--window", obs::format_double(launch.middleware_window_s),
       "--checkpoint-every", std::to_string(launch.checkpoint_every_updates),
   };

@@ -58,7 +58,6 @@ struct ShardLaunch {
   /// The shard's persistence root (its WAL and checkpoints live under
   /// <data_dir>/shard-0/).
   std::filesystem::path data_dir;
-  int engine_workers = 1;
   double middleware_window_s = 10.0;
   int checkpoint_every_updates = 8;
   /// Record engine spans for fleet trace aggregation.

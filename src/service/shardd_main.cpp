@@ -8,11 +8,14 @@
 // first, then sends kRecover to replay the WAL through the normal pipeline
 // (registration is not journaled). Runs until SIGTERM or SIGINT.
 //
-//   vire_shardd --socket PATH --data-dir DIR [--shard-id N] [--workers N]
+//   vire_shardd --socket PATH --data-dir DIR [--shard-id N] [--workers 1]
 //               [--window SECONDS] [--checkpoint-every N] [--obs-dir DIR]
 //               [--trace] [--trace-capacity N] [--clock-skew-us X]
 //               [--abort-on-start]
 //
+// The engine is serial; fleets scale by shard processes. --workers accepts
+// only 1, for launch scripts and benchmarks that still pass it; like
+// ServiceConfig::shards it can go once those callers stop passing it.
 // --abort-on-start is the crash-loop test seam: the process aborts before
 // binding its socket, exactly like a shard with a corrupt install.
 // --clock-skew-us is the clock-alignment test seam: shifts this process's
@@ -35,7 +38,7 @@ namespace {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --socket PATH --data-dir DIR [--shard-id N]\n"
-               "          [--workers N] [--window SECONDS]\n"
+               "          [--workers 1] [--window SECONDS]\n"
                "          [--checkpoint-every N] [--obs-dir DIR] [--trace]\n"
                "          [--trace-capacity N] [--clock-skew-us X]\n"
                "          [--abort-on-start]\n",
@@ -51,7 +54,6 @@ int main(int argc, char** argv) {
   std::filesystem::path socket_path;
   std::filesystem::path data_dir;
   int shard_id = 0;
-  int workers = 1;
   double window_s = 10.0;
   int checkpoint_every = 8;
   std::filesystem::path obs_dir;
@@ -79,8 +81,7 @@ int main(int argc, char** argv) {
       shard_id = std::atoi(v);
     } else if (arg == "--workers") {
       const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      workers = std::atoi(v);
+      if (v == nullptr || std::string(v) != "1") return usage(argv[0]);
     } else if (arg == "--window") {
       const char* v = value();
       if (v == nullptr) return usage(argv[0]);
@@ -128,7 +129,6 @@ int main(int argc, char** argv) {
   launch.id = static_cast<std::uint32_t>(shard_id);
   launch.socket = socket_path;
   launch.data_dir = data_dir;
-  launch.engine_workers = workers;
   launch.middleware_window_s = window_s;
   launch.checkpoint_every_updates = checkpoint_every;
   launch.trace = trace;

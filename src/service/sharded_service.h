@@ -13,8 +13,8 @@
 //
 // Determinism: the queue is FIFO with a single consumer, so the engine sees
 // ingest/evict/update in exactly the stream order, and poll() answers what
-// a bare engine fed the same stream answers, bit for bit, at any
-// parallel_workers (tests/service/shard_equivalence_test.cpp).
+// a bare engine fed the same stream answers, bit for bit
+// (tests/service/shard_equivalence_test.cpp).
 //
 // Threading model: the service spawns one worker thread; all public methods
 // must be called from ONE driver thread (the UDS server's event loop in

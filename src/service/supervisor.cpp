@@ -804,7 +804,6 @@ ShardLaunch Supervisor::launch_for(const ManagedShard& shard) const {
   launch.id = shard.id;
   launch.socket = shard.socket;
   launch.data_dir = shard.data_dir;
-  launch.engine_workers = config_.engine_workers;
   launch.middleware_window_s = config_.middleware_window_s;
   launch.checkpoint_every_updates = config_.checkpoint_every_updates;
   launch.trace = config_.fleet_tracing;

@@ -102,7 +102,6 @@ struct SupervisorConfig {
   std::vector<std::string> shardd_extra_args;
 
   // Forwarded to each shard.
-  int engine_workers = 1;
   double middleware_window_s = 10.0;
   int checkpoint_every_updates = 8;
 

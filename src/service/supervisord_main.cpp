@@ -8,8 +8,12 @@
 // that shard crashes no longer lose data or stall polls.
 //
 //   vire_supervisord --socket PATH --root DIR --shardd PATH [--shards N]
-//                    [--workers N] [--window SECONDS] [--checkpoint-every N]
+//                    [--workers 1] [--window SECONDS] [--checkpoint-every N]
 //                    [--seed N] [--trace] [--fleet-trace-out PATH]
+//
+// Each shard runs one serial engine. --workers accepts only 1, for launch
+// scripts and benchmarks that still pass it; like ServiceConfig::shards it
+// can go once those callers stop passing it.
 //
 // Runs until SIGTERM or SIGINT; ticks supervision between signals.
 // --trace turns on fleet tracing (supervisor spans + every shardd spawned
@@ -34,7 +38,7 @@ namespace {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --socket PATH --root DIR --shardd PATH\n"
-               "          [--shards N] [--workers N] [--window SECONDS]\n"
+               "          [--shards N] [--workers 1] [--window SECONDS]\n"
                "          [--checkpoint-every N] [--seed N] [--trace]\n"
                "          [--fleet-trace-out PATH]\n",
                argv0);
@@ -64,8 +68,8 @@ int main(int argc, char** argv) {
       config.shardd_binary = v;
     } else if (arg == "--shards" && (v = value()) != nullptr) {
       config.shards = std::atoi(v);
-    } else if (arg == "--workers" && (v = value()) != nullptr) {
-      config.engine_workers = std::atoi(v);
+    } else if (arg == "--workers" && (v = value()) != nullptr &&
+               std::string(v) == "1") {
     } else if (arg == "--window" && (v = value()) != nullptr) {
       config.middleware_window_s = std::atof(v);
     } else if (arg == "--checkpoint-every" && (v = value()) != nullptr) {

@@ -11,7 +11,7 @@ ThreadPool::ThreadPool(std::size_t threads) {
   }
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -28,18 +28,7 @@ void ThreadPool::stop() {
   }
 }
 
-void ThreadPool::attach_metrics(obs::MetricsRegistry& registry,
-                                const std::string& prefix) {
-  obs::Counter& tasks = registry.counter(
-      prefix + "_tasks_total", {}, "Tasks executed by the thread pool workers");
-  obs::Gauge& high_water =
-      registry.gauge(prefix + "_queue_depth_high_water", {},
-                     "Maximum queued-task backlog observed since start");
-  tasks_total_.store(&tasks, std::memory_order_release);
-  queue_high_water_.store(&high_water, std::memory_order_release);
-}
-
-void ThreadPool::worker_loop(std::size_t worker_index) {
+void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
     {
@@ -52,16 +41,7 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    obs::Tracer* tracer = tracer_.load(std::memory_order_acquire);
-    if (tracer != nullptr && tracer->enabled()) {
-      const double start = tracer->now_us();
-      task();
-      tracer->complete("pool.task", start, tracer->now_us(),
-                       "{\"worker\":" + std::to_string(worker_index) + "}");
-    } else {
-      task();
-    }
-    if (auto* counter = tasks_total_.load(std::memory_order_acquire)) counter->inc();
+    task();
   }
 }
 

@@ -4,19 +4,15 @@
 // workload is embarrassingly parallel (independent trials), so a simple
 // chunked static/dynamic scheduler is both sufficient and predictable.
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
 #include <future>
 #include <mutex>
-#include <string>
+#include <stdexcept>
 #include <thread>
 #include <vector>
-
-#include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace vire::support {
 
@@ -39,23 +35,6 @@ class ThreadPool {
   /// the destructor calls it.
   void stop();
 
-  /// Registers pool metrics with `registry` and starts recording:
-  ///   <prefix>_tasks_total              tasks executed by the workers
-  ///   <prefix>_queue_depth_high_water   max queued-task backlog observed
-  /// Metric objects must outlive the pool (the engine owns both). Counting
-  /// is relaxed-atomic; attaching mid-flight only misses events already
-  /// past, it never blocks the hot path.
-  void attach_metrics(obs::MetricsRegistry& registry,
-                      const std::string& prefix = "vire_threadpool");
-
-  /// Attaches a tracer: every executed task emits a "pool.task" complete
-  /// span tagged with the executing worker's index. Pass nullptr to detach.
-  /// The tracer must outlive the pool. Same contract as attach_metrics: a
-  /// missing or disabled tracer costs one relaxed atomic load per task.
-  void attach_tracer(obs::Tracer* tracer) {
-    tracer_.store(tracer, std::memory_order_release);
-  }
-
   /// Enqueues a task; throws std::runtime_error if the pool is stopping.
   template <typename F>
   auto submit(F&& f) -> std::future<std::invoke_result_t<F>> {
@@ -66,27 +45,19 @@ class ThreadPool {
       std::lock_guard lock(mutex_);
       if (stopping_) throw std::runtime_error("ThreadPool: submit after stop");
       queue_.emplace_back([task] { (*task)(); });
-      if (auto* gauge = queue_high_water_.load(std::memory_order_acquire)) {
-        gauge->record_max(static_cast<double>(queue_.size()));
-      }
     }
     cv_.notify_one();
     return result;
   }
 
  private:
-  void worker_loop(std::size_t worker_index);
+  void worker_loop();
 
   std::vector<std::thread> workers_;
   std::deque<std::function<void()>> queue_;
   std::mutex mutex_;
   std::condition_variable cv_;
   bool stopping_ = false;
-  /// Optional instrumentation (null until attach_metrics). Atomic pointers:
-  /// workers read them without the queue mutex.
-  std::atomic<obs::Counter*> tasks_total_{nullptr};
-  std::atomic<obs::Gauge*> queue_high_water_{nullptr};
-  std::atomic<obs::Tracer*> tracer_{nullptr};
 };
 
 /// Shared process-wide pool (lazily constructed, hardware-concurrency sized).

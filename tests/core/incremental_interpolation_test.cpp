@@ -5,7 +5,7 @@
 // only the planes whose reference columns changed (see docs/algorithm.md,
 // "Data layout & SIMD"). Also pins the superset property (declaring clean
 // readers dirty is harmless) and the VireLocalizer::update_reference_rssi
-// wrapper, serial and pooled.
+// wrapper.
 
 #include <bit>
 #include <cmath>
@@ -19,7 +19,6 @@
 #include "core/virtual_grid.h"
 #include "geom/grid.h"
 #include "sim/types.h"
-#include "support/thread_pool.h"
 
 namespace vire::core {
 namespace {
@@ -137,22 +136,6 @@ TEST(IncrementalInterpolation, EmptyDirtySetIsANoOp) {
   const VirtualGrid before(f.real_grid, f.refs, f.config);
   grid.reinterpolate_readers(f.refs, {});
   expect_grids_identical(grid, before, "empty dirty set");
-}
-
-TEST(IncrementalInterpolation, PooledPartialRebuildIsBitIdenticalToSerial) {
-  std::mt19937_64 rng(1234);
-  Fixture f = make_fixture(rng);
-  VirtualGrid serial(f.real_grid, f.refs, f.config);
-  VirtualGrid pooled(f.real_grid, f.refs, f.config);
-
-  support::ThreadPool pool(4);
-  for (int step = 0; step < 3; ++step) {
-    const std::vector<int> dirty = mutate_columns(rng, f.refs);
-    serial.reinterpolate_readers(f.refs, dirty, nullptr);
-    pooled.reinterpolate_readers(f.refs, dirty, &pool);
-    expect_grids_identical(pooled, serial, "pooled vs serial");
-    if (::testing::Test::HasFatalFailure()) return;
-  }
 }
 
 TEST(IncrementalInterpolation, RejectsOutOfRangeReader) {

@@ -1,9 +1,10 @@
-// Determinism suite for the parallel batch engine (the first concurrent
-// pipeline in the repo). The contract under test: `parallel_workers` is a
-// pure throughput knob — serial and parallel runs must produce BIT-identical
-// Fix vectors, for every seed, worker count, and update cadence. Doubles are
-// compared by bit pattern, not tolerance: any scheduling-dependent
-// reordering of floating-point work is a failure here.
+// Determinism suite for the engine. The contract under test: a session is a
+// pure function of its seed — two sessions fed the same simulated stream
+// produce BIT-identical Fix vectors, for every seed and update cadence, and
+// running one session after another in the same process (so the second
+// reuses the per-thread locate scratch the first one grew) changes nothing.
+// Doubles are compared by bit pattern, not tolerance. Shard-count
+// invariance is tests/service/shard_equivalence_test.cpp.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +16,6 @@
 #include "engine/localization_engine.h"
 #include "env/environment.h"
 #include "sim/simulator.h"
-#include "support/thread_pool.h"
 
 namespace vire::engine {
 namespace {
@@ -56,7 +56,7 @@ struct Session {
 /// returns the per-round Fix vectors. Four tags sit just outside the
 /// reference lattice, where the readers disagree most and elimination often
 /// falls back to the union of the reader maps.
-Session run_session(std::uint64_t seed, int workers, int rounds) {
+Session run_session(std::uint64_t seed, int rounds) {
   const env::Environment environment =
       env::make_paper_environment(env::PaperEnvironment::kEnv1SemiOpen);
   const env::Deployment deployment = env::Deployment::paper_testbed();
@@ -73,7 +73,6 @@ Session run_session(std::uint64_t seed, int workers, int rounds) {
   simulator.run_for(35.0);
 
   EngineConfig config;
-  config.parallel_workers = workers;
   config.min_refresh_interval_s = 10.0;  // refresh mid-session too
   LocalizationEngine engine(deployment, config);
   engine.set_reference_ids(reference_ids);
@@ -97,105 +96,48 @@ Session run_session(std::uint64_t seed, int workers, int rounds) {
   return session;
 }
 
-/// Compares the two sessions fix for fix and returns how many union-fallback
-/// locates the second one ran.
-std::size_t expect_sessions_identical(std::uint64_t seed, int workers_a, int workers_b,
-                                      int rounds) {
-  const Session a = run_session(seed, workers_a, rounds);
-  const Session b = run_session(seed, workers_b, rounds);
+/// Runs the session twice in this process and compares the two fix for fix;
+/// returns how many union-fallback locates the second one ran.
+std::size_t expect_repeat_identical(std::uint64_t seed, int rounds) {
+  const Session a = run_session(seed, rounds);
+  const Session b = run_session(seed, rounds);
   EXPECT_EQ(a.union_fallbacks, b.union_fallbacks);
   EXPECT_EQ(a.rounds.size(), b.rounds.size());
   for (std::size_t r = 0; r < a.rounds.size() && r < b.rounds.size(); ++r) {
     expect_bit_identical(a.rounds[r], b.rounds[r],
-                         "seed=" + std::to_string(seed) + " workers=" +
-                             std::to_string(workers_a) + "vs" +
-                             std::to_string(workers_b) + " round " +
+                         "seed=" + std::to_string(seed) + " round " +
                              std::to_string(r));
   }
   return b.union_fallbacks;
 }
 
-TEST(Determinism, SerialMatchesTwoWorkers) { expect_sessions_identical(7, 1, 2, 4); }
-
-TEST(Determinism, SerialMatchesFourWorkers) {
+TEST(Determinism, RepeatedSessionsCoverTheUnionFallback) {
   // The comparison must cover the union fallback, the locate path with the
-  // largest per-thread scratch footprint, or a scratch buffer shared across
-  // pool threads could go unnoticed here and under TSan.
-  EXPECT_GT(expect_sessions_identical(7, 1, 4, 4), 0u)
-      << "no union-fallback locate in the 4-worker session";
-}
-
-TEST(Determinism, SerialMatchesEightWorkers) { expect_sessions_identical(7, 1, 8, 4); }
-
-TEST(Determinism, SerialMatchesHardwareConcurrency) {
-  expect_sessions_identical(7, 1, 0, 3);
+  // largest scratch footprint, or stale scratch contents carried from one
+  // locate into the next could go unnoticed here.
+  EXPECT_GT(expect_repeat_identical(7, 4), 0u)
+      << "no union-fallback locate in the session";
 }
 
 TEST(Determinism, HoldsAcrossSeeds) {
   for (const std::uint64_t seed : {21ULL, 1234ULL, 0xC0FFEEULL}) {
-    expect_sessions_identical(seed, 1, 4, 3);
+    expect_repeat_identical(seed, 3);
   }
 }
 
-TEST(Determinism, RepeatedParallelRunsIdentical) {
-  const Session a = run_session(42, 4, 3);
-  const Session b = run_session(42, 4, 3);
-  ASSERT_EQ(a.rounds.size(), b.rounds.size());
-  for (std::size_t r = 0; r < a.rounds.size(); ++r) {
-    expect_bit_identical(a.rounds[r], b.rounds[r], "repeat round " + std::to_string(r));
-  }
-}
-
-TEST(Determinism, ParallelGridInterpolationBitIdentical) {
-  // The per-reader fan-out in VirtualGrid must reproduce the serial build
-  // exactly, value for value, including NaN patterns.
-  const env::Environment environment =
-      env::make_paper_environment(env::PaperEnvironment::kEnv1SemiOpen);
-  const env::Deployment deployment = env::Deployment::paper_testbed();
-  sim::SimulatorConfig sim_config;
-  sim_config.seed = 11;
-  sim::RfidSimulator simulator(environment, deployment, sim_config);
-  const auto reference_ids = simulator.add_reference_tags();
-  simulator.run_for(30.0);
-
-  std::vector<sim::RssiVector> refs;
-  for (const auto id : reference_ids) {
-    refs.push_back(simulator.middleware().rssi_vector(id));
-  }
-
-  core::VirtualGridConfig config;
-  config.subdivision = 10;
-  config.boundary_extension_cells = 5;
-  const core::VirtualGrid serial(deployment.reference_grid(), refs, config);
-  support::ThreadPool pool(4);
-  const core::VirtualGrid parallel(deployment.reference_grid(), refs, config, &pool);
-
-  ASSERT_EQ(serial.node_count(), parallel.node_count());
-  ASSERT_EQ(serial.reader_count(), parallel.reader_count());
-  for (int k = 0; k < serial.reader_count(); ++k) {
-    const auto& sv = serial.reader_values(k);
-    const auto& pv = parallel.reader_values(k);
-    ASSERT_EQ(sv.size(), pv.size());
-    for (std::size_t i = 0; i < sv.size(); ++i) {
-      ASSERT_EQ(bits(sv[i]), bits(pv[i]))
-          << "reader " << k << " node " << i;
+TEST(Determinism, RepeatedSerialSessionsIdentical) {
+  // Three sessions back to back on one thread: the later ones locate on
+  // scratch buffers the earlier ones grew and filled.
+  const Session first = run_session(42, 3);
+  for (int repeat = 1; repeat < 3; ++repeat) {
+    const Session again = run_session(42, 3);
+    ASSERT_EQ(first.rounds.size(), again.rounds.size());
+    for (std::size_t r = 0; r < first.rounds.size(); ++r) {
+      expect_bit_identical(first.rounds[r], again.rounds[r],
+                           "repeat " + std::to_string(repeat) + " round " +
+                               std::to_string(r));
     }
   }
-}
-
-TEST(Determinism, WorkerCountIsReportedAndValidated) {
-  const env::Deployment deployment = env::Deployment::paper_testbed();
-  EngineConfig serial_config;
-  serial_config.parallel_workers = 1;
-  EXPECT_EQ(LocalizationEngine(deployment, serial_config).worker_count(), 1u);
-
-  EngineConfig quad_config;
-  quad_config.parallel_workers = 4;
-  EXPECT_EQ(LocalizationEngine(deployment, quad_config).worker_count(), 4u);
-
-  EngineConfig bad_config;
-  bad_config.parallel_workers = -2;
-  EXPECT_THROW(LocalizationEngine(deployment, bad_config), std::invalid_argument);
 }
 
 }  // namespace

@@ -8,9 +8,6 @@
 //   VIRE_REGEN_GOLDEN=1 ./golden_regression_test
 // rewrites the files in the source tree (path baked in via VIRE_GOLDEN_DIR);
 // review the diff like any other code change.
-//
-// Parallel runs are compared against the SAME files as serial runs — the
-// golden suite is also an end-to-end determinism check.
 
 #include <gtest/gtest.h>
 
@@ -79,7 +76,7 @@ std::string format_double(double v) {
 /// Runs a scenario and renders one CSV line per (round, fix). When
 /// `partial_rebuilds` is non-null it receives the engine's
 /// vire_engine_grid_partial_rebuilds_total counter after the last round.
-std::vector<std::string> render_rows(const Scenario& scenario, int workers,
+std::vector<std::string> render_rows(const Scenario& scenario,
                                      std::uint64_t* partial_rebuilds = nullptr) {
   const env::Environment environment =
       env::make_paper_environment(env::PaperEnvironment::kEnv1SemiOpen);
@@ -104,7 +101,6 @@ std::vector<std::string> render_rows(const Scenario& scenario, int workers,
   simulator.run_for(35.0);
 
   EngineConfig config;
-  config.parallel_workers = workers;
   config.min_refresh_interval_s = scenario.min_refresh_interval_s;
   LocalizationEngine engine(deployment, config);
   engine.set_reference_ids(reference_ids);
@@ -164,9 +160,9 @@ std::vector<std::string> read_golden(const Scenario& scenario) {
 
 bool regen_requested() { return std::getenv("VIRE_REGEN_GOLDEN") != nullptr; }
 
-void check_scenario(const Scenario& scenario, int workers) {
+void check_scenario(const Scenario& scenario) {
   std::uint64_t partial_rebuilds = 0;
-  const auto rows = render_rows(scenario, workers, &partial_rebuilds);
+  const auto rows = render_rows(scenario, &partial_rebuilds);
   if (regen_requested()) {
     write_golden(scenario, rows);
     GTEST_SKIP() << "regenerated " << golden_path(scenario);
@@ -186,17 +182,12 @@ void check_scenario(const Scenario& scenario, int workers) {
   ASSERT_EQ(golden.size(), rows.size() + 1) << scenario.name;
   EXPECT_EQ(golden[0], kHeader);
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(golden[i + 1], rows[i])
-        << scenario.name << " row " << i << " (workers=" << workers << ")";
+    EXPECT_EQ(golden[i + 1], rows[i]) << scenario.name << " row " << i;
   }
 }
 
 TEST(Golden, SerialRunsMatchGoldenFiles) {
-  for (const auto& scenario : scenarios()) check_scenario(scenario, 1);
-}
-
-TEST(Golden, ParallelRunsMatchGoldenFiles) {
-  for (const auto& scenario : scenarios()) check_scenario(scenario, 4);
+  for (const auto& scenario : scenarios()) check_scenario(scenario);
 }
 
 }  // namespace

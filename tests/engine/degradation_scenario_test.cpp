@@ -7,8 +7,8 @@
 //     shows up in the Prometheus export);
 //   * median localization error while degraded stays within 2x the
 //     all-healthy baseline;
-//   * the whole faulted run is bit-identical at parallel_workers 1 and 4
-//     with the same fault seed;
+//   * the whole faulted run is bit-identical from run to run with the same
+//     fault seed;
 //   * the restart variant recovers: the reader rejoins and quality returns
 //     to OK.
 
@@ -54,8 +54,7 @@ struct ScenarioRun {
 
 /// Runs the full pipeline with `plan` injected; identical seeds everywhere so
 /// two invocations differ only in what the arguments say.
-ScenarioRun run_scenario(const fault::FaultPlan& plan, int workers,
-                         std::uint64_t fault_seed = 7,
+ScenarioRun run_scenario(const fault::FaultPlan& plan, std::uint64_t fault_seed = 7,
                          double stale_after_s = 60.0) {
   const env::Environment environment =
       env::make_paper_environment(env::PaperEnvironment::kEnv1SemiOpen);
@@ -73,7 +72,6 @@ ScenarioRun run_scenario(const fault::FaultPlan& plan, int workers,
   for (const auto& p : truths()) tags.push_back(simulator.add_tag(p));
 
   EngineConfig config;
-  config.parallel_workers = workers;
   config.min_refresh_interval_s = 10.0;
   config.degradation.health.quarantine_after = 2;
   config.degradation.health.recover_after = 2;
@@ -127,8 +125,8 @@ double median_error(const ScenarioRun& run, int first, int last) {
 TEST(DegradationScenario, ReaderLossDegradesWithoutGaps) {
   fault::FaultPlan plan;
   plan.kill_reader(2, kKillTime);
-  const ScenarioRun faulted = run_scenario(plan, 1);
-  const ScenarioRun baseline = run_scenario(fault::FaultPlan{}, 1);
+  const ScenarioRun faulted = run_scenario(plan);
+  const ScenarioRun baseline = run_scenario(fault::FaultPlan{});
 
   // No gaps: every round of every tag has a fresh position.
   bool seen_degraded = false;
@@ -186,18 +184,18 @@ TEST(DegradationScenario, ReaderLossDegradesWithoutGaps) {
             std::string::npos);
 }
 
-TEST(DegradationScenario, FaultedRunIsBitIdenticalAcrossWorkerCounts) {
+TEST(DegradationScenario, FaultedRunIsBitIdenticalUnderTheSameFaultSeed) {
   fault::FaultPlan plan;
   plan.kill_reader(2, kKillTime);
-  const ScenarioRun serial = run_scenario(plan, 1);
-  const ScenarioRun parallel = run_scenario(plan, 4);
+  const ScenarioRun first = run_scenario(plan);
+  const ScenarioRun second = run_scenario(plan);
 
-  ASSERT_EQ(serial.rounds.size(), parallel.rounds.size());
-  for (std::size_t r = 0; r < serial.rounds.size(); ++r) {
-    ASSERT_EQ(serial.rounds[r].size(), parallel.rounds[r].size());
-    for (std::size_t i = 0; i < serial.rounds[r].size(); ++i) {
-      const Fix& a = serial.rounds[r][i].fix;
-      const Fix& b = parallel.rounds[r][i].fix;
+  ASSERT_EQ(first.rounds.size(), second.rounds.size());
+  for (std::size_t r = 0; r < first.rounds.size(); ++r) {
+    ASSERT_EQ(first.rounds[r].size(), second.rounds[r].size());
+    for (std::size_t i = 0; i < first.rounds[r].size(); ++i) {
+      const Fix& a = first.rounds[r][i].fix;
+      const Fix& b = second.rounds[r][i].fix;
       EXPECT_EQ(a.valid, b.valid);
       EXPECT_EQ(a.quality, b.quality);
       EXPECT_EQ(a.used_fallback, b.used_fallback);
@@ -213,13 +211,13 @@ TEST(DegradationScenario, FaultedRunIsBitIdenticalAcrossWorkerCounts) {
       EXPECT_EQ(a.survivor_count, b.survivor_count);
     }
   }
-  EXPECT_EQ(serial.quarantines, parallel.quarantines);
+  EXPECT_EQ(first.quarantines, second.quarantines);
 }
 
 TEST(DegradationScenario, ReaderRestartRecoversToOk) {
   fault::FaultPlan plan;
   plan.kill_reader(2, kKillTime, 100.0);  // restart at t = 100
-  const ScenarioRun run = run_scenario(plan, 1);
+  const ScenarioRun run = run_scenario(plan);
 
   EXPECT_GE(run.quarantines, 1u);
   EXPECT_GE(run.recoveries, 1u);

@@ -297,35 +297,6 @@ TEST(Engine, FixQualityToStringCoversAllLevels) {
   EXPECT_EQ(to_string(FixQuality::kInvalid), "invalid");
 }
 
-TEST(Engine, ParallelWorkersProduceSameFixesAsSerial) {
-  Rig rig;
-  const sim::TagId a = rig.simulator.add_tag({0.8, 0.8});
-  const sim::TagId b = rig.simulator.add_tag({2.2, 2.2});
-  const sim::TagId c = rig.simulator.add_tag({1.4, 1.8});
-  rig.simulator.run_for(40.0);
-
-  auto run = [&](int workers) {
-    EngineConfig config;
-    config.parallel_workers = workers;
-    LocalizationEngine engine(rig.deployment, config);
-    engine.set_reference_ids(rig.reference_ids);
-    engine.track(a, "a");
-    engine.track(b, "b");
-    engine.track(c, "c");
-    return engine.update(rig.simulator.middleware(), rig.simulator.now());
-  };
-
-  const auto serial = run(1);
-  const auto parallel = run(4);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].valid, parallel[i].valid);
-    EXPECT_EQ(serial[i].position, parallel[i].position);
-    EXPECT_EQ(serial[i].smoothed_position, parallel[i].smoothed_position);
-    EXPECT_EQ(serial[i].survivor_count, parallel[i].survivor_count);
-  }
-}
-
 TEST(Engine, TrackerSmoothsAcrossUpdates) {
   Rig rig;
   const geom::Vec2 truth{1.5, 1.5};

@@ -1,7 +1,8 @@
 // Tracing + flight-recorder acceptance for the faulted pipeline (the
 // observability side of docs/robustness.md's degradation scenario):
-//   * fixes are bit-identical with tracing/recording on or off, at any
-//     worker count — instrumentation is a pure side channel;
+//   * fixes are bit-identical with tracing/recording on or off, and the
+//     flight records with tracing on or off — instrumentation is a pure
+//     side channel;
 //   * the trace timeline shows cause before effect: the injector's fault.*
 //     instants precede the engine.quality_transition to "degraded";
 //   * the flight record of the first degraded fix explains it — per-reader
@@ -57,7 +58,7 @@ struct ScenarioRun {
 /// The degradation scenario (reader 2 dies at t=60) with the observability
 /// side channel configured per `o`. Seeds are fixed, so any two runs may
 /// differ only in what the instrumentation says.
-ScenarioRun run_scenario(int workers, const Observability& o) {
+ScenarioRun run_scenario(const Observability& o) {
   const env::Environment environment =
       env::make_paper_environment(env::PaperEnvironment::kEnv1SemiOpen);
   const env::Deployment deployment = env::Deployment::paper_testbed();
@@ -76,7 +77,6 @@ ScenarioRun run_scenario(int workers, const Observability& o) {
   for (const auto& p : truths()) tags.push_back(simulator.add_tag(p));
 
   EngineConfig config;
-  config.parallel_workers = workers;
   config.min_refresh_interval_s = 10.0;
   config.degradation.health.quarantine_after = 2;
   config.degradation.health.recover_after = 2;
@@ -143,22 +143,22 @@ void expect_bit_identical(const ScenarioRun& a, const ScenarioRun& b) {
 }
 
 TEST(TracePipeline, InstrumentationOnOrOffIsBitIdentical) {
-  const ScenarioRun off = run_scenario(1, {});
-  const ScenarioRun on = run_scenario(1, {true, 256, {}});
+  const ScenarioRun off = run_scenario({});
+  const ScenarioRun on = run_scenario({true, 256, {}});
   expect_bit_identical(off, on);
   EXPECT_TRUE(off.trace.empty());
   EXPECT_FALSE(on.trace.empty());
 }
 
-TEST(TracePipeline, TracedParallelRunMatchesSerialBitForBit) {
-  const ScenarioRun serial = run_scenario(1, {true, 256, {}});
-  const ScenarioRun parallel = run_scenario(4, {true, 256, {}});
-  expect_bit_identical(serial, parallel);
-  // Identical provenance, too: the recorder runs in the serial merge phase.
-  ASSERT_EQ(serial.records.size(), parallel.records.size());
-  for (std::size_t i = 0; i < serial.records.size(); ++i) {
-    const obs::FixRecord& x = serial.records[i];
-    const obs::FixRecord& y = parallel.records[i];
+TEST(TracePipeline, FlightRecordsAreIdenticalWithTracingOnOrOff) {
+  const ScenarioRun untraced = run_scenario({false, 256, {}});
+  const ScenarioRun traced = run_scenario({true, 256, {}});
+  expect_bit_identical(untraced, traced);
+  // Identical provenance, too: tracing never feeds the flight recorder.
+  ASSERT_EQ(untraced.records.size(), traced.records.size());
+  for (std::size_t i = 0; i < untraced.records.size(); ++i) {
+    const obs::FixRecord& x = untraced.records[i];
+    const obs::FixRecord& y = traced.records[i];
     EXPECT_EQ(x.tag, y.tag);
     EXPECT_EQ(x.quality, y.quality);
     EXPECT_EQ(x.decision, y.decision);
@@ -170,7 +170,7 @@ TEST(TracePipeline, TracedParallelRunMatchesSerialBitForBit) {
 }
 
 TEST(TracePipeline, FaultInstantsPrecedeTheDegradedTransition) {
-  const ScenarioRun run = run_scenario(4, {true, 256, {}});
+  const ScenarioRun run = run_scenario({true, 256, {}});
 
   std::optional<double> first_fault_ts;
   std::optional<double> first_degraded_ts;
@@ -192,19 +192,18 @@ TEST(TracePipeline, FaultInstantsPrecedeTheDegradedTransition) {
       << "no engine.quality_transition to degraded in the trace";
   EXPECT_LT(*first_fault_ts, *first_degraded_ts);
 
-  // The pipeline stages and the pool fan-out are all on the same timeline.
+  // The pipeline stages are all on the same timeline.
   for (const char* span :
        {"engine.update", "engine.health", "engine.interpolation",
         "engine.locate", "engine.locate_tag", "engine.elimination",
-        "engine.weighting", "engine.merge", "middleware.evict_stale",
-        "pool.task"}) {
+        "engine.weighting", "engine.merge", "middleware.evict_stale"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), span), names.end())
         << "missing span: " << span;
   }
 }
 
 TEST(TracePipeline, FirstDegradedFixRecordExplainsTheFix) {
-  const ScenarioRun run = run_scenario(1, {true, 256, {}});
+  const ScenarioRun run = run_scenario({true, 256, {}});
   const auto it =
       std::find_if(run.records.begin(), run.records.end(),
                    [](const obs::FixRecord& r) { return r.quality == "degraded"; });
@@ -263,7 +262,7 @@ class TraceDumpTest : public ::testing::Test {
 };
 
 TEST_F(TraceDumpTest, QualityDropAutoDumpsTraceAndFlightOnce) {
-  const ScenarioRun run = run_scenario(1, {true, 256, dir_});
+  const ScenarioRun run = run_scenario({true, 256, dir_});
   // One quality-drop anomaly (the OK->DEGRADED transition); the reader stays
   // dead, so there is no second drop and the cap is not exhausted.
   EXPECT_EQ(run.auto_dumps, 1);

@@ -1,7 +1,7 @@
 // End-to-end instrumentation coverage (the PR's acceptance test): after one
 // LocalizationEngine::update() the Prometheus export must contain a counter
-// or histogram for every instrumented pipeline stage, at worker counts 1 and
-// 4, and the fixes themselves must stay bit-identical — metrics are a pure
+// or histogram for every instrumented pipeline stage, and the fixes
+// themselves must stay bit-identical from run to run — metrics are a pure
 // side channel over the determinism contract.
 
 #include <gtest/gtest.h>
@@ -44,10 +44,8 @@ struct RunResult {
   std::string prometheus;
 };
 
-RunResult run_instrumented(Rig& rig, int workers) {
-  engine::EngineConfig config;
-  config.parallel_workers = workers;
-  engine::LocalizationEngine engine(rig.deployment, config);
+RunResult run_instrumented(Rig& rig) {
+  engine::LocalizationEngine engine(rig.deployment, engine::EngineConfig{});
   // The middleware registers into the engine's registry so one export
   // covers the whole pipeline.
   rig.simulator.middleware().attach_metrics(engine.metrics());
@@ -62,8 +60,8 @@ RunResult run_instrumented(Rig& rig, int workers) {
 }
 
 /// Every metric the instrumented pipeline must expose after one update.
-std::vector<std::string> mandatory_series(bool parallel) {
-  std::vector<std::string> series = {
+std::vector<std::string> mandatory_series() {
+  return {
       "vire_engine_updates_total 1",
       "vire_engine_fixes_total{valid=\"true\"}",
       "vire_engine_fixes_total{valid=\"false\"}",
@@ -81,39 +79,31 @@ std::vector<std::string> mandatory_series(bool parallel) {
       "vire_middleware_samples_evicted_total",
       "vire_middleware_nan_links_served_total",
   };
-  if (parallel) {
-    series.push_back("vire_threadpool_tasks_total");
-    series.push_back("vire_threadpool_queue_depth_high_water");
-  }
-  return series;
 }
 
 TEST(PipelineMetrics, OneUpdateExportsEveryInstrumentedStage) {
-  for (const int workers : {1, 4}) {
-    SCOPED_TRACE("workers=" + std::to_string(workers));
-    Rig rig;
-    const RunResult result = run_instrumented(rig, workers);
-    ASSERT_EQ(result.fixes.size(), 3u);
-    for (const auto& fix : result.fixes) EXPECT_TRUE(fix.valid);
-    for (const std::string& needle : mandatory_series(workers > 1)) {
-      EXPECT_NE(result.prometheus.find(needle), std::string::npos)
-          << "missing series: " << needle << "\nexport was:\n"
-          << result.prometheus;
-    }
+  Rig rig;
+  const RunResult result = run_instrumented(rig);
+  ASSERT_EQ(result.fixes.size(), 3u);
+  for (const auto& fix : result.fixes) EXPECT_TRUE(fix.valid);
+  for (const std::string& needle : mandatory_series()) {
+    EXPECT_NE(result.prometheus.find(needle), std::string::npos)
+        << "missing series: " << needle << "\nexport was:\n"
+        << result.prometheus;
   }
 }
 
-TEST(PipelineMetrics, FixesAreBitIdenticalWithMetricsAcrossWorkerCounts) {
-  Rig serial_rig;
-  Rig parallel_rig;
-  const RunResult serial = run_instrumented(serial_rig, 1);
-  const RunResult parallel = run_instrumented(parallel_rig, 4);
-  ASSERT_EQ(serial.fixes.size(), parallel.fixes.size());
-  for (std::size_t i = 0; i < serial.fixes.size(); ++i) {
-    EXPECT_EQ(serial.fixes[i].valid, parallel.fixes[i].valid);
-    EXPECT_EQ(serial.fixes[i].position, parallel.fixes[i].position);
-    EXPECT_EQ(serial.fixes[i].smoothed_position, parallel.fixes[i].smoothed_position);
-    EXPECT_EQ(serial.fixes[i].survivor_count, parallel.fixes[i].survivor_count);
+TEST(PipelineMetrics, FixesAndDeterministicSeriesRepeatAcrossRuns) {
+  Rig first_rig;
+  Rig second_rig;
+  const RunResult first = run_instrumented(first_rig);
+  const RunResult second = run_instrumented(second_rig);
+  ASSERT_EQ(first.fixes.size(), second.fixes.size());
+  for (std::size_t i = 0; i < first.fixes.size(); ++i) {
+    EXPECT_EQ(first.fixes[i].valid, second.fixes[i].valid);
+    EXPECT_EQ(first.fixes[i].position, second.fixes[i].position);
+    EXPECT_EQ(first.fixes[i].smoothed_position, second.fixes[i].smoothed_position);
+    EXPECT_EQ(first.fixes[i].survivor_count, second.fixes[i].survivor_count);
   }
   // The deterministic per-item observations (fix counts, survivor and
   // refinement distributions) must also agree; only wall-clock timers may
@@ -136,8 +126,8 @@ TEST(PipelineMetrics, FixesAreBitIdenticalWithMetricsAcrossWorkerCounts) {
     }
     return lines;
   };
-  EXPECT_EQ(deterministic_series(serial.prometheus),
-            deterministic_series(parallel.prometheus));
+  EXPECT_EQ(deterministic_series(first.prometheus),
+            deterministic_series(second.prometheus));
 }
 
 TEST(PipelineMetrics, SkipCountersTrackRebuildDecisions) {

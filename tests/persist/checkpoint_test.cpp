@@ -197,11 +197,6 @@ TEST(CheckpointFingerprintTest, SideChannelsAreExcluded) {
   engine::EngineConfig base;
   const std::uint64_t fp = engine_config_fingerprint(base);
 
-  engine::EngineConfig workers = base;
-  workers.parallel_workers = 8;
-  EXPECT_EQ(engine_config_fingerprint(workers), fp)
-      << "parallel_workers is a pure throughput knob";
-
   engine::EngineConfig obs = base;
   obs.observability.trace_capacity = 123456;
   EXPECT_EQ(engine_config_fingerprint(obs), fp)

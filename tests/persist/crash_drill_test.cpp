@@ -1,11 +1,11 @@
 // The crash drill as a test: fork the persistent pipeline, SIGKILL it
-// mid-scenario, recover at a different worker count and demand bit-identity
-// with the uninterrupted run. The fuller drill (torn tail + corrupt
-// checkpoint variants, both worker directions) is examples/crash_drill.cpp;
-// this keeps one end-to-end kill in the default ctest sweep.
+// mid-scenario, recover into a fresh engine and demand bit-identity with
+// the uninterrupted run. The fuller drill (torn tail + corrupt checkpoint
+// variants) is examples/crash_drill.cpp; this keeps one end-to-end kill in
+// the default ctest sweep.
 //
 // fork() safety: the child is forked before the parent constructs ANY
-// engine, so no thread pool (or any other thread) exists at fork time.
+// engine, so no other thread exists at fork time.
 
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -56,7 +56,7 @@ struct Pipeline {
   std::unique_ptr<engine::LocalizationEngine> engine;
 };
 
-Pipeline make_pipeline(int workers, sim::ReadingInterceptor* interceptor) {
+Pipeline make_pipeline(sim::ReadingInterceptor* interceptor) {
   const env::Environment environment =
       env::make_paper_environment(env::PaperEnvironment::kEnv1SemiOpen);
   const env::Deployment deployment = env::Deployment::paper_testbed();
@@ -73,7 +73,6 @@ Pipeline make_pipeline(int workers, sim::ReadingInterceptor* interceptor) {
   const sim::TagId forklift = p.simulator->add_tag({2.3, 1.1});
 
   engine::EngineConfig config;
-  config.parallel_workers = workers;
   config.min_refresh_interval_s = 10.0;
   p.engine = std::make_unique<engine::LocalizationEngine>(deployment, config);
   p.simulator->middleware().attach_metrics(p.engine->metrics());
@@ -84,7 +83,7 @@ Pipeline make_pipeline(int workers, sim::ReadingInterceptor* interceptor) {
 }
 
 [[noreturn]] void run_child(const fs::path& dir) {
-  Pipeline p = make_pipeline(/*workers=*/1, nullptr);
+  Pipeline p = make_pipeline(nullptr);
 
   WalConfig wal_config;
   wal_config.dir = dir / "wal";
@@ -133,7 +132,7 @@ TEST(CrashDrillTest, SigkilledRunRecoversBitIdentically) {
   fs::remove_all(dir);
   fs::create_directories(dir);
 
-  // Fork FIRST: no engine (= no thread pool) exists in this process yet.
+  // Fork FIRST: no engine exists in this process yet.
   const pid_t pid = fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) run_child(dir);  // never returns
@@ -167,7 +166,7 @@ TEST(CrashDrillTest, SigkilledRunRecoversBitIdentically) {
   // Golden: the same scenario, uninterrupted, in this process.
   std::vector<std::vector<engine::Fix>> golden;
   {
-    Pipeline p = make_pipeline(/*workers=*/1, nullptr);
+    Pipeline p = make_pipeline(nullptr);
     p.simulator->run_for(kWarmupS);
     for (int poll = 0; poll < kPolls; ++poll) {
       p.simulator->run_for(kPollS);
@@ -177,11 +176,11 @@ TEST(CrashDrillTest, SigkilledRunRecoversBitIdentically) {
     }
   }
 
-  // Recover at a DIFFERENT worker count and verify the replay + the
-  // continuation against golden, fix by fix, bit by bit.
+  // Recover into a fresh engine and verify the replay + the continuation
+  // against golden, fix by fix, bit by bit.
   CatchUpGate gate;
   gate.set_open(false);
-  Pipeline p = make_pipeline(/*workers=*/4, &gate);
+  Pipeline p = make_pipeline(&gate);
   RecoveryManager manager({dir / "wal", dir / "ckpt"});
   const RecoveryReport report =
       manager.recover(*p.engine, p.simulator->middleware());

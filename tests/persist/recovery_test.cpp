@@ -1,9 +1,9 @@
 // RecoveryManager: in-process bit-identity. A persistent run is abandoned
 // mid-scenario (writer simply dropped, as a crash would), recovered into a
-// FRESH engine at a different parallel_workers setting, caught up with the
-// deterministic simulator, and every replayed + continued fix is compared
-// against the uninterrupted golden run by bit pattern. The fork+SIGKILL
-// variant lives in crash_drill_test.cpp / examples/crash_drill.cpp.
+// FRESH engine, caught up with the deterministic simulator, and every
+// replayed + continued fix is compared against the uninterrupted golden run
+// by bit pattern. The fork+SIGKILL variant lives in crash_drill_test.cpp /
+// examples/crash_drill.cpp.
 
 #include "persist/recovery.h"
 
@@ -43,7 +43,7 @@ struct Pipeline {
   std::unique_ptr<engine::LocalizationEngine> engine;
 };
 
-Pipeline make_pipeline(int workers, sim::ReadingInterceptor* interceptor) {
+Pipeline make_pipeline(sim::ReadingInterceptor* interceptor) {
   const env::Environment environment =
       env::make_paper_environment(env::PaperEnvironment::kEnv1SemiOpen);
   const env::Deployment deployment = env::Deployment::paper_testbed();
@@ -60,7 +60,6 @@ Pipeline make_pipeline(int workers, sim::ReadingInterceptor* interceptor) {
   const sim::TagId forklift = p.simulator->add_tag({2.3, 1.1});
 
   engine::EngineConfig config;
-  config.parallel_workers = workers;
   config.min_refresh_interval_s = 10.0;
   p.engine = std::make_unique<engine::LocalizationEngine>(deployment, config);
   p.simulator->middleware().attach_metrics(p.engine->metrics());
@@ -93,8 +92,8 @@ void expect_bit_identical(const std::vector<engine::Fix>& actual,
   }
 }
 
-std::vector<std::vector<engine::Fix>> run_golden(int workers) {
-  Pipeline p = make_pipeline(workers, nullptr);
+std::vector<std::vector<engine::Fix>> run_golden() {
+  Pipeline p = make_pipeline(nullptr);
   p.simulator->run_for(kWarmupS);
   std::vector<std::vector<engine::Fix>> polls;
   for (int poll = 0; poll < kPolls; ++poll) {
@@ -109,8 +108,8 @@ std::vector<std::vector<engine::Fix>> run_golden(int workers) {
 /// Runs the first kCrashAfterPolls polls with WAL + one checkpoint, then
 /// abandons the pipeline exactly as a crash would (no clean shutdown beyond
 /// what write()/rename() already flushed).
-void run_and_abandon(const fs::path& dir, int workers) {
-  Pipeline p = make_pipeline(workers, nullptr);
+void run_and_abandon(const fs::path& dir) {
+  Pipeline p = make_pipeline(nullptr);
 
   WalConfig wal_config;
   wal_config.dir = dir / "wal";
@@ -145,13 +144,13 @@ void run_and_abandon(const fs::path& dir, int workers) {
   p.simulator->middleware().attach_journal(nullptr);  // "crash"
 }
 
-/// Recovers from `dir` at `workers`, checks the replayed fixes against
-/// golden, then catches up and continues the remaining polls.
-void recover_and_check(const fs::path& dir, int workers,
+/// Recovers from `dir`, checks the replayed fixes against golden, then
+/// catches up and continues the remaining polls.
+void recover_and_check(const fs::path& dir,
                        const std::vector<std::vector<engine::Fix>>& golden) {
   CatchUpGate gate;
   gate.set_open(false);
-  Pipeline p = make_pipeline(workers, &gate);
+  Pipeline p = make_pipeline(&gate);
 
   RecoveryManager manager({dir / "wal", dir / "ckpt"});
   const RecoveryReport report =
@@ -206,18 +205,14 @@ class RecoveryTest : public ::testing::Test {
   fs::path dir_;
 };
 
-TEST_F(RecoveryTest, BitIdenticalAcrossWorkerCounts) {
-  const auto golden = run_golden(1);
-  // Crash at workers=1, recover at workers=4 — and the reverse. The
-  // checkpoint fingerprint ignores parallel_workers by design.
-  run_and_abandon(dir_ / "a", 1);
-  recover_and_check(dir_ / "a", 4, golden);
-  run_and_abandon(dir_ / "b", 4);
-  recover_and_check(dir_ / "b", 1, golden);
+TEST_F(RecoveryTest, RecoveredRunIsBitIdenticalToUninterrupted) {
+  const auto golden = run_golden();
+  run_and_abandon(dir_);
+  recover_and_check(dir_, golden);
 }
 
 TEST_F(RecoveryTest, ColdStartIsUntouched) {
-  Pipeline p = make_pipeline(1, nullptr);
+  Pipeline p = make_pipeline(nullptr);
   RecoveryManager manager({dir_ / "wal", dir_ / "ckpt"});
   const RecoveryReport report =
       manager.recover(*p.engine, p.simulator->middleware());
@@ -226,7 +221,7 @@ TEST_F(RecoveryTest, ColdStartIsUntouched) {
   EXPECT_EQ(report.next_wal_sequence, 1u);
 
   // The untouched engine then runs the scenario exactly as golden does.
-  const auto golden = run_golden(1);
+  const auto golden = run_golden();
   p.simulator->run_for(kWarmupS);
   for (int poll = 0; poll < 2; ++poll) {
     p.simulator->run_for(kPollS);
@@ -238,10 +233,10 @@ TEST_F(RecoveryTest, ColdStartIsUntouched) {
 }
 
 TEST_F(RecoveryTest, RecoveryMetricsAreRegistered) {
-  run_and_abandon(dir_, 1);
+  run_and_abandon(dir_);
   CatchUpGate gate;
   gate.set_open(false);
-  Pipeline p = make_pipeline(1, &gate);
+  Pipeline p = make_pipeline(&gate);
   RecoveryManager manager({dir_ / "wal", dir_ / "ckpt"});
   const RecoveryReport report =
       manager.recover(*p.engine, p.simulator->middleware());

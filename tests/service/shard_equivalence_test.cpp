@@ -1,6 +1,6 @@
 // The service's core acceptance bar: merged poll() output is fix-for-fix
 // BIT-IDENTICAL to a single-engine run over the same reading stream and
-// poll schedule, at any shard count x any parallel_workers — including
+// poll schedule, at any shard count — including
 // after a shard crash+recovery, live add/remove-shard rebalances and a
 // supervisor that disappears mid-stream and is replaced. The multi-shard
 // cases run a Supervisor over an InProcessShardRunner (every shard a
@@ -62,9 +62,8 @@ struct Capture {
   std::vector<std::pair<sim::TagId, std::string>> tracked;
 };
 
-engine::EngineConfig engine_config(int workers) {
+engine::EngineConfig engine_config() {
   engine::EngineConfig config;
-  config.parallel_workers = workers;
   config.min_refresh_interval_s = 10.0;
   return config;
 }
@@ -88,7 +87,7 @@ Capture capture_scenario() {
   const sim::TagId cart = simulator.add_tag({0.9, 2.6});
   capture.tracked = {{pallet, "pallet"}, {forklift, "forklift"}, {cart, "cart"}};
 
-  engine::LocalizationEngine engine(deployment, engine_config(1));
+  engine::LocalizationEngine engine(deployment, engine_config());
   simulator.middleware().attach_metrics(engine.metrics());
   engine.set_reference_ids(capture.reference_ids);
   for (const auto& [tag, name] : capture.tracked) engine.track(tag, name);
@@ -112,11 +111,11 @@ const Capture& shared_capture() {
 }
 
 /// A one-engine host over `data_dir`, registered with the capture's tags.
-std::unique_ptr<ShardedService> make_host(const Capture& capture, int workers,
+std::unique_ptr<ShardedService> make_host(const Capture& capture,
                                           const fs::path& data_dir,
                                           bool recover = false) {
   ServiceConfig config;
-  config.engine = engine_config(workers);
+  config.engine = engine_config();
   config.middleware.window_s = 10.0;
   config.data_dir = data_dir;
   config.checkpoint_every_updates = 2;
@@ -135,11 +134,10 @@ fs::path fresh_root(const std::string& name) {
   return root;
 }
 
-SupervisorConfig fleet_config(const fs::path& root, int shards, int workers) {
+SupervisorConfig fleet_config(const fs::path& root, int shards) {
   SupervisorConfig config;
   config.shards = shards;
   config.root_dir = root;
-  config.engine_workers = workers;
   config.middleware_window_s = 10.0;
   config.checkpoint_every_updates = 2;
   config.seed = 7;
@@ -186,21 +184,18 @@ void expect_poll_identical(const std::vector<engine::Fix>& actual,
 TEST(ShardEquivalenceTest, MatrixMatchesSingleEngineBitIdentically) {
   const Capture& capture = shared_capture();
   for (const int shards : {1, 2, 4}) {
-    for (const int workers : {1, 4}) {
-      SCOPED_TRACE("shards=" + std::to_string(shards) +
-                   " workers=" + std::to_string(workers));
-      const fs::path root = fresh_root("vire_equivalence_matrix");
-      InProcessShardRunner runner;
-      auto fleet = make_fleet(capture, fleet_config(root, shards, workers), runner);
-      fleet->ingest(capture.segments[0]);
-      for (int poll = 0; poll < kPolls; ++poll) {
-        fleet->ingest(capture.segments[static_cast<std::size_t>(poll) + 1]);
-        const auto fixes = fleet->poll(capture.poll_times[poll]);
-        expect_poll_identical(fixes, capture.golden[poll], poll);
-      }
-      fleet->stop();
-      fs::remove_all(root);
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const fs::path root = fresh_root("vire_equivalence_matrix");
+    InProcessShardRunner runner;
+    auto fleet = make_fleet(capture, fleet_config(root, shards), runner);
+    fleet->ingest(capture.segments[0]);
+    for (int poll = 0; poll < kPolls; ++poll) {
+      fleet->ingest(capture.segments[static_cast<std::size_t>(poll) + 1]);
+      const auto fixes = fleet->poll(capture.poll_times[poll]);
+      expect_poll_identical(fixes, capture.golden[poll], poll);
     }
+    fleet->stop();
+    fs::remove_all(root);
   }
 }
 
@@ -208,7 +203,7 @@ TEST(ShardEquivalenceTest, LatestFixAndExplainServeMergedResults) {
   const Capture& capture = shared_capture();
   const fs::path root = fresh_root("vire_equivalence_latest");
   InProcessShardRunner runner;
-  auto fleet = make_fleet(capture, fleet_config(root, 3, 1), runner);
+  auto fleet = make_fleet(capture, fleet_config(root, 3), runner);
   fleet->ingest(capture.segments[0]);
   for (int poll = 0; poll < kPolls; ++poll) {
     fleet->ingest(capture.segments[static_cast<std::size_t>(poll) + 1]);
@@ -235,7 +230,7 @@ TEST(ShardEquivalenceTest, KilledShardRecoversBitIdentically) {
   const Capture& capture = shared_capture();
   const fs::path root = fresh_root("vire_equivalence_crash");
   InProcessShardRunner runner;
-  auto fleet = make_fleet(capture, fleet_config(root, 3, 1), runner);
+  auto fleet = make_fleet(capture, fleet_config(root, 3), runner);
 
   constexpr int kCrashAfterPoll = 5;
   const std::uint32_t victim =
@@ -267,7 +262,7 @@ TEST(ShardEquivalenceTest, KilledShardRecoversBitIdentically) {
 TEST(ShardEquivalenceTest, NextSupervisorAdoptsRunningShards) {
   const Capture& capture = shared_capture();
   const fs::path root = fresh_root("vire_equivalence_adopt");
-  const SupervisorConfig config = fleet_config(root, 2, 1);
+  const SupervisorConfig config = fleet_config(root, 2);
   InProcessShardRunner runner;
 
   constexpr int kHandoverPoll = 5;
@@ -313,7 +308,7 @@ TEST(ShardEquivalenceTest, HostRecoveryReplaysAndContinues) {
   constexpr int kCrashAfterPoll = 4;
 
   {
-    auto host = make_host(capture, 1, dir);
+    auto host = make_host(capture, dir);
     host->ingest(capture.segments[0]);
     for (int poll = 0; poll <= kCrashAfterPoll; ++poll) {
       host->ingest(capture.segments[static_cast<std::size_t>(poll) + 1]);
@@ -322,12 +317,12 @@ TEST(ShardEquivalenceTest, HostRecoveryReplaysAndContinues) {
     // Dropped without further ceremony — the WAL already holds everything.
   }
 
-  // Recover at a DIFFERENT worker count, re-feed the WHOLE stream from t=0
-  // and re-issue every poll. Polls executed before the last checkpoint are
+  // Recover into a fresh host, re-feed the WHOLE stream from t=0 and
+  // re-issue every poll. Polls executed before the last checkpoint are
   // gone (fixes are not journaled) and come back incomplete; the replayed
   // polls are served bit-identically from recovered fixes; later polls run
   // live. The resume gate drops every re-fed duplicate reading.
-  auto host = make_host(capture, 4, dir, /*recover=*/true);
+  auto host = make_host(capture, dir, /*recover=*/true);
   const auto report = host->recover();
   EXPECT_EQ(bits(report.recovered_time), bits(capture.poll_times[kCrashAfterPoll]));
   EXPECT_GE(report.updates_replayed, 1u);
@@ -351,7 +346,7 @@ TEST(ShardEquivalenceTest, LiveRebalanceKeepsBitIdentity) {
   const Capture& capture = shared_capture();
   const fs::path root = fresh_root("vire_equivalence_rebalance");
   InProcessShardRunner runner;
-  auto fleet = make_fleet(capture, fleet_config(root, 2, 1), runner);
+  auto fleet = make_fleet(capture, fleet_config(root, 2), runner);
 
   std::uint32_t added = 0;
   fleet->ingest(capture.segments[0]);
@@ -378,7 +373,7 @@ TEST(ShardEquivalenceTest, RebalanceMovesTagStateExactly) {
   const Capture& capture = shared_capture();
   const fs::path root = fresh_root("vire_equivalence_mover");
   InProcessShardRunner runner;
-  auto fleet = make_fleet(capture, fleet_config(root, 3, 1), runner);
+  auto fleet = make_fleet(capture, fleet_config(root, 3), runner);
   fleet->ingest(capture.segments[0]);
   for (int poll = 0; poll < 5; ++poll) {
     fleet->ingest(capture.segments[static_cast<std::size_t>(poll) + 1]);
@@ -398,9 +393,8 @@ TEST(ShardEquivalenceTest, RebalanceMovesTagStateExactly) {
 }
 
 // Whole-process crash of the one-engine host: fork a child that drives it
-// persistently and SIGKILL it mid-run, then recover in the parent at a
-// different worker count and demand bit-identity for every poll — replayed
-// and live alike. The child reports over a pipe once it is past poll 5 and
+// persistently and SIGKILL it mid-run, then recover in the parent and
+// demand bit-identity for every poll — replayed and live alike. The child reports over a pipe once it is past poll 5 and
 // has the next segment queued, then waits to be killed, so the kill lands at
 // the same point of the run however the scheduler treats the two processes.
 TEST(ShardEquivalenceTest, SigkilledHostRecoversBitIdentically) {
@@ -416,7 +410,7 @@ TEST(ShardEquivalenceTest, SigkilledHostRecoversBitIdentically) {
   ASSERT_GE(pid, 0);
   if (pid == 0) {
     close(ready[0]);
-    auto host = make_host(capture, 1, dir);
+    auto host = make_host(capture, dir);
     host->ingest(capture.segments[0]);
     for (int poll = 0; poll <= kKillAfterPoll; ++poll) {
       host->ingest(capture.segments[static_cast<std::size_t>(poll) + 1]);
@@ -441,7 +435,7 @@ TEST(ShardEquivalenceTest, SigkilledHostRecoversBitIdentically) {
   ASSERT_EQ(waitpid(pid, &status, 0), pid);
   ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
 
-  auto host = make_host(capture, 4, dir, /*recover=*/true);
+  auto host = make_host(capture, dir, /*recover=*/true);
   const auto report = host->recover();
   const sim::SimTime resume = report.recovered_time;
   EXPECT_EQ(bits(resume), bits(capture.poll_times[kKillAfterPoll]))

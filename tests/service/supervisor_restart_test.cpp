@@ -317,6 +317,40 @@ TEST(SupervisorRestartTest, WaitpidDetectsSilentDeathOnTick) {
   fs::remove_all(root);
 }
 
+// The engine is serial, so a shard accepts --workers only as "1" (what
+// existing launchers pass); any other count is a usage error, status 2,
+// before the shard binds a socket.
+TEST(SupervisorRestartTest, ShardddRejectsWorkerCountsOtherThanOne) {
+  const fs::path root = fs::temp_directory_path() / "vire_shardd_workers";
+  fs::remove_all(root);
+  fs::create_directories(root);
+  const fs::path socket = root / "shard.sock";
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::execl(VIRE_SHARDD_PATH, VIRE_SHARDD_PATH, "--socket", socket.c_str(),
+            "--data-dir", root.c_str(), "--workers", "4", (char*)nullptr);
+    ::_exit(127);
+  }
+  // A shard that accepted the flag would serve until signalled: bound the
+  // wait so that regression fails instead of hanging the suite.
+  int status = 0;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (::waitpid(pid, &status, WNOHANG) == 0) {
+    if (std::chrono::steady_clock::now() >= deadline) {
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, &status, 0);
+      fs::remove_all(root);
+      FAIL() << "vire_shardd --workers 4 did not exit";
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 2);
+  EXPECT_FALSE(fs::exists(socket));
+  fs::remove_all(root);
+}
+
 // --------------------------------------------------------------------------
 // Durable control plane (ISSUE 10): journal recovery, orphan adoption,
 // mixed shard fates and the op-log overflow rebuild.

@@ -7,8 +7,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "obs/metrics.h"
-
 namespace vire::support {
 namespace {
 
@@ -151,33 +149,6 @@ TEST(ParallelFor, UsesGlobalPoolByDefault) {
   std::atomic<int> counter{0};
   parallel_for(0, 50, [&](std::size_t) { counter.fetch_add(1); });
   EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(ThreadPool, AttachMetricsCountsEveryTask) {
-  obs::MetricsRegistry registry;
-  ThreadPool pool(4);
-  pool.attach_metrics(registry);
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 300; ++i) {
-    futures.push_back(pool.submit([] {}));
-  }
-  for (auto& f : futures) f.get();
-  pool.stop();
-  EXPECT_EQ(registry.counter("vire_threadpool_tasks_total").value(), 300u);
-  const double high_water =
-      registry.gauge("vire_threadpool_queue_depth_high_water").value();
-  EXPECT_GE(high_water, 1.0);
-  EXPECT_LE(high_water, 300.0);
-}
-
-TEST(ThreadPool, AttachMetricsHonorsCustomPrefix) {
-  obs::MetricsRegistry registry;
-  ThreadPool pool(2);
-  pool.attach_metrics(registry, "custom_pool");
-  pool.submit([] {}).get();
-  pool.stop();
-  EXPECT_EQ(registry.counter("custom_pool_tasks_total").value(), 1u);
-  EXPECT_GE(registry.gauge("custom_pool_queue_depth_high_water").value(), 1.0);
 }
 
 TEST(ThreadPool, ManySmallTasksDrainCompletely) {
