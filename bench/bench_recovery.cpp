@@ -1,23 +1,31 @@
 // Persistence overhead and recovery speed: how expensive is crash safety?
-// Three headline numbers (docs/robustness.md, "Crash recovery"):
+// Four headline numbers (docs/robustness.md, "Crash recovery"):
 //
 //   * checkpoint write  — serialize + atomic-rename of a live engine's full
 //     state, the per-cadence cost of checkpointing;
 //   * WAL append        — journaled readings/s, the steady-state tax on the
-//     ingest path (measured with fsync off and with the every-64 default);
+//     ingest path (measured with fsync off and with the every-64 default,
+//     each one frame per write(2) and in 64-reading group writes, the
+//     shard's batch);
 //   * WAL replay        — readings/s through the real recovery path
 //     (checkpoint load + Middleware::ingest/evict + engine updates), which
-//     bounds restart time: downtime ~ WAL-suffix length / replay rate.
+//     bounds restart time: downtime ~ WAL-suffix length / replay rate;
+//   * bounded recovery  — recovery time of a run that checkpoints every 2
+//     polls and prunes the WAL to its retention floor after each checkpoint,
+//     as a shard does, after 10 and after 40 checkpoint intervals. Pruning
+//     keeps the two flat; without it recovery reads the whole log.
 //
 // Env knobs: VIRE_RECOVERY_POLLS       scenario polls journaled (default 12)
 //            VIRE_RECOVERY_READINGS    synthetic WAL appends (default 100000)
 //            VIRE_RECOVERY_CHECKPOINTS checkpoint writes timed (default 10)
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <vector>
 
 #include "engine/localization_engine.h"
 #include "env/environment.h"
@@ -45,6 +53,9 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+/// The middleware window of every pipeline here.
+constexpr double kWindowS = 10.0;
+
 struct Pipeline {
   std::unique_ptr<sim::RfidSimulator> simulator;
   std::unique_ptr<engine::LocalizationEngine> engine;
@@ -56,7 +67,7 @@ Pipeline make_pipeline() {
   const env::Deployment deployment = env::Deployment::paper_testbed();
   sim::SimulatorConfig sim_config;
   sim_config.seed = 11;
-  sim_config.middleware.window_s = 10.0;
+  sim_config.middleware.window_s = kWindowS;
 
   Pipeline p;
   p.simulator = std::make_unique<sim::RfidSimulator>(environment, deployment,
@@ -75,22 +86,109 @@ Pipeline make_pipeline() {
   return p;
 }
 
+/// Readings the shard's worker journals per group write (kIngestBatch).
+constexpr int kGroupReadings = 64;
+
+/// Journaled readings/s; `grouped` appends them in kGroupReadings-reading
+/// group writes, otherwise each frame is its own write(2).
 double wal_append_rate(const fs::path& dir, int readings,
-                       persist::FsyncPolicy policy) {
+                       persist::FsyncPolicy policy, bool grouped) {
   fs::remove_all(dir);
   persist::WalConfig config;
   config.dir = dir;
   config.fsync = policy;
   persist::WalWriter wal(config);
-  const auto start = std::chrono::steady_clock::now();
-  for (int i = 0; i < readings; ++i) {
+  const auto append = [&wal](int i) {
     wal.on_accepted({0.01 * i, static_cast<sim::TagId>(100 + (i & 15)),
                      static_cast<sim::ReaderId>(i & 3), -55.0 - (i & 7)});
+  };
+  const auto start = std::chrono::steady_clock::now();
+  if (grouped) {
+    for (int first = 0; first < readings; first += kGroupReadings) {
+      auto group = wal.batch();
+      for (int i = first; i < std::min(readings, first + kGroupReadings); ++i) {
+        append(i);
+      }
+      group.commit();
+    }
+  } else {
+    for (int i = 0; i < readings; ++i) append(i);
   }
   wal.sync();
   const double elapsed = seconds_since(start);
   fs::remove_all(dir);
   return static_cast<double>(readings) / elapsed;
+}
+
+/// Polls per checkpoint interval in the bounded-recovery runs.
+constexpr int kPollsPerCheckpoint = 2;
+/// Frames per WAL segment in the bounded-recovery runs: small, so that even
+/// the 10-interval log spans many segments, as a long-lived shard's does.
+constexpr std::uint64_t kBoundedSegmentFrames = 256;
+/// Timed recoveries per WAL length (the median is reported).
+constexpr int kRecoveryReps = 5;
+
+struct BoundedRecovery {
+  double recover_ms = 0.0;  ///< median over kRecoveryReps
+  std::uint64_t frames_replayed = 0;
+  std::size_t segments = 0;  ///< WAL segments left on disk
+};
+
+/// Journals `intervals` checkpoint intervals with a checkpoint every
+/// kPollsPerCheckpoint polls and the WAL pruned to its retention floor after
+/// each, abandons the run one poll past its last checkpoint, and times the
+/// recovery of what is left.
+BoundedRecovery bounded_recovery(const fs::path& dir, int intervals) {
+  fs::remove_all(dir);
+  Pipeline live = make_pipeline();
+  persist::WalConfig wal_config;
+  wal_config.dir = dir / "wal";
+  wal_config.segment_max_frames = kBoundedSegmentFrames;
+  wal_config.fsync = persist::FsyncPolicy::kOff;
+  persist::WalWriter wal(wal_config);
+  live.simulator->middleware().attach_journal(&wal);
+  persist::CheckpointStoreConfig store_config;
+  store_config.dir = dir / "ckpt";
+  persist::CheckpointStore store(store_config);
+
+  live.simulator->run_for(40.0);
+  for (int poll = 0; poll <= intervals * kPollsPerCheckpoint; ++poll) {
+    live.simulator->run_for(5.0);
+    const sim::SimTime now = live.simulator->now();
+    live.simulator->middleware().evict_stale(now);
+    wal.append_update_marker(now);
+    live.engine->update(live.simulator->middleware(), now);
+    if ((poll + 1) % kPollsPerCheckpoint != 0) continue;
+    persist::Checkpoint checkpoint;
+    checkpoint.config_fingerprint =
+        persist::engine_config_fingerprint(live.engine->config());
+    checkpoint.wal_sequence = wal.next_sequence();
+    checkpoint.sim_time = now;
+    checkpoint.engine = live.engine->snapshot();
+    checkpoint.middleware = live.simulator->middleware().snapshot();
+    checkpoint.counters = persist::sample_counters(live.engine->metrics());
+    store.write(checkpoint);
+    wal.prune(wal.retention_floor(store, now - kWindowS));
+  }
+  live.simulator->middleware().attach_journal(nullptr);
+
+  BoundedRecovery result;
+  std::vector<double> times;
+  for (int rep = 0; rep < kRecoveryReps; ++rep) {
+    Pipeline fresh = make_pipeline();
+    persist::RecoveryManager manager({dir / "wal", dir / "ckpt"});
+    const persist::RecoveryReport report =
+        manager.recover(*fresh.engine, fresh.simulator->middleware());
+    times.push_back(report.recovery_seconds * 1000.0);
+    result.frames_replayed = report.frames_replayed;
+  }
+  std::sort(times.begin(), times.end());
+  result.recover_ms = times[times.size() / 2];
+  for (const auto& entry : fs::directory_iterator(dir / "wal")) {
+    if (entry.path().extension() == ".log") ++result.segments;
+  }
+  fs::remove_all(dir);
+  return result;
 }
 
 }  // namespace
@@ -163,10 +261,14 @@ int main() {
       seconds_since(ckpt_start) * 1000.0 / checkpoints;
 
   // 3. Synthetic WAL append throughput.
-  const double append_nofsync =
-      wal_append_rate(scratch / "wal_bench", readings, persist::FsyncPolicy::kOff);
+  const double append_nofsync = wal_append_rate(
+      scratch / "wal_bench", readings, persist::FsyncPolicy::kOff, false);
   const double append_fsync64 = wal_append_rate(
-      scratch / "wal_bench", readings, persist::FsyncPolicy::kEveryN);
+      scratch / "wal_bench", readings, persist::FsyncPolicy::kEveryN, false);
+  const double grouped_nofsync = wal_append_rate(
+      scratch / "wal_bench", readings, persist::FsyncPolicy::kOff, true);
+  const double grouped_fsync64 = wal_append_rate(
+      scratch / "wal_bench", readings, persist::FsyncPolicy::kEveryN, true);
 
   // 4. Replay speed through the real recovery path.
   Pipeline fresh = make_pipeline();
@@ -178,10 +280,24 @@ int main() {
           ? static_cast<double>(report.readings_replayed) / report.recovery_seconds
           : 0.0;
 
+  // 5. Recovery of a checkpoint-bounded WAL at two run lengths.
+  const BoundedRecovery short_run = bounded_recovery(scratch / "bounded", 10);
+  const BoundedRecovery long_run = bounded_recovery(scratch / "bounded", 40);
+
   std::printf("checkpoint write   : %8.3f ms  (%zu bytes, %d reps)\n",
               checkpoint_ms, checkpoint_bytes, checkpoints);
-  std::printf("WAL append (no fsync): %10.0f readings/s\n", append_nofsync);
-  std::printf("WAL append (fsync/64): %10.0f readings/s\n", append_fsync64);
+  std::printf("WAL append (no fsync): %10.0f readings/s, grouped x%d: %10.0f\n",
+              append_nofsync, kGroupReadings, grouped_nofsync);
+  std::printf("WAL append (fsync/64): %10.0f readings/s, grouped x%d: %10.0f\n",
+              append_fsync64, kGroupReadings, grouped_fsync64);
+  for (const auto& [intervals, run] :
+       {std::pair{10, short_run}, std::pair{40, long_run}}) {
+    std::printf("bounded recovery, %2d checkpoint intervals: %7.3f ms "
+                "(%llu frames replayed, %zu segments kept)\n",
+                intervals, run.recover_ms,
+                static_cast<unsigned long long>(run.frames_replayed),
+                run.segments);
+  }
   std::printf("WAL replay          : %10.0f readings/s  (%llu frames, %llu "
               "updates, %.3f s)\n",
               replay_rate,
@@ -202,6 +318,14 @@ int main() {
   bench.results = {{"checkpoint_write_ms", checkpoint_ms},
                    {"wal_append_nofsync_per_sec", append_nofsync},
                    {"wal_append_fsync64_per_sec", append_fsync64},
+                   {"wal_append_grouped_nofsync_per_sec", grouped_nofsync},
+                   {"wal_append_grouped_fsync64_per_sec", grouped_fsync64},
+                   {"recovery_ms_10_intervals", short_run.recover_ms},
+                   {"recovery_ms_40_intervals", long_run.recover_ms},
+                   {"wal_segments_10_intervals",
+                    static_cast<double>(short_run.segments)},
+                   {"wal_segments_40_intervals",
+                    static_cast<double>(long_run.segments)},
                    {"replay_readings_per_sec", replay_rate},
                    {"frames_replayed", static_cast<double>(report.frames_replayed)}};
   const auto path = obs::write_bench_report(bench);

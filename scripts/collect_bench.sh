@@ -24,7 +24,10 @@
 #   VIRE_FAULT_TAGS/VIRE_FAULT_ROUNDS    workload of bench_fault_degradation
 #   VIRE_RECOVERY_POLLS/VIRE_RECOVERY_READINGS/VIRE_RECOVERY_CHECKPOINTS
 #                      workload of bench_recovery (journaled polls, synthetic
-#                      WAL appends, checkpoint-write repetitions)
+#                      WAL appends, checkpoint-write repetitions); its report
+#                      also carries the checkpoint-bounded recovery time at
+#                      10 and 40 checkpoint intervals and the WAL append rate
+#                      with and without 64-reading group writes
 #   VIRE_SERVICE_TAGS/VIRE_SERVICE_ROUNDS/VIRE_SERVICE_QUERIES
 #                      workload of bench_service_scale (tags, poll rounds,
 #                      latest_fix queries per round)
@@ -101,6 +104,20 @@ if [ "$count" -eq 0 ]; then
   exit 1
 fi
 echo "collect_bench: copied $count report(s) to $DEST_DIR"
+
+# Recovery must stay flat as the WAL's history grows; print the pair (and
+# the group-write gain) so the trajectory shows it without opening the JSON.
+if [ -f bench_out/BENCH_recovery.json ]; then
+  python3 - bench_out/BENCH_recovery.json <<'EOF'
+import json, sys
+results = json.load(open(sys.argv[1]))["results"]
+print("collect_bench: recovery_ms at 10 / 40 checkpoint intervals: "
+      f"{results['recovery_ms_10_intervals']:.3f} / "
+      f"{results['recovery_ms_40_intervals']:.3f}; WAL append fsync/64 "
+      f"{results['wal_append_fsync64_per_sec']:.0f} -> grouped "
+      f"{results['wal_append_grouped_fsync64_per_sec']:.0f} readings/s")
+EOF
+fi
 
 # Perf-regression guard: compare the engine-batch throughput against the
 # checked-in floor. Advisory by default (machines differ); CI's metrics job

@@ -8,26 +8,47 @@ namespace vire::persist {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() noexcept {
-  std::array<std::uint32_t, 256> table{};
+/// Slice-by-8 tables: tables[0] is the bytewise table, and tables[k][b] is
+/// the CRC of byte b followed by k zero bytes, so eight input bytes fold
+/// into the CRC with eight independent lookups.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables make_crc_tables() noexcept {
+  CrcTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
       c = (c & 1U) != 0 ? 0xEDB88320U ^ (c >> 1U) : c >> 1U;
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < tables.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8U) ^ tables[0][prev & 0xFFU];
+    }
+  }
+  return tables;
 }
 
 }  // namespace
 
 std::uint32_t crc32(std::string_view data) noexcept {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  static const CrcTables t = make_crc_tables();
   std::uint32_t crc = 0xFFFFFFFFU;
-  for (const char ch : data) {
-    crc = table[(crc ^ static_cast<std::uint8_t>(ch)) & 0xFFU] ^ (crc >> 8U);
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  std::size_t n = data.size();
+  // Every WAL frame and journal record is checked on write and on each
+  // recovery walk; eight bytes per step runs about 3x the bytewise loop.
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t low = crc ^ (std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8U |
+                                     std::uint32_t{p[2]} << 16U |
+                                     std::uint32_t{p[3]} << 24U);
+    crc = t[7][low & 0xFFU] ^ t[6][(low >> 8U) & 0xFFU] ^
+          t[5][(low >> 16U) & 0xFFU] ^ t[4][low >> 24U] ^ t[3][p[4]] ^
+          t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
   }
+  for (; n > 0; ++p, --n) crc = t[0][(crc ^ *p) & 0xFFU] ^ (crc >> 8U);
   return crc ^ 0xFFFFFFFFU;
 }
 

@@ -39,6 +39,8 @@ class ByteWriter {
   [[nodiscard]] const std::string& bytes() const noexcept { return buffer_; }
   [[nodiscard]] std::string take() noexcept { return std::move(buffer_); }
   [[nodiscard]] std::size_t size() const noexcept { return buffer_.size(); }
+  /// Empties the buffer and keeps its capacity, for reuse.
+  void clear() noexcept { buffer_.clear(); }
 
  private:
   template <typename T>

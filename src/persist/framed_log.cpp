@@ -69,13 +69,13 @@ std::vector<std::pair<std::uint64_t, std::filesystem::path>> list_segments(
   return segments;
 }
 
-std::string encode_record(std::uint8_t type, std::string_view payload) {
-  ByteWriter w;
+/// Appends one record's frame to `w`.
+void encode_record(ByteWriter& w, std::uint8_t type, std::string_view payload) {
+  const std::size_t start = w.size();
   w.u32(static_cast<std::uint32_t>(payload.size()));
   w.u8(type);
   w.raw(payload);
-  w.u32(crc32(std::string_view(w.bytes()).substr(4)));
-  return w.take();
+  w.u32(crc32(std::string_view(w.bytes()).substr(start + 4)));
 }
 
 struct SegmentScan {
@@ -197,12 +197,12 @@ FramedLogScan scan_framed_log(const std::filesystem::path& dir,
 FramedLogReadResult read_framed_log(const std::filesystem::path& dir,
                                     const FramedLogFormat& format,
                                     std::uint64_t from_sequence,
-                                    const RecordValidator& validate) {
+                                    const RecordVisitor& validate) {
   FramedLogReadResult result;
   static_cast<FramedLogScan&>(result) = scan_framed_log(
       dir, format,
       [&](std::uint64_t sequence, std::uint8_t type, std::string_view payload) {
-        if (validate && !validate(type, payload)) return false;
+        if (validate && !validate(sequence, type, payload)) return false;
         if (sequence >= from_sequence) {
           result.records.push_back({sequence, type, std::string(payload)});
         }
@@ -225,8 +225,8 @@ FramedLog::FramedLog(FramedLogConfig config) : config_(std::move(config)) {
   // appended records extend a log read_framed_log() fully accepts.
   const LogWalk walk = walk_log(
       config_.dir, config_.format,
-      [this](std::uint64_t, std::uint8_t type, std::string_view payload) {
-        return !config_.validate || config_.validate(type, payload);
+      [this](std::uint64_t sequence, std::uint8_t type, std::string_view payload) {
+        return !config_.validate || config_.validate(sequence, type, payload);
       });
   truncated_ = walk.scan.corrupt_records;
   if (walk.torn) std::filesystem::resize_file(walk.last_path, walk.last_valid_bytes);
@@ -271,7 +271,7 @@ void FramedLog::open_segment(std::uint64_t start_sequence) {
   header.raw(std::string_view(config_.format.magic, 4));
   header.u32(config_.format.version);
   header.u64(start_sequence);
-  physical_write(header.take());
+  physical_write(header.bytes());
   segment_records_ = 0;
 }
 
@@ -282,9 +282,10 @@ void FramedLog::close_segment() noexcept {
   }
 }
 
-void FramedLog::physical_write(std::string buffer) {
+void FramedLog::physical_write(std::string_view buffer) {
   std::size_t write_len = buffer.size();
   bool fail_after_write = false;
+  std::string corrupted;  // the bytes a kCorruptByte fault writes instead
   if (config_.fault_hook != nullptr) {
     if (const auto fault = config_.fault_hook->on_write(buffer.size())) {
       switch (fault->kind) {
@@ -298,7 +299,11 @@ void FramedLog::physical_write(std::string buffer) {
         case support::IoFaultKind::kCorruptByte:
           // Silent media corruption: the append "succeeds"; only the CRC at
           // read time reveals it.
-          if (!buffer.empty()) buffer[fault->offset % buffer.size()] ^= 0x40;
+          if (!buffer.empty()) {
+            corrupted.assign(buffer);
+            corrupted[fault->offset % corrupted.size()] ^= 0x40;
+            buffer = corrupted;
+          }
           break;
       }
     }
@@ -318,40 +323,52 @@ void FramedLog::physical_write(std::string buffer) {
   }
 }
 
+void FramedLog::write_pending() {
+  if (pending_.size() == 0) return;
+  try {
+    physical_write(pending_.bytes());
+  } catch (...) {
+    pending_.clear();
+    throw;
+  }
+  pending_.clear();
+}
+
 std::uint64_t FramedLog::append(std::uint8_t type, std::string_view payload) {
   if (segment_records_ >= config_.segment_max_records) {
+    write_pending();  // a record never straddles two segments
     if (config_.fsync != FsyncPolicy::kOff && unsynced_ > 0) {
       ::fsync(fd_);
       unsynced_ = 0;
     }
     open_segment(sequence_);
   }
-  physical_write(encode_record(type, payload));
+  encode_record(pending_, type, payload);
+  if (!batching_) write_pending();
   const std::uint64_t assigned = sequence_;
   ++sequence_;
   ++segment_records_;
   ++appended_;
   ++unsynced_;
-  maybe_fsync();
+  if (fsync_due()) sync();
   return assigned;
 }
 
-void FramedLog::maybe_fsync() {
-  bool due = false;
+bool FramedLog::fsync_due() const {
   switch (config_.fsync) {
     case FsyncPolicy::kOff:
-      return;
+      return false;
     case FsyncPolicy::kEveryN:
-      due = unsynced_ >= config_.fsync_every_n;
-      break;
+      return unsynced_ >= config_.fsync_every_n;
     case FsyncPolicy::kInterval:
-      due = monotonic_seconds() - last_sync_monotonic_s_ >= config_.fsync_interval_s;
-      break;
+      return monotonic_seconds() - last_sync_monotonic_s_ >=
+             config_.fsync_interval_s;
   }
-  if (due) sync();
+  return false;
 }
 
 void FramedLog::sync() {
+  write_pending();
   if (fd_ < 0 || unsynced_ == 0) return;
   const obs::TraceSpan span(tracer_, fsync_span_name_);
   if (::fsync(fd_) != 0) {
@@ -359,6 +376,22 @@ void FramedLog::sync() {
   }
   unsynced_ = 0;
   last_sync_monotonic_s_ = monotonic_seconds();
+}
+
+FramedLog::Batch::~Batch() {
+  try {
+    commit();
+  } catch (const std::exception& e) {
+    support::log_warn("FramedLog: batch write failed while unwinding: %s",
+                      e.what());
+  }
+}
+
+void FramedLog::Batch::commit() {
+  if (log_ == nullptr) return;
+  FramedLog& log = *std::exchange(log_, nullptr);
+  log.batching_ = false;
+  log.write_pending();
 }
 
 std::size_t FramedLog::prune(std::uint64_t up_to_sequence) {

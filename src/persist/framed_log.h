@@ -17,6 +17,11 @@
 // end-of-log — the reader stops there (counting the bad record), the writer
 // truncates the segment at the same byte and deletes any later segments, so
 // the log is again a valid prefix of history.
+//
+// Writes are grouped: a FramedLog::Batch collects the records appended while
+// it is open and hands them to the segment in one write(2). The bytes on disk
+// are those of appending the records one by one; only the number of physical
+// writes changes.
 
 #include <cstdint>
 #include <filesystem>
@@ -26,6 +31,7 @@
 #include <vector>
 
 #include "obs/trace.h"
+#include "persist/binary_io.h"
 #include "support/atomic_file.h"
 
 namespace vire::persist {
@@ -36,9 +42,6 @@ enum class FsyncPolicy {
   kInterval, ///< fsync when more than `fsync_interval_s` passed since the last
 };
 
-/// Payload check: false marks a CRC-valid record as undecodable.
-using RecordValidator =
-    std::function<bool(std::uint8_t type, std::string_view payload)>;
 /// Receives one CRC-valid record of a scan; false marks it undecodable.
 using RecordVisitor = std::function<bool(
     std::uint64_t sequence, std::uint8_t type, std::string_view payload)>;
@@ -62,10 +65,12 @@ struct FramedLogConfig {
   double fsync_interval_s = 0.2;
   /// Testing seam (fault::DiskFaultInjector); nullptr in production.
   support::IoFaultHook* fault_hook = nullptr;
-  /// Optional payload validator: a CRC-valid record whose payload fails this
-  /// check is treated exactly like a torn record (end-of-log). Lets typed
-  /// journals extend torn-tail semantics to undecodable payloads.
-  RecordValidator validate;
+  /// Optional payload validator, run on every CRC-valid record of the
+  /// writer's reopen walk in sequence order: a record it rejects is treated
+  /// exactly like a torn record (end-of-log). Lets typed journals extend
+  /// torn-tail semantics to undecodable payloads, and relearn what they
+  /// track about the records they keep.
+  RecordVisitor validate;
 };
 
 struct LogRecord {
@@ -99,23 +104,48 @@ FramedLogScan scan_framed_log(const std::filesystem::path& dir,
 /// (optional) extends the torn-tail rule to undecodable payloads.
 [[nodiscard]] FramedLogReadResult read_framed_log(
     const std::filesystem::path& dir, const FramedLogFormat& format,
-    std::uint64_t from_sequence = 0, const RecordValidator& validate = {});
+    std::uint64_t from_sequence = 0, const RecordVisitor& validate = {});
 
 /// Append-only segmented writer. Reopening an existing directory resumes
 /// after the valid prefix: the torn tail, if any, is truncated (and counted)
 /// exactly as read_framed_log would skip it.
 class FramedLog {
  public:
+  /// Group write. While a Batch is open, append() encodes each record into
+  /// one pending buffer; commit() hands the buffer to the segment in one
+  /// physical write. A rotation or a due fsync writes the pending records
+  /// first, so the file bytes and the fsync points are those of appending
+  /// one by one. Outside a Batch, append() is a batch of one.
+  class Batch {
+   public:
+    explicit Batch(FramedLog& log) noexcept : log_(&log) { log.batching_ = true; }
+    /// Writes the records still pending when commit() was not reached (an
+    /// exception is unwinding); a failure of that write is logged.
+    ~Batch();
+
+    Batch(const Batch&) = delete;
+    Batch& operator=(const Batch&) = delete;
+
+    /// Closes the batch and writes its records; throws what the write throws
+    /// (short write, ENOSPC). Later calls do nothing.
+    void commit();
+
+   private:
+    FramedLog* log_;  ///< nullptr once committed
+  };
+
   explicit FramedLog(FramedLogConfig config);
   ~FramedLog();
 
   FramedLog(const FramedLog&) = delete;
   FramedLog& operator=(const FramedLog&) = delete;
 
-  /// Appends one record; returns the global sequence it received.
+  /// Appends one record; returns the global sequence it received. Inside a
+  /// Batch the record reaches the file when the batch commits.
   std::uint64_t append(std::uint8_t type, std::string_view payload);
 
-  /// Force an fsync of the current segment now, regardless of policy.
+  /// Writes any pending records and fsyncs the current segment now,
+  /// regardless of policy.
   void sync();
 
   /// Deletes segments whose every record has sequence < `up_to_sequence`
@@ -144,11 +174,16 @@ class FramedLog {
  private:
   void open_segment(std::uint64_t start_sequence);
   void close_segment() noexcept;
-  void physical_write(std::string buffer);
-  void maybe_fsync();
+  void physical_write(std::string_view buffer);
+  /// One physical write of the pending records; the buffer is emptied even
+  /// when the write throws.
+  void write_pending();
+  [[nodiscard]] bool fsync_due() const;
 
   FramedLogConfig config_;
   int fd_ = -1;
+  ByteWriter pending_;  ///< encoded records not yet written
+  bool batching_ = false;  ///< a Batch is open
   std::uint64_t sequence_ = 0;        ///< next record's global sequence
   std::uint64_t segment_records_ = 0; ///< records in the open segment
   std::uint64_t appended_ = 0;

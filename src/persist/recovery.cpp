@@ -59,6 +59,15 @@ RecoveryReport RecoveryManager::recover(engine::LocalizationEngine& engine,
 
   // 2. Replay the WAL suffix through the normal pipeline entry points.
   const WalReadResult wal = read_wal(config_.wal_dir, from_sequence);
+  if (!report.checkpoint_loaded && !wal.frames.empty() &&
+      wal.frames.front().sequence > 1) {
+    // The log was pruned behind checkpoints that are all gone now: what is
+    // left is a suffix of history, not all of it.
+    support::log_warn(
+        "recovery: no valid checkpoint, and the WAL starts at frame %llu: "
+        "replaying a pruned suffix, not the whole history",
+        static_cast<unsigned long long>(wal.frames.front().sequence));
+  }
   report.corrupt_frames = wal.corrupt_frames;
   corrupt_metric.inc(wal.corrupt_frames);
   report.next_wal_sequence =

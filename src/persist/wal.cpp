@@ -1,5 +1,7 @@
 #include "persist/wal.h"
 
+#include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string_view>
 
@@ -36,12 +38,7 @@ bool decode_payload(std::uint8_t type, std::string_view payload, WalFrame& frame
   return false;
 }
 
-bool valid_payload(std::uint8_t type, std::string_view payload) {
-  WalFrame frame;
-  return decode_payload(type, payload, frame);
-}
-
-FramedLogConfig log_config(const WalConfig& config) {
+FramedLogConfig log_config(const WalConfig& config, RecordVisitor validate) {
   if (config.dir.empty()) {
     throw std::invalid_argument("WalWriter: dir must be set");
   }
@@ -56,7 +53,7 @@ FramedLogConfig log_config(const WalConfig& config) {
   cfg.fsync_every_n = config.fsync_every_n;
   cfg.fsync_interval_s = config.fsync_interval_s;
   cfg.fault_hook = config.fault_hook;
-  cfg.validate = valid_payload;
+  cfg.validate = std::move(validate);
   return cfg;
 }
 
@@ -93,7 +90,37 @@ std::vector<sim::RssiReading> wal_tag_window(const std::filesystem::path& dir,
 }
 
 WalWriter::WalWriter(WalConfig config)
-    : config_(std::move(config)), log_(log_config(config_)) {}
+    : config_(std::move(config)),
+      latest_reading_(-std::numeric_limits<double>::infinity()),
+      log_(log_config(config_, [this](std::uint64_t sequence, std::uint8_t type,
+                                       std::string_view payload) {
+        WalFrame frame;
+        if (!decode_payload(type, payload, frame)) return false;
+        note(sequence, frame.type, frame.reading.time);
+        return true;
+      })) {}
+
+void WalWriter::note(std::uint64_t sequence, FrameType type,
+                     sim::SimTime reading_time) {
+  if (type == FrameType::kReading) {
+    latest_reading_ = std::max(latest_reading_, reading_time);
+  } else if (type == FrameType::kUpdate) {
+    marks_.push_back({sequence, latest_reading_});
+  }
+}
+
+std::uint64_t WalWriter::retention_floor(const CheckpointStore& checkpoints,
+                                         sim::SimTime horizon) {
+  const std::vector<std::uint64_t> stored = checkpoints.stored_sequences();
+  if (stored.empty()) return 0;
+  // The marks at or before the horizon are a prefix of marks_; the last of
+  // them is the answer, and the horizon only grows, so the rest can go.
+  while (marks_.size() > 1 && marks_[1].latest_reading <= horizon) {
+    marks_.pop_front();
+  }
+  if (marks_.empty() || marks_.front().latest_reading > horizon) return 0;
+  return std::min(stored.front(), marks_.front().sequence);
+}
 
 void WalWriter::attach_metrics(obs::MetricsRegistry& registry) {
   appended_metric_ =
@@ -107,33 +134,36 @@ void WalWriter::attach_metrics(obs::MetricsRegistry& registry) {
       .inc(truncated_frames());
 }
 
-void WalWriter::append(FrameType type, std::string_view payload) {
-  log_.append(static_cast<std::uint8_t>(type), payload);
+std::uint64_t WalWriter::append(FrameType type, std::string_view payload) {
+  const std::uint64_t sequence =
+      log_.append(static_cast<std::uint8_t>(type), payload);
   if (appended_metric_ != nullptr) appended_metric_->inc();
+  return sequence;
 }
 
 void WalWriter::on_accepted(const sim::RssiReading& reading) {
-  ByteWriter w;
-  write_reading(w, reading);
-  append(FrameType::kReading, w.bytes());
+  payload_.clear();
+  write_reading(payload_, reading);
+  note(append(FrameType::kReading, payload_.bytes()), FrameType::kReading,
+       reading.time);
 }
 
 void WalWriter::on_evict(sim::SimTime now) {
-  ByteWriter w;
-  w.f64(now);
-  append(FrameType::kEvict, w.bytes());
+  payload_.clear();
+  payload_.f64(now);
+  append(FrameType::kEvict, payload_.bytes());
 }
 
 void WalWriter::append_update_marker(sim::SimTime now) {
-  ByteWriter w;
-  w.f64(now);
-  append(FrameType::kUpdate, w.bytes());
+  payload_.clear();
+  payload_.f64(now);
+  note(append(FrameType::kUpdate, payload_.bytes()), FrameType::kUpdate, now);
 }
 
 void WalWriter::append_ack_marker(std::uint64_t ack_sequence) {
-  ByteWriter w;
-  w.u64(ack_sequence);
-  append(FrameType::kAck, w.bytes());
+  payload_.clear();
+  payload_.u64(ack_sequence);
+  append(FrameType::kAck, payload_.bytes());
 }
 
 }  // namespace vire::persist

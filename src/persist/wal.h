@@ -24,8 +24,13 @@
 // segment at the same point and deletes any later segments, so the log is
 // again a valid prefix of history. Frames are numbered by a global sequence
 // (header start + position) that survives rotation.
+//
+// The log stays bounded: after each checkpoint its owner prunes the segments
+// below retention_floor(), so recovery and migration read only frames they
+// can still need.
 
 #include <cstdint>
+#include <deque>
 #include <filesystem>
 #include <string_view>
 #include <vector>
@@ -39,6 +44,8 @@
 namespace vire::persist {
 
 inline constexpr std::uint32_t kWalVersion = 1;
+
+class CheckpointStore;
 
 enum class FrameType : std::uint8_t {
   kReading = 1,  ///< one reading accepted by Middleware::ingest
@@ -103,6 +110,12 @@ class WalWriter final : public sim::ReadingJournal {
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
+  /// Opens a group write (FramedLog::Batch): the frames appended until it
+  /// commits reach the segment in one write(2).
+  [[nodiscard]] FramedLog::Batch batch() noexcept {
+    return FramedLog::Batch(log_);
+  }
+
   void on_accepted(const sim::RssiReading& reading) override;
   void on_evict(sim::SimTime now) override;
   /// Journal an engine-update boundary. Call immediately BEFORE
@@ -137,6 +150,17 @@ class WalWriter final : public sim::ReadingJournal {
     return log_.prune(up_to_sequence);
   }
 
+  /// The lowest sequence a reader can still need, once `checkpoints` holds
+  /// a checkpoint of this log: the lower of the oldest retained checkpoint's
+  /// wal_sequence (recovery falls back to it past a corrupt newer one) and
+  /// the first update marker behind which every reading frame is at or
+  /// before `horizon` (so wal_tag_window with any horizon >= this one reads
+  /// the same readings). 0 when no checkpoint or no such marker exists yet.
+  /// Horizons passed in must not decrease. A writer reopened over a pruned
+  /// log relearns the same answer from the frames it keeps.
+  [[nodiscard]] std::uint64_t retention_floor(const CheckpointStore& checkpoints,
+                                              sim::SimTime horizon);
+
   /// Registers vire_persist_wal_{appended,corrupt}_total. Pure side channel.
   void attach_metrics(obs::MetricsRegistry& registry);
   /// Emits persist.wal_fsync spans. Pass nullptr to detach.
@@ -147,9 +171,27 @@ class WalWriter final : public sim::ReadingJournal {
   [[nodiscard]] const WalConfig& config() const noexcept { return config_; }
 
  private:
-  void append(FrameType type, std::string_view payload);
+  std::uint64_t append(FrameType type, std::string_view payload);
+  /// Tracks what retention_floor() needs from each frame, appended or
+  /// relearned by the reopen walk. `reading_time` matters for kReading only.
+  void note(std::uint64_t sequence, FrameType type, sim::SimTime reading_time);
+
+  /// An update marker and the latest reading time journaled before it.
+  struct Mark {
+    std::uint64_t sequence = 0;
+    sim::SimTime latest_reading = 0.0;
+  };
 
   WalConfig config_;
+  /// Latest reading time journaled so far (-inf before any reading).
+  sim::SimTime latest_reading_;
+  /// One per update marker still ahead of the retention floor, in sequence
+  /// order; latest_reading never decreases along it. retention_floor()
+  /// trims it, so a writer whose owner never prunes keeps one per update.
+  std::deque<Mark> marks_;
+  /// Reused payload buffer: appending a frame allocates nothing.
+  ByteWriter payload_;
+  /// Constructed last: its reopen walk feeds note().
   FramedLog log_;
   obs::Counter* appended_metric_ = nullptr;
 };

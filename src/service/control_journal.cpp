@@ -90,7 +90,8 @@ bool decode_op(std::uint8_t type, std::string_view payload, Op& op) {
   }
 }
 
-bool validate_op(std::uint8_t type, std::string_view payload) {
+bool validate_op(std::uint64_t /*sequence*/, std::uint8_t type,
+                 std::string_view payload) {
   Op op;
   return decode_op(type, payload, op);
 }

@@ -147,9 +147,19 @@ void ShardedService::worker_loop() {
   for (;;) {
     ShardQueue::Op op = queue_.pop();
     switch (op.kind) {
-      case ShardQueue::Op::Kind::kReadings:
+      case ShardQueue::Op::Kind::kReadings: {
+        if (wal_ == nullptr) {
+          for (const auto& reading : op.readings) middleware_.ingest(reading);
+          break;
+        }
+        // The op's frames reach the WAL in one write(2), before any marker
+        // a later op journals. A crash inside the op leaves no frame of it
+        // that an ack or an update marker has seen.
+        auto group = wal_->batch();
         for (const auto& reading : op.readings) middleware_.ingest(reading);
+        group.commit();
         break;
+      }
       case ShardQueue::Op::Kind::kEvict:
         middleware_.evict_stale(op.time);
         break;
@@ -187,6 +197,15 @@ void ShardedService::maybe_checkpoint(sim::SimTime now) {
     ckpt.middleware = middleware_.snapshot();
     ckpt.counters = persist::sample_counters(engine_.metrics());
     checkpoints_->write(ckpt);
+    // Bound the WAL to what recovery (back to the oldest retained
+    // checkpoint) and migration (the middleware window) can still read.
+    // Pruning runs only here, inside a shard update, and the supervisor
+    // never overlaps an update with a migration's wal_tag_window read: both
+    // hold its mutex.
+    if (wal_ != nullptr) {
+      wal_->prune(wal_->retention_floor(*checkpoints_,
+                                        now - config_.middleware.window_s));
+    }
   } catch (const std::exception&) {
     // A failed checkpoint only lengthens a future replay; never fail the
     // update over it.

@@ -691,6 +691,11 @@ std::string Supervisor::fleet_trace_json() {
       obs::FleetProcess{1, "vire-supervisord", tracer_.dump(0)});
   for (auto& [id, shard] : shards_) {
     if (shard.state != ShardState::kUp || shard.client == nullptr) continue;
+    // A restarted shard is a new clock epoch, and mark_up() dropped the old
+    // offset: sample it now rather than leave this incarnation unrebased
+    // until the next tick's heartbeat.
+    if (!shard.offset.valid()) heartbeat_shard(shard);
+    if (shard.state != ShardState::kUp) continue;  // the probe found it dead
     try {
       obs::TraceDump dump = shard.client->trace_dump(
           static_cast<std::uint32_t>(config_.trace_pull_events));

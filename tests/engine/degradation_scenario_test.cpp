@@ -53,9 +53,8 @@ struct ScenarioRun {
 };
 
 /// Runs the full pipeline with `plan` injected; identical seeds everywhere so
-/// two invocations differ only in what the arguments say.
-ScenarioRun run_scenario(const fault::FaultPlan& plan, std::uint64_t fault_seed = 7,
-                         double stale_after_s = 60.0) {
+/// two invocations differ only in the plan.
+ScenarioRun run_scenario(const fault::FaultPlan& plan) {
   const env::Environment environment =
       env::make_paper_environment(env::PaperEnvironment::kEnv1SemiOpen);
   const env::Deployment deployment = env::Deployment::paper_testbed();
@@ -64,7 +63,7 @@ ScenarioRun run_scenario(const fault::FaultPlan& plan, std::uint64_t fault_seed 
   sim_config.middleware.window_s = 10.0;
   sim::RfidSimulator simulator(environment, deployment, sim_config);
 
-  fault::FaultInjector injector(plan, fault_seed);
+  fault::FaultInjector injector(plan, /*seed=*/7);
   simulator.set_interceptor(&injector);
 
   const auto reference_ids = simulator.add_reference_tags();
@@ -75,7 +74,7 @@ ScenarioRun run_scenario(const fault::FaultPlan& plan, std::uint64_t fault_seed 
   config.min_refresh_interval_s = 10.0;
   config.degradation.health.quarantine_after = 2;
   config.degradation.health.recover_after = 2;
-  config.degradation.health.stale_after_s = stale_after_s;
+  config.degradation.health.stale_after_s = 60.0;
   LocalizationEngine engine(deployment, config);
   injector.attach_metrics(engine.metrics());
   engine.set_reference_ids(reference_ids);

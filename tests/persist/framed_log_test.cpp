@@ -1,16 +1,21 @@
 // Unit tests for the segmented CRC-framed log (src/persist/framed_log.h),
 // the WAL discipline factored out for the supervisor's control journal:
-// roundtrip, rotation, reopen-resume, torn-tail truncation, prune, and the
-// typed-payload validate hook.
+// roundtrip, rotation, reopen-resume, torn-tail truncation, prune, the
+// typed-payload validate hook, and batched group writes (same bytes, one
+// physical write, torn and failed batches).
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "fault/disk_fault.h"
+#include "persist/binary_io.h"
 #include "persist/framed_log.h"
 
 namespace vire::persist {
@@ -138,7 +143,7 @@ TEST(FramedLogTest, ValidateHookTreatsUndecodablePayloadAsTornTail) {
   }
   // CRC is fine for all three, but the validator rejects type 2: the read
   // must stop there exactly as if the record were torn.
-  const auto validate = [](std::uint8_t type, std::string_view) {
+  const auto validate = [](std::uint64_t, std::uint8_t type, std::string_view) {
     return type != 2;
   };
   const auto result = read_framed_log(dir, test_format(), 0, validate);
@@ -184,6 +189,132 @@ TEST(FramedLogTest, MismatchedFormatReadsAsEmpty) {
   EXPECT_TRUE(read_framed_log(dir, other).records.empty());
   EXPECT_TRUE(read_framed_log(dir / "missing", test_format()).records.empty())
       << "a missing directory is an empty log, not an error";
+}
+
+/// Whole log directory as name -> bytes, for byte-for-byte comparison.
+std::vector<std::pair<std::string, std::string>> log_files(const fs::path& dir) {
+  std::vector<std::pair<std::string, std::string>> files;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    files.emplace_back(entry.path().filename().string(),
+                       *read_file(entry.path()));
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+void append_numbered(FramedLog& log, int count) {
+  for (int i = 0; i < count; ++i) {
+    log.append(static_cast<std::uint8_t>(1 + i % 3),
+               std::string(static_cast<std::size_t>(5 + i), 'a' + i % 26));
+  }
+}
+
+TEST(FramedLogTest, BatchWritesTheSameBytesAsOneByOne) {
+  const fs::path single = fresh_dir("vire_framed_log_batch_single");
+  const fs::path batched = fresh_dir("vire_framed_log_batch_grouped");
+  {
+    FramedLog log(test_config(single));
+    append_numbered(log, 11);
+  }
+  fault::DiskFaultInjector counter{fault::DiskFaultPlan{}};
+  {
+    auto config = test_config(batched);
+    config.fault_hook = &counter;
+    FramedLog log(config);
+    FramedLog::Batch batch(log);
+    append_numbered(log, 11);
+    EXPECT_EQ(log.next_sequence(), 12u) << "sequences are assigned at append";
+    batch.commit();
+  }
+  EXPECT_EQ(log_files(batched), log_files(single));
+  // Segments 1-4, 5-8, 9-11: each rotation writes the pending records, then
+  // the new header; the commit writes the rest.
+  EXPECT_EQ(counter.writes_seen(), 6u) << "3 headers + 3 record writes";
+}
+
+TEST(FramedLogTest, BatchIsOnePhysicalWriteWithoutRotation) {
+  const fs::path dir = fresh_dir("vire_framed_log_batch_one_write");
+  fault::DiskFaultInjector counter{fault::DiskFaultPlan{}};
+  auto config = test_config(dir);
+  config.segment_max_records = 1000;
+  config.fault_hook = &counter;
+  FramedLog log(config);
+  EXPECT_EQ(counter.writes_seen(), 1u) << "the segment header";
+  {
+    FramedLog::Batch batch(log);
+    append_numbered(log, 40);
+    EXPECT_EQ(counter.writes_seen(), 1u) << "nothing written before commit";
+    batch.commit();
+  }
+  EXPECT_EQ(counter.writes_seen(), 2u);
+  log.append(1, "single");
+  EXPECT_EQ(counter.writes_seen(), 3u) << "outside a batch: a batch of one";
+  EXPECT_EQ(read_framed_log(dir, test_format()).records.size(), 41u);
+}
+
+TEST(FramedLogTest, ShortWriteMidBatchLeavesWholeFramesUpToTheTear) {
+  const fs::path dir = fresh_dir("vire_framed_log_batch_torn");
+  // Each record is 9 bytes of framing plus its payload; cut the batch's one
+  // write inside the third record.
+  const std::size_t record = 9 + 10;
+  fault::DiskFaultPlan plan;
+  plan.short_write_at(/*at_write=*/1, /*offset=*/2 * record + 7);
+  fault::DiskFaultInjector injector(std::move(plan));
+  {
+    auto config = test_config(dir);
+    config.segment_max_records = 1000;
+    config.fault_hook = &injector;
+    FramedLog log(config);
+    FramedLog::Batch batch(log);
+    for (int i = 0; i < 5; ++i) log.append(1, std::string(10, 'p'));
+    EXPECT_THROW(batch.commit(), std::runtime_error);
+  }
+  EXPECT_EQ(injector.faults_imposed(), 1u);
+  const auto torn = read_framed_log(dir, test_format());
+  EXPECT_EQ(torn.records.size(), 2u) << "whole frames before the tear";
+  EXPECT_EQ(torn.corrupt_records, 1u);
+
+  FramedLog log(test_config(dir));
+  EXPECT_EQ(log.truncated_records(), 1u) << "reopen truncates the tear";
+  EXPECT_EQ(log.next_sequence(), 3u);
+  log.append(2, "after");
+  const auto healed = read_framed_log(dir, test_format());
+  EXPECT_EQ(healed.records.size(), 3u);
+  EXPECT_EQ(healed.corrupt_records, 0u);
+}
+
+TEST(FramedLogTest, EnospcAtBatchEndSurfacesAsAnException) {
+  const fs::path dir = fresh_dir("vire_framed_log_batch_enospc");
+  fault::DiskFaultPlan plan;
+  plan.enospc_at(1);
+  fault::DiskFaultInjector injector(std::move(plan));
+  auto config = test_config(dir);
+  config.segment_max_records = 1000;
+  config.fault_hook = &injector;
+  FramedLog log(config);
+  FramedLog::Batch batch(log);
+  log.append(1, "one");
+  log.append(1, "two");
+  EXPECT_THROW(batch.commit(), std::runtime_error);
+  EXPECT_TRUE(read_framed_log(dir, test_format()).records.empty());
+}
+
+TEST(FramedLogTest, AnExceptionInsideABatchStillWritesItsRecords) {
+  const fs::path dir = fresh_dir("vire_framed_log_batch_unwind");
+  {
+    FramedLog log(test_config(dir));
+    try {
+      FramedLog::Batch batch(log);
+      log.append(1, "kept");
+      log.append(1, "also kept");
+      throw std::logic_error("caller failed mid-batch");
+    } catch (const std::logic_error&) {
+    }
+    EXPECT_EQ(log.append(2, "next"), 3u);
+  }
+  const auto result = read_framed_log(dir, test_format());
+  ASSERT_EQ(result.records.size(), 3u);
+  EXPECT_EQ(result.records[1].payload, "also kept");
 }
 
 }  // namespace

@@ -4,12 +4,22 @@
 // replayed + continued fix is compared against the uninterrupted golden run
 // by bit pattern. The fork+SIGKILL variant lives in crash_drill_test.cpp /
 // examples/crash_drill.cpp.
+//
+// The PruneFloor cases run the same pipeline with small WAL segments, a
+// checkpoint store and WalWriter::retention_floor() pruning after every
+// checkpoint, and check what the floor promises: recovery from the newest
+// and from the oldest retained checkpoint stays bit-identical, a moved tag's
+// window reads the same as from the unpruned log, and a reopened writer
+// prunes exactly as the uninterrupted one does.
 
 #include "persist/recovery.h"
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -41,15 +51,17 @@ std::uint64_t bits(double v) {
 struct Pipeline {
   std::unique_ptr<sim::RfidSimulator> simulator;
   std::unique_ptr<engine::LocalizationEngine> engine;
+  std::vector<sim::TagId> tags;  ///< reference and tracked tags
 };
 
-Pipeline make_pipeline(sim::ReadingInterceptor* interceptor) {
+Pipeline make_pipeline(sim::ReadingInterceptor* interceptor,
+                       double window_s = 10.0) {
   const env::Environment environment =
       env::make_paper_environment(env::PaperEnvironment::kEnv1SemiOpen);
   const env::Deployment deployment = env::Deployment::paper_testbed();
   sim::SimulatorConfig sim_config;
   sim_config.seed = kSeed;
-  sim_config.middleware.window_s = 10.0;
+  sim_config.middleware.window_s = window_s;
 
   Pipeline p;
   p.simulator = std::make_unique<sim::RfidSimulator>(environment, deployment,
@@ -66,6 +78,9 @@ Pipeline make_pipeline(sim::ReadingInterceptor* interceptor) {
   p.engine->set_reference_ids(reference_ids);
   p.engine->track(pallet, "pallet");
   p.engine->track(forklift, "forklift");
+  p.tags = reference_ids;
+  p.tags.push_back(pallet);
+  p.tags.push_back(forklift);
   return p;
 }
 
@@ -92,11 +107,12 @@ void expect_bit_identical(const std::vector<engine::Fix>& actual,
   }
 }
 
-std::vector<std::vector<engine::Fix>> run_golden() {
-  Pipeline p = make_pipeline(nullptr);
+std::vector<std::vector<engine::Fix>> run_golden(int poll_count = kPolls,
+                                                 double window_s = 10.0) {
+  Pipeline p = make_pipeline(nullptr, window_s);
   p.simulator->run_for(kWarmupS);
   std::vector<std::vector<engine::Fix>> polls;
-  for (int poll = 0; poll < kPolls; ++poll) {
+  for (int poll = 0; poll < poll_count; ++poll) {
     p.simulator->run_for(kPollS);
     const sim::SimTime now = p.simulator->now();
     p.simulator->middleware().evict_stale(now);
@@ -248,6 +264,222 @@ TEST_F(RecoveryTest, RecoveryMetricsAreRegistered) {
   EXPECT_NE(
       p.engine->metrics().find_counter("vire_persist_checkpoint_loaded_total", {}),
       nullptr);
+}
+
+// --- Checkpoint-bounded WAL ------------------------------------------------
+
+/// One pruned run: the pipeline journals into small segments, checkpoints
+/// every `checkpoint_every` polls and prunes to retention_floor() after each
+/// checkpoint, then is abandoned as a crash would leave it.
+struct PruneScenario {
+  double window_s = 10.0;
+  int checkpoint_every = 2;
+  int polls = 12;
+  bool prune = true;
+  /// Poll after which the WAL writer is dropped and reopened (-1: never).
+  int reopen_after = -1;
+};
+
+constexpr std::uint64_t kSmallSegment = 64;  // frames; a poll spans several
+
+struct PrunedRun {
+  std::vector<std::uint64_t> floors;  ///< floor applied at each checkpoint
+  std::size_t segments_removed = 0;
+  sim::SimTime last_poll = 0.0;
+  std::vector<sim::TagId> tags;       ///< tracked and reference tags
+};
+
+PrunedRun run_pruned(const fs::path& dir, const PruneScenario& scenario) {
+  Pipeline p = make_pipeline(nullptr, scenario.window_s);
+  WalConfig wal_config;
+  wal_config.dir = dir / "wal";
+  wal_config.segment_max_frames = kSmallSegment;
+  wal_config.fsync = FsyncPolicy::kOff;
+  auto wal = std::make_unique<WalWriter>(wal_config);
+  p.simulator->middleware().attach_journal(wal.get());
+
+  CheckpointStoreConfig store_config;
+  store_config.dir = dir / "ckpt";
+  CheckpointStore store(store_config);
+
+  PrunedRun run;
+  run.tags = p.tags;
+  p.simulator->run_for(kWarmupS);
+  for (int poll = 0; poll < scenario.polls; ++poll) {
+    p.simulator->run_for(kPollS);
+    const sim::SimTime now = p.simulator->now();
+    p.simulator->middleware().evict_stale(now);
+    wal->append_update_marker(now);
+    p.engine->update(p.simulator->middleware(), now);
+    if ((poll + 1) % scenario.checkpoint_every == 0) {
+      Checkpoint ckpt;
+      ckpt.config_fingerprint = engine_config_fingerprint(p.engine->config());
+      ckpt.wal_sequence = wal->next_sequence();
+      ckpt.sim_time = now;
+      ckpt.engine = p.engine->snapshot();
+      ckpt.middleware = p.simulator->middleware().snapshot();
+      ckpt.counters = sample_counters(p.engine->metrics());
+      store.write(ckpt);
+      if (scenario.prune) {
+        const std::uint64_t floor =
+            wal->retention_floor(store, now - scenario.window_s);
+        run.floors.push_back(floor);
+        run.segments_removed += wal->prune(floor);
+      }
+    }
+    if (poll == scenario.reopen_after) {
+      p.simulator->middleware().attach_journal(nullptr);
+      wal.reset();  // a restarted writer relearns the floor from the log
+      wal = std::make_unique<WalWriter>(wal_config);
+      p.simulator->middleware().attach_journal(wal.get());
+    }
+    run.last_poll = now;
+  }
+  p.simulator->middleware().attach_journal(nullptr);  // "crash"
+  return run;
+}
+
+std::vector<fs::path> sorted_files(const fs::path& dir) {
+  std::vector<fs::path> files;
+  for (const auto& entry : fs::directory_iterator(dir)) files.push_back(entry.path());
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+void corrupt_file(const fs::path& file) {
+  std::fstream f(file, std::ios::in | std::ios::out | std::ios::binary);
+  f.seekp(static_cast<std::streamoff>(fs::file_size(file) / 2));
+  f.put('\x5a');
+}
+
+/// Recovers `dir` into a fresh pipeline and checks every replayed update
+/// against the uninterrupted run; returns the loaded checkpoint's sequence.
+std::uint64_t recover_and_compare(
+    const fs::path& dir, const std::vector<std::vector<engine::Fix>>& golden,
+    int polls) {
+  CatchUpGate gate;
+  gate.set_open(false);
+  Pipeline p = make_pipeline(&gate);
+  RecoveryManager manager({dir / "wal", dir / "ckpt"});
+  const RecoveryReport report =
+      manager.recover(*p.engine, p.simulator->middleware());
+  EXPECT_TRUE(report.checkpoint_loaded);
+  EXPECT_EQ(report.corrupt_frames, 0u);
+  EXPECT_GT(report.updates_replayed, 0u);
+  const int first = polls - static_cast<int>(report.replayed_fixes.size());
+  for (std::size_t i = 0; i < report.replayed_fixes.size(); ++i) {
+    const int poll = first + static_cast<int>(i);
+    expect_bit_identical(report.replayed_fixes[i],
+                         golden[static_cast<std::size_t>(poll)], poll);
+  }
+  return report.checkpoint_sequence;
+}
+
+/// The pruned log still holds every frame from the oldest retained
+/// checkpoint on: recovery can fall back to any checkpoint the store keeps.
+void expect_fallback_suffix_kept(const fs::path& dir) {
+  CheckpointStoreConfig store_config;
+  store_config.dir = dir / "ckpt";
+  const auto stored = CheckpointStore(store_config).stored_sequences();
+  ASSERT_FALSE(stored.empty());
+  const WalReadResult wal = read_wal(dir / "wal");
+  ASSERT_FALSE(wal.frames.empty());
+  EXPECT_LE(wal.frames.front().sequence, stored.front())
+      << "the prune removed frames the oldest retained checkpoint replays";
+}
+
+/// Every tag's window read from the pruned log equals the unpruned log's.
+void expect_same_windows(const fs::path& pruned, const fs::path& full,
+                         const PrunedRun& run, double window_s) {
+  const sim::SimTime horizon = run.last_poll - window_s;
+  for (const sim::TagId tag : run.tags) {
+    const auto kept = wal_tag_window(pruned / "wal", tag, horizon);
+    const auto all = wal_tag_window(full / "wal", tag, horizon);
+    ASSERT_FALSE(all.empty()) << "tag " << tag;
+    ASSERT_EQ(kept.size(), all.size()) << "tag " << tag;
+    for (std::size_t i = 0; i < kept.size(); ++i) {
+      EXPECT_EQ(bits(kept[i].time), bits(all[i].time)) << "tag " << tag;
+      EXPECT_EQ(kept[i].reader, all[i].reader) << "tag " << tag;
+      EXPECT_EQ(bits(kept[i].rssi_dbm), bits(all[i].rssi_dbm)) << "tag " << tag;
+    }
+  }
+}
+
+TEST_F(RecoveryTest, PruneFloorKeepsNewestCheckpointRecoveryBitIdentical) {
+  // The oldest checkpoint binds the floor. Abandoned one poll past the
+  // newest checkpoint, so replay has work.
+  PruneScenario scenario;
+  scenario.polls += 1;
+  const auto golden = run_golden(scenario.polls);
+  const PrunedRun run = run_pruned(dir_, scenario);
+  ASSERT_GT(run.segments_removed, 0u) << "small segments must really prune";
+  EXPECT_FALSE(fs::exists(dir_ / "wal" / "wal-000000000001.log"));
+  expect_fallback_suffix_kept(dir_);
+
+  CheckpointStoreConfig store_config;
+  store_config.dir = dir_ / "ckpt";
+  const auto stored = CheckpointStore(store_config).stored_sequences();
+  EXPECT_EQ(recover_and_compare(dir_, golden, scenario.polls), stored.back());
+}
+
+TEST_F(RecoveryTest, PruneFloorKeepsFallbackToOldestCheckpointBitIdentical) {
+  PruneScenario scenario;
+  scenario.polls += 1;
+  const auto golden = run_golden(scenario.polls);
+  const PrunedRun run = run_pruned(dir_, scenario);
+  ASSERT_GT(run.segments_removed, 0u);
+
+  // Corrupt every retained checkpoint but the oldest: recovery falls back
+  // to it and replays the longest suffix the floor promises to keep.
+  const auto checkpoints = sorted_files(dir_ / "ckpt");
+  ASSERT_GE(checkpoints.size(), 2u);
+  for (std::size_t i = 1; i < checkpoints.size(); ++i) corrupt_file(checkpoints[i]);
+  CheckpointStoreConfig store_config;
+  store_config.dir = dir_ / "ckpt";
+  const auto stored = CheckpointStore(store_config).stored_sequences();
+  EXPECT_EQ(recover_and_compare(dir_, golden, scenario.polls), stored.front());
+}
+
+TEST_F(RecoveryTest, PruneFloorKeepsTheMigrationWindow) {
+  // A window longer than the checkpoints' reach: the window binds the floor.
+  PruneScenario scenario;
+  scenario.window_s = 20.0;
+  scenario.checkpoint_every = 1;
+  PruneScenario unpruned = scenario;
+  unpruned.prune = false;
+  const PrunedRun run = run_pruned(dir_ / "pruned", scenario);
+  run_pruned(dir_ / "full", unpruned);
+  ASSERT_GT(run.segments_removed, 0u);
+  expect_same_windows(dir_ / "pruned", dir_ / "full", run, scenario.window_s);
+}
+
+TEST_F(RecoveryTest, PruneFloorSurvivesAWriterRestart) {
+  for (const double window_s : {10.0, 20.0}) {
+    SCOPED_TRACE("window " + std::to_string(window_s));
+    PruneScenario scenario;
+    scenario.window_s = window_s;
+    scenario.checkpoint_every = window_s > 10.0 ? 1 : 2;
+    PruneScenario restarted = scenario;
+    restarted.reopen_after = 7;  // after prunes: the reopened log is partial
+    PruneScenario unpruned = scenario;
+    unpruned.prune = false;
+    const fs::path base = dir_ / std::to_string(static_cast<int>(window_s));
+    const PrunedRun live = run_pruned(base / "live", scenario);
+    const PrunedRun reopened = run_pruned(base / "reopened", restarted);
+    run_pruned(base / "full", unpruned);
+
+    EXPECT_EQ(reopened.floors, live.floors);
+    std::vector<std::string> live_segments, reopened_segments;
+    for (const auto& f : sorted_files(base / "live" / "wal")) {
+      live_segments.push_back(f.filename().string());
+    }
+    for (const auto& f : sorted_files(base / "reopened" / "wal")) {
+      reopened_segments.push_back(f.filename().string());
+    }
+    EXPECT_EQ(reopened_segments, live_segments);
+    expect_fallback_suffix_kept(base / "reopened");
+    expect_same_windows(base / "reopened", base / "full", reopened, window_s);
+  }
 }
 
 }  // namespace

@@ -1,12 +1,15 @@
 // Write-ahead journal: append/read round trips, segment rotation with
 // sequence continuity, torn-tail tolerance (reader stops, writer truncates
-// and resumes), pruning, and deterministic disk faults.
+// and resumes), pruning, deterministic disk faults, and batched group
+// writes (byte-identical to one-by-one appends, torn batches truncated).
 
 #include "persist/wal.h"
 
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -273,6 +276,67 @@ TEST_F(WalTest, AttachMetricsReportsAppendsAndTruncations) {
   ASSERT_NE(corrupt, nullptr);
   EXPECT_EQ(appended->value(), 1u);
   EXPECT_EQ(corrupt->value(), 1u);
+}
+
+TEST_F(WalTest, BatchedFramesAreByteIdenticalToOneByOne) {
+  const fs::path single = dir_ / "single";
+  const fs::path batched = dir_ / "batched";
+  {
+    WalConfig c = config(/*segment_max_frames=*/4);
+    c.dir = single;
+    WalWriter wal(c);
+    append_scripted(wal, 9, 0.0);
+    wal.append_ack_marker(7);
+  }
+  {
+    WalConfig c = config(/*segment_max_frames=*/4);
+    c.dir = batched;
+    WalWriter wal(c);
+    auto batch = wal.batch();
+    append_scripted(wal, 9, 0.0);
+    wal.append_ack_marker(7);
+    batch.commit();
+  }
+  std::size_t compared = 0;
+  for (const auto& entry : fs::directory_iterator(single)) {
+    const auto name = entry.path().filename();
+    ASSERT_TRUE(fs::exists(batched / name)) << name;
+    std::ifstream a(entry.path(), std::ios::binary);
+    std::ifstream b(batched / name, std::ios::binary);
+    const std::string bytes_a((std::istreambuf_iterator<char>(a)), {});
+    const std::string bytes_b((std::istreambuf_iterator<char>(b)), {});
+    EXPECT_EQ(bytes_a, bytes_b) << name;
+    ++compared;
+  }
+  EXPECT_EQ(compared, 3u) << "12 frames in 4-frame segments";
+}
+
+TEST_F(WalTest, TornBatchIsTruncatedOnReopen) {
+  fault::DiskFaultPlan plan;
+  // Write 0 is the header, write 1 the batch: cut it inside the 4th frame
+  // (a reading frame is 9 bytes of framing + 22 of payload).
+  plan.short_write_at(1, 3 * 31 + 10);
+  fault::DiskFaultInjector injector(std::move(plan));
+  {
+    WalConfig c = config();
+    c.fault_hook = &injector;
+    WalWriter wal(c);
+    auto batch = wal.batch();
+    for (int i = 0; i < 6; ++i) wal.on_accepted({1.0 + i, 100, 0, -50.0});
+    EXPECT_THROW(batch.commit(), std::runtime_error);
+  }
+  const WalReadResult torn = read_wal(dir_);
+  EXPECT_EQ(torn.frames.size(), 3u);
+  EXPECT_EQ(torn.corrupt_frames, 1u);
+
+  WalWriter wal(config());
+  EXPECT_EQ(wal.truncated_frames(), 1u);
+  EXPECT_EQ(wal.next_sequence(), 4u);
+  wal.append_update_marker(10.0);
+  const WalReadResult healed = read_wal(dir_);
+  ASSERT_EQ(healed.frames.size(), 4u);
+  EXPECT_EQ(healed.frames.back().type, FrameType::kUpdate);
+  EXPECT_EQ(healed.corrupt_frames, 0u);
 }
 
 }  // namespace

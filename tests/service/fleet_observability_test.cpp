@@ -12,6 +12,9 @@
 // Skipped on single-hardware-thread boxes for the same reason as the other
 // process-spawning drills (VIRE_FORCE_DRILLS=1 overrides).
 
+#include <signal.h>
+#include <sys/types.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
@@ -343,6 +346,80 @@ TEST(FleetObservabilityTest, SkewedFleetMergesNestedSpansBitIdentically) {
   EXPECT_NE(prom.find("vire_fleet_slo_burn_total"), std::string::npos);
   EXPECT_NE(prom.find("vire_supervisor_shard_anomaly_dumps_total"),
             std::string::npos);
+
+  supervisor.stop();
+  fs::remove_all(root);
+}
+
+TEST(FleetObservabilityTest, RestartedShardSpansLandInsideItsBringUp) {
+  SKIP_ON_SINGLE_CORE();
+  const Capture& capture = shared_capture();
+  const fs::path root = fs::temp_directory_path() / "vire_fleet_obs_restart";
+  fs::remove_all(root);
+  fs::create_directories(root);
+  SupervisorConfig config = fleet_config(root);
+  config.fleet_tracing = true;
+  config.shardd_extra_args = {"--clock-skew-us", "3000000"};
+  // No heartbeat between the restart and the dump: the trace pull itself
+  // must align the new incarnation's clock.
+  config.heartbeat_interval_s = 1e6;
+  config.heartbeat_timeout_s = 1e9;
+
+  Supervisor supervisor(env::Deployment::paper_testbed(), config);
+  supervisor.start();
+  register_capture(supervisor, capture);
+  supervisor.ingest(capture.segments[0]);
+  for (int poll = 0; poll < 4; ++poll) {
+    supervisor.ingest(capture.segments[static_cast<std::size_t>(poll) + 1]);
+    expect_poll_identical(supervisor.poll(capture.poll_times[poll]),
+                          capture.golden[poll], poll);
+  }
+
+  const pid_t first = supervisor.shard_pid(0);
+  ASSERT_GT(first, 0);
+  ASSERT_EQ(::kill(first, SIGKILL), 0);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(120);
+  while (supervisor.shard_state(0) != ShardState::kUp ||
+         supervisor.shard_pid(0) == first) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    supervisor.tick();
+  }
+
+  // Dump at once: the restarted shard's recovery spans must sit inside the
+  // supervisor's bring_up span for it, 3 s of injected skew notwithstanding.
+  const std::vector<std::string> events =
+      split_events(supervisor.fleet_trace_json());
+  std::vector<std::pair<double, double>> bring_ups;  // [begin, end]
+  std::vector<std::pair<std::string, double>> recovery_spans;  // name, ts
+  for (const std::string& event : events) {
+    if (field(event, "ph") != "\"X\"") continue;
+    const double ts = std::atof(field(event, "ts").c_str());
+    const double dur = std::atof(field(event, "dur").c_str());
+    const std::string pid = field(event, "pid");
+    if (pid == "1" &&
+        event.find("\"supervisor.bring_up\"") != std::string::npos &&
+        field(event, "shard") == "0") {
+      bring_ups.emplace_back(ts, ts + dur);
+    }
+    for (const char* name : {"persist.checkpoint_load", "persist.replay"}) {
+      if (pid == "2" &&
+          event.find("\"" + std::string(name) + "\"") != std::string::npos) {
+        recovery_spans.emplace_back(name, ts);
+      }
+    }
+  }
+  ASSERT_FALSE(bring_ups.empty());
+  ASSERT_GE(recovery_spans.size(), 2u) << "the new incarnation's recovery";
+  for (const auto& [name, ts] : recovery_spans) {
+    const bool inside =
+        std::any_of(bring_ups.begin(), bring_ups.end(), [&](const auto& span) {
+          return ts >= span.first && ts <= span.second;
+        });
+    EXPECT_TRUE(inside) << name << " at " << ts
+                        << " us lies outside every supervisor.bring_up";
+  }
 
   supervisor.stop();
   fs::remove_all(root);
