@@ -15,13 +15,17 @@
 //   * recover         — cold-start latency of checkpoint load + suffix fold,
 //     which bounds supervisor failover time: takeover ~ journal-suffix
 //     length / recovery rate;
-//   * op-log rebuild  — collect_oplog() full-journal re-scan, the overflow
-//     escape hatch (push_oplog eviction) and migration re-feed path.
+//   * op-log rebuild  — collect_oplog(), the overflow escape hatch
+//     (push_oplog eviction): shard 0 owes the newest 260 batches (one
+//     ingest_stream poll interval), rebuilt once by a full-journal scan and
+//     once from the overflow floor the supervisor passes, which walks the
+//     older records without decoding them. Both must return the same suffix.
 //
 // Env knobs: VIRE_JOURNAL_OPS      journaled batches (default 20000)
 //            VIRE_JOURNAL_BATCH    readings per batch (default 8)
 //            VIRE_JOURNAL_RECOVERS recover() reps timed (default 5)
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -86,11 +90,17 @@ int main() {
   journal->record_shard_active(0);
   journal->record_add_shard(1);
   journal->record_shard_active(1);
+  // Shard 0 holds the odd batch sequences; it has acked all but its newest
+  // `tail` batches, and the first un-acked one is the rebuild's floor.
+  const int tail = std::min(260, ops / 2);
+  const auto last_ack = static_cast<std::uint64_t>(ops - 2 * tail);
+  std::uint64_t floor = 0;
   const auto append_start = std::chrono::steady_clock::now();
   for (int i = 0; i < ops; ++i) {
-    journal->record_batch(static_cast<std::uint32_t>(i & 1),
-                          static_cast<std::uint64_t>(i + 1),
-                          make_batch(i, per_batch));
+    const auto journal_seq = journal->record_batch(
+        static_cast<std::uint32_t>(i & 1), static_cast<std::uint64_t>(i + 1),
+        make_batch(i, per_batch));
+    if (static_cast<std::uint64_t>(i) == last_ack) floor = journal_seq;
   }
   const double append_elapsed = seconds_since(append_start);
   const double append_ops_rate = static_cast<double>(ops) / append_elapsed;
@@ -141,12 +151,24 @@ int main() {
           : 0.0;
 
   // 4. Op-log rebuild: the overflow escape hatch re-scans the journal for
-  // one member's suffix.
+  // one member's un-acked suffix, from sequence 0 and from the floor.
   service::ControlJournal rebuild(config);
   (void)rebuild.recover();
-  const auto collect_start = std::chrono::steady_clock::now();
-  const auto oplog = rebuild.collect_oplog(0, 0, 0);
+  std::uint64_t full_records = 0;
+  auto collect_start = std::chrono::steady_clock::now();
+  const auto oplog = rebuild.collect_oplog(0, last_ack, 0, 0, &full_records);
   const double collect_ms = seconds_since(collect_start) * 1000.0;
+  std::uint64_t floor_records = 0;
+  collect_start = std::chrono::steady_clock::now();
+  const auto from_floor =
+      rebuild.collect_oplog(0, last_ack, 0, floor, &floor_records);
+  const double collect_floor_ms = seconds_since(collect_start) * 1000.0;
+  bool rebuilds_match = from_floor.size() == oplog.size();
+  for (std::size_t i = 0; rebuilds_match && i < oplog.size(); ++i) {
+    rebuilds_match =
+        from_floor[i].journal_sequence == oplog[i].journal_sequence &&
+        from_floor[i].readings.size() == oplog[i].readings.size();
+  }
 
   std::printf("op append        : %10.0f batches/s  (%0.0f readings/s)\n",
               append_ops_rate, append_readings_rate);
@@ -155,8 +177,14 @@ int main() {
               "%0.0f ops/s)\n",
               recover_ms, static_cast<unsigned long long>(replayed),
               static_cast<unsigned long long>(owed), replay_rate);
-  std::printf("op-log rebuild   : %10.3f ms  (%zu entries for shard 0)\n",
-              collect_ms, oplog.size());
+  std::printf("op-log rebuild   : %10.3f ms  full scan (%llu records "
+              "decoded, %zu entries kept for shard 0)\n",
+              collect_ms, static_cast<unsigned long long>(full_records),
+              oplog.size());
+  std::printf("                   %10.3f ms  from the floor (%llu records "
+              "decoded, %zu entries kept%s)\n",
+              collect_floor_ms, static_cast<unsigned long long>(floor_records),
+              from_floor.size(), rebuilds_match ? "" : ", MISMATCH");
 
   obs::BenchReport bench;
   bench.name = "supervisor_journal";
@@ -172,10 +200,11 @@ int main() {
                    {"checkpoint_write_ms", checkpoint_ms},
                    {"recover_ms", recover_ms},
                    {"recover_ops_per_sec", replay_rate},
-                   {"collect_oplog_ms", collect_ms}};
+                   {"collect_oplog_ms", collect_ms},
+                   {"collect_oplog_from_floor_ms", collect_floor_ms}};
   const auto path = obs::write_bench_report(bench);
   std::printf("\nreport: %s\n", path.string().c_str());
 
   fs::remove_all(scratch);
-  return replayed > 0 && owed > 0 && !oplog.empty() ? 0 : 1;
+  return replayed > 0 && owed > 0 && !oplog.empty() && rebuilds_match ? 0 : 1;
 }

@@ -288,24 +288,29 @@ void fold_op(std::uint64_t sequence, std::uint8_t type, Op& op,
 }
 
 /// Folds every journal record with sequence >= `from_sequence` under `dir`
-/// into `state` and `oplogs`, counting the folded records in `folded`. With
-/// `only_shard` set, folds just the ops addressed to that member.
+/// into `state` and `oplogs`, counting the records decoded in `decoded`.
+/// With `only_shard` set, folds just the ops addressed to that member.
+///
+/// Records below `from_sequence` are CRC-walked but not decoded. That keeps
+/// the torn-tail rule: the journal's writer validated every retained record
+/// with decode_op when it reopened the log (ControlJournal's constructor),
+/// so a record older than the floor always decodes, and the walk still stops
+/// at the first bad CRC of any retained segment.
 persist::FramedLogScan fold_journal(const std::filesystem::path& dir,
                                     std::uint64_t from_sequence,
                                     std::optional<std::uint32_t> only_shard,
                                     ControlCheckpoint& state, OpLogs& oplogs,
-                                    std::uint64_t& folded) {
+                                    std::uint64_t& decoded) {
   Op op;
   return persist::scan_framed_log(
       dir, journal_format(),
       [&](std::uint64_t sequence, std::uint8_t type, std::string_view payload) {
+        if (sequence < from_sequence) return true;
         if (!decode_op(type, payload, op)) return false;
+        ++decoded;
         const bool addressed = type != kOpTrack && type != kOpSetReference;
         if (only_shard && !(addressed && op.shard == *only_shard)) return true;
-        if (sequence >= from_sequence) {
-          fold_op(sequence, type, op, state, oplogs);
-          ++folded;
-        }
+        fold_op(sequence, type, op, state, oplogs);
         return true;
       });
 }
@@ -351,13 +356,15 @@ RecoveredControlState ControlJournal::recover() {
 }
 
 std::deque<JournaledOp> ControlJournal::collect_oplog(
-    std::uint32_t shard, std::uint64_t last_ack, std::uint64_t polls_done) {
+    std::uint32_t shard, std::uint64_t last_ack, std::uint64_t polls_done,
+    std::uint64_t from_sequence, std::uint64_t* records_decoded) {
   ControlCheckpoint state;
   state.members.push_back(
       {shard, MemberPhase::kActive, last_ack, /*breaker_open=*/false, polls_done});
   OpLogs oplogs;
-  std::uint64_t folded = 0;
-  (void)fold_journal(config_.dir, 0, shard, state, oplogs, folded);
+  std::uint64_t decoded = 0;
+  (void)fold_journal(config_.dir, from_sequence, shard, state, oplogs, decoded);
+  if (records_decoded != nullptr) *records_decoded = decoded;
   return std::move(oplogs[shard]);
 }
 

@@ -157,9 +157,12 @@ class ControlJournal {
   /// This is the overflow escape hatch — when the in-memory op-log evicted
   /// journaled entries (push_oplog capacity), bring_up rebuilds the full
   /// suffix from here instead of silently losing the evicted prefix.
-  [[nodiscard]] std::deque<JournaledOp> collect_oplog(std::uint32_t shard,
-                                                      std::uint64_t last_ack,
-                                                      std::uint64_t polls_done);
+  /// Records below `from_sequence` (the oldest evicted entry) are walked but
+  /// not decoded; `records_decoded`, when set, receives how many were.
+  [[nodiscard]] std::deque<JournaledOp> collect_oplog(
+      std::uint32_t shard, std::uint64_t last_ack, std::uint64_t polls_done,
+      std::uint64_t from_sequence = 0,
+      std::uint64_t* records_decoded = nullptr);
 
   /// Syncs the log, atomically writes checkpoint.bin, prunes segments wholly
   /// below state.journal_floor and resets appends_since_checkpoint().

@@ -488,6 +488,21 @@ std::vector<engine::Fix> Supervisor::poll(sim::SimTime now,
       observe_ingest_to_fix((shard_end_us - oldest_stamp_us) / 1e6);
     }
   }
+  // Ack refresh: tick() heartbeats only every heartbeat_interval_s, and a
+  // fast stream fills an op-log long before that, which would overflow it
+  // and leave the next revival a rebuild from the journal. A shard polled
+  // just now has drained its queue, so one heartbeat is a cheap round trip
+  // that trims its op-log to the un-acked tail.
+  for (const auto& polled : sent) {
+    ManagedShard& shard = *polled.first;
+    if (shard.state != ShardState::kUp || shard.client == nullptr ||
+        shard.oplog.size() <= config_.oplog_capacity / 2) {
+      continue;
+    }
+    const obs::TraceSpan refresh(&tracer_, "supervisor.ack_refresh",
+                                 shard_json(shard.id));
+    heartbeat_shard(shard);
+  }
   if (refused != nullptr) std::rethrow_exception(refused);
   std::sort(merged.begin(), merged.end(),
             [](const engine::Fix& a, const engine::Fix& b) {
@@ -905,13 +920,20 @@ bool Supervisor::bring_up(ManagedShard& shard) {
 void Supervisor::replay(ManagedShard& shard) {
   const obs::TraceSpan span(&tracer_, "supervisor.replay",
                             shard_json(shard.id));
+  // The ack the shard recovered from its WAL may already cover every
+  // evicted entry, which ends the overflow episode before any rebuild.
+  trim_oplog(shard);
   if (shard.oplog_overflow && journal_ != nullptr) {
     // Capacity overflow evicted journal-backed entries (push_oplog): rebuild
     // the full un-acked suffix from the journal instead of replaying a
-    // truncated one. overflow_floor kept the needed records from pruning.
+    // truncated one. overflow_floor kept the needed records from pruning,
+    // and nothing older than it can still be owed, so the fold starts there.
+    const double rebuild_start_us = tracer_.now_us();
+    std::uint64_t records = 0;
     std::deque<OpEntry> rebuilt;
-    for (auto& op : journal_->collect_oplog(shard.id, shard.last_ack,
-                                            shard.polls_done)) {
+    for (auto& op :
+         journal_->collect_oplog(shard.id, shard.last_ack, shard.polls_done,
+                                 shard.overflow_floor, &records)) {
       OpEntry entry;
       entry.journal_seq = op.journal_sequence;
       if (op.kind == JournaledOp::Kind::kBatch) {
@@ -924,9 +946,16 @@ void Supervisor::replay(ManagedShard& shard) {
       }
       rebuilt.push_back(std::move(entry));
     }
+    if (tracer_.enabled()) {
+      tracer_.complete("supervisor.oplog_rebuild", rebuild_start_us,
+                       tracer_.now_us(),
+                       "{\"shard\":" + std::to_string(shard.id) +
+                           ",\"from\":" + std::to_string(shard.overflow_floor) +
+                           ",\"records\":" + std::to_string(records) +
+                           ",\"kept\":" + std::to_string(rebuilt.size()) + "}");
+    }
     shard.oplog = std::move(rebuilt);
-    shard.oplog_overflow = false;
-    shard.overflow_floor = 0;
+    end_overflow(shard);
   }
   std::uint64_t polls_done = shard.polls_done;
   for (auto it = shard.oplog.begin(); it != shard.oplog.end();) {
@@ -990,6 +1019,12 @@ void Supervisor::push_oplog(ManagedShard& shard, OpEntry entry) {
           victim.journal_seq < shard.overflow_floor) {
         shard.overflow_floor = victim.journal_seq;
       }
+      if (victim.kind == OpEntry::Kind::kPoll) {
+        shard.overflow_evicted_poll = true;
+      } else {
+        shard.overflow_batch_high =
+            std::max(shard.overflow_batch_high, victim.sequence);
+      }
       if (!shard.oplog_overflow) {
         shard.oplog_overflow = true;
         oplog_overflow_->inc();
@@ -1014,6 +1049,19 @@ void Supervisor::trim_oplog(ManagedShard& shard) {
                               e.sequence <= ack;
                      }),
       shard.oplog.end());
+  // Every evicted entry is acked, so the trim would have dropped it anyway:
+  // no rebuild is owed, and the journal floor follows the acks again.
+  if (shard.oplog_overflow && !shard.overflow_evicted_poll &&
+      ack >= shard.overflow_batch_high) {
+    end_overflow(shard);
+  }
+}
+
+void Supervisor::end_overflow(ManagedShard& shard) {
+  shard.oplog_overflow = false;
+  shard.overflow_floor = 0;
+  shard.overflow_batch_high = 0;
+  shard.overflow_evicted_poll = false;
 }
 
 void Supervisor::handle_death(ManagedShard& shard, DeathCause cause) {

@@ -147,12 +147,14 @@ struct SupervisorConfig {
   double connect_retry_s = 0.02;
 
   std::uint64_t seed = 0;
-  /// Per-shard op-log bound (entries). Overflow evicts the oldest entry; with
-  /// the control journal on, the evicted history stays recoverable (the shard
-  /// is marked for a journal-backed op-log rebuild at its next bring-up and
-  /// vire_supervisor_oplog_overflow_total counts the episode). Only with the
-  /// journal off is an evicted entry truly unreplayable
-  /// (vire_supervisor_oplog_dropped_total).
+  /// Per-shard op-log bound (entries). poll() acks every polled shard whose
+  /// op-log is over half full, so a live shard overflows only when more than
+  /// half the bound arrives between two polls. Overflow evicts the oldest
+  /// entry; with the control journal on, the evicted history stays
+  /// recoverable (the shard is marked for a journal-backed op-log rebuild at
+  /// its next bring-up and vire_supervisor_oplog_overflow_total counts the
+  /// episode). Only with the journal off is an evicted entry truly
+  /// unreplayable (vire_supervisor_oplog_dropped_total).
   std::size_t oplog_capacity = 4096;
 
   /// Durable control plane: journal every control-plane op (ingest batches,
@@ -309,11 +311,17 @@ class Supervisor : public Frontend {
     /// Un-acked batches + undelivered polls, in original order.
     std::deque<OpEntry> oplog;
     /// Capacity overflow evicted journal-backed entries: rebuild the op-log
-    /// from the control journal at the next bring-up (replay()).
+    /// from the control journal at the next bring-up (replay()). The episode
+    /// ends early once an ack covers every evicted entry (trim_oplog()).
     bool oplog_overflow = false;
     /// Journal sequence of the oldest evicted entry — holds the checkpoint
     /// floor down so the needed suffix is never pruned before the rebuild.
     std::uint64_t overflow_floor = 0;
+    /// Highest batch sequence evicted in this episode.
+    std::uint64_t overflow_batch_high = 0;
+    /// True when the episode evicted a kPoll entry: polls are not acked, so
+    /// only the rebuild can end such an episode.
+    bool overflow_evicted_poll = false;
     /// Journal sequence through which journaled polls have been executed.
     std::uint64_t polls_done = 0;
     /// Clock offset of this shard's trace clock vs the supervisor's,
@@ -357,7 +365,10 @@ class Supervisor : public Frontend {
   /// numbered at or below such a cursor would be dropped as a duplicate by
   /// the shard and trimmed as acked here — silent data loss.
   void observe_ack(ManagedShard& shard, std::uint64_t ack);
+  /// Drops acked batches and ends an overflow episode every evicted entry of
+  /// which is acked: the in-memory op-log is then the whole un-acked suffix.
   void trim_oplog(ManagedShard& shard);
+  static void end_overflow(ManagedShard& shard);
   void handle_death(ManagedShard& shard, DeathCause cause);
   /// Restart a non-UP shard if policy allows (waits out a pending backoff up
   /// to inline_revival_max_wait_s, else defers to tick(); respects an open

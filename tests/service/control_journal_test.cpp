@@ -237,6 +237,51 @@ TEST(ControlJournalTest, CollectOplogRebuildsTheSuffixFromDisk) {
   EXPECT_EQ(other[2].batch_sequence, 5u);
 }
 
+// The supervisor's rebuild folds from the oldest evicted entry (its
+// overflow floor), not from sequence 0: everything older is acked or done,
+// so both folds must return the same suffix while the bounded one decodes
+// fewer records. Segments of 4 records put the floor mid-log.
+TEST(ControlJournalTest, CollectOplogFromTheFloorMatchesTheFullScan) {
+  const fs::path dir = fresh_dir("vire_cj_collect_floor");
+  std::uint64_t floor = 0;
+  {
+    ControlJournal journal(journal_config(dir));
+    (void)journal.recover();
+    journal.record_add_shard(0);
+    journal.record_add_shard(1);
+    for (std::uint64_t seq = 1; seq <= 40; ++seq) {
+      const auto journal_seq = journal.record_batch(
+          seq % 2, seq, {reading(0.1 * double(seq), 7, -50.0 - double(seq))});
+      if (seq == 21) floor = journal_seq;  // shard 0 acked through 20
+      if (seq == 30) (void)journal.record_poll(0, 3.0);
+    }
+    journal.record_track(7, "pallet", std::nullopt);
+  }
+  ASSERT_NE(floor, 0u);
+  ControlJournal journal(journal_config(dir));
+  (void)journal.recover();
+  std::uint64_t full_records = 0;
+  std::uint64_t floor_records = 0;
+  const auto full = journal.collect_oplog(0, /*last_ack=*/20, /*polls_done=*/0,
+                                          0, &full_records);
+  const auto bounded = journal.collect_oplog(0, 20, 0, floor, &floor_records);
+  ASSERT_EQ(bounded.size(), full.size());
+  ASSERT_EQ(full.size(), 11u) << "batches 22..40 of shard 0 plus one poll";
+  for (std::size_t i = 0; i < full.size(); ++i) {
+    EXPECT_EQ(bounded[i].kind, full[i].kind) << i;
+    EXPECT_EQ(bounded[i].journal_sequence, full[i].journal_sequence) << i;
+    EXPECT_EQ(bounded[i].batch_sequence, full[i].batch_sequence) << i;
+    EXPECT_EQ(bounded[i].time, full[i].time) << i;
+    ASSERT_EQ(bounded[i].readings.size(), full[i].readings.size()) << i;
+    for (std::size_t r = 0; r < full[i].readings.size(); ++r) {
+      EXPECT_EQ(bounded[i].readings[r].rssi_dbm, full[i].readings[r].rssi_dbm);
+    }
+  }
+  EXPECT_EQ(full_records, journal.next_sequence() - 1) << "every record";
+  EXPECT_EQ(floor_records, journal.next_sequence() - floor)
+      << "only the records at or above the floor are decoded";
+}
+
 TEST(ControlJournalTest, CorruptCheckpointFallsBackToTheJournal) {
   const fs::path dir = fresh_dir("vire_cj_badckpt");
   {

@@ -255,6 +255,80 @@ TEST(ShardEquivalenceTest, KilledShardRecoversBitIdentically) {
   fs::remove_all(root);
 }
 
+/// Every shard's op-log length from the supervisor's fleet_status document.
+std::vector<std::size_t> oplog_lengths(const Supervisor& fleet) {
+  const std::string status = fleet.snapshot_json();
+  const std::string key = "\"oplog\":";
+  std::vector<std::size_t> lengths;
+  for (auto at = status.find(key); at != std::string::npos;
+       at = status.find(key, at + key.size())) {
+    lengths.push_back(std::stoul(status.substr(at + key.size())));
+  }
+  return lengths;
+}
+
+std::uint64_t counter_value(Supervisor& fleet, const std::string& name) {
+  const auto* counter = fleet.metrics().find_counter(name);
+  return counter != nullptr ? counter->value() : 0;
+}
+
+// tick() never heartbeats here (heartbeat_interval_s = 1e6), so only the
+// poll acks. The poll refreshes the ack cursor of every shard whose op-log
+// is over half full, which keeps each op-log within half its capacity plus
+// one poll interval of batches: it never overflows, and a killed shard is
+// revived from the in-memory op-log, bit-identically.
+TEST(ShardEquivalenceTest, PollAcksKeepTheOplogFromOverflowing) {
+  const Capture& capture = shared_capture();
+  constexpr std::size_t kCapacity = 64;
+  constexpr std::size_t kBatches = 10 * kCapacity;
+  constexpr std::size_t kPollEvery = 20;
+  constexpr std::size_t kKillAfterBatch = 327;  // mid poll interval
+  std::vector<sim::RssiReading> stream;
+  for (const auto& segment : capture.segments) {
+    stream.insert(stream.end(), segment.begin(), segment.end());
+  }
+  ASSERT_GE(stream.size(), kBatches);
+
+  const auto run = [&](bool kill_shard_0) {
+    const fs::path root = fresh_root("vire_equivalence_ack_refresh");
+    InProcessShardRunner runner;
+    SupervisorConfig config = fleet_config(root, 2);
+    config.oplog_capacity = kCapacity;
+    config.heartbeat_interval_s = 1e6;
+    auto fleet = make_fleet(capture, config, runner);
+    std::vector<std::vector<engine::Fix>> polls;
+    for (std::size_t b = 0; b < kBatches; ++b) {
+      const auto begin = stream.begin() + static_cast<std::ptrdiff_t>(
+                                              stream.size() * b / kBatches);
+      const auto end = stream.begin() + static_cast<std::ptrdiff_t>(
+                                            stream.size() * (b + 1) / kBatches);
+      fleet->ingest(std::vector<sim::RssiReading>(begin, end));
+      if (kill_shard_0 && b == kKillAfterBatch) runner.kill(0);
+      if ((b + 1) % kPollEvery != 0) continue;
+      for (const std::size_t length : oplog_lengths(*fleet)) {
+        EXPECT_LE(length, kCapacity / 2 + kPollEvery) << "batch " << b;
+      }
+      polls.push_back(fleet->poll((end - 1)->time));
+    }
+    EXPECT_EQ(counter_value(*fleet, "vire_supervisor_oplog_overflow_total"), 0u);
+    EXPECT_GT(counter_value(*fleet, "vire_supervisor_heartbeats_total"), 0u)
+        << "the poll-time refresh must have acked";
+    EXPECT_EQ(fleet->restarts(), kill_shard_0 ? 1u : 0u);
+    fleet->stop();
+    fs::remove_all(root);
+    return polls;
+  };
+
+  const auto uninterrupted = run(false);
+  const auto revived = run(true);
+  ASSERT_EQ(revived.size(), kBatches / kPollEvery);
+  ASSERT_EQ(revived.size(), uninterrupted.size());
+  for (std::size_t poll = 0; poll < revived.size(); ++poll) {
+    expect_poll_identical(revived[poll], uninterrupted[poll],
+                          static_cast<int>(poll));
+  }
+}
+
 // A supervisor destroyed without stop() leaves its shards running in the
 // runner; the next supervisor over the same root and runner rebuilds its
 // control state from the journal, adopts the running shards instead of

@@ -580,6 +580,58 @@ TEST(SupervisorRestartTest, OplogOverflowRebuildsFromJournalWithoutLoss) {
   fs::remove_all(root);
 }
 
+// An overflow episode ends once an ack covers every evicted batch: the
+// journal floor then follows the acks again, so the next checkpoint prunes
+// the segments the episode held. Without the end, the floor stayed at the
+// first evicted entry for the supervisor's whole life and the journal grew
+// without bound. One shard, up throughout, and no polls, so only the
+// heartbeat acks.
+TEST(SupervisorRestartTest, AckedOverflowEpisodeEndsAndFreesTheJournal) {
+  SKIP_ON_SINGLE_CORE();
+  const fs::path root = fs::temp_directory_path() / "vire_supervisor_episode";
+  fs::remove_all(root);
+  fs::create_directories(root);
+
+  SupervisorConfig config;
+  config.shards = 1;
+  config.root_dir = root;
+  config.shardd_binary = VIRE_SHARDD_PATH;
+  config.oplog_capacity = 4;
+  config.spawn_wait_s = 120.0;
+  config.heartbeat_interval_s = 1.0;
+  config.heartbeat_timeout_s = 1e9;
+  FakeClock clock;
+  Supervisor supervisor(env::Deployment::paper_testbed(), config, &clock);
+  supervisor.start();
+  ASSERT_EQ(supervisor.shard_state(0), ShardState::kUp);
+
+  // More batches than one journal segment holds (4096 records), so the
+  // first segment is closed behind the evicted entries.
+  for (int i = 0; i < 4200; ++i) {
+    supervisor.ingest({make_reading(1.0 + 0.001 * i, 7)});
+  }
+  const auto* overflow =
+      supervisor.metrics().find_counter("vire_supervisor_oplog_overflow_total");
+  ASSERT_NE(overflow, nullptr);
+  EXPECT_EQ(overflow->value(), 1u) << "one overflow episode";
+
+  const fs::path first_segment = root / "journal" / "ops-000000000001.log";
+  supervisor.checkpoint_now();
+  EXPECT_TRUE(fs::exists(first_segment))
+      << "an open episode pins the journal floor at its oldest eviction";
+
+  clock.advance(2.0);
+  supervisor.tick();  // the heartbeat acks every batch
+  EXPECT_EQ(supervisor.heartbeat().last_ack_sequence, 4200u);
+  supervisor.checkpoint_now();
+  EXPECT_FALSE(fs::exists(first_segment))
+      << "an acked episode ends and the floor follows the acks again";
+  EXPECT_NE(supervisor.snapshot_json().find("\"oplog\":0"), std::string::npos);
+
+  supervisor.stop();
+  fs::remove_all(root);
+}
+
 // A clean stop() checkpoints the folded control state, so the next
 // incarnation starts with an empty journal suffix: zero replayed batches.
 TEST(SupervisorRestartTest, CleanStopCheckpointsSoRestartReplaysNothing) {
