@@ -44,13 +44,18 @@ std::string json_escape(const std::string& s) {
 
 Tracer::Tracer(std::size_t capacity)
     : epoch_(std::chrono::steady_clock::now()),
-      ring_(std::max<std::size_t>(1, capacity)) {}
+      capacity_(std::max<std::size_t>(1, capacity)) {}
 
 std::uint32_t Tracer::thread_id() { return current_thread_id(); }
 
 void Tracer::push(TraceEvent event) {
   std::lock_guard lock(mutex_);
-  ring_[head_ % ring_.size()] = std::move(event);
+  if (ring_.size() < capacity_) {
+    ring_.reserve(capacity_);  // allocates at the first event only
+    ring_.push_back(std::move(event));
+  } else {
+    ring_[head_ % capacity_] = std::move(event);
+  }
   ++head_;
 }
 
@@ -93,11 +98,11 @@ void Tracer::set_thread_name(std::string name) {
 
 std::vector<TraceEvent> Tracer::snapshot() const {
   std::lock_guard lock(mutex_);
-  const std::size_t count = std::min<std::uint64_t>(head_, ring_.size());
+  const std::size_t count = ring_.size();
   std::vector<TraceEvent> out;
   out.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    out.push_back(ring_[(head_ - count + i) % ring_.size()]);
+    out.push_back(ring_[(head_ - count + i) % capacity_]);
   }
   return out;
 }
@@ -126,11 +131,12 @@ std::uint64_t Tracer::recorded() const noexcept {
 
 std::uint64_t Tracer::dropped() const noexcept {
   std::lock_guard lock(mutex_);
-  return head_ > ring_.size() ? head_ - ring_.size() : 0;
+  return head_ > capacity_ ? head_ - capacity_ : 0;
 }
 
 void Tracer::clear() {
   std::lock_guard lock(mutex_);
+  ring_.clear();  // keeps the reserved memory for the next events
   head_ = 0;
 }
 

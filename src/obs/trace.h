@@ -53,6 +53,8 @@ class Tracer {
  public:
   /// @param capacity ring size in events (>= 1); the last `capacity` events
   ///        are retained, older ones are overwritten and counted as dropped.
+  ///        The ring's memory is reserved at the first recorded event, so a
+  ///        tracer that never records costs no ring at all.
   explicit Tracer(std::size_t capacity = 65536);
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
@@ -103,7 +105,7 @@ class Tracer {
   /// recent `max_events` events (0 = all retained), the thread-name table,
   /// and this clock's current reading (so the receiver can rebase).
   [[nodiscard]] struct TraceDump dump(std::size_t max_events = 0) const;
-  [[nodiscard]] std::size_t capacity() const noexcept { return ring_.size(); }
+  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   /// Events recorded since construction (including overwritten ones).
   [[nodiscard]] std::uint64_t recorded() const noexcept;
   /// Events lost to ring overwrite.
@@ -124,9 +126,12 @@ class Tracer {
   std::chrono::steady_clock::time_point epoch_;
   std::atomic<bool> enabled_{false};
   std::atomic<double> skew_us_{0.0};
+  std::size_t capacity_;
   mutable std::mutex mutex_;
-  std::vector<TraceEvent> ring_;       ///< fixed capacity, never reallocated
-  std::uint64_t head_ = 0;             ///< total events pushed (next slot = head_ % capacity)
+  /// Grows to capacity_ (reserved once, at the first event, so it is never
+  /// reallocated), then wraps: size() == min(head_, capacity_).
+  std::vector<TraceEvent> ring_;
+  std::uint64_t head_ = 0;             ///< total events pushed (next slot = head_ % capacity_)
   std::vector<std::pair<std::uint32_t, std::string>> thread_names_;
 };
 

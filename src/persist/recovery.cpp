@@ -18,6 +18,20 @@ RecoveryManager::RecoveryManager(RecoveryConfig config)
 
 RecoveryReport RecoveryManager::recover(engine::LocalizationEngine& engine,
                                         sim::Middleware& middleware) {
+  return run(engine, middleware, {}, nullptr);
+}
+
+RecoveryReport RecoveryManager::recover(engine::LocalizationEngine& engine,
+                                        sim::Middleware& middleware,
+                                        WalConfig wal,
+                                        std::unique_ptr<WalWriter>& writer) {
+  return run(engine, middleware, std::move(wal), &writer);
+}
+
+RecoveryReport RecoveryManager::run(engine::LocalizationEngine& engine,
+                                    sim::Middleware& middleware,
+                                    WalConfig wal_config,
+                                    std::unique_ptr<WalWriter>* writer) {
   RecoveryReport report;
   const obs::Stopwatch watch;
   obs::MetricsRegistry& metrics = engine.metrics();
@@ -57,8 +71,30 @@ RecoveryReport RecoveryManager::recover(engine::LocalizationEngine& engine,
     }
   }
 
-  // 2. Replay the WAL suffix through the normal pipeline entry points.
-  const WalReadResult wal = read_wal(config_.wal_dir, from_sequence);
+  // 2. One walk over the retained WAL: the writer's reopen walk when the
+  //    journal keeps running (it also truncates a torn tail), else a
+  //    read-only read.
+  WalReadResult wal;
+  {
+    const double walk_start_us = tracer.now_us();
+    if (writer == nullptr) {
+      wal = read_wal(config_.wal_dir, from_sequence);
+      corrupt_metric.inc(wal.corrupt_frames);
+    } else {
+      wal_config.dir = config_.wal_dir;
+      *writer = std::make_unique<WalWriter>(std::move(wal_config),
+                                            from_sequence, wal);
+      (*writer)->attach_metrics(metrics);  // counts the truncated tail
+    }
+    if (tracer.enabled()) {
+      tracer.complete("persist.wal_walk", walk_start_us, tracer.now_us(),
+                      "{\"walked\":" + std::to_string(wal.frames_walked) +
+                          ",\"kept\":" + std::to_string(wal.frames.size()) +
+                          "}");
+    }
+  }
+
+  // 3. Replay the WAL suffix through the normal pipeline entry points.
   if (!report.checkpoint_loaded && !wal.frames.empty() &&
       wal.frames.front().sequence > 1) {
     // The log was pruned behind checkpoints that are all gone now: what is
@@ -69,7 +105,6 @@ RecoveryReport RecoveryManager::recover(engine::LocalizationEngine& engine,
         static_cast<unsigned long long>(wal.frames.front().sequence));
   }
   report.corrupt_frames = wal.corrupt_frames;
-  corrupt_metric.inc(wal.corrupt_frames);
   report.next_wal_sequence =
       wal.next_sequence != 0 ? wal.next_sequence
                              : (from_sequence != 0 ? from_sequence : 1);

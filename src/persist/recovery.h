@@ -14,13 +14,17 @@
 //
 // Call order on restart:
 //   1. build engine + middleware from the SAME config as the crashed run;
-//   2. RecoveryManager::recover(engine, middleware)  — with NO journal
-//      attached, so replay does not re-journal itself;
-//   3. construct the WalWriter (it resumes after the valid prefix) and
-//      attach it; continue operating.
+//   2. RecoveryManager::recover(engine, middleware, wal_config, writer) —
+//      with NO journal attached, so replay does not re-journal itself. It
+//      opens the WalWriter first (resuming after the valid prefix), and the
+//      writer's reopen walk is the only read of the WAL;
+//   3. attach the writer as the middleware's journal; continue operating.
+// recover(engine, middleware) is the read-only form: it reads the WAL
+// without opening a writer and changes nothing on disk.
 
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <vector>
 
 #include "engine/localization_engine.h"
@@ -113,13 +117,30 @@ class RecoveryManager {
   /// vire_persist_recovery_seconds histogram in engine.metrics(), and emits
   /// persist.checkpoint_load / persist.replay spans on engine.tracer().
   /// A missing WAL/checkpoint directory is a cold start: returns an empty
-  /// report, the engine is untouched.
+  /// report, the engine is untouched. Emits one persist.wal_walk span
+  /// (args: frames walked, frames kept for replay).
   RecoveryReport recover(engine::LocalizationEngine& engine,
                          sim::Middleware& middleware);
+
+  /// recover() for a journal that keeps running: opens `writer` over
+  /// config().wal_dir with `wal`'s other settings after the checkpoint
+  /// loads, and replays the frames the writer's reopen walk kept. The torn
+  /// tail is truncated by that walk and counted once in
+  /// vire_persist_wal_corrupt_total (the writer's metrics are attached).
+  /// The caller attaches `writer` as the middleware's journal afterwards.
+  RecoveryReport recover(engine::LocalizationEngine& engine,
+                         sim::Middleware& middleware, WalConfig wal,
+                         std::unique_ptr<WalWriter>& writer);
 
   [[nodiscard]] const RecoveryConfig& config() const noexcept { return config_; }
 
  private:
+  /// Both forms; `writer` null reads the WAL without opening one (and
+  /// `wal` is unused).
+  RecoveryReport run(engine::LocalizationEngine& engine,
+                     sim::Middleware& middleware, WalConfig wal,
+                     std::unique_ptr<WalWriter>* writer);
+
   RecoveryConfig config_;
 };
 

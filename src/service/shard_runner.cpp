@@ -1,11 +1,15 @@
 #include "service/shard_runner.h"
 
+#include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <exception>
 #include <fstream>
 #include <stdexcept>
@@ -49,6 +53,28 @@ namespace {
 
 constexpr double kStopGraceS = 2.0;
 
+/// Reads the shard's readiness byte from `fd` within `timeout_s` of real
+/// time. False at EOF (every write end closed: the shard exited before
+/// serving) and at the timeout.
+bool await_ready(int fd, double timeout_s) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::duration<double>(std::max(0.0, timeout_s));
+  for (;;) {
+    const double left_ms = std::chrono::duration<double, std::milli>(
+                               deadline - std::chrono::steady_clock::now())
+                               .count();
+    pollfd pfd{fd, POLLIN, 0};
+    const int n = ::poll(&pfd, 1,
+                         static_cast<int>(std::clamp(std::ceil(left_ms), 0.0, 1e9)));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    char byte = 0;
+    const ssize_t got = ::read(fd, &byte, 1);
+    if (got < 0 && errno == EINTR) continue;
+    return got == 1;
+  }
+}
+
 }  // namespace
 
 ProcessShardRunner::ProcessShardRunner(std::filesystem::path shardd_binary,
@@ -77,6 +103,12 @@ bool ProcessShardRunner::start(const ShardLaunch& launch) {
       "--window", obs::format_double(launch.middleware_window_s),
       "--checkpoint-every", std::to_string(launch.checkpoint_every_updates),
   };
+  // Readiness pipe. Both ends are close-on-exec, so no other child this
+  // process spawns inherits the write end (a stray copy would keep EOF from
+  // reporting this shard's death); the child clears the flag on its copy.
+  int ready[2];
+  if (::pipe2(ready, O_CLOEXEC) != 0) return false;
+  args.insert(args.end(), {"--ready-fd", std::to_string(ready[1])});
   args.insert(args.end(), extra_args_.begin(), extra_args_.end());
   if (launch.trace) args.emplace_back("--trace");
   std::vector<char*> argv;
@@ -85,19 +117,30 @@ bool ProcessShardRunner::start(const ShardLaunch& launch) {
   argv.push_back(nullptr);
 
   const pid_t pid = ::fork();
-  if (pid < 0) return false;
+  if (pid < 0) {
+    ::close(ready[0]);
+    ::close(ready[1]);
+    return false;
+  }
   if (pid == 0) {
     // Child: only async-signal-safe calls between fork and exec.
+    ::fcntl(ready[1], F_SETFD, 0);
     ::execv(argv[0], argv.data());
     ::_exit(127);
   }
+  ::close(ready[1]);
   children_[launch.id] = Child{pid, false};
   // Pidfile for adoption: a future supervisor finds the (by then orphaned)
   // process through it. Plain ofstream is fine — a torn pidfile just fails
   // adoption and falls back to respawn.
-  std::ofstream pidfile(launch.data_dir / "shardd.pid", std::ios::trunc);
-  pidfile << pid << '\n';
-  return true;
+  {
+    std::ofstream pidfile(launch.data_dir / "shardd.pid", std::ios::trunc);
+    pidfile << pid << '\n';
+  }
+  const bool serving = await_ready(ready[0], launch.spawn_wait_s);
+  ::close(ready[0]);
+  if (!serving) kill(launch.id);  // reaps a dead shard, ends a hung one
+  return serving;
 }
 
 bool ProcessShardRunner::adopt(const ShardLaunch& launch) {

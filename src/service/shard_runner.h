@@ -62,6 +62,9 @@ struct ShardLaunch {
   int checkpoint_every_updates = 8;
   /// Record engine spans for fleet trace aggregation.
   bool trace = false;
+  /// Longest a start() may wait for the shard to serve before giving up on
+  /// it (the supervisor's spawn_wait_s).
+  double spawn_wait_s = 10.0;
 };
 
 /// The one-engine host configuration of a supervised shard: recover mode
@@ -73,9 +76,10 @@ class ShardRunner {
  public:
   virtual ~ShardRunner() = default;
 
-  /// Starts a shard that is not running; the supervisor then connects to
-  /// launch.socket (with retries — a process binds it some time later).
-  /// False when the shard could not be started at all.
+  /// Starts a shard that is not running and returns once it serves on
+  /// launch.socket, so the supervisor connects exactly once. False when the
+  /// shard could not be started, died before serving, or did not serve
+  /// within launch.spawn_wait_s (it is then ended).
   virtual bool start(const ShardLaunch& launch) = 0;
   /// Takes over a shard an earlier supervisor left running. True when one
   /// is running; the supervisor then proves it serves with a handshake,
@@ -109,7 +113,10 @@ class ProcessShardRunner final : public ShardRunner {
   ProcessShardRunner(const ProcessShardRunner&) = delete;
   ProcessShardRunner& operator=(const ProcessShardRunner&) = delete;
 
-  /// Forks + execs vire_shardd and writes <data_dir>/shardd.pid.
+  /// Forks + execs vire_shardd, writes <data_dir>/shardd.pid and waits on
+  /// a readiness pipe (vire_shardd --ready-fd): one byte means serving, EOF
+  /// means the shard exited first. The wait is real time (poll(2)), not the
+  /// injected clock, and ends at the byte, at EOF or at spawn_wait_s.
   bool start(const ShardLaunch& launch) override;
   /// A child this runner still holds, else the pidfile's process when
   /// kill(pid, 0) finds it. Such an orphan is not our child, so its

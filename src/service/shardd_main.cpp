@@ -11,18 +11,24 @@
 //   vire_shardd --socket PATH --data-dir DIR [--shard-id N] [--workers 1]
 //               [--window SECONDS] [--checkpoint-every N] [--obs-dir DIR]
 //               [--trace] [--trace-capacity N] [--clock-skew-us X]
-//               [--abort-on-start]
+//               [--ready-fd FD] [--abort-on-start]
 //
 // The engine is serial; fleets scale by shard processes. --workers accepts
 // only 1, for launch scripts and benchmarks that still pass it; like
 // ServiceConfig::shards it can go once those callers stop passing it.
+// --ready-fd is the readiness handshake: once the socket serves, the process
+// writes one byte to FD and closes it. ProcessShardRunner passes the write
+// end of a pipe and waits for that byte instead of polling the socket; EOF
+// without the byte tells it the shard died first.
 // --abort-on-start is the crash-loop test seam: the process aborts before
 // binding its socket, exactly like a shard with a corrupt install.
 // --clock-skew-us is the clock-alignment test seam: shifts this process's
 // trace clock so supervisor-side offset estimation has something to cancel.
 
 #include <signal.h>
+#include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -41,7 +47,7 @@ int usage(const char* argv0) {
                "          [--workers 1] [--window SECONDS]\n"
                "          [--checkpoint-every N] [--obs-dir DIR] [--trace]\n"
                "          [--trace-capacity N] [--clock-skew-us X]\n"
-               "          [--abort-on-start]\n",
+               "          [--ready-fd FD] [--abort-on-start]\n",
                argv0);
   return 2;
 }
@@ -60,6 +66,7 @@ int main(int argc, char** argv) {
   bool trace = false;
   long trace_capacity = 0;
   double clock_skew_us = 0.0;
+  int ready_fd = -1;
   bool abort_on_start = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -104,6 +111,10 @@ int main(int argc, char** argv) {
       const char* v = value();
       if (v == nullptr) return usage(argv[0]);
       clock_skew_us = std::atof(v);
+    } else if (arg == "--ready-fd") {
+      const char* v = value();
+      if (v == nullptr) return usage(argv[0]);
+      ready_fd = std::atoi(v);
     } else if (arg == "--abort-on-start") {
       abort_on_start = true;
     } else {
@@ -148,6 +159,12 @@ int main(int argc, char** argv) {
   server.start();
   std::fprintf(stderr, "vire_shardd: shard %d serving %s (data %s)\n",
                shard_id, socket_path.c_str(), data_dir.c_str());
+  if (ready_fd >= 0) {
+    const char ready = 'R';
+    while (::write(ready_fd, &ready, 1) < 0 && errno == EINTR) {
+    }
+    ::close(ready_fd);
+  }
 
   int signal_number = 0;
   sigwait(&shutdown_set, &signal_number);

@@ -134,11 +134,15 @@ void ShardedService::ensure_ready() const {
   }
 }
 
-void ShardedService::attach_wal() {
+persist::WalConfig ShardedService::wal_config() const {
   persist::WalConfig wal;
   wal.dir = wal_dir();
   wal.fsync = config_.fsync;
-  wal_ = std::make_unique<persist::WalWriter>(wal);
+  return wal;
+}
+
+void ShardedService::attach_wal() {
+  wal_ = std::make_unique<persist::WalWriter>(wal_config());
   wal_->attach_metrics(engine_.metrics());
   middleware_.attach_journal(wal_.get());
 }
@@ -358,9 +362,11 @@ persist::RecoveryReport ShardedService::recover() {
     // replaces this.
     if (!reference_ids_.empty()) engine_.set_reference_ids(reference_ids_);
     for (const auto& [tag, name] : tags_) engine_.track(tag, name);
+    // The writer opens first, and its reopen walk is the only read of the
+    // WAL: it truncates a torn tail and hands recovery the frames to replay.
     persist::RecoveryManager manager({wal_dir(), checkpoint_dir()});
-    auto rep = manager.recover(engine_, middleware_);
-    attach_wal();  // resumes after the valid prefix replay stopped at
+    auto rep = manager.recover(engine_, middleware_, wal_config(), wal_);
+    middleware_.attach_journal(wal_.get());
     return rep;
   });
   resume_time_ = report.recovered_time;

@@ -183,8 +183,10 @@ class ShardedService : public Frontend {
   }
   [[nodiscard]] std::filesystem::path wal_dir() const;
   [[nodiscard]] std::filesystem::path checkpoint_dir() const;
+  [[nodiscard]] persist::WalConfig wal_config() const;
 
   void ensure_ready() const;
+  /// Opens the WAL writer of a fresh (not recovering) shard and attaches it.
   void attach_wal();
   void worker_loop();
   void maybe_checkpoint(sim::SimTime now);

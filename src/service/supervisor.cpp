@@ -827,6 +827,7 @@ ShardLaunch Supervisor::launch_for(const ManagedShard& shard) const {
   launch.middleware_window_s = config_.middleware_window_s;
   launch.checkpoint_every_updates = config_.checkpoint_every_updates;
   launch.trace = config_.fleet_tracing;
+  launch.spawn_wait_s = config_.spawn_wait_s;
   return launch;
 }
 
@@ -876,25 +877,22 @@ bool Supervisor::bring_up(ManagedShard& shard) {
   const ShardLaunch launch = launch_for(shard);
   if (!try_adopt(shard, launch)) {
     release(shard, /*graceful=*/false);  // no-op when already gone
-    if (!runner_->start(launch)) return false;
-    tracer_.instant("supervisor.spawn",
-                    "{\"shard\":" + std::to_string(shard.id) + ",\"pid\":" +
-                        std::to_string(runner_->pid(shard.id)) + "}");
-    const double deadline = clock_->now() + config_.spawn_wait_s;
-    for (;;) {
-      if (runner_->exited(shard.id)) {
-        return false;  // died before serving (e.g. --abort-on-start)
-      }
-      try {
-        shard.client = connect(shard);
-        break;
-      } catch (const TransportError&) {
-        if (clock_->now() >= deadline) {
-          release(shard, /*graceful=*/false);
-          return false;
-        }
-        clock_->sleep_for(config_.connect_retry_s);
-      }
+    // start() returns once the shard serves (or has died / timed out), so
+    // one connect either succeeds or the bring-up fails.
+    const double spawn_start_us = tracer_.now_us();
+    const bool serving = runner_->start(launch);
+    if (tracer_.enabled()) {
+      tracer_.complete("supervisor.spawn", spawn_start_us, tracer_.now_us(),
+                       "{\"shard\":" + std::to_string(shard.id) +
+                           ",\"pid\":" + std::to_string(runner_->pid(shard.id)) +
+                           ",\"serving\":" + (serving ? "true" : "false") + "}");
+    }
+    if (!serving) return false;  // e.g. --abort-on-start
+    try {
+      shard.client = connect(shard);
+    } catch (const TransportError&) {
+      release(shard, /*graceful=*/false);
+      return false;
     }
   }
 
@@ -1042,13 +1040,21 @@ void Supervisor::push_oplog(ManagedShard& shard, OpEntry entry) {
 
 void Supervisor::trim_oplog(ManagedShard& shard) {
   const std::uint64_t ack = shard.last_ack;
-  shard.oplog.erase(
-      std::remove_if(shard.oplog.begin(), shard.oplog.end(),
-                     [ack](const OpEntry& e) {
-                       return e.kind == OpEntry::Kind::kBatch &&
-                              e.sequence <= ack;
-                     }),
-      shard.oplog.end());
+  const auto acked = [ack](const OpEntry& e) {
+    return e.kind == OpEntry::Kind::kBatch && e.sequence <= ack;
+  };
+  // Batch sequences rise along the op-log, so the acked batches are its
+  // prefix. Only a queued poll can stand in front of some of them, and
+  // then the whole op-log is filtered.
+  while (!shard.oplog.empty() && acked(shard.oplog.front())) {
+    shard.oplog.pop_front();
+  }
+  if (!shard.oplog.empty() &&
+      shard.oplog.front().kind == OpEntry::Kind::kPoll) {
+    shard.oplog.erase(
+        std::remove_if(shard.oplog.begin(), shard.oplog.end(), acked),
+        shard.oplog.end());
+  }
   // Every evicted entry is acked, so the trim would have dropped it anyway:
   // no rebuild is owed, and the journal floor follows the acks again.
   if (shard.oplog_overflow && !shard.overflow_evicted_poll &&

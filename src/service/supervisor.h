@@ -140,11 +140,10 @@ struct SupervisorConfig {
   /// How long the breaker stays open before a half-open restart probe.
   double breaker_cooldown_s = 5.0;
 
-  /// Budget for a spawned shard to bind its socket and accept the first
-  /// connection.
+  /// Budget for a spawned shard to start serving. The runner returns as
+  /// soon as the shard reports ready (or dies), so this bounds only a shard
+  /// that hangs before serving.
   double spawn_wait_s = 10.0;
-  /// Delay between connect attempts while waiting for a spawn.
-  double connect_retry_s = 0.02;
 
   std::uint64_t seed = 0;
   /// Per-shard op-log bound (entries). poll() acks every polled shard whose

@@ -91,6 +91,54 @@ TEST(Tracer, ClearDropsRetainedEvents) {
   EXPECT_TRUE(tracer.snapshot().empty());
 }
 
+TEST(Tracer, CapacityIsKnownBeforeTheFirstEvent) {
+  Tracer tracer(16);
+  EXPECT_EQ(tracer.capacity(), 16u);
+  EXPECT_EQ(tracer.dropped(), 0u);
+  EXPECT_TRUE(tracer.snapshot().empty());
+}
+
+TEST(Tracer, OrderHoldsAcrossSeveralWraparounds) {
+  Tracer tracer(4);
+  tracer.set_enabled(true);
+  for (int i = 0; i < 11; ++i) tracer.instant("e" + std::to_string(i));
+  EXPECT_EQ(tracer.capacity(), 4u);
+  EXPECT_EQ(tracer.recorded(), 11u);
+  EXPECT_EQ(tracer.dropped(), 7u);
+  const auto events = tracer.snapshot();
+  ASSERT_EQ(events.size(), 4u);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].name, "e" + std::to_string(7 + i));
+  }
+  EXPECT_EQ(tracer.dump(2).events.front().name, "e9");
+}
+
+TEST(Tracer, ClearOnAPartlyFilledRingStartsOver) {
+  Tracer tracer(8);
+  tracer.set_enabled(true);
+  for (int i = 0; i < 3; ++i) tracer.instant("old" + std::to_string(i));
+  tracer.clear();
+  EXPECT_EQ(tracer.recorded(), 0u);
+  EXPECT_EQ(tracer.dropped(), 0u);
+  EXPECT_TRUE(tracer.snapshot().empty());
+
+  tracer.instant("a");
+  tracer.instant("b");
+  auto events = tracer.snapshot();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].name, "a");
+  EXPECT_EQ(events[1].name, "b");
+
+  // The cleared ring fills and wraps exactly like a fresh one.
+  for (int i = 0; i < 9; ++i) tracer.instant("n" + std::to_string(i));
+  EXPECT_EQ(tracer.recorded(), 11u);
+  EXPECT_EQ(tracer.dropped(), 3u);
+  events = tracer.snapshot();
+  ASSERT_EQ(events.size(), 8u);
+  EXPECT_EQ(events.front().name, "n1");
+  EXPECT_EQ(events.back().name, "n8");
+}
+
 TEST(Tracer, ThreadIdsAreStablePerThreadAndDistinctAcrossThreads) {
   Tracer tracer(8);
   const std::uint32_t mine = tracer.thread_id();

@@ -266,6 +266,80 @@ TEST_F(RecoveryTest, RecoveryMetricsAreRegistered) {
       nullptr);
 }
 
+// The journaling form of recover() opens the writer first and replays what
+// its reopen walk kept. Over a WAL with a torn tail it must report and
+// replay exactly what the read-only form does, leave the writer where a
+// writer opened after a read-only recovery would be, count the torn frame
+// once, and walk the log once.
+TEST_F(RecoveryTest, WriterFormMatchesReadOnlyFormOverATornTail) {
+  run_and_abandon(dir_);
+  fs::path newest;
+  for (const auto& entry : fs::directory_iterator(dir_ / "wal")) {
+    if (newest.empty() || entry.path() > newest) newest = entry.path();
+  }
+  ASSERT_FALSE(newest.empty());
+  fs::resize_file(newest, fs::file_size(newest) - 3);
+  const fs::path copy = dir_.string() + "_read_only";
+  fs::remove_all(copy);
+  fs::copy(dir_, copy, fs::copy_options::recursive);
+
+  Pipeline read_only = make_pipeline(nullptr);
+  RecoveryManager read_manager({copy / "wal", copy / "ckpt"});
+  const RecoveryReport expected =
+      read_manager.recover(*read_only.engine, read_only.simulator->middleware());
+  WalConfig reopen_config;
+  reopen_config.dir = copy / "wal";
+  reopen_config.fsync = FsyncPolicy::kOff;
+  const WalWriter reopened(reopen_config);
+  fs::remove_all(copy);
+
+  Pipeline p = make_pipeline(nullptr);
+  p.engine->tracer().set_enabled(true);
+  RecoveryManager manager({dir_ / "wal", dir_ / "ckpt"});
+  WalConfig wal_config;
+  wal_config.fsync = FsyncPolicy::kOff;
+  std::unique_ptr<WalWriter> writer;
+  const RecoveryReport report = manager.recover(
+      *p.engine, p.simulator->middleware(), wal_config, writer);
+  ASSERT_NE(writer, nullptr);
+
+  EXPECT_EQ(expected.corrupt_frames, 1u);
+  EXPECT_EQ(report.corrupt_frames, expected.corrupt_frames);
+  EXPECT_EQ(report.frames_replayed, expected.frames_replayed);
+  EXPECT_EQ(report.updates_replayed, expected.updates_replayed);
+  EXPECT_EQ(report.last_ack_sequence, expected.last_ack_sequence);
+  EXPECT_EQ(report.next_wal_sequence, expected.next_wal_sequence);
+  EXPECT_EQ(bits(report.recovered_time), bits(expected.recovered_time));
+  ASSERT_EQ(report.replayed_fixes.size(), expected.replayed_fixes.size());
+  for (std::size_t i = 0; i < report.replayed_fixes.size(); ++i) {
+    expect_bit_identical(report.replayed_fixes[i], expected.replayed_fixes[i],
+                         static_cast<int>(i));
+  }
+  EXPECT_EQ(writer->next_sequence(), reopened.next_sequence());
+  EXPECT_EQ(writer->next_sequence(), report.next_wal_sequence);
+  EXPECT_EQ(read_wal(dir_ / "wal").corrupt_frames, 0u) << "tail truncated";
+
+  const obs::Counter* corrupt =
+      p.engine->metrics().find_counter("vire_persist_wal_corrupt_total", {});
+  ASSERT_NE(corrupt, nullptr);
+  EXPECT_EQ(corrupt->value(), 1u);
+  const obs::Counter* expected_corrupt = read_only.engine->metrics().find_counter(
+      "vire_persist_wal_corrupt_total", {});
+  ASSERT_NE(expected_corrupt, nullptr);
+  EXPECT_EQ(expected_corrupt->value(), 1u);
+
+  int walks = 0;
+  for (const obs::TraceEvent& event : p.engine->tracer().snapshot()) {
+    if (event.name != "persist.wal_walk") continue;
+    ++walks;
+    EXPECT_NE(event.args.find("\"kept\":" +
+                              std::to_string(report.frames_replayed)),
+              std::string::npos)
+        << event.args;
+  }
+  EXPECT_EQ(walks, 1);
+}
+
 // --- Checkpoint-bounded WAL ------------------------------------------------
 
 /// One pruned run: the pipeline journals into small segments, checkpoints

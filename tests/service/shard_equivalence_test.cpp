@@ -147,9 +147,10 @@ SupervisorConfig fleet_config(const fs::path& root, int shards) {
 /// A started supervisor over `runner`, registered with the capture's tags.
 std::unique_ptr<Supervisor> make_fleet(const Capture& capture,
                                        const SupervisorConfig& config,
-                                       ShardRunner& runner) {
+                                       ShardRunner& runner,
+                                       Clock* clock = nullptr) {
   auto supervisor = std::make_unique<Supervisor>(
-      env::Deployment::paper_testbed(), config, nullptr, &runner);
+      env::Deployment::paper_testbed(), config, clock, &runner);
   supervisor->start();
   supervisor->set_reference_ids(capture.reference_ids);
   for (const auto& [tag, name] : capture.tracked) {
@@ -329,6 +330,65 @@ TEST(ShardEquivalenceTest, PollAcksKeepTheOplogFromOverflowing) {
   }
 }
 
+/// Supervisor time that moves only when told to (in-process shards need no
+/// real time to pass).
+class ManualClock final : public Clock {
+ public:
+  double now() override { return now_; }
+  void sleep_for(double seconds) override {
+    if (seconds > 0.0) now_ += seconds;
+  }
+  void advance(double seconds) { now_ += seconds; }
+
+ private:
+  double now_ = 1000.0;
+};
+
+// A poll that finds a shard down, with its restart far off, queues a kPoll
+// entry in the op-log, and the batches ingested meanwhile queue behind it.
+// The revival replays polls and batches in op-log order; the acks that
+// follow trim past the queued polls, and every poll after the revival is
+// bit-identical to the single engine.
+TEST(ShardEquivalenceTest, MissedPollsAndLaterBatchesReplayInOrder) {
+  const Capture& capture = shared_capture();
+  const fs::path root = fresh_root("vire_equivalence_missed_poll");
+  constexpr int kKillBeforePoll = 4;
+  constexpr int kReviveBeforePoll = 6;
+  InProcessShardRunner runner;
+  ManualClock clock;
+  SupervisorConfig config = fleet_config(root, 2);
+  config.restart_backoff_initial_s = 30.0;  // beyond inline_revival_max_wait_s
+  config.heartbeat_interval_s = 1e6;
+  config.heartbeat_timeout_s = 1e9;
+  auto fleet = make_fleet(capture, config, runner, &clock);
+  const std::uint32_t victim =
+      fleet->router().route(capture.tracked[0].first, std::nullopt);
+
+  fleet->ingest(capture.segments[0]);
+  for (int poll = 0; poll < kPolls; ++poll) {
+    if (poll == kKillBeforePoll) runner.kill(victim);
+    fleet->ingest(capture.segments[static_cast<std::size_t>(poll) + 1]);
+    if (poll == kReviveBeforePoll) {
+      EXPECT_NE(fleet->shard_state(victim), ShardState::kUp);
+      clock.advance(60.0);
+      fleet->tick();
+      ASSERT_EQ(fleet->shard_state(victim), ShardState::kUp);
+      EXPECT_EQ(oplog_lengths(*fleet).at(victim), 0u)
+          << "the revival's ack trims every replayed batch";
+    }
+    const auto fixes = fleet->poll(capture.poll_times[poll]);
+    if (poll >= kKillBeforePoll && poll < kReviveBeforePoll) continue;  // held
+    expect_poll_identical(fixes, capture.golden[poll], poll);
+  }
+  EXPECT_EQ(counter_value(*fleet, "vire_supervisor_replayed_polls_total"),
+            static_cast<std::uint64_t>(kReviveBeforePoll - kKillBeforePoll));
+  EXPECT_GT(counter_value(*fleet, "vire_supervisor_replayed_batches_total"), 0u);
+  EXPECT_GT(counter_value(*fleet, "vire_supervisor_held_fixes_total"), 0u);
+  EXPECT_EQ(fleet->restarts(), 1u);
+  fleet->stop();
+  fs::remove_all(root);
+}
+
 // A supervisor destroyed without stop() leaves its shards running in the
 // runner; the next supervisor over the same root and runner rebuilds its
 // control state from the journal, adopts the running shards instead of
@@ -413,6 +473,52 @@ TEST(ShardEquivalenceTest, HostRecoveryReplaysAndContinues) {
       host->metrics().find_counter("vire_service_poll_substituted_total");
   ASSERT_NE(substituted, nullptr);
   EXPECT_EQ(substituted->value(), static_cast<std::uint64_t>(1 * (kCrashAfterPoll + 1)));
+  fs::remove_all(dir);
+}
+
+// A crash that tears the WAL's last frame. Recovery walks the WAL once: the
+// writer's reopen walk drops and truncates the torn frame, so
+// vire_persist_wal_corrupt_total reads 1, not once per walk. The host then
+// serves the single engine's fixes once the stream is re-fed.
+TEST(ShardEquivalenceTest, TornWalTailIsCountedOnce) {
+  const Capture& capture = shared_capture();
+  const fs::path dir = fresh_root("vire_host_torn_tail");
+  constexpr int kCrashAfterPoll = 4;
+  {
+    auto host = make_host(capture, dir);
+    host->ingest(capture.segments[0]);
+    for (int poll = 0; poll <= kCrashAfterPoll; ++poll) {
+      host->ingest(capture.segments[static_cast<std::size_t>(poll) + 1]);
+      (void)host->poll(capture.poll_times[poll]);
+    }
+    // Readings past the last update marker, drained into the WAL.
+    host->ingest(capture.segments[static_cast<std::size_t>(kCrashAfterPoll) + 2]);
+    (void)host->heartbeat();
+  }
+  fs::path newest;
+  for (const auto& entry : fs::directory_iterator(dir / "shard-0" / "wal")) {
+    if (newest.empty() || entry.path() > newest) newest = entry.path();
+  }
+  ASSERT_FALSE(newest.empty());
+  fs::resize_file(newest, fs::file_size(newest) - 3);
+
+  auto host = make_host(capture, dir, /*recover=*/true);
+  const auto report = host->recover();
+  EXPECT_EQ(report.corrupt_frames, 1u);
+  const std::string metrics = host->snapshot_prometheus();
+  EXPECT_NE(metrics.find("\nvire_persist_wal_corrupt_total 1\n"),
+            std::string::npos)
+      << metrics;
+  EXPECT_EQ(persist::read_wal(dir / "shard-0" / "wal").corrupt_frames, 0u)
+      << "the torn frame is truncated";
+
+  host->ingest(capture.segments[0]);
+  for (int poll = 0; poll < kPolls; ++poll) {
+    host->ingest(capture.segments[static_cast<std::size_t>(poll) + 1]);
+    const auto fixes = host->poll(capture.poll_times[poll]);
+    if (poll < kCrashAfterPoll) continue;  // pre-checkpoint history
+    expect_poll_identical(fixes, capture.golden[poll], poll);
+  }
   fs::remove_all(dir);
 }
 

@@ -50,13 +50,17 @@ class FakeClock final : public Clock {
  public:
   double now() override { return now_; }
   void sleep_for(double seconds) override {
+    ++sleeps_;
     if (seconds > 0.0) now_ += seconds;
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   void advance(double seconds) { now_ += seconds; }
+  /// sleep_for() calls so far.
+  [[nodiscard]] int sleeps() const { return sleeps_; }
 
  private:
   double now_ = 1000.0;
+  int sleeps_ = 0;
 };
 
 fs::path write_flaky_shardd(const fs::path& dir, const fs::path& fault_file) {
@@ -314,6 +318,90 @@ TEST(SupervisorRestartTest, WaitpidDetectsSilentDeathOnTick) {
 
   supervisor.stop();
   EXPECT_LE(supervisor.shard_pid(0), 0) << "stop() reaps the child";
+  fs::remove_all(root);
+}
+
+// Bring-up waits on the shard's readiness handshake, not on the clock: a
+// fresh start() and a revival after SIGKILL connect once to a shard that
+// already serves, so neither calls sleep_for (a bring-up that retried the
+// connect would sleep at least once per spawn, before the shard binds).
+TEST(SupervisorRestartTest, BringUpWaitsOnReadinessNotOnTheClock) {
+  SKIP_ON_SINGLE_CORE();
+  const fs::path root = fs::temp_directory_path() / "vire_supervisor_ready";
+  fs::remove_all(root);
+  fs::create_directories(root);
+
+  SupervisorConfig config;
+  config.shards = 2;
+  config.root_dir = root;
+  config.shardd_binary = VIRE_SHARDD_PATH;
+  config.restart_backoff_initial_s = 0.01;
+  config.spawn_wait_s = 60.0;
+  config.heartbeat_interval_s = 1e6;
+  config.heartbeat_timeout_s = 1e9;
+  FakeClock clock;
+  Supervisor supervisor(env::Deployment::paper_testbed(), config, &clock);
+  supervisor.start();
+  ASSERT_EQ(supervisor.shard_state(0), ShardState::kUp);
+  ASSERT_EQ(supervisor.shard_state(1), ShardState::kUp);
+  EXPECT_EQ(clock.sleeps(), 0) << "start() slept waiting for a shard";
+
+  const pid_t first = supervisor.shard_pid(0);
+  ASSERT_GT(first, 0);
+  ASSERT_EQ(::kill(first, SIGKILL), 0);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(120);
+  while (supervisor.shard_state(0) == ShardState::kUp) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    supervisor.tick();  // reaps the child: kBackoff
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  clock.advance(1.0);  // past the backoff
+  supervisor.tick();
+  ASSERT_EQ(supervisor.shard_state(0), ShardState::kUp);
+  EXPECT_NE(supervisor.shard_pid(0), first);
+  EXPECT_EQ(supervisor.restarts(), 1u);
+  EXPECT_EQ(clock.sleeps(), 0) << "the revival slept waiting for the shard";
+
+  supervisor.stop();
+  fs::remove_all(root);
+}
+
+// A shard that dies before serving closes its end of the readiness pipe, so
+// bring-up fails at once rather than after spawn_wait_s. Two shards spawn
+// back to back: had the first spawn's write end leaked into the second
+// child (or stayed open here), the EOF would never come and the wait would
+// run the full 30 s.
+TEST(SupervisorRestartTest, ShardDyingBeforeServingFailsBringUpAtOnce) {
+  SKIP_ON_SINGLE_CORE();
+  const fs::path root = fs::temp_directory_path() / "vire_supervisor_abort";
+  fs::remove_all(root);
+  fs::create_directories(root);
+
+  SupervisorConfig config;
+  config.shards = 2;
+  config.root_dir = root;
+  config.shardd_binary = VIRE_SHARDD_PATH;
+  config.shardd_extra_args = {"--abort-on-start"};
+  config.restart_backoff_initial_s = 30.0;
+  config.spawn_wait_s = 30.0;
+  Supervisor supervisor(env::Deployment::paper_testbed(), config);
+  const auto started = std::chrono::steady_clock::now();
+  supervisor.start();
+  const double elapsed_s = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - started)
+                               .count();
+  EXPECT_LT(elapsed_s, 1.0);
+  EXPECT_EQ(supervisor.shard_state(0), ShardState::kBackoff);
+  EXPECT_EQ(supervisor.shard_state(1), ShardState::kBackoff);
+  const auto* deaths = supervisor.metrics().find_counter(
+      "vire_supervisor_deaths_total", "cause=\"waitpid\"");
+  ASSERT_NE(deaths, nullptr);
+  EXPECT_EQ(deaths->value(), 2u);
+  EXPECT_LE(supervisor.shard_pid(0), 0) << "the dead child is reaped";
+  EXPECT_LE(supervisor.shard_pid(1), 0) << "the dead child is reaped";
+
+  supervisor.stop();
   fs::remove_all(root);
 }
 
