@@ -4,7 +4,7 @@
 // ServiceClient over the shard's Unix socket — so the only thing that
 // differs between deployments is the shard's lifecycle, and a runner does
 // nothing else:
-//   * ProcessShardRunner forks + execs one vire_shardd per shard (what
+//   * ProcessShardRunner spawns one vire_shardd process per shard (what
 //     vire_supervisord runs). A pidfile in the shard's data dir lets a later
 //     supervisor adopt a shard its SIGKILLed predecessor left running.
 //   * InProcessShardRunner hosts each shard as a one-engine ShardedService
@@ -113,7 +113,7 @@ class ProcessShardRunner final : public ShardRunner {
   ProcessShardRunner(const ProcessShardRunner&) = delete;
   ProcessShardRunner& operator=(const ProcessShardRunner&) = delete;
 
-  /// Forks + execs vire_shardd, writes <data_dir>/shardd.pid and waits on
+  /// Spawns vire_shardd, writes <data_dir>/shardd.pid and waits on
   /// a readiness pipe (vire_shardd --ready-fd): one byte means serving, EOF
   /// means the shard exited first. The wait is real time (poll(2)), not the
   /// injected clock, and ends at the byte, at EOF or at spawn_wait_s.
