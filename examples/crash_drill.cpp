@@ -29,6 +29,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -240,9 +241,12 @@ bool recover_and_verify(const std::filesystem::path& dir,
   gate.set_open(false);  // regenerated stream is muted during catch-up
   Pipeline p = make_pipeline(&gate);
 
+  // The journaling form opens the WAL writer (resuming after the valid
+  // prefix) and replays what its one walk kept; a torn tail is counted once.
   persist::RecoveryManager manager({dir / "wal", dir / "ckpt"});
+  std::unique_ptr<persist::WalWriter> wal;
   const persist::RecoveryReport report =
-      manager.recover(*p.engine, p.simulator->middleware());
+      manager.recover(*p.engine, p.simulator->middleware(), {}, wal);
   std::printf(
       "  recovered: checkpoint@%llu, %llu frames replayed "
       "(%llu updates), %llu corrupt, %llu checkpoints rejected, t=%.0fs\n",
@@ -295,17 +299,13 @@ bool recover_and_verify(const std::filesystem::path& dir,
   p.simulator->run_until(report.recovered_time);
   gate.set_open(true);
 
-  persist::WalConfig wal_config;
-  wal_config.dir = dir / "wal";
-  persist::WalWriter wal(wal_config);  // resumes after the valid prefix
-  wal.attach_metrics(p.engine->metrics());
-  p.simulator->middleware().attach_journal(&wal);
+  p.simulator->middleware().attach_journal(wal.get());
 
   for (int poll = done_polls; poll < kPolls; ++poll) {
     p.simulator->run_for(kPollS);
     const sim::SimTime now = p.simulator->now();
     p.simulator->middleware().evict_stale(now);
-    wal.append_update_marker(now);
+    wal->append_update_marker(now);
     const auto fixes = p.engine->update(p.simulator->middleware(), now);
     if (!same_poll(fixes, golden[static_cast<std::size_t>(poll)], "continued",
                    poll)) {

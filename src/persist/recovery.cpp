@@ -83,7 +83,7 @@ RecoveryReport RecoveryManager::run(engine::LocalizationEngine& engine,
     } else {
       wal_config.dir = config_.wal_dir;
       *writer = std::make_unique<WalWriter>(std::move(wal_config),
-                                            from_sequence, wal);
+                                            from_sequence, &wal);
       (*writer)->attach_metrics(metrics);  // counts the truncated tail
     }
     if (tracer.enabled()) {

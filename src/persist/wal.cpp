@@ -90,37 +90,30 @@ std::vector<sim::RssiReading> wal_tag_window(const std::filesystem::path& dir,
   return readings;
 }
 
-WalWriter::WalWriter(WalConfig config)
-    : WalWriter(std::move(config), 0, nullptr) {}
-
-WalWriter::WalWriter(WalConfig config, std::uint64_t from_sequence,
-                     WalReadResult& recovered)
-    : WalWriter(std::move(config), from_sequence, &recovered) {
-  recovered.corrupt_frames = truncated_frames();
-  recovered.next_sequence = next_sequence();
-}
-
 WalWriter::WalWriter(WalConfig config, std::uint64_t from_sequence,
                      WalReadResult* recovered)
     : config_(std::move(config)),
       latest_reading_(-std::numeric_limits<double>::infinity()),
-      recovering_(recovered),
-      recover_from_(from_sequence),
-      log_(log_config(config_, [this](std::uint64_t sequence, std::uint8_t type,
-                                       std::string_view payload) {
+      // The visitor runs only during the reopen walk in log_'s constructor.
+      log_(log_config(config_, [this, from_sequence, recovered](
+                                   std::uint64_t sequence, std::uint8_t type,
+                                   std::string_view payload) {
         WalFrame frame;
         if (!decode_payload(type, payload, frame)) return false;
         note(sequence, frame.type, frame.reading.time);
-        if (recovering_ != nullptr) {
-          ++recovering_->frames_walked;
-          if (sequence >= recover_from_) {
+        if (recovered != nullptr) {
+          ++recovered->frames_walked;
+          if (sequence >= from_sequence) {
             frame.sequence = sequence;
-            recovering_->frames.push_back(frame);
+            recovered->frames.push_back(frame);
           }
         }
         return true;
       })) {
-  recovering_ = nullptr;  // the walk is over; later appends keep nothing
+  if (recovered != nullptr) {
+    recovered->corrupt_frames = truncated_frames();
+    recovered->next_sequence = next_sequence();
+  }
 }
 
 void WalWriter::note(std::uint64_t sequence, FrameType type,

@@ -107,15 +107,14 @@ struct WalReadResult {
 /// would skip it.
 class WalWriter final : public sim::ReadingJournal {
  public:
-  explicit WalWriter(WalConfig config);
-  /// Reopens the log for recovery. The reopen walk, the only validating
-  /// pass over the retained segments, also fills `recovered` as
+  /// Opens (or reopens) the log. When `recovered` is set, the reopen walk,
+  /// the only validating pass over the retained segments, also fills it as
   /// read_wal(config.dir, from_sequence) would have read the log before the
   /// torn tail was truncated: the frames at or after `from_sequence`, the
   /// walk's frame count and the torn-frame count. Its next_sequence is this
   /// writer's next_sequence() (1 for an empty log).
-  WalWriter(WalConfig config, std::uint64_t from_sequence,
-            WalReadResult& recovered);
+  explicit WalWriter(WalConfig config, std::uint64_t from_sequence = 0,
+                     WalReadResult* recovered = nullptr);
 
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
@@ -181,9 +180,6 @@ class WalWriter final : public sim::ReadingJournal {
   [[nodiscard]] const WalConfig& config() const noexcept { return config_; }
 
  private:
-  WalWriter(WalConfig config, std::uint64_t from_sequence,
-            WalReadResult* recovered);
-
   std::uint64_t append(FrameType type, std::string_view payload);
   /// Tracks what retention_floor() needs from each frame, appended or
   /// relearned by the reopen walk. `reading_time` matters for kReading only.
@@ -204,9 +200,6 @@ class WalWriter final : public sim::ReadingJournal {
   std::deque<Mark> marks_;
   /// Reused payload buffer: appending a frame allocates nothing.
   ByteWriter payload_;
-  /// Set only during a recovering reopen walk: where it keeps frames.
-  WalReadResult* recovering_ = nullptr;
-  std::uint64_t recover_from_ = 0;
   /// Constructed last: its reopen walk feeds note().
   FramedLog log_;
   obs::Counter* appended_metric_ = nullptr;

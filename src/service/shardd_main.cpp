@@ -19,16 +19,19 @@
 // --ready-fd is the readiness handshake: once the socket serves, the process
 // writes one byte to FD and closes it. ProcessShardRunner passes the write
 // end of a pipe and waits for that byte instead of polling the socket; EOF
-// without the byte tells it the shard died first.
+// without the byte tells it the shard died first. An FD that is not a
+// non-negative integer naming an open descriptor is a usage error.
 // --abort-on-start is the crash-loop test seam: the process aborts before
 // binding its socket, exactly like a shard with a corrupt install.
 // --clock-skew-us is the clock-alignment test seam: shifts this process's
 // trace clock so supervisor-side offset estimation has something to cancel.
 
+#include <fcntl.h>
 #include <signal.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -112,9 +115,20 @@ int main(int argc, char** argv) {
       if (v == nullptr) return usage(argv[0]);
       clock_skew_us = std::atof(v);
     } else if (arg == "--ready-fd") {
+      // Checked before anything opens a descriptor: a bad or closed FD
+      // would otherwise name whatever the shard opens next.
       const char* v = value();
       if (v == nullptr) return usage(argv[0]);
-      ready_fd = std::atoi(v);
+      char* end = nullptr;
+      errno = 0;
+      const long fd = std::strtol(v, &end, 10);
+      if (end == v || *end != '\0' || errno != 0 || fd < 0 || fd > INT_MAX ||
+          ::fcntl(static_cast<int>(fd), F_GETFD) < 0) {
+        std::fprintf(stderr, "vire_shardd: --ready-fd '%s' is not an open "
+                             "descriptor\n", v);
+        return usage(argv[0]);
+      }
+      ready_fd = static_cast<int>(fd);
     } else if (arg == "--abort-on-start") {
       abort_on_start = true;
     } else {

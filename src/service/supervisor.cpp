@@ -1040,21 +1040,13 @@ void Supervisor::push_oplog(ManagedShard& shard, OpEntry entry) {
 
 void Supervisor::trim_oplog(ManagedShard& shard) {
   const std::uint64_t ack = shard.last_ack;
-  const auto acked = [ack](const OpEntry& e) {
-    return e.kind == OpEntry::Kind::kBatch && e.sequence <= ack;
-  };
-  // Batch sequences rise along the op-log, so the acked batches are its
-  // prefix. Only a queued poll can stand in front of some of them, and
-  // then the whole op-log is filtered.
-  while (!shard.oplog.empty() && acked(shard.oplog.front())) {
-    shard.oplog.pop_front();
-  }
-  if (!shard.oplog.empty() &&
-      shard.oplog.front().kind == OpEntry::Kind::kPoll) {
-    shard.oplog.erase(
-        std::remove_if(shard.oplog.begin(), shard.oplog.end(), acked),
-        shard.oplog.end());
-  }
+  shard.oplog.erase(
+      std::remove_if(shard.oplog.begin(), shard.oplog.end(),
+                     [ack](const OpEntry& e) {
+                       return e.kind == OpEntry::Kind::kBatch &&
+                              e.sequence <= ack;
+                     }),
+      shard.oplog.end());
   // Every evicted entry is acked, so the trim would have dropped it anyway:
   // no rebuild is owed, and the journal floor follows the acks again.
   if (shard.oplog_overflow && !shard.overflow_evicted_poll &&

@@ -182,8 +182,10 @@ TEST(CrashDrillTest, SigkilledRunRecoversBitIdentically) {
   gate.set_open(false);
   Pipeline p = make_pipeline(&gate);
   RecoveryManager manager({dir / "wal", dir / "ckpt"});
+  std::unique_ptr<WalWriter> wal;
   const RecoveryReport report =
-      manager.recover(*p.engine, p.simulator->middleware());
+      manager.recover(*p.engine, p.simulator->middleware(), {}, wal);
+  ASSERT_NE(wal, nullptr);
   ASSERT_TRUE(report.checkpoint_loaded);
   ASSERT_GE(report.updates_replayed, 1u);
 
@@ -223,15 +225,12 @@ TEST(CrashDrillTest, SigkilledRunRecoversBitIdentically) {
 
   p.simulator->run_until(report.recovered_time);
   gate.set_open(true);
-  WalConfig wal_config;
-  wal_config.dir = dir / "wal";
-  WalWriter wal(wal_config);
-  p.simulator->middleware().attach_journal(&wal);
+  p.simulator->middleware().attach_journal(wal.get());
   for (int poll = done_polls; poll < kPolls; ++poll) {
     p.simulator->run_for(kPollS);
     const sim::SimTime now = p.simulator->now();
     p.simulator->middleware().evict_stale(now);
-    wal.append_update_marker(now);
+    wal->append_update_marker(now);
     expect_poll(p.engine->update(p.simulator->middleware(), now), poll);
   }
 

@@ -21,6 +21,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -405,23 +406,30 @@ TEST(SupervisorRestartTest, ShardDyingBeforeServingFailsBringUpAtOnce) {
   fs::remove_all(root);
 }
 
-// The engine is serial, so a shard accepts --workers only as "1" (what
-// existing launchers pass); any other count is a usage error, status 2,
-// before the shard binds a socket.
-TEST(SupervisorRestartTest, ShardddRejectsWorkerCountsOtherThanOne) {
-  const fs::path root = fs::temp_directory_path() / "vire_shardd_workers";
+/// Runs vire_shardd with `extra` after --socket/--data-dir and expects a
+/// usage error: exit status 2 before the shard binds its socket.
+void expect_shardd_usage_error(const std::string& name,
+                               const std::vector<std::string>& extra) {
+  SCOPED_TRACE(name);
+  const fs::path root = fs::temp_directory_path() / ("vire_shardd_" + name);
   fs::remove_all(root);
   fs::create_directories(root);
   const fs::path socket = root / "shard.sock";
+  std::vector<std::string> args = {VIRE_SHARDD_PATH, "--socket",
+                                   socket.string(), "--data-dir",
+                                   root.string()};
+  args.insert(args.end(), extra.begin(), extra.end());
+  std::vector<char*> argv;
+  for (auto& arg : args) argv.push_back(arg.data());
+  argv.push_back(nullptr);
   const pid_t pid = ::fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
-    ::execl(VIRE_SHARDD_PATH, VIRE_SHARDD_PATH, "--socket", socket.c_str(),
-            "--data-dir", root.c_str(), "--workers", "4", (char*)nullptr);
+    ::execv(VIRE_SHARDD_PATH, argv.data());
     ::_exit(127);
   }
-  // A shard that accepted the flag would serve until signalled: bound the
-  // wait so that regression fails instead of hanging the suite.
+  // A shard that accepted the arguments would serve until signalled: bound
+  // the wait so that regression fails instead of hanging the suite.
   int status = 0;
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
   while (::waitpid(pid, &status, WNOHANG) == 0) {
@@ -429,7 +437,7 @@ TEST(SupervisorRestartTest, ShardddRejectsWorkerCountsOtherThanOne) {
       ::kill(pid, SIGKILL);
       ::waitpid(pid, &status, 0);
       fs::remove_all(root);
-      FAIL() << "vire_shardd --workers 4 did not exit";
+      FAIL() << "vire_shardd did not exit";
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
@@ -437,6 +445,24 @@ TEST(SupervisorRestartTest, ShardddRejectsWorkerCountsOtherThanOne) {
   EXPECT_EQ(WEXITSTATUS(status), 2);
   EXPECT_FALSE(fs::exists(socket));
   fs::remove_all(root);
+}
+
+// The engine is serial, so a shard accepts --workers only as "1" (what
+// existing launchers pass); any other count is a usage error, status 2,
+// before the shard binds a socket.
+TEST(SupervisorRestartTest, ShardddRejectsWorkerCountsOtherThanOne) {
+  expect_shardd_usage_error("workers", {"--workers", "4"});
+}
+
+// --ready-fd must name an open descriptor: otherwise the readiness byte
+// would land in whatever the shard opened under that number (a WAL
+// segment, its listening socket). Rejected before the socket is bound.
+TEST(SupervisorRestartTest, ShardddRejectsReadyFdThatIsNotAnOpenDescriptor) {
+  expect_shardd_usage_error("ready_fd_text", {"--ready-fd", "pipe"});
+  expect_shardd_usage_error("ready_fd_suffix", {"--ready-fd", "7x"});
+  expect_shardd_usage_error("ready_fd_negative", {"--ready-fd", "-1"});
+  expect_shardd_usage_error("ready_fd_empty", {"--ready-fd", ""});
+  expect_shardd_usage_error("ready_fd_closed", {"--ready-fd", "1000"});
 }
 
 // --------------------------------------------------------------------------
