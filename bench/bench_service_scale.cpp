@@ -10,6 +10,12 @@
 //     over an InProcessShardRunner, each shard a one-engine host behind a
 //     server thread reached over its Unix socket. These rows include the
 //     wire hop and the journal, so they price the fleet, not bare sharding.
+//   * the front-door row streams the same readings as 32-reading kIngest
+//     batches from a ServiceClient into a ServiceServer in front of that
+//     Supervisor — the path vire_supervisord serves, where the ingest
+//     frames one socket read delivers reach the supervisor as one run —
+//     and polls and queries over the same connection. It runs at 2 shards
+//     (1 on a single hardware thread).
 //
 // Honesty rules (docs/benchmarks.md): hardware_threads is reported raw, and
 // on a single-hardware-thread machine the shard-count scaling curve is
@@ -33,6 +39,8 @@
 
 #include "env/environment.h"
 #include "obs/bench_report.h"
+#include "service/client.h"
+#include "service/server.h"
 #include "service/shard_runner.h"
 #include "service/sharded_service.h"
 #include "service/supervisor.h"
@@ -92,17 +100,27 @@ int main() {
                                    9007199254740992.0);
     tags.push_back(simulator.add_tag({x, y}));
   }
+  // parts[0] is the warmup; parts[r + 1] is ingested before poll r.
   simulator.run_for(40.0);
-  const std::vector<sim::RssiReading> warmup = recorder.take();
-  std::vector<std::vector<sim::RssiReading>> segments;
+  std::vector<std::vector<sim::RssiReading>> parts{recorder.take()};
   std::vector<sim::SimTime> poll_times;
   for (int r = 0; r < rounds; ++r) {
     simulator.run_for(5.0);
-    segments.push_back(recorder.take());
+    parts.push_back(recorder.take());
     poll_times.push_back(simulator.now());
   }
-  std::size_t total_readings = warmup.size();
-  for (const auto& s : segments) total_readings += s.size();
+  std::size_t total_readings = 0;
+  for (const auto& part : parts) total_readings += part.size();
+  // The front door's client batches: every part cut into 32 readings.
+  const auto batches_of_32 = [](const std::vector<sim::RssiReading>& readings) {
+    std::vector<std::vector<sim::RssiReading>> batches;
+    for (std::size_t off = 0; off < readings.size(); off += 32) {
+      const std::size_t end = std::min(readings.size(), off + 32);
+      batches.emplace_back(readings.begin() + static_cast<std::ptrdiff_t>(off),
+                           readings.begin() + static_cast<std::ptrdiff_t>(end));
+    }
+    return batches;
+  };
 
   std::vector<int> shard_counts = {1};
   if (can_scale) {
@@ -124,8 +142,50 @@ int main() {
   report.throughput_unit = "readings_per_sec";
 
   support::CsvWriter csv("bench_out/service_scale.csv");
-  csv.header({"shards", "readings_per_sec", "query_p99_us"});
-  std::printf("%8s %18s %14s\n", "shards", "readings/sec", "query p99 us");
+  csv.header({"path", "shards", "readings_per_sec", "query_p99_us"});
+  std::printf("%-12s %8s %18s %14s\n", "path", "shards", "readings/sec",
+              "query p99 us");
+
+  // Times the workload: the warmup, then per round its part, a poll and
+  // `queries` latest_fix calls. readings/s covers ingest + poll + queries.
+  const auto measure = [&](const auto& ingest, const auto& poll,
+                           const auto& latest) {
+    std::vector<double> query_us;
+    query_us.reserve(static_cast<std::size_t>(rounds) * queries);
+    const auto start = std::chrono::steady_clock::now();
+    ingest(std::size_t{0});
+    for (int r = 0; r < rounds; ++r) {
+      ingest(static_cast<std::size_t>(r) + 1);
+      poll(poll_times[static_cast<std::size_t>(r)]);
+      for (int q = 0; q < queries; ++q) {
+        const auto t0 = std::chrono::steady_clock::now();
+        latest(tags[static_cast<std::size_t>(q) % tags.size()]);
+        query_us.push_back(1e6 * std::chrono::duration<double>(
+                                     std::chrono::steady_clock::now() - t0)
+                                     .count());
+      }
+    }
+    const double seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+            .count();
+    std::sort(query_us.begin(), query_us.end());
+    return std::make_pair(
+        static_cast<double>(total_readings) / std::max(1e-12, seconds),
+        query_us[static_cast<std::size_t>(0.99 * (query_us.size() - 1))]);
+  };
+  const auto record = [&](const std::string& path, int shards,
+                          std::pair<double, double> row) {
+    const auto [readings_per_sec, p99] = row;
+    std::printf("%-12s %8d %18.0f %14.2f\n", path.c_str(), shards,
+                readings_per_sec, p99);
+    csv.row({path, std::to_string(shards), std::to_string(readings_per_sec),
+             std::to_string(p99)});
+    const std::string suffix =
+        (path == "in_process" ? "" : path + "_") + "shards_" + std::to_string(shards);
+    report.results.emplace_back("readings_per_sec_" + suffix, readings_per_sec);
+    report.results.emplace_back("query_p99_us_" + suffix, p99);
+    report.throughput = std::max(report.throughput, readings_per_sec);
+  };
 
   const std::filesystem::path fleet_root =
       std::filesystem::temp_directory_path() / "vire_bench_service_scale";
@@ -156,39 +216,43 @@ int main() {
     frontend->set_reference_ids(reference_ids);
     for (const auto id : tags) frontend->track(id, {}, std::nullopt);
 
-    std::vector<double> query_us;
-    query_us.reserve(static_cast<std::size_t>(rounds) * queries);
-    const auto start = std::chrono::steady_clock::now();
-    frontend->ingest(warmup);
-    for (int r = 0; r < rounds; ++r) {
-      frontend->ingest(segments[static_cast<std::size_t>(r)]);
-      (void)frontend->poll(poll_times[static_cast<std::size_t>(r)]);
-      for (int q = 0; q < queries; ++q) {
-        const auto t0 = std::chrono::steady_clock::now();
-        (void)frontend->latest_fix(tags[static_cast<std::size_t>(q) % tags.size()]);
-        query_us.push_back(1e6 * std::chrono::duration<double>(
-                                     std::chrono::steady_clock::now() - t0)
-                                     .count());
-      }
-    }
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    const double readings_per_sec =
-        static_cast<double>(total_readings) / std::max(1e-12, seconds);
-    std::sort(query_us.begin(), query_us.end());
-    const double p99 =
-        query_us[static_cast<std::size_t>(0.99 * (query_us.size() - 1))];
+    const auto row = measure(
+        [&](std::size_t part) { frontend->ingest(parts[part]); },
+        [&](sim::SimTime now) { (void)frontend->poll(now); },
+        [&](sim::TagId tag) { (void)frontend->latest_fix(tag); });
     if (supervisor != nullptr) supervisor->stop();
+    record("in_process", shards, row);
+  }
 
-    std::printf("%8d %18.0f %14.2f\n", shards, readings_per_sec, p99);
-    csv.row({std::to_string(shards), std::to_string(readings_per_sec),
-             std::to_string(p99)});
-    report.results.emplace_back("readings_per_sec_shards_" + std::to_string(shards),
-                                readings_per_sec);
-    report.results.emplace_back("query_p99_us_shards_" + std::to_string(shards),
-                                p99);
-    report.throughput = std::max(report.throughput, readings_per_sec);
+  {
+    const int shards = can_scale ? 2 : 1;
+    std::filesystem::remove_all(fleet_root);
+    service::InProcessShardRunner runner(deployment);
+    service::SupervisorConfig config;
+    config.shards = shards;
+    config.root_dir = fleet_root;
+    config.middleware_window_s = 10.0;
+    service::Supervisor supervisor(deployment, config, nullptr, &runner);
+    supervisor.start();
+    service::ServerConfig server_config;
+    server_config.socket_path = fleet_root / "front-door.sock";
+    service::ServiceServer server(supervisor, server_config);
+    server.start();
+    service::ServiceClient client(server_config.socket_path);
+    client.set_reference_ids(reference_ids);
+    for (const auto id : tags) client.track({id, {}, std::nullopt});
+    // Cut outside the timed loop.
+    std::vector<std::vector<std::vector<sim::RssiReading>>> cut;
+    for (const auto& part : parts) cut.push_back(batches_of_32(part));
+    const auto row = measure(
+        [&](std::size_t part) {
+          for (const auto& batch : cut[part]) client.stream(batch);
+        },
+        [&](sim::SimTime now) { (void)client.poll(now); },
+        [&](sim::TagId tag) { (void)client.latest_fix(tag); });
+    server.stop();
+    supervisor.stop();
+    record("front_door", shards, row);
   }
 
   std::filesystem::remove_all(fleet_root);

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -71,7 +72,7 @@ inline bool read_reading(ByteReader& r, sim::RssiReading& out) {
 
 /// Reading batch: u32 count | reading*.
 inline void write_readings(ByteWriter& w,
-                           const std::vector<sim::RssiReading>& readings) {
+                           std::span<const sim::RssiReading> readings) {
   w.u32(static_cast<std::uint32_t>(readings.size()));
   for (const sim::RssiReading& reading : readings) write_reading(w, reading);
 }

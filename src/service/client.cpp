@@ -6,11 +6,9 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <thread>
 #include <utility>
 
 namespace vire::service {
@@ -170,11 +168,14 @@ void ServiceClient::stream_sequenced(
                         encode_ingest_seq(sequence, readings)));
 }
 
-void ServiceClient::stream_sequenced(
-    std::uint64_t sequence, const obs::TraceContext& ctx,
-    const std::vector<sim::RssiReading>& readings) {
-  send_all(encode_frame(MsgType::kIngestSeq,
-                        encode_ingest_seq(sequence, ctx, readings)));
+void ServiceClient::stream_sequenced(std::span<const IngestBatch> run) {
+  std::string bytes;
+  for (const IngestBatch& batch : run) {
+    bytes += encode_frame(MsgType::kIngestSeq,
+                          encode_ingest_seq(batch.sequence, batch.ctx,
+                                            batch.readings));
+  }
+  send_all(bytes);
 }
 
 std::vector<engine::Fix> ServiceClient::poll(sim::SimTime now,
@@ -323,92 +324,6 @@ std::uint64_t ServiceClient::remove_shard(std::uint32_t id) {
     throw std::runtime_error("ServiceClient: bad remove_shard response");
   }
   return *moved;
-}
-
-RetryingClient::RetryingClient(std::filesystem::path socket_path,
-                               ClientConfig client, RetryConfig retry)
-    : socket_path_(std::move(socket_path)),
-      client_config_(std::move(client)),
-      retry_(retry) {}
-
-ServiceClient& RetryingClient::ensure_connected() {
-  if (client_ == nullptr) {
-    client_ = std::make_unique<ServiceClient>(socket_path_, client_config_);
-    ++reconnects_;
-  }
-  return *client_;
-}
-
-template <typename F>
-auto RetryingClient::with_retry(F&& op)
-    -> decltype(op(std::declval<ServiceClient&>())) {
-  double backoff_s = retry_.backoff_initial_s;
-  const int attempts = retry_.max_attempts > 0 ? retry_.max_attempts : 1;
-  for (int attempt = 1;; ++attempt) {
-    try {
-      return op(ensure_connected());
-    } catch (const TransportError&) {
-      // The connection's state is unknown; tear it down before retrying.
-      client_.reset();
-      if (attempt >= attempts) throw;
-    }
-    std::this_thread::sleep_for(std::chrono::duration<double>(backoff_s));
-    backoff_s = std::min(backoff_s * retry_.backoff_multiplier,
-                         retry_.backoff_max_s);
-  }
-}
-
-void RetryingClient::stream(const std::vector<sim::RssiReading>& readings) {
-  with_retry([&](ServiceClient& c) { c.stream(readings); });
-}
-
-void RetryingClient::stream_sequenced(
-    std::uint64_t sequence, const std::vector<sim::RssiReading>& readings) {
-  with_retry([&](ServiceClient& c) { c.stream_sequenced(sequence, readings); });
-}
-
-std::vector<engine::Fix> RetryingClient::poll(sim::SimTime now) {
-  return with_retry([&](ServiceClient& c) { return c.poll(now); });
-}
-
-std::optional<engine::Fix> RetryingClient::latest_fix(sim::TagId tag) {
-  return with_retry([&](ServiceClient& c) { return c.latest_fix(tag); });
-}
-
-std::optional<std::string> RetryingClient::explain(sim::TagId tag) {
-  return with_retry([&](ServiceClient& c) { return c.explain(tag); });
-}
-
-std::string RetryingClient::snapshot_prometheus() {
-  return with_retry([&](ServiceClient& c) { return c.snapshot_prometheus(); });
-}
-
-std::string RetryingClient::snapshot_json() {
-  return with_retry([&](ServiceClient& c) { return c.snapshot_json(); });
-}
-
-HeartbeatAck RetryingClient::heartbeat(std::uint64_t seq) {
-  return with_retry([&](ServiceClient& c) { return c.heartbeat(seq); });
-}
-
-void RetryingClient::track(const TrackRequest& request) {
-  with_retry([&](ServiceClient& c) { c.track(request); });
-}
-
-void RetryingClient::set_reference_ids(const std::vector<sim::TagId>& ids) {
-  with_retry([&](ServiceClient& c) { c.set_reference_ids(ids); });
-}
-
-std::uint64_t RetryingClient::recover_now() {
-  return with_retry([&](ServiceClient& c) { return c.recover_now(); });
-}
-
-obs::TraceDump RetryingClient::trace_dump(std::uint32_t max_events) {
-  return with_retry([&](ServiceClient& c) { return c.trace_dump(max_events); });
-}
-
-std::optional<std::string> RetryingClient::provenance() {
-  return with_retry([&](ServiceClient& c) { return c.provenance(); });
 }
 
 }  // namespace vire::service

@@ -15,20 +15,12 @@
 //     instead of limping through CRC resyncs;
 //   * writes use MSG_NOSIGNAL — a peer dying mid-write is a TransportError
 //     return, not SIGPIPE process death.
-//
-// RetryingClient wraps ServiceClient with bounded reconnect + retry and
-// exponential backoff. Only transport-level failures (TransportError:
-// timeout, dead socket, failed connect) are retried; a server-side kError
-// response is a real answer and is never retried. Re-sending an ingest
-// batch after an ambiguous failure is safe when sequenced: the service's
-// last-write-wins duplicate policy and the kIngestSeq ack window make
-// redelivery idempotent.
 
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
-#include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -81,12 +73,12 @@ class ServiceClient {
   /// Fire-and-forget reading batch.
   void stream(const std::vector<sim::RssiReading>& readings);
   /// Fire-and-forget sequenced batch (kIngestSeq); the server acks it
-  /// durably via its WAL, observable through heartbeat(). The ctx overload
-  /// propagates a trace context the server records capture-only.
+  /// durably via its WAL, observable through heartbeat().
   void stream_sequenced(std::uint64_t sequence,
                         const std::vector<sim::RssiReading>& readings);
-  void stream_sequenced(std::uint64_t sequence, const obs::TraceContext& ctx,
-                        const std::vector<sim::RssiReading>& readings);
+  /// A run of sequenced batches, each with the trace context the server
+  /// records capture-only: one kIngestSeq frame each, all in one send.
+  void stream_sequenced(std::span<const IngestBatch> run);
 
   /// Round trips. Each throws TransportError (TimeoutError on deadline) on
   /// a transport failure, std::runtime_error on a kError response (message
@@ -155,55 +147,6 @@ class ServiceClient {
   int fd_ = -1;
   FrameDecoder decoder_;
   std::string server_name_;
-};
-
-struct RetryConfig {
-  /// Total attempts per operation (first try included).
-  int max_attempts = 3;
-  double backoff_initial_s = 0.05;
-  double backoff_multiplier = 2.0;
-  double backoff_max_s = 1.0;
-};
-
-/// ServiceClient with bounded reconnect + retry. Lazily connects; after a
-/// TransportError the connection is torn down and re-established before the
-/// next attempt, sleeping an exponentially growing backoff between attempts.
-/// The last attempt's TransportError propagates when the budget is spent.
-class RetryingClient {
- public:
-  explicit RetryingClient(std::filesystem::path socket_path,
-                          ClientConfig client = {}, RetryConfig retry = {});
-
-  void stream(const std::vector<sim::RssiReading>& readings);
-  void stream_sequenced(std::uint64_t sequence,
-                        const std::vector<sim::RssiReading>& readings);
-  std::vector<engine::Fix> poll(sim::SimTime now);
-  std::optional<engine::Fix> latest_fix(sim::TagId tag);
-  std::optional<std::string> explain(sim::TagId tag);
-  std::string snapshot_prometheus();
-  std::string snapshot_json();
-  HeartbeatAck heartbeat(std::uint64_t seq);
-  void track(const TrackRequest& request);
-  void set_reference_ids(const std::vector<sim::TagId>& ids);
-  std::uint64_t recover_now();
-  obs::TraceDump trace_dump(std::uint32_t max_events);
-  std::optional<std::string> provenance();
-
-  /// Connections (re)established over this client's lifetime.
-  [[nodiscard]] std::uint64_t reconnects() const noexcept { return reconnects_; }
-  /// Drop the connection now; the next operation reconnects.
-  void disconnect() noexcept { client_.reset(); }
-
- private:
-  ServiceClient& ensure_connected();
-  template <typename F>
-  auto with_retry(F&& op) -> decltype(op(std::declval<ServiceClient&>()));
-
-  std::filesystem::path socket_path_;
-  ClientConfig client_config_;
-  RetryConfig retry_;
-  std::unique_ptr<ServiceClient> client_;
-  std::uint64_t reconnects_ = 0;
 };
 
 }  // namespace vire::service

@@ -164,6 +164,13 @@ class ControlJournal {
       std::uint64_t from_sequence = 0,
       std::uint64_t* records_decoded = nullptr);
 
+  /// Opens a group write (persist::FramedLog::Batch): the records appended
+  /// until it commits reach the log in one write(2), byte for byte what
+  /// appending them one by one writes.
+  [[nodiscard]] persist::FramedLog::Batch batch() noexcept {
+    return persist::FramedLog::Batch(log_);
+  }
+
   /// Syncs the log, atomically writes checkpoint.bin, prunes segments wholly
   /// below state.journal_floor and resets appends_since_checkpoint().
   void checkpoint(const ControlCheckpoint& state);

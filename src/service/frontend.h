@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -20,6 +21,7 @@
 #include "engine/localization_engine.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "service/wire.h"
 #include "sim/middleware.h"
 #include "sim/types.h"
 
@@ -44,15 +46,24 @@ class Frontend {
  public:
   virtual ~Frontend() = default;
 
-  /// Reading batch in (kIngest, kIngestSeq). A nonzero `sequence` keys the
-  /// sender's resend window (0 = unsequenced); implementations without ack
-  /// plumbing ignore it. `ctx` is the propagated trace context and is
-  /// capture-only: implementations may record it for trace correlation but
-  /// must never let it affect localization. Overrides repeat the defaults,
-  /// which bind to the static type of the call.
-  virtual void ingest(const std::vector<sim::RssiReading>& readings,
-                      std::uint64_t sequence = 0,
-                      const obs::TraceContext& ctx = {}) = 0;
+  /// A run of reading batches in (kIngest, kIngestSeq), in stream order:
+  /// the server hands over every ingest frame one socket read delivered up
+  /// to the first other frame, so an implementation pays its fixed per-call
+  /// costs once per run. Each batch keeps its own identity: a nonzero
+  /// `sequence` keys the sender's resend window (0 = unsequenced;
+  /// implementations without ack plumbing ignore it), and `ctx` is the
+  /// propagated trace context, capture-only: implementations may record it
+  /// for trace correlation but must never let it affect localization. The
+  /// readings are borrowed for the call; nothing may keep a view of them.
+  virtual void ingest(std::span<const IngestBatch> run) = 0;
+
+  /// One batch: a run of one. Implementations bring it into scope with
+  /// `using Frontend::ingest;`.
+  void ingest(const std::vector<sim::RssiReading>& readings,
+              std::uint64_t sequence = 0, const obs::TraceContext& ctx = {}) {
+    const IngestBatch batch{readings, sequence, ctx};
+    ingest(std::span<const IngestBatch>(&batch, 1));
+  }
 
   /// Evict + update at `now` (kPoll); `ctx` is capture-only like ingest's.
   virtual std::vector<engine::Fix> poll(sim::SimTime now,

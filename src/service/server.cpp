@@ -122,29 +122,61 @@ void ServiceServer::flush_outbox(Connection& conn) {
   }
 }
 
+void ServiceServer::handle_frames(Connection& conn) {
+  // Ingest frames draw no reply, so handing a run of them over as one call
+  // reorders nothing the peer sees: the run is ingested before the frame
+  // that ends it is handled.
+  std::vector<SequencedBatch> run;
+  while (auto frame = conn.decoder.next()) {
+    const bool sequenced = frame->type == MsgType::kIngestSeq;
+    if (sequenced || frame->type == MsgType::kIngest) {
+      std::optional<SequencedBatch> batch;
+      if (sequenced) {
+        batch = decode_ingest_seq(frame->payload);
+      } else if (auto readings = decode_ingest(frame->payload)) {
+        batch = SequencedBatch{0, {}, std::move(*readings)};
+      }
+      if (batch.has_value()) {
+        run.push_back(std::move(*batch));
+        continue;
+      }
+      ingest_run(conn, run);
+      conn.decoder.note_malformed();
+      send_frame(conn, MsgType::kError,
+                 sequenced ? "malformed sequenced ingest payload"
+                           : "malformed ingest payload");
+      continue;
+    }
+    ingest_run(conn, run);
+    handle(conn, *frame);
+    if (conn.close_after_reply) return;
+  }
+  ingest_run(conn, run);
+}
+
+void ServiceServer::ingest_run(Connection& conn,
+                               std::vector<SequencedBatch>& run) {
+  if (run.empty()) return;
+  std::vector<IngestBatch> batches;
+  batches.reserve(run.size());
+  for (const SequencedBatch& batch : run) {
+    batches.push_back({batch.readings, batch.sequence, batch.ctx});
+  }
+  try {
+    frontend_.ingest(batches);  // fire-and-forget; acks surface via kHeartbeat
+  } catch (const std::exception& e) {
+    // One kError per batch, as many as the batches ingested one call each
+    // would have drawn from a refusing frontend.
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      send_frame(conn, MsgType::kError, e.what());
+    }
+  }
+  run.clear();
+}
+
 void ServiceServer::handle(Connection& conn, const Frame& frame) {
   try {
     switch (frame.type) {
-      case MsgType::kIngest: {
-        auto readings = decode_ingest(frame.payload);
-        if (!readings.has_value()) {
-          conn.decoder.note_malformed();
-          send_frame(conn, MsgType::kError, "malformed ingest payload");
-          return;
-        }
-        frontend_.ingest(*readings);
-        return;  // fire-and-forget
-      }
-      case MsgType::kIngestSeq: {
-        auto batch = decode_ingest_seq(frame.payload);
-        if (!batch.has_value()) {
-          conn.decoder.note_malformed();
-          send_frame(conn, MsgType::kError, "malformed sequenced ingest payload");
-          return;
-        }
-        frontend_.ingest(batch->readings, batch->sequence, batch->ctx);
-        return;  // fire-and-forget; durability observable via kHeartbeat
-      }
       case MsgType::kPoll: {
         const auto request = decode_poll(frame.payload);
         if (!request.has_value()) {
@@ -431,10 +463,7 @@ void ServiceServer::loop() {
           closed = true;  // EOF or hard error
           break;
         }
-        while (auto frame = conn.decoder.next()) {
-          handle(conn, *frame);
-          if (conn.close_after_reply) break;
-        }
+        handle_frames(conn);
         if (conn.decoder.failed()) closed = true;  // framing destroyed
         if (conn.close_after_reply) closed = true;
       }

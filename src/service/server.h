@@ -3,7 +3,8 @@
 //
 // ServiceServer accepts stream connections on a UDS path and speaks the
 // wire protocol (service/wire.h): clients stream kIngest/kIngestSeq batches
-// in (fire-and-forget) and issue kPoll / kLatestFix / kExplain / kSnapshot /
+// in (fire-and-forget; the ingest frames one read delivers reach the
+// frontend as one run) and issue kPoll / kLatestFix / kExplain / kSnapshot /
 // kHeartbeat / kTrack / kSetReference / kRecover requests that each get
 // exactly one response frame. The server runs its own event-loop thread,
 // which doubles as the frontend's single driver thread — while the server
@@ -95,7 +96,14 @@ class ServiceServer {
   };
 
   void loop();
-  /// Handles one decoded frame; appends any response to the outbox.
+  /// Handles every frame the connection's decoder holds, in order. A
+  /// maximal run of well-formed kIngest/kIngestSeq frames reaches the
+  /// frontend as one ingest call; a malformed one ends the run and draws
+  /// its kError.
+  void handle_frames(Connection& conn);
+  /// Hands `run` to the frontend as one ingest call, then empties it.
+  void ingest_run(Connection& conn, std::vector<SequencedBatch>& run);
+  /// Handles one decoded request frame; appends its response to the outbox.
   void handle(Connection& conn, const Frame& frame);
   void send_frame(Connection& conn, MsgType type, std::string_view payload);
   static void flush_outbox(Connection& conn);

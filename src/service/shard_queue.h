@@ -31,10 +31,18 @@ namespace vire::service {
 
 class ShardQueue {
  public:
+  /// An ingest batch's durable-ack boundary inside a kReadings op: the
+  /// batch ends after the op's first `end` readings.
+  struct Ack {
+    std::size_t end = 0;
+    std::uint64_t sequence = 0;
+  };
+
   struct Op {
     enum class Kind : std::uint8_t { kReadings, kEvict, kUpdate, kControl, kStop };
     Kind kind = Kind::kReadings;
     std::vector<sim::RssiReading> readings;           ///< kReadings
+    std::vector<Ack> acks;                            ///< kReadings, by end
     sim::SimTime time = 0.0;                          ///< kEvict / kUpdate
     std::function<void()> control;                    ///< kControl
     std::promise<std::vector<engine::Fix>> fixes;     ///< kUpdate
@@ -46,9 +54,10 @@ class ShardQueue {
   ShardQueue(const ShardQueue&) = delete;
   ShardQueue& operator=(const ShardQueue&) = delete;
 
-  /// Enqueues a reading batch, waiting for room while `capacity` batches
-  /// are already queued.
-  void push_readings(std::vector<sim::RssiReading> batch) {
+  /// Enqueues a reading batch with the acks of the ingest batches that end
+  /// in it, waiting for room while `capacity` batches are already queued.
+  void push_readings(std::vector<sim::RssiReading> batch,
+                     std::vector<Ack> acks = {}) {
     {
       std::unique_lock<std::mutex> lock(mutex_);
       if (reading_batches_ >= capacity_) {
@@ -58,6 +67,7 @@ class ShardQueue {
       Op op;
       op.kind = Op::Kind::kReadings;
       op.readings = std::move(batch);
+      op.acks = std::move(acks);
       queue_.push_back(std::move(op));
       ++reading_batches_;
       if (queue_.size() > high_water_) high_water_ = queue_.size();

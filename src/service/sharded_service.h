@@ -6,8 +6,11 @@
 // merge, migration and crash recovery all live there).
 //
 // Architecture:
-//   ingest(batch) -> bounded ShardQueue -> one worker thread:
-//     Middleware (journals to the WAL) -> LocalizationEngine
+//   ingest(run of batches) -> ops of <= 64 readings (whole batches, or the
+//     slices of one larger batch), each carrying the acks of the batches
+//     that end in it -> bounded ShardQueue -> one worker thread:
+//     Middleware (journals to the WAL, one write per op) ->
+//     LocalizationEngine
 //   poll(now) -> evict + update on the worker -> fixes in tag order
 //   latest_fix / explain / metrics -> query API
 //
@@ -41,6 +44,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_set>
@@ -83,7 +87,10 @@ struct ServiceConfig {
 
 class ShardedService : public Frontend {
  public:
-  ShardedService(const env::Deployment& deployment, ServiceConfig config);
+  /// `wal_fault_hook` is a testing seam (fault::DiskFaultInjector) handed to
+  /// the WAL writer; nullptr in production.
+  ShardedService(const env::Deployment& deployment, ServiceConfig config,
+                 support::IoFaultHook* wal_fault_hook = nullptr);
   ~ShardedService() override;
 
   ShardedService(const ShardedService&) = delete;
@@ -97,18 +104,20 @@ class ShardedService : public Frontend {
   void track(sim::TagId tag, std::string name = {},
              std::optional<std::uint32_t> zone = std::nullopt) override;
 
-  /// Queues a reading batch for the worker. Readings at or before a
-  /// recovered service's resume time are dropped by the resume gate. A
-  /// nonzero `sequence` (kIngestSeq) also journals a FrameType::kAck marker
-  /// behind the batch's readings — so heartbeat()'s last_ack_sequence
-  /// reports exactly the batches whose readings are durably journaled. A
-  /// batch at or below the ack cursor is dropped whole (idempotent
-  /// redelivery after a sender retry). A trace context is noted as a
-  /// capture-only "wire.ingest_batch" instant on the engine's tracer;
-  /// localization output is bit-identical with or without one.
-  void ingest(const std::vector<sim::RssiReading>& readings,
-              std::uint64_t sequence = 0,
-              const obs::TraceContext& ctx = {}) override;
+  /// Queues a run of reading batches for the worker, as ops of up to 64
+  /// readings that hold whole batches, or the slices of one batch larger
+  /// than an op. Readings at or before a recovered service's resume time are
+  /// dropped by the resume gate. A batch with a nonzero `sequence`
+  /// (kIngestSeq) also journals a FrameType::kAck marker behind its
+  /// readings, in the same WAL write as the op holding its last reading —
+  /// so heartbeat()'s last_ack_sequence reports exactly the batches whose
+  /// readings are durably journaled. A batch at or below the ack cursor is
+  /// dropped whole (idempotent redelivery after a sender retry). A trace
+  /// context is noted as a capture-only "wire.ingest_batch" instant on the
+  /// engine's tracer; localization output is bit-identical with or without
+  /// one. The WAL bytes do not depend on how batches are grouped into runs.
+  void ingest(std::span<const IngestBatch> run) override;
+  using Frontend::ingest;
 
   /// Runs evict_stale + update at `now` behind everything queued and
   /// returns the fixes in tag order. Blocks until the worker finished.
@@ -189,6 +198,8 @@ class ShardedService : public Frontend {
   /// Opens the WAL writer of a fresh (not recovering) shard and attaches it.
   void attach_wal();
   void worker_loop();
+  /// Worker: ingests a kReadings op, journaling each ack behind its batch.
+  void ingest_op(const ShardQueue::Op& op);
   void maybe_checkpoint(sim::SimTime now);
   void enqueue(const sim::RssiReading& reading);
   void flush_pending();
@@ -198,6 +209,7 @@ class ShardedService : public Frontend {
   auto run_on_worker(Fn fn);
 
   ServiceConfig config_;
+  support::IoFaultHook* wal_fault_hook_ = nullptr;
   obs::MetricsRegistry metrics_;
   /// Owns the engine's metrics registry; declared before every component
   /// that registers metrics in it, so it is destroyed after them.
@@ -215,9 +227,11 @@ class ShardedService : public Frontend {
   std::map<sim::TagId, engine::Fix> latest_;
   bool recovered_ = false;
 
-  /// Driver-thread ingest buffer (flushed at a full batch, by poll() and by
-  /// every worker round trip).
+  /// Driver-thread ingest buffer: the next kReadings op (handed over when
+  /// full, at the end of a run holding an ack, by poll() and by every
+  /// worker round trip), and the acks of the batches that end in it.
   std::vector<sim::RssiReading> pending_;
+  std::vector<ShardQueue::Ack> pending_acks_;
   /// Worker-thread checkpoint cadence counter.
   int updates_since_checkpoint_ = 0;
   /// Resume gate (see file comment); -inf when the service never recovered.

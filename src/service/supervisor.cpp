@@ -47,7 +47,8 @@ std::string shard_json(std::uint32_t id) {
 
 Supervisor::Supervisor(const env::Deployment& deployment,
                        SupervisorConfig config, Clock* clock,
-                       ShardRunner* runner)
+                       ShardRunner* runner,
+                       support::IoFaultHook* journal_fault_hook)
     : deployment_(deployment),
       config_(std::move(config)),
       clock_(clock != nullptr ? clock : &steady_clock_),
@@ -134,6 +135,7 @@ Supervisor::Supervisor(const env::Deployment& deployment,
   if (config_.control_journal && !config_.root_dir.empty()) {
     ControlJournalConfig jc;
     jc.dir = config_.root_dir / "journal";
+    jc.fault_hook = journal_fault_hook;
     journal_ = std::make_unique<ControlJournal>(std::move(jc));
     journal_->attach_metrics(metrics_);
     if (config_.fleet_tracing) journal_->attach_tracer(&tracer_);
@@ -306,74 +308,106 @@ void Supervisor::tick() {
 // ---------------------------------------------------------------------------
 // Frontend
 
-void Supervisor::ingest(const std::vector<sim::RssiReading>& readings,
-                        std::uint64_t /*sequence*/,
-                        const obs::TraceContext& /*ctx*/) {
+void Supervisor::ingest(std::span<const IngestBatch> run) {
   std::lock_guard lock(mutex_);
-  if (readings.empty()) return;
-  std::map<std::uint32_t, std::vector<sim::RssiReading>> parts;
-  for (const sim::RssiReading& reading : readings) {
-    if (is_reference(reading.tag)) {
-      // Broadcast to active members only: a joining shard gets the reference
-      // history with its seed, a draining one is already leaving the fleet.
-      for (const auto& [id, shard] : shards_) {
-        if (shard.phase == MemberPhase::kActive) parts[id].push_back(reading);
+  // Route the whole run first. Each client batch keeps its own sequence,
+  // op-log entries and journal records, made in the order one call per
+  // batch would make them; only the writes and sends are shared.
+  struct Outgoing {
+    std::uint32_t shard = 0;
+    OpEntry entry;
+  };
+  std::vector<Outgoing> outgoing;
+  for (const IngestBatch& batch : run) {
+    if (batch.readings.empty()) continue;
+    std::map<std::uint32_t, std::vector<sim::RssiReading>> parts;
+    for (const sim::RssiReading& reading : batch.readings) {
+      if (is_reference(reading.tag)) {
+        // Broadcast to active members only: a joining shard gets the
+        // reference history with its seed, a draining one is already
+        // leaving the fleet.
+        for (const auto& [id, shard] : shards_) {
+          if (shard.phase == MemberPhase::kActive) parts[id].push_back(reading);
+        }
+      } else {
+        parts[owner_of(reading.tag)].push_back(reading);
       }
-    } else {
-      parts[owner_of(reading.tag)].push_back(reading);
+    }
+    // A shard's sub-batch must fit one kIngestSeq frame — encode_frame
+    // refuses anything bigger, and an oversized entry in the op-log would
+    // make every future replay (hence every bring_up) fail. Chunk the
+    // largest part's way, one sequence per chunk index so acks stay a plain
+    // cursor.
+    std::size_t chunks = 1;
+    for (const auto& [id, sub] : parts) {
+      chunks = std::max(
+          chunks, (sub.size() + kMaxReadingsPerBatch - 1) / kMaxReadingsPerBatch);
+    }
+    const std::uint64_t base = ingest_seq_;
+    ingest_seq_ += chunks;
+    for (auto& [id, sub] : parts) {
+      ManagedShard& shard = shards_.at(id);
+      for (std::size_t off = 0; off < sub.size(); off += kMaxReadingsPerBatch) {
+        const std::size_t len = std::min(kMaxReadingsPerBatch, sub.size() - off);
+        Outgoing out;
+        out.shard = id;
+        out.entry.kind = OpEntry::Kind::kBatch;
+        out.entry.sequence = base + 1 + off / kMaxReadingsPerBatch;
+        out.entry.readings.assign(
+            sub.begin() + static_cast<std::ptrdiff_t>(off),
+            sub.begin() + static_cast<std::ptrdiff_t>(off + len));
+        // The ingest stamp feeds the e2e histogram at the poll that
+        // materializes this batch's fixes.
+        if (shard.pending_batches.size() >= config_.oplog_capacity) {
+          shard.pending_batches.erase(shard.pending_batches.begin());
+        }
+        shard.pending_batches.emplace(out.entry.sequence, tracer_.now_us());
+        outgoing.push_back(std::move(out));
+      }
     }
   }
-  // A shard's sub-batch must fit one kIngestSeq frame — encode_frame refuses
-  // anything bigger, and an oversized entry in the op-log would make every
-  // future replay (hence every bring_up) fail. Chunk the largest part's way,
-  // one sequence per chunk index so acks stay a plain cursor.
-  std::size_t chunks = 1;
-  for (const auto& [id, sub] : parts) {
-    chunks = std::max(
-        chunks, (sub.size() + kMaxReadingsPerBatch - 1) / kMaxReadingsPerBatch);
+  if (outgoing.empty()) return;
+  if (journal_ != nullptr) {
+    // Write-ahead: the run is journaled, in one write, before any delivery
+    // attempt, so a supervisor killed mid-ingest still replays it on
+    // restart.
+    auto group = journal_->batch();
+    for (Outgoing& out : outgoing) {
+      out.entry.journal_seq =
+          journal_->record_batch(out.shard, out.entry.sequence, out.entry.readings);
+    }
+    group.commit();
   }
-  const std::uint64_t base = ingest_seq_;
-  ingest_seq_ += chunks;
-  for (auto& [id, sub] : parts) {
-    ManagedShard& shard = shards_.at(id);
-    for (std::size_t off = 0; off < sub.size(); off += kMaxReadingsPerBatch) {
-      const std::size_t len = std::min(kMaxReadingsPerBatch, sub.size() - off);
-      OpEntry entry;
-      entry.kind = OpEntry::Kind::kBatch;
-      entry.sequence = base + 1 + off / kMaxReadingsPerBatch;
-      entry.readings.assign(sub.begin() + static_cast<std::ptrdiff_t>(off),
-                            sub.begin() + static_cast<std::ptrdiff_t>(off + len));
-      if (journal_ != nullptr) {
-        // Write-ahead: the batch is journaled before any delivery attempt,
-        // so a supervisor killed mid-ingest still replays it on restart.
-        entry.journal_seq =
-            journal_->record_batch(id, entry.sequence, entry.readings);
-      }
-      const std::uint64_t sequence = entry.sequence;
-      const std::vector<sim::RssiReading>& chunk = entry.readings;
+  // Delivery: every shard gets its frames of the run in one send.
+  std::vector<IngestBatch> frames;
+  for (auto& [id, shard] : shards_) {
+    frames.clear();
+    for (const Outgoing& out : outgoing) {
+      if (out.shard != id) continue;
       // Trace context is stamped UNCONDITIONALLY (same wire bytes whether
       // fleet tracing is on or off), so enabling tracing cannot perturb the
-      // stream the shards see. The ingest stamp feeds the e2e histogram at
-      // the poll that materializes this batch's fixes.
-      const obs::TraceContext ctx{trace_id_for(sequence), sequence};
-      if (shard.pending_batches.size() >= config_.oplog_capacity) {
-        shard.pending_batches.erase(shard.pending_batches.begin());
-      }
-      shard.pending_batches.emplace(sequence, tracer_.now_us());
-      if (shard.state != ShardState::kUp || shard.client == nullptr) {
-        push_oplog(shard, std::move(entry));
-        continue;  // journaled; delivered by replay() at the next revival
-      }
+      // stream the shards see.
+      const std::uint64_t sequence = out.entry.sequence;
+      frames.push_back({out.entry.readings, sequence,
+                        obs::TraceContext{trace_id_for(sequence), sequence}});
+    }
+    if (frames.empty()) continue;
+    // A shard that is not up gets nothing now: the op-log holds its batches
+    // and replay() delivers them at the next revival.
+    bool died = false;
+    if (shard.state == ShardState::kUp && shard.client != nullptr) {
       try {
-        shard.client->stream_sequenced(sequence, ctx, chunk);
-        push_oplog(shard, std::move(entry));
+        shard.client->stream_sequenced(frames);
       } catch (const TransportError&) {
-        // No inline restart on the ingest path: the op-log covers the batch,
-        // and the next poll/tick revives the shard.
-        push_oplog(shard, std::move(entry));
-        handle_death(shard, DeathCause::kSocket);
+        // No inline restart on the ingest path: the op-log covers the
+        // batches, and the next poll/tick revives the shard.
+        died = true;
       }
     }
+    for (Outgoing& out : outgoing) {
+      if (out.shard == id) push_oplog(shard, std::move(out.entry));
+    }
+    if (died) handle_death(shard, DeathCause::kSocket);
   }
   maybe_checkpoint();
 }
@@ -956,15 +990,24 @@ void Supervisor::replay(ManagedShard& shard) {
     end_overflow(shard);
   }
   std::uint64_t polls_done = shard.polls_done;
+  // Consecutive un-acked batches go out in one send, made before the next
+  // poll (and before any op-log erase moves the readings they view).
+  std::vector<IngestBatch> batches;
+  const auto send_batches = [&] {
+    if (batches.empty()) return;
+    shard.client->stream_sequenced(batches);
+    batches.clear();
+  };
   for (auto it = shard.oplog.begin(); it != shard.oplog.end();) {
     if (it->kind == OpEntry::Kind::kBatch) {
       if (it->sequence > shard.last_ack) {
-        shard.client->stream_sequenced(it->sequence, it->readings);
+        batches.push_back({it->readings, it->sequence, {}});
         replayed_batches_->inc();
         replayed_readings_->inc(it->readings.size());
       }
       ++it;  // trimmed below once the shard acks it durably
     } else {
+      send_batches();
       // A poll the shard never saw: execute it now so the shard's engine
       // state advances through the same update sequence as the original
       // timeline (its WAL gate substitutes any updates it already journaled).
@@ -984,6 +1027,7 @@ void Supervisor::replay(ManagedShard& shard) {
       it = shard.oplog.erase(it);
     }
   }
+  send_batches();
   if (polls_done > shard.polls_done) {
     // Journaled polls are NOT idempotent the way batches are (no shard-side
     // sequence gate): mark them executed so a later recovery replays only

@@ -59,6 +59,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -183,9 +184,12 @@ class Supervisor : public Frontend {
   /// `clock` may be null (a built-in SteadyClock is used); when provided it
   /// must outlive the supervisor. `runner` hosts the shards; null builds a
   /// ProcessShardRunner over config.shardd_binary. A caller's runner must
-  /// outlive the supervisor.
+  /// outlive the supervisor. `journal_fault_hook` is a testing seam
+  /// (fault::DiskFaultInjector) handed to the control journal; nullptr in
+  /// production.
   Supervisor(const env::Deployment& deployment, SupervisorConfig config,
-             Clock* clock = nullptr, ShardRunner* runner = nullptr);
+             Clock* clock = nullptr, ShardRunner* runner = nullptr,
+             support::IoFaultHook* journal_fault_hook = nullptr);
   /// With the built-in process runner this is stop(). A supervisor over a
   /// caller's runner instead leaves its shards running there, for the next
   /// supervisor over the same root and runner to adopt — the in-process
@@ -209,16 +213,18 @@ class Supervisor : public Frontend {
   /// safe to call concurrently with the server thread's Frontend calls.
   void tick();
 
-  // Frontend. ingest() assigns each batch an internal sequence and journals
-  // it in the owning shards' op-logs until durably acked. poll() sends every
-  // shard its poll (reviving dead ones inline when the breaker allows)
-  // before reading any reply, so the shards compute at once; it degrades a
-  // DOWN shard's tags to FixQuality::kHold answers, and reports a shard's
-  // refusal only after every other reply is read. Both stamp their own
-  // trace contexts; the caller's sequence and context are unused.
-  void ingest(const std::vector<sim::RssiReading>& readings,
-              std::uint64_t sequence = 0,
-              const obs::TraceContext& ctx = {}) override;
+  // Frontend. ingest() assigns each batch of the run an internal sequence
+  // and holds it in the owning shards' op-logs until durably acked; the
+  // run's batches reach the control journal in one write, made before any
+  // shard sees them, and each shard gets its share in one send. poll()
+  // sends every shard its poll (reviving dead ones inline when the breaker
+  // allows) before reading any reply, so the shards compute at once; it
+  // degrades a DOWN shard's tags to FixQuality::kHold answers, and reports
+  // a shard's refusal only after every other reply is read. Both stamp
+  // their own trace contexts; the caller's sequences and contexts are
+  // unused.
+  void ingest(std::span<const IngestBatch> run) override;
+  using Frontend::ingest;
   std::vector<engine::Fix> poll(sim::SimTime now,
                                 const obs::TraceContext& ctx = {}) override;
   [[nodiscard]] std::optional<engine::Fix> latest_fix(

@@ -301,7 +301,7 @@ std::optional<HeartbeatAck> decode_heartbeat_ack(std::string_view payload) {
 
 std::string encode_ingest_seq(std::uint64_t sequence,
                               const obs::TraceContext& ctx,
-                              const std::vector<sim::RssiReading>& readings) {
+                              std::span<const sim::RssiReading> readings) {
   persist::ByteWriter w;
   w.u64(sequence);
   w.u64(ctx.trace_id);

@@ -21,6 +21,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -235,9 +236,18 @@ struct SequencedBatch {
   obs::TraceContext ctx;
   std::vector<sim::RssiReading> readings;
 };
+
+/// One reading batch of an ingest run, borrowed for the duration of a call:
+/// the readings of a kIngest (`sequence` 0) or kIngestSeq frame.
+struct IngestBatch {
+  std::span<const sim::RssiReading> readings;
+  std::uint64_t sequence = 0;
+  obs::TraceContext ctx;
+};
+
 [[nodiscard]] std::string encode_ingest_seq(
     std::uint64_t sequence, const obs::TraceContext& ctx,
-    const std::vector<sim::RssiReading>& readings);
+    std::span<const sim::RssiReading> readings);
 [[nodiscard]] std::string encode_ingest_seq(
     std::uint64_t sequence, const std::vector<sim::RssiReading>& readings);
 [[nodiscard]] std::optional<SequencedBatch> decode_ingest_seq(

@@ -11,11 +11,13 @@
 #include "service/client.h"
 #include "service/sharded_service.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -266,8 +268,7 @@ class CannedSnapshotFrontend final : public Frontend {
  public:
   explicit CannedSnapshotFrontend(std::string snapshot)
       : snapshot_(std::move(snapshot)) {}
-  void ingest(const std::vector<sim::RssiReading>&, std::uint64_t,
-              const obs::TraceContext&) override {}
+  void ingest(std::span<const IngestBatch>) override {}
   std::vector<engine::Fix> poll(sim::SimTime, const obs::TraceContext&) override {
     return {};
   }
@@ -370,6 +371,210 @@ TEST(ServiceServerTest, HeartbeatEchoesSequenceAndDurabilityCursor) {
   EXPECT_EQ(second.seq, 8u);
   EXPECT_GE(second.wal_next_sequence, first.wal_next_sequence);
   rig.server->stop();
+}
+
+// ---- ingest runs: the ingest frames one read delivers reach the frontend
+// as one call, without reordering anything against the other requests.
+
+/// Forwards to a ShardedService and records what each ingest call carried
+/// and how many batches had arrived when each poll ran. Read its records
+/// only after the server stopped (the loop thread writes them).
+class RecordingFrontend final : public Frontend {
+ public:
+  explicit RecordingFrontend(ShardedService& inner) : inner_(inner) {}
+
+  void ingest(std::span<const IngestBatch> run) override {
+    run_sizes.push_back(run.size());
+    for (const IngestBatch& batch : run) sequences.push_back(batch.sequence);
+    inner_.ingest(run);
+  }
+  std::vector<engine::Fix> poll(sim::SimTime now,
+                                const obs::TraceContext& ctx) override {
+    batches_at_poll.push_back(sequences.size());
+    return inner_.poll(now, ctx);
+  }
+  [[nodiscard]] std::optional<engine::Fix> latest_fix(
+      sim::TagId tag) const override {
+    return inner_.latest_fix(tag);
+  }
+  std::optional<std::string> explain_json(sim::TagId tag) override {
+    return inner_.explain_json(tag);
+  }
+  std::string snapshot_prometheus() const override {
+    return inner_.snapshot_prometheus();
+  }
+  std::string snapshot_json() const override { return inner_.snapshot_json(); }
+  void set_reference_ids(std::vector<sim::TagId> ids) override {
+    inner_.set_reference_ids(std::move(ids));
+  }
+  void track(sim::TagId tag, std::string name,
+             std::optional<std::uint32_t> zone) override {
+    inner_.track(tag, std::move(name), zone);
+  }
+  HeartbeatInfo heartbeat() override { return inner_.heartbeat(); }
+  [[nodiscard]] obs::MetricsRegistry& metrics() override {
+    return inner_.metrics();
+  }
+
+  std::vector<std::size_t> run_sizes;
+  std::vector<std::uint64_t> sequences;
+  std::vector<std::size_t> batches_at_poll;
+
+ private:
+  ShardedService& inner_;
+};
+
+/// `readings` cut into consecutive 32-reading batches.
+std::vector<std::vector<sim::RssiReading>> batches_of_32(
+    const std::vector<sim::RssiReading>& readings) {
+  std::vector<std::vector<sim::RssiReading>> batches;
+  for (std::size_t off = 0; off < readings.size(); off += 32) {
+    const std::size_t end = std::min(readings.size(), off + 32);
+    batches.emplace_back(readings.begin() + static_cast<std::ptrdiff_t>(off),
+                         readings.begin() + static_cast<std::ptrdiff_t>(end));
+  }
+  return batches;
+}
+
+int raw_connect(const fs::path& socket_path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  const std::string p = socket_path.string();
+  std::memcpy(addr.sun_path, p.c_str(), p.size() + 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Reads `count` reply frames; fewer when the server closes first.
+std::vector<Frame> read_replies(int fd, std::size_t count) {
+  FrameDecoder decoder;
+  std::vector<Frame> replies;
+  char buf[4096];
+  while (replies.size() < count) {
+    if (auto frame = decoder.next()) {
+      replies.push_back(std::move(*frame));
+      continue;
+    }
+    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (n <= 0) break;
+    decoder.feed(std::string_view(buf, static_cast<std::size_t>(n)));
+  }
+  return replies;
+}
+
+void send_whole(int fd, const std::string& bytes) {
+  std::size_t off = 0;
+  while (off < bytes.size()) {
+    const ssize_t n = ::send(fd, bytes.data() + off, bytes.size() - off, 0);
+    ASSERT_GT(n, 0);
+    off += static_cast<std::size_t>(n);
+  }
+}
+
+TEST(ServiceServerTest, OneWriteOfIngestPollIngestHeartbeatKeepsStreamOrder) {
+  Rig rig = make_rig("vire_server_run_order");
+  rig.server->stop();
+  RecordingFrontend recorder(*rig.service);
+  ServerConfig config;
+  config.socket_path = fs::temp_directory_path() / "vire_server_run_order2.sock";
+  ServiceServer server(recorder, config);
+  server.start();
+
+  const auto batches = batches_of_32(rig.readings);
+  ASSERT_GE(batches.size(), 8u);
+  const std::size_t k = batches.size() / 2;
+  const std::size_t m = batches.size() - k;
+  const sim::SimTime poll_time = batches[k - 1].back().time;
+
+  // [ingest x k, poll, ingest x m, heartbeat] in a single client write.
+  std::string bytes;
+  for (std::size_t i = 0; i < batches.size(); ++i) {
+    if (i == k) bytes += encode_frame(MsgType::kPoll, encode_poll({poll_time, {}}));
+    bytes += encode_frame(MsgType::kIngestSeq,
+                          encode_ingest_seq(i + 1, batches[i]));
+  }
+  bytes += encode_frame(MsgType::kHeartbeat, encode_u64(42));
+  const int fd = raw_connect(config.socket_path);
+  ASSERT_GE(fd, 0);
+  send_whole(fd, bytes);
+  const std::vector<Frame> replies = read_replies(fd, 2);
+  ::close(fd);
+  server.stop();
+
+  ASSERT_EQ(replies.size(), 2u);
+  ASSERT_EQ(replies[0].type, MsgType::kFixBatch);
+  ASSERT_EQ(replies[1].type, MsgType::kHeartbeatAck);
+  const auto fixes = decode_fixes(replies[0].payload);
+  const auto ack = decode_heartbeat_ack(replies[1].payload);
+  ASSERT_TRUE(fixes.has_value());
+  ASSERT_TRUE(ack.has_value());
+
+  // The poll saw exactly the first k batches; the heartbeat covers all k+m.
+  ASSERT_EQ(recorder.batches_at_poll.size(), 1u);
+  EXPECT_EQ(recorder.batches_at_poll[0], k);
+  EXPECT_EQ(recorder.sequences.size(), k + m);
+  for (std::size_t i = 0; i < recorder.sequences.size(); ++i) {
+    EXPECT_EQ(recorder.sequences[i], i + 1) << "stream order";
+  }
+  EXPECT_LT(recorder.run_sizes.size(), k + m) << "runs carry several batches";
+  EXPECT_EQ(ack->seq, 42u);
+  EXPECT_EQ(ack->last_ack_sequence, k + m);
+
+  // The poll answers what a host fed only the first k batches answers.
+  ServiceConfig reference_config;
+  reference_config.engine.min_refresh_interval_s = 10.0;
+  reference_config.middleware.window_s = 10.0;
+  ShardedService reference(env::Deployment::paper_testbed(), reference_config);
+  reference.set_reference_ids(rig.reference_ids);
+  reference.track(rig.pallet, "pallet");
+  for (std::size_t i = 0; i < k; ++i) reference.ingest(batches[i], i + 1);
+  const auto expected = reference.poll(poll_time);
+  ASSERT_EQ(fixes->size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&(*fixes)[i].position, &expected[i].position,
+                          sizeof(expected[i].position)),
+              0);
+  }
+}
+
+TEST(ServiceServerTest, MalformedIngestInsideARunKeepsItsNeighbours) {
+  Rig rig = make_rig("vire_server_run_malformed");
+  rig.server->stop();
+  RecordingFrontend recorder(*rig.service);
+  ServerConfig config;
+  config.socket_path =
+      fs::temp_directory_path() / "vire_server_run_malformed2.sock";
+  ServiceServer server(recorder, config);
+  server.start();
+
+  const auto batches = batches_of_32(rig.readings);
+  std::string bytes = encode_frame(MsgType::kIngestSeq,
+                                   encode_ingest_seq(1, batches[0]));
+  bytes += encode_frame(MsgType::kIngestSeq, "not-a-batch");
+  bytes += encode_frame(MsgType::kIngestSeq, encode_ingest_seq(2, batches[1]));
+  bytes += encode_frame(MsgType::kHeartbeat, encode_u64(9));
+  const int fd = raw_connect(config.socket_path);
+  ASSERT_GE(fd, 0);
+  send_whole(fd, bytes);
+  const std::vector<Frame> replies = read_replies(fd, 2);
+  ::close(fd);
+  server.stop();
+
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_EQ(replies[0].type, MsgType::kError);
+  ASSERT_EQ(replies[1].type, MsgType::kHeartbeatAck);
+  const auto ack = decode_heartbeat_ack(replies[1].payload);
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_EQ(ack->last_ack_sequence, 2u) << "the batch after the bad frame";
+  EXPECT_EQ(recorder.sequences, (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_NE(rig.service->snapshot_prometheus().find(
+                "vire_service_rejected_frames_total{reason=\"malformed\"} 1"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -22,6 +22,9 @@
 #include <csignal>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -31,6 +34,7 @@
 
 #include "engine/localization_engine.h"
 #include "env/environment.h"
+#include "fault/disk_fault.h"
 #include "service/shard_runner.h"
 #include "service/sharded_service.h"
 #include "service/supervisor.h"
@@ -635,6 +639,224 @@ TEST(ShardEquivalenceTest, SigkilledHostRecoversBitIdentically) {
   }
   EXPECT_TRUE(compared_live);
   fs::remove_all(dir);
+}
+
+// ---- ingest runs: a run of batches costs one WAL write per queue op at a
+// shard, one journal write and one send per shard at the supervisor, and
+// leaves every byte on disk as the batches ingested one call each leave it.
+
+/// `readings` cut into consecutive batches of `size` readings.
+std::vector<std::vector<sim::RssiReading>> batches_of(
+    const std::vector<sim::RssiReading>& readings, std::size_t size) {
+  std::vector<std::vector<sim::RssiReading>> batches;
+  for (std::size_t off = 0; off < readings.size(); off += size) {
+    const std::size_t end = std::min(readings.size(), off + size);
+    batches.emplace_back(readings.begin() + static_cast<std::ptrdiff_t>(off),
+                         readings.begin() + static_cast<std::ptrdiff_t>(end));
+  }
+  return batches;
+}
+
+/// The batches as one ingest run, sequenced 1, 2, ... in order.
+std::vector<IngestBatch> as_run(
+    const std::vector<std::vector<sim::RssiReading>>& batches) {
+  std::vector<IngestBatch> run;
+  for (const auto& batch : batches) {
+    run.push_back({batch, run.size() + 1, {}});
+  }
+  return run;
+}
+
+/// Every file directly under `dir`, by name.
+std::map<std::string, std::string> file_bytes(const fs::path& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    files[entry.path().filename().string()] =
+        std::string(std::istreambuf_iterator<char>(in), {});
+  }
+  return files;
+}
+
+std::vector<sim::RssiReading> concat(const std::vector<sim::RssiReading>& a,
+                                     const std::vector<sim::RssiReading>& b) {
+  std::vector<sim::RssiReading> out = a;
+  out.insert(out.end(), b.begin(), b.end());
+  return out;
+}
+
+// Batches of 32 share ops two by two; batches of 100 are cut into ops of
+// their own (64 readings, then the rest with the ack), so a run writes as
+// often as one call per batch.
+TEST(ShardEquivalenceTest, HostIngestRunWritesTheWalOfOneCallPerBatch) {
+  const Capture& capture = shared_capture();
+  struct Result {
+    std::map<std::string, std::string> wal;
+    std::uint64_t last_ack = 0;
+    std::uint64_t wal_writes = 0;
+    std::vector<engine::Fix> fixes;
+  };
+  const auto run = [&](const std::vector<std::vector<sim::RssiReading>>& batches,
+                       bool one_run) {
+    const fs::path dir = fresh_root("vire_host_ingest_run");
+    ServiceConfig config;
+    config.engine = engine_config();
+    config.middleware.window_s = 10.0;
+    config.data_dir = dir;
+    config.fsync = persist::FsyncPolicy::kOff;  // a due fsync splits a write
+    fault::DiskFaultInjector writes({});
+    ShardedService host(env::Deployment::paper_testbed(), config, &writes);
+    host.set_reference_ids(capture.reference_ids);
+    for (const auto& [tag, name] : capture.tracked) host.track(tag, name);
+    const std::uint64_t before = writes.writes_seen();
+    if (one_run) {
+      host.ingest(as_run(batches));
+    } else {
+      for (std::size_t i = 0; i < batches.size(); ++i) {
+        host.ingest(batches[i], i + 1);
+      }
+    }
+    Result result;
+    result.last_ack = host.heartbeat().last_ack_sequence;
+    result.wal_writes = writes.writes_seen() - before;
+    result.fixes = host.poll(capture.poll_times[0]);
+    result.wal = file_bytes(dir / "shard-0" / "wal");
+    fs::remove_all(dir);
+    return result;
+  };
+  for (const std::size_t size : {std::size_t{32}, std::size_t{100}}) {
+    SCOPED_TRACE("batch size " + std::to_string(size));
+    const auto batches =
+        batches_of(concat(capture.segments[0], capture.segments[1]), size);
+    const Result one = run(batches, true);
+    const Result each = run(batches, false);
+
+    ASSERT_FALSE(one.wal.empty());
+    EXPECT_TRUE(one.wal == each.wal) << "WAL segments differ byte for byte";
+    EXPECT_EQ(one.last_ack, batches.size());
+    EXPECT_EQ(each.last_ack, batches.size());
+    expect_poll_identical(one.fixes, capture.golden[0], 0);
+    expect_poll_identical(each.fixes, capture.golden[0], 0);
+    // One WAL write per queue op, each op's acks in the same write.
+    std::uint64_t ops_of_own = 0;  // a batch's ops when it shares none
+    for (const auto& batch : batches) ops_of_own += (batch.size() + 63) / 64;
+    EXPECT_EQ(each.wal_writes, ops_of_own);
+    EXPECT_EQ(one.wal_writes, size == 32 ? (batches.size() + 1) / 2 : ops_of_own);
+  }
+}
+
+TEST(ShardEquivalenceTest, SupervisorIngestRunJournalsOnceWithTheSameBytes) {
+  const Capture& capture = shared_capture();
+  const auto batches =
+      batches_of(concat(capture.segments[0], capture.segments[1]), 32);
+
+  struct Result {
+    std::map<std::string, std::string> journal;
+    std::map<std::string, std::string> wal[2];
+    std::uint64_t journal_writes = 0;
+    std::uint64_t fleet_ack = 0;
+    std::vector<engine::Fix> fixes;
+  };
+  const auto run = [&](bool one_run) {
+    const fs::path root = fresh_root("vire_equivalence_ingest_run");
+    InProcessShardRunner runner;
+    SupervisorConfig config = fleet_config(root, 2);
+    // No control checkpoint between the batches: the journal writes counted
+    // below are the batch records' alone.
+    config.journal_checkpoint_every_ops = std::uint64_t{1} << 40;
+    fault::DiskFaultInjector writes({});
+    Supervisor fleet(env::Deployment::paper_testbed(), config, nullptr,
+                     &runner, &writes);
+    fleet.start();
+    fleet.set_reference_ids(capture.reference_ids);
+    for (const auto& [tag, name] : capture.tracked) {
+      fleet.track(tag, name, std::nullopt);
+    }
+    Result result;
+    const std::uint64_t before = writes.writes_seen();
+    if (one_run) {
+      fleet.ingest(as_run(batches));
+    } else {
+      for (const auto& batch : batches) fleet.ingest(batch);
+    }
+    result.journal_writes = writes.writes_seen() - before;
+    result.fixes = fleet.poll(capture.poll_times[0]);
+    fleet.stop();  // drains both shards: every batch acked
+    result.fleet_ack = fleet.heartbeat().last_ack_sequence;
+    for (const auto& [name, bytes] : file_bytes(root / "journal")) {
+      if (name.rfind("ops-", 0) == 0) result.journal[name] = bytes;
+    }
+    for (int id = 0; id < 2; ++id) {
+      result.wal[id] = file_bytes(root / ("shard-" + std::to_string(id)) /
+                                  "shard-0" / "wal");
+    }
+    fs::remove_all(root);
+    return result;
+  };
+  const Result one = run(true);
+  const Result each = run(false);
+
+  ASSERT_FALSE(one.journal.empty());
+  EXPECT_TRUE(one.journal == each.journal)
+      << "control-journal segments differ byte for byte";
+  for (int id = 0; id < 2; ++id) {
+    ASSERT_FALSE(one.wal[id].empty());
+    EXPECT_TRUE(one.wal[id] == each.wal[id])
+        << "shard " << id << " WAL differs byte for byte";
+  }
+  expect_poll_identical(one.fixes, capture.golden[0], 0);
+  expect_poll_identical(each.fixes, capture.golden[0], 0);
+  EXPECT_EQ(one.fleet_ack, batches.size());
+  EXPECT_EQ(each.fleet_ack, batches.size());
+  // Write-ahead in one write per call: once for the run, once per batch
+  // (both of its shard records) otherwise.
+  EXPECT_EQ(one.journal_writes, 1u);
+  EXPECT_EQ(each.journal_writes, batches.size());
+}
+
+// The dead shard's share of a run lands in its op-log once per batch, even
+// though the whole share failed in one send; the revival replays each batch
+// exactly once and the poll after it is bit-identical.
+TEST(ShardEquivalenceTest, IngestRunMeetingADeadShardReplaysEachBatchOnce) {
+  const Capture& capture = shared_capture();
+  const fs::path root = fresh_root("vire_equivalence_run_dead_shard");
+  InProcessShardRunner runner;
+  ManualClock clock;
+  auto fleet = make_fleet(capture, fleet_config(root, 2), runner, &clock);
+  const std::uint32_t victim =
+      fleet->router().route(capture.tracked[0].first, std::nullopt);
+
+  fleet->ingest(capture.segments[0]);
+  fleet->ingest(capture.segments[1]);
+  expect_poll_identical(fleet->poll(capture.poll_times[0]), capture.golden[0], 0);
+  clock.advance(1.0);
+  fleet->tick();  // heartbeats every shard: the op-logs trim to empty
+  ASSERT_EQ(oplog_lengths(*fleet), (std::vector<std::size_t>{0, 0}));
+
+  runner.kill(victim);
+  const auto batches = batches_of(capture.segments[2], 32);
+  std::size_t victim_batches = 0;
+  for (const auto& batch : batches) {
+    victim_batches += std::any_of(batch.begin(), batch.end(), [&](const auto& r) {
+      return std::find(capture.reference_ids.begin(),
+                       capture.reference_ids.end(),
+                       r.tag) != capture.reference_ids.end() ||
+             fleet->router().route(r.tag, std::nullopt) == victim;
+    });
+  }
+  ASSERT_GT(victim_batches, 1u);
+  fleet->ingest(as_run(batches));
+  EXPECT_EQ(oplog_lengths(*fleet).at(victim), victim_batches)
+      << "each batch of the run is in the dead shard's op-log once";
+
+  expect_poll_identical(fleet->poll(capture.poll_times[1]), capture.golden[1], 1);
+  EXPECT_EQ(fleet->restarts(), 1u);
+  EXPECT_EQ(counter_value(*fleet, "vire_supervisor_replayed_batches_total"),
+            victim_batches);
+  EXPECT_EQ(oplog_lengths(*fleet).at(victim), 0u)
+      << "the revival's ack covers every replayed batch";
+  fleet->stop();
+  fs::remove_all(root);
 }
 
 }  // namespace
