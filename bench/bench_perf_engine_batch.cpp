@@ -11,6 +11,9 @@
 // exits non-zero when no locate in the batch takes the union fallback: a
 // gate that never runs that path cannot see it regress.
 //
+// The header line and the JSON report's config name the instruction set the
+// locate kernels ran on ("avx2" or "baseline").
+//
 // Env knobs: VIRE_TAGS (default 529, the dense_fleet density, where about a
 // third of the locates fall back), VIRE_ROUNDS (default 30).
 
@@ -49,7 +52,12 @@ int main() {
   const int rounds = env_int("VIRE_ROUNDS", 30);
 
   std::printf("=== Engine batch throughput (serial engine) ===\n");
-  std::printf("tags: %d, update rounds: %d\n\n", tag_count, rounds);
+  // The locate kernels run on the instruction set the CPU offers (fixes are
+  // the same bits either way): a number from an AVX2 host is not comparable
+  // with one from a baseline host, so the run says which it was.
+  const std::string isa(core::locate_kernel_isa());
+  std::printf("tags: %d, update rounds: %d, locate kernels: %s\n\n", tag_count, rounds,
+              isa.c_str());
 
   const env::Environment environment =
       env::make_paper_environment(env::PaperEnvironment::kEnv1SemiOpen);
@@ -78,7 +86,8 @@ int main() {
   report.name = "perf_engine_batch";
   report.git_rev = VIRE_GIT_REV;
   report.config = {{"tags", std::to_string(tag_count)},
-                   {"rounds", std::to_string(rounds)}};
+                   {"rounds", std::to_string(rounds)},
+                   {"kernel_isa", isa}};
   report.throughput_unit = "tags_per_sec";
 
   const auto bench_start = std::chrono::steady_clock::now();

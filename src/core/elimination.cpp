@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <span>
 #include <stdexcept>
 
-#include "core/locate_scratch.h"
+#include "core/locate_kernels.h"
 
 namespace vire::core {
 
@@ -69,55 +67,6 @@ std::vector<int> valid_readers(const sim::RssiVector& tracking) {
   return out;
 }
 
-/// Per-node spread of the voting readers' distances d_k = |S_k(T_i) - s_k|:
-/// `hi` is the largest, `lo` the smallest, with a NaN distance (a NaN node
-/// value) read as +inf. Reader k's map marks node i iff d_k <= t, and a NaN
-/// d_k never marks; for a finite t that makes, bit for bit,
-///   intersection of the maps at t == {i : hi[i] <= t}
-///   union of the maps at t        == {i : lo[i] <= t}.
-/// One pass over the K reader planes thus serves every threshold step.
-///
-/// The pass is node-major in tiles: a tile's running max/min stay in a
-/// stack buffer while every reader plane streams through it, so each plane
-/// is read once and `hi`/`lo` are written once. Per node the readers still
-/// fold in reader order, and max/min are exact, so the result does not
-/// depend on the tiling. The caller passes the calling thread's scratch
-/// buffers (core/locate_scratch.h), so nothing is allocated per locate.
-void distance_spread(const VirtualGrid& grid, const sim::RssiVector& tracking,
-                     const std::vector<int>& readers, std::vector<double>& hi,
-                     std::vector<double>& lo) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  constexpr std::size_t kTile = 256;
-  const std::size_t n = grid.node_count();
-  hi.resize(n);
-  lo.resize(n);
-  double tile_hi[kTile] = {};
-  double tile_lo[kTile] = {};
-  for (std::size_t base = 0; base < n; base += kTile) {
-    const std::size_t len = std::min(kTile, n - base);
-    std::fill_n(tile_hi, len, 0.0);
-    std::fill_n(tile_lo, len, kInf);
-    for (const int k : readers) {
-      const double* const values = grid.reader_values(k).data() + base;
-      const double s = tracking[static_cast<std::size_t>(k)];
-      for (std::size_t j = 0; j < len; ++j) {
-        double d = std::abs(values[j] - s);
-        d = d == d ? d : kInf;  // NaN -> +inf, branch-free
-        tile_hi[j] = tile_hi[j] < d ? d : tile_hi[j];
-        tile_lo[j] = d < tile_lo[j] ? d : tile_lo[j];
-      }
-    }
-    std::copy_n(tile_hi, len, hi.data() + base);
-    std::copy_n(tile_lo, len, lo.data() + base);
-  }
-}
-
-/// Number of entries <= threshold: the intersection size when run on `hi`.
-std::size_t count_at_most(std::span<const double> values, double threshold) {
-  return static_cast<std::size_t>(std::count_if(
-      values.begin(), values.end(), [threshold](double v) { return v <= threshold; }));
-}
-
 }  // namespace
 
 EliminationResult EliminationEngine::run_common_threshold(
@@ -134,8 +83,18 @@ EliminationResult EliminationEngine::run_common_threshold(
     result.survivors.assign(grid.node_count(), false);
     return result;
   }
+  // One spread pass per locate: per node, hi is the largest and lo the
+  // smallest voting reader's distance, with a NaN distance read as +inf.
+  // Reader k's map marks node i iff d_k <= t, and a NaN d_k never marks; for
+  // a finite t that makes, bit for bit,
+  //   intersection of the maps at t == {i : hi[i] <= t}
+  //   union of the maps at t        == {i : lo[i] <= t},
+  // so every threshold step reads one array. The buffers are the calling
+  // thread's scratch (core/locate_scratch.h): nothing is allocated per locate.
+  const detail::LocateKernels& kernels = detail::kernels();
   detail::LocateScratch& scratch = detail::locate_scratch();
-  distance_spread(grid, tracking, readers, scratch.hi, scratch.lo);
+  kernels.distance_spread(grid.planes(), grid.node_count(), tracking, readers, scratch.hi,
+                          scratch.lo);
 
   // Adaptive: walk the common threshold downward and keep the smallest one
   // whose intersection still covers the minimum area. Each step is a count
@@ -143,14 +102,14 @@ EliminationResult EliminationEngine::run_common_threshold(
   // Counts only fall as the threshold falls, so a start below the minimum
   // area (always so when the intersection is empty) accepts no step.
   double best_threshold = start;
-  std::size_t best_count = count_at_most(scratch.hi, start);
+  std::size_t best_count = kernels.count_at_most(scratch.hi, start);
   result.survivors_per_step.push_back(best_count);
   const std::size_t min_area = min_survivors(grid);
   if (adaptive && best_count >= min_area) {
     for (double threshold = start - config_.step_db;
          threshold >= config_.min_threshold_db - 1e-12;
          threshold -= config_.step_db) {
-      const std::size_t survivors = count_at_most(scratch.hi, threshold);
+      const std::size_t survivors = kernels.count_at_most(scratch.hi, threshold);
       if (survivors < min_area) break;
       best_threshold = threshold;
       best_count = survivors;
@@ -167,8 +126,8 @@ EliminationResult EliminationEngine::run_common_threshold(
   // real position, paper Sec. 5.3, or the readers fully disagree) falls back
   // to the union of the per-reader maps so a deployed system still answers.
   // The resulting scatter drives the left-hand rise of the Fig. 8 U-curve.
-  fill_mask_from_distances(best_count == 0 ? scratch.lo : scratch.hi, best_threshold,
-                           result.survivors);
+  kernels.fill_mask_from_distances(best_count == 0 ? scratch.lo : scratch.hi,
+                                   best_threshold, result.survivors);
   return result;
 }
 

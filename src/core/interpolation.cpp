@@ -6,6 +6,8 @@
 #include <limits>
 #include <vector>
 
+#include "core/locate_kernels.h"
+
 namespace vire::core {
 
 namespace {
@@ -142,65 +144,9 @@ void interpolate_linear_plane(std::span<const double> real_values, int real_cols
                               int real_rows, int subdivision, int extension,
                               int virtual_cols, int virtual_rows,
                               std::span<double> out) {
-  const auto vcols = static_cast<std::size_t>(virtual_cols);
-  if (real_cols < 2 || real_rows < 2 ||
-      real_values.size() <
-          static_cast<std::size_t>(real_cols) * static_cast<std::size_t>(real_rows)) {
-    // Degenerate real lattice: interpolate_at() reports NaN everywhere.
-    for (std::size_t i = 0; i < vcols * static_cast<std::size_t>(virtual_rows); ++i) {
-      out[i] = kNan;
-    }
-    return;
-  }
-
-  // Per-column cell index and fractional offset, shared by every row. The
-  // offset is deliberately unclamped: inside the lattice gx - c0 lands in
-  // [0, 1] anyway, and outside it is exactly the linear-extrapolation
-  // parameter, so one expression serves both regimes bit-for-bit.
-  std::vector<int> c0_of(vcols);
-  std::vector<double> fx_of(vcols);
-  for (int vc = 0; vc < virtual_cols; ++vc) {
-    const double gx = static_cast<double>(vc - extension) / subdivision;
-    const int c0 = std::clamp(static_cast<int>(std::floor(gx)), 0, real_cols - 2);
-    c0_of[static_cast<std::size_t>(vc)] = c0;
-    fx_of[static_cast<std::size_t>(vc)] = gx - c0;
-  }
-
-  for (int vr = 0; vr < virtual_rows; ++vr) {
-    const double gy = static_cast<double>(vr - extension) / subdivision;
-    const int r0 = std::clamp(static_cast<int>(std::floor(gy)), 0, real_rows - 2);
-    const double fy = gy - r0;
-    const double* row0 =
-        real_values.data() + static_cast<std::size_t>(r0) * static_cast<std::size_t>(real_cols);
-    const double* row1 = row0 + real_cols;
-    double* out_row = out.data() + static_cast<std::size_t>(vr) * vcols;
-
-    // Runs of `subdivision` consecutive columns share a real cell, so the
-    // corner loads and the NaN test hoist out of the vectorizable inner loop.
-    int vc = 0;
-    while (vc < virtual_cols) {
-      const int c0 = c0_of[static_cast<std::size_t>(vc)];
-      int end = vc + 1;
-      while (end < virtual_cols && c0_of[static_cast<std::size_t>(end)] == c0) ++end;
-      const double v00 = row0[c0];
-      const double v10 = row0[c0 + 1];
-      const double v01 = row1[c0];
-      const double v11 = row1[c0 + 1];
-      if (std::isnan(v00) || std::isnan(v10) || std::isnan(v01) || std::isnan(v11)) {
-        for (int i = vc; i < end; ++i) out_row[i] = kNan;
-      } else {
-        const double dx0 = v10 - v00;
-        const double dx1 = v11 - v01;
-        for (int i = vc; i < end; ++i) {
-          const double fx = fx_of[static_cast<std::size_t>(i)];
-          const double bottom = v00 + dx0 * fx;
-          const double top = v01 + dx1 * fx;
-          out_row[i] = bottom + (top - bottom) * fy;
-        }
-      }
-      vc = end;
-    }
-  }
+  detail::kernels().interpolate_linear_plane(real_values, real_cols, real_rows,
+                                             subdivision, extension, virtual_cols,
+                                             virtual_rows, out);
 }
 
 double interpolate_at(std::span<const double> values, int cols, int rows, double gx,

@@ -1,58 +1,15 @@
 #include "core/proximity_map.h"
 
-#include <algorithm>
-#include <array>
-#include <bit>
 #include <cmath>
-#include <cstdint>
-#include <cstring>
 #include <stdexcept>
+
+#include "core/locate_kernels.h"
 
 namespace vire::core {
 
-namespace {
-
-/// Packs 64 0/1 bytes into a word, byte i to bit i. On little-endian
-/// targets eight bytes at a time: multiplying by 0x0102040810204080 moves
-/// byte i's low bit to bit 56 + i with no carries (each product bit lands on
-/// its own position), so the top byte is the eight flags in order.
-BitMask::Word pack_flags(const std::array<unsigned char, BitMask::kWordBits>& flags) {
-  BitMask::Word word = 0;
-  if constexpr (std::endian::native == std::endian::little) {
-    for (std::size_t b = 0; b < BitMask::kWordBits / 8; ++b) {
-      std::uint64_t group = 0;
-      std::memcpy(&group, flags.data() + 8 * b, sizeof group);
-      word |= ((group * 0x0102040810204080ULL) >> 56) << (8 * b);
-    }
-  } else {
-    for (std::size_t lane = 0; lane < BitMask::kWordBits; ++lane) {
-      word |= static_cast<BitMask::Word>(flags[lane]) << lane;
-    }
-  }
-  return word;
-}
-
-}  // namespace
-
 void fill_mask_from_distances(std::span<const double> distances, double threshold,
                               BitMask& mask) {
-  mask.assign(distances.size(), false);
-  const std::span<BitMask::Word> words = mask.words();
-  const std::size_t n = distances.size();
-  std::size_t i = 0;
-  for (std::size_t w = 0; w < words.size(); ++w) {
-    const std::size_t lanes = std::min<std::size_t>(BitMask::kWordBits, n - i);
-    // One 0/1 byte per lane first: the compares carry no dependency on each
-    // other, unlike OR-ing each bit into the word in turn. A NaN distance
-    // (NaN node value or NaN tracking RSSI) compares false, exactly like the
-    // explicit isnan-skip in the scalar loop this replaces.
-    std::array<unsigned char, BitMask::kWordBits> flags{};
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      flags[lane] = static_cast<unsigned char>(distances[i + lane] <= threshold);
-    }
-    words[w] = pack_flags(flags);
-    i += lanes;
-  }
+  detail::kernels().fill_mask_from_distances(distances, threshold, mask);
 }
 
 ProximityMap::ProximityMap(const VirtualGrid& grid, int reader,

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/locate_kernels.h"
 #include "obs/metrics.h"
 
 namespace vire::core {
@@ -18,6 +19,8 @@ VireConfig recommended_vire_config() {
   config.weighting = WeightingMode::kCombined;
   return config;
 }
+
+std::string_view locate_kernel_isa() noexcept { return detail::kernels().isa; }
 
 VireLocalizer::VireLocalizer(const geom::RegularGrid& real_grid, VireConfig config)
     : real_grid_(real_grid), config_(config), elimination_(config.elimination) {}

@@ -10,6 +10,7 @@
 // virtual densification and elimination.
 
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "core/elimination.h"
@@ -37,6 +38,12 @@ struct VireConfig {
 /// (its Tag 9). Set boundary_extension_cells = 0 for the strict paper
 /// behaviour.
 [[nodiscard]] VireConfig recommended_vire_config();
+
+/// The instruction set the locate kernels run on in this process: "avx2"
+/// where the CPU has AVX2, else "baseline". Chosen once, from the CPU; fixes
+/// are bit-identical either way, but timings are not, so benches and engine
+/// metrics report it.
+[[nodiscard]] std::string_view locate_kernel_isa() noexcept;
 
 struct VireResult {
   geom::Vec2 position;

@@ -72,6 +72,10 @@ class VirtualGrid {
             node_count_};
   }
 
+  /// Every reader plane, back to back: reader k's plane is the node_count()
+  /// values from k * node_count().
+  [[nodiscard]] std::span<const double> planes() const noexcept { return values_; }
+
   /// True if the node has a valid (non-NaN) RSSI for every reader.
   [[nodiscard]] bool node_valid(std::size_t node) const;
 

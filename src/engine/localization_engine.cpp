@@ -136,6 +136,12 @@ LocalizationEngine::LocalizationEngine(const env::Deployment& deployment,
   inst_.anomaly_latency = &metrics_.counter(
       "vire_engine_anomaly_dumps_total", "trigger=\"latency_slo\"",
       "Anomaly-triggered provenance dumps, by trigger");
+  metrics_
+      .gauge("vire_engine_kernel_isa",
+             "isa=\"" + std::string(core::locate_kernel_isa()) + "\"",
+             "Instruction set the locate kernels run on (fixes are bit-identical "
+             "on every one; timings are not)")
+      .set(1.0);
   health_.attach_metrics(metrics_);
 
   tracer_.set_enabled(config_.observability.enable_tracing);

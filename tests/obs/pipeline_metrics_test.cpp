@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "core/vire_localizer.h"
 #include "engine/localization_engine.h"
 #include "env/environment.h"
 #include "obs/exporters.h"
@@ -75,6 +76,7 @@ std::vector<std::string> mandatory_series() {
       "vire_engine_stage_seconds_bucket{stage=\"locate\",le=\"+Inf\"} 1",
       "vire_engine_survivors_count 3",
       "vire_engine_threshold_refinement_steps_count 3",
+      "vire_engine_kernel_isa{isa=\"" + std::string(core::locate_kernel_isa()) + "\"} 1",
       "vire_middleware_readings_ingested_total",
       "vire_middleware_samples_evicted_total",
       "vire_middleware_nan_links_served_total",
