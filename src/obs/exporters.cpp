@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
+#include <unordered_map>
 #include <unordered_set>
 
 namespace vire::obs {
@@ -202,38 +203,113 @@ void write_prometheus_snapshot(const MetricsRegistry& registry,
   write_text(to_prometheus(registry), path, "write_prometheus_snapshot");
 }
 
-std::string relabel_prometheus(const std::string& text,
-                               const std::string& label) {
-  std::string out;
-  out.reserve(text.size() + 64 * (text.size() / 64 + 1));
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    const bool had_newline = eol != std::string::npos;
-    if (!had_newline) eol = text.size();
-    const std::string_view line(text.data() + pos, eol - pos);
-    const std::size_t space = line.find(' ');
-    if (line.empty() || line.front() == '#' || space == std::string_view::npos) {
-      out.append(line);  // comment/blank/unparseable: pass through untouched
-    } else {
-      const std::size_t brace = line.find('{');
-      if (brace != std::string_view::npos && brace < space) {
-        out.append(line.substr(0, brace + 1));
-        out.append(label);
-        if (brace + 1 < line.size() && line[brace + 1] != '}') out.push_back(',');
-        out.append(line.substr(brace + 1));
-      } else {
-        out.append(line.substr(0, space));
-        out.push_back('{');
-        out.append(label);
-        out.push_back('}');
-        out.append(line.substr(space));
-      }
-    }
-    if (had_newline) out.push_back('\n');
-    pos = eol + 1;
-    if (!had_newline) break;
+namespace {
+
+/// Appends `line`, with `label` spliced into its label set when it is a
+/// series line (merge_prometheus).
+void append_relabelled(std::string& out, std::string_view line,
+                       const std::string& label) {
+  const std::size_t space = line.find(' ');
+  if (label.empty() || line.empty() || line.front() == '#' ||
+      space == std::string_view::npos) {
+    out.append(line);  // comment/blank/unparseable: pass through untouched
+    return;
   }
+  const std::size_t brace = line.find('{');
+  if (brace != std::string_view::npos && brace < space) {
+    out.append(line.substr(0, brace + 1));
+    out.append(label);
+    if (brace + 1 < line.size() && line[brace + 1] != '}') out.push_back(',');
+    out.append(line.substr(brace + 1));
+  } else {
+    out.append(line.substr(0, space));
+    out.push_back('{');
+    out.append(label);
+    out.push_back('}');
+    out.append(line.substr(space));
+  }
+}
+
+/// The family a `# HELP name ...` / `# TYPE name ...` line names; empty for
+/// any other line.
+std::string_view declared_family(std::string_view line) {
+  for (const std::string_view prefix : {"# HELP ", "# TYPE "}) {
+    if (line.substr(0, prefix.size()) == prefix) {
+      const std::string_view rest = line.substr(prefix.size());
+      return rest.substr(0, rest.find_first_of(" \n"));
+    }
+  }
+  return {};
+}
+
+/// Position just past the line that starts at `pos`.
+std::size_t line_end(std::string_view text, std::size_t pos) {
+  const std::size_t eol = text.find('\n', pos);
+  return eol == std::string_view::npos ? text.size() : eol + 1;
+}
+
+/// Calls fn(line) for every line of `text`, without its newline.
+template <typename Fn>
+void for_each_line(std::string_view text, Fn fn) {
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    std::size_t eol = text.find('\n', pos);
+    if (eol == std::string_view::npos) eol = text.size();
+    fn(text.substr(pos, eol - pos));
+    pos = eol + 1;
+  }
+}
+
+}  // namespace
+
+std::string merge_prometheus(const std::vector<PrometheusPart>& parts) {
+  // Views into the parts: the merge copies each line once, into `out`.
+  struct Block {
+    std::string_view lines;  ///< one part's lines after one header
+    const std::string* label;
+  };
+  struct Family {
+    std::string_view header;  ///< the first part's # lines
+    std::vector<Block> blocks;
+  };
+  std::vector<Family> families;  // first-appearance order
+  std::unordered_map<std::string_view, std::size_t> index;
+  bool final_newline = true;
+  for (const PrometheusPart& part : parts) {
+    if (part.text.empty()) continue;
+    final_newline = part.text.back() == '\n';
+    const std::string_view text(part.text);
+    std::size_t pos = 0;
+    while (pos < text.size()) {
+      const std::size_t header_start = pos;
+      std::string_view key;
+      for (; pos < text.size() && text[pos] == '#'; pos = line_end(text, pos)) {
+        if (key.empty()) key = declared_family(text.substr(pos));
+      }
+      const std::string_view header =
+          text.substr(header_start, pos - header_start);
+      const std::size_t lines_start = pos;
+      while (pos < text.size() && text[pos] != '#') pos = line_end(text, pos);
+      // A header naming no family (or no header at all) groups by its text.
+      const auto [it, added] =
+          index.try_emplace(key.empty() ? header : key, families.size());
+      if (added) families.push_back(Family{header, {}});
+      families[it->second].blocks.push_back(
+          {text.substr(lines_start, pos - lines_start), &part.label});
+    }
+  }
+  std::string out;
+  for (const Family& family : families) {
+    out.append(family.header);  // only a part's last line lacks its newline
+    if (!out.empty() && out.back() != '\n') out.push_back('\n');
+    for (const Block& block : family.blocks) {
+      for_each_line(block.lines, [&](std::string_view line) {
+        append_relabelled(out, line, *block.label);
+        out.push_back('\n');
+      });
+    }
+  }
+  if (!final_newline && !out.empty()) out.pop_back();
   return out;
 }
 

@@ -56,13 +56,27 @@ void write_prometheus_snapshot(const MetricsRegistry& registry,
 [[nodiscard]] std::string label_pair(const std::string& name,
                                      const std::string& value);
 
-/// Injects `label` (a label_pair(), e.g. `process="shard-0"`) into every
-/// series line of a Prometheus text exposition document: `m 1` becomes
-/// `m{process="shard-0"} 1`, `m{a="b"} 1` becomes `m{process="shard-0",a="b"} 1`.
-/// Comment (#) and blank lines pass through untouched. Used by the
-/// supervisor to disambiguate scrapes merged from several shard processes
-/// that each export identical series names.
-[[nodiscard]] std::string relabel_prometheus(const std::string& text,
-                                             const std::string& label);
+/// One exposition document of a merge: Prometheus `text` plus the `label`
+/// (a label_pair(), e.g. `process="shard-0"`) its series lines gain. An
+/// empty label leaves the series as they are.
+struct PrometheusPart {
+  std::string text;
+  std::string label;
+};
+
+/// Merges Prometheus text expositions into one document that declares each
+/// family once. Each part is cut into header blocks (a run of # lines)
+/// with the lines that follow them; blocks are grouped by the family their
+/// # HELP / # TYPE header names, in order of first appearance. Each family
+/// keeps the first header seen, followed by all of its lines in part order,
+/// so histogram _bucket/_sum/_count lines stay with their family. Series
+/// lines gain their part's label: `m 1` becomes `m{process="shard-0"} 1`,
+/// `m{a="b"} 1` becomes `m{process="shard-0",a="b"} 1`; blank and
+/// unparseable lines pass through untouched. A single part comes back
+/// relabelled line for line, and the document ends with a newline exactly
+/// when the last non-empty part does. Used by the supervisor to merge the
+/// scrapes of shard processes that each export the same families.
+[[nodiscard]] std::string merge_prometheus(
+    const std::vector<PrometheusPart>& parts);
 
 }  // namespace vire::obs

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "persist/binary_io.h"
+#include "support/atomic_file.h"
 #include "support/log.h"
 
 namespace vire::persist {
@@ -533,7 +534,7 @@ void CheckpointStore::attach_metrics(obs::MetricsRegistry& registry) {
 
 void CheckpointStore::write(const Checkpoint& checkpoint) {
   support::atomic_write_file(checkpoint_path(config_.dir, checkpoint.wal_sequence),
-                             serialize(checkpoint), config_.write_options);
+                             serialize(checkpoint));
   if (written_metric_ != nullptr) written_metric_->inc();
 
   auto sequences = stored_sequences();

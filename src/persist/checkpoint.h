@@ -28,7 +28,6 @@
 #include "obs/metrics.h"
 #include "persist/binary_io.h"
 #include "sim/middleware.h"
-#include "support/atomic_file.h"
 
 namespace vire::persist {
 
@@ -190,8 +189,6 @@ struct CheckpointStoreConfig {
   std::filesystem::path dir;
   /// Newest checkpoints kept on disk; older ones are pruned after a write.
   std::size_t keep = 3;
-  /// Durability/retry knobs (and the disk-fault testing seam).
-  support::AtomicWriteOptions write_options;
 };
 
 class CheckpointStore {

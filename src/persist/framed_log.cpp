@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -21,12 +20,6 @@ namespace {
 
 constexpr std::size_t kHeaderSize = 4 + 4 + 8;      // magic + version + start_seq
 constexpr std::size_t kRecordOverhead = 4 + 1 + 4;  // len + type + crc
-
-double monotonic_seconds() noexcept {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 std::filesystem::path segment_path(const std::filesystem::path& dir,
                                    const FramedLogFormat& format,
@@ -248,7 +241,6 @@ FramedLog::FramedLog(FramedLogConfig config) : config_(std::move(config)) {
     sequence_ = walk.scan.next_sequence;
     open_segment(sequence_);
   }
-  last_sync_monotonic_s_ = monotonic_seconds();
 }
 
 FramedLog::~FramedLog() {
@@ -337,10 +329,7 @@ void FramedLog::write_pending() {
 std::uint64_t FramedLog::append(std::uint8_t type, std::string_view payload) {
   if (segment_records_ >= config_.segment_max_records) {
     write_pending();  // a record never straddles two segments
-    if (config_.fsync != FsyncPolicy::kOff && unsynced_ > 0) {
-      ::fsync(fd_);
-      unsynced_ = 0;
-    }
+    if (config_.fsync != FsyncPolicy::kOff && unsynced_ > 0) fsync_segment();
     open_segment(sequence_);
   }
   encode_record(pending_, type, payload);
@@ -350,32 +339,23 @@ std::uint64_t FramedLog::append(std::uint8_t type, std::string_view payload) {
   ++segment_records_;
   ++appended_;
   ++unsynced_;
-  if (fsync_due()) sync();
-  return assigned;
-}
-
-bool FramedLog::fsync_due() const {
-  switch (config_.fsync) {
-    case FsyncPolicy::kOff:
-      return false;
-    case FsyncPolicy::kEveryN:
-      return unsynced_ >= config_.fsync_every_n;
-    case FsyncPolicy::kInterval:
-      return monotonic_seconds() - last_sync_monotonic_s_ >=
-             config_.fsync_interval_s;
+  if (config_.fsync == FsyncPolicy::kEveryN && unsynced_ >= kFsyncEveryN) {
+    sync();
   }
-  return false;
+  return assigned;
 }
 
 void FramedLog::sync() {
   write_pending();
-  if (fd_ < 0 || unsynced_ == 0) return;
+  if (fd_ >= 0 && unsynced_ > 0) fsync_segment();
+}
+
+void FramedLog::fsync_segment() {
   const obs::TraceSpan span(tracer_, fsync_span_name_);
   if (::fsync(fd_) != 0) {
     support::log_warn("FramedLog: fsync failed: %s", std::strerror(errno));
   }
   unsynced_ = 0;
-  last_sync_monotonic_s_ = monotonic_seconds();
 }
 
 FramedLog::Batch::~Batch() {

@@ -37,10 +37,12 @@
 namespace vire::persist {
 
 enum class FsyncPolicy {
-  kOff,      ///< never fsync (benches; data loss bounded only by the OS)
-  kEveryN,   ///< fsync after every N appended records
-  kInterval, ///< fsync when more than `fsync_interval_s` passed since the last
+  kOff,     ///< never fsync (benches; data loss bounded only by the OS)
+  kEveryN,  ///< fsync after every kFsyncEveryN appended records
 };
+
+/// Records appended between two fsyncs under FsyncPolicy::kEveryN.
+inline constexpr std::uint64_t kFsyncEveryN = 64;
 
 /// Receives one CRC-valid record of a scan; false marks it undecodable.
 using RecordVisitor = std::function<bool(
@@ -61,8 +63,6 @@ struct FramedLogConfig {
   /// Records per segment before rotating to a new file.
   std::uint64_t segment_max_records = 8192;
   FsyncPolicy fsync = FsyncPolicy::kOff;
-  std::uint64_t fsync_every_n = 64;
-  double fsync_interval_s = 0.2;
   /// Testing seam (fault::DiskFaultInjector); nullptr in production.
   support::IoFaultHook* fault_hook = nullptr;
   /// Optional payload validator, run on every CRC-valid record of the
@@ -178,7 +178,8 @@ class FramedLog {
   /// One physical write of the pending records; the buffer is emptied even
   /// when the write throws.
   void write_pending();
-  [[nodiscard]] bool fsync_due() const;
+  /// fsyncs the open segment inside a span and resets the unsynced count.
+  void fsync_segment();
 
   FramedLogConfig config_;
   int fd_ = -1;
@@ -189,7 +190,6 @@ class FramedLog {
   std::uint64_t appended_ = 0;
   std::uint64_t truncated_ = 0;
   std::uint64_t unsynced_ = 0;        ///< records since the last fsync
-  double last_sync_monotonic_s_ = 0.0;
   obs::Tracer* tracer_ = nullptr;
   const char* fsync_span_name_ = "persist.log_fsync";
 };

@@ -50,8 +50,6 @@ FramedLogConfig log_config(const WalConfig& config, RecordVisitor validate) {
   cfg.format = wal_format();
   cfg.segment_max_records = config.segment_max_frames;
   cfg.fsync = config.fsync;
-  cfg.fsync_every_n = config.fsync_every_n;
-  cfg.fsync_interval_s = config.fsync_interval_s;
   cfg.fault_hook = config.fault_hook;
   cfg.validate = std::move(validate);
   return cfg;

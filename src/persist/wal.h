@@ -70,8 +70,6 @@ struct WalConfig {
   /// Frames per segment before rotating to a new file.
   std::uint64_t segment_max_frames = 8192;
   FsyncPolicy fsync = FsyncPolicy::kEveryN;
-  std::uint64_t fsync_every_n = 64;
-  double fsync_interval_s = 0.2;
   /// Testing seam (fault::DiskFaultInjector); nullptr in production.
   support::IoFaultHook* fault_hook = nullptr;
 };

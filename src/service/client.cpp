@@ -28,7 +28,7 @@ void ignore_sigpipe() noexcept {
 
 ServiceClient::ServiceClient(const std::filesystem::path& socket_path,
                              ClientConfig config)
-    : config_(std::move(config)), decoder_(config_.max_payload) {
+    : config_(std::move(config)) {
   connect(socket_path);
   try {
     handshake();

@@ -45,8 +45,6 @@ class TimeoutError : public TransportError {
 };
 
 struct ClientConfig {
-  /// Frame payload cap handed to the response decoder.
-  std::size_t max_payload = kMaxFramePayload;
   /// Per-read deadline in seconds; <= 0 blocks forever (legacy behavior).
   double read_timeout_s = 5.0;
   /// Name sent in the kHello frame every connection opens with (diagnostics

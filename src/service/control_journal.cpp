@@ -101,9 +101,7 @@ persist::FramedLogConfig log_config(const ControlJournalConfig& config) {
   cfg.dir = config.dir;
   cfg.format = journal_format();
   cfg.segment_max_records = config.segment_max_records;
-  cfg.fsync = config.fsync;
-  cfg.fsync_every_n = config.fsync_every_n;
-  cfg.fsync_interval_s = config.fsync_interval_s;
+  cfg.fsync = persist::FsyncPolicy::kOff;
   cfg.fault_hook = config.fault_hook;
   cfg.validate = validate_op;
   return cfg;
@@ -442,11 +440,10 @@ void ControlJournal::checkpoint(const ControlCheckpoint& state) {
   // Sync the log BEFORE the state file: a checkpoint must never claim a
   // floor whose suffix is not at least as durable as the checkpoint itself.
   log_.sync();
-  support::AtomicWriteOptions options;
-  options.fault_hook = config_.fault_hook;
   support::atomic_write_file(
       config_.dir / std::filesystem::path(kCheckpointFile),
-      persist::seal(kCheckpointMagic, encode_checkpoint_body(state)), options);
+      persist::seal(kCheckpointMagic, encode_checkpoint_body(state)),
+      config_.fault_hook);
   log_.prune(state.journal_floor);
   since_checkpoint_ = 0;
   if (checkpoints_metric_ != nullptr) checkpoints_metric_->inc();

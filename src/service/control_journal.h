@@ -29,11 +29,11 @@
 //   kBreakerOpen / kBreakerClose                               u32 shard
 //   kPollsDone     u32 shard | u64 through_journal_seq
 //
-// Durability note: the default fsync policy is kOff — completed write()s
-// survive a supervisor SIGKILL (the drill this journal exists for) via the
-// page cache; checkpoint() always syncs the log before writing the state
-// file, bounding machine-crash loss to one checkpoint interval. Raise the
-// policy for stricter machine-crash durability.
+// Durability note: appends are never fsynced (FsyncPolicy::kOff) —
+// completed write()s survive a supervisor SIGKILL (the drill this journal
+// exists for) via the page cache; checkpoint() always syncs the log before
+// writing the state file, bounding machine-crash loss to one checkpoint
+// interval.
 
 #include <cstdint>
 #include <deque>
@@ -67,9 +67,6 @@ enum class MemberPhase : std::uint8_t {
 
 struct ControlJournalConfig {
   std::filesystem::path dir;
-  persist::FsyncPolicy fsync = persist::FsyncPolicy::kOff;
-  std::uint64_t fsync_every_n = 64;
-  double fsync_interval_s = 0.2;
   std::uint64_t segment_max_records = 4096;
   /// Testing seam (fault::DiskFaultInjector); nullptr in production.
   support::IoFaultHook* fault_hook = nullptr;

@@ -17,6 +17,10 @@ namespace vire::service {
 namespace {
 
 constexpr std::size_t kReadChunk = 64 * 1024;
+/// How long a closing connection may keep its fd around to finish sending
+/// queued reply bytes (the version-mismatch kError, a response the peer
+/// requested before EOF) once the socket stops accepting writes.
+constexpr std::chrono::seconds kCloseDrain{1};
 
 int make_listen_socket(const std::filesystem::path& path) {
   sockaddr_un addr{};
@@ -100,8 +104,7 @@ void ServiceServer::stop() {
 
 void ServiceServer::send_frame(Connection& conn, MsgType type,
                                std::string_view payload) {
-  if (payload.size() > config_.max_payload ||
-      payload.size() > kMaxFramePayload) {
+  if (payload.size() > kMaxFramePayload) {
     // Never hand the peer's decoder a frame it will reject: an oversized
     // response (a merged snapshot, a huge fix batch) would poison the stream
     // and a supervising client would read that as a shard death. Substitute
@@ -422,7 +425,7 @@ void ServiceServer::loop() {
         const int fd = ::accept(listen_fd_, nullptr, nullptr);
         if (fd < 0) break;
         set_nonblocking(fd);
-        auto& conn = connections.emplace_back(config_.max_payload);
+        auto& conn = connections.emplace_back();
         conn.fd = fd;
         conn.decoder.attach_metrics(frontend_.metrics());
         ++accepted_;
@@ -476,10 +479,7 @@ void ServiceServer::loop() {
           // the poll set under a short deadline instead of dropping the bytes
           // the peer is still entitled to read.
           conn.draining = true;
-          conn.drain_deadline =
-              std::chrono::steady_clock::now() +
-              std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                  std::chrono::duration<double>(config_.close_drain_timeout_s));
+          conn.drain_deadline = std::chrono::steady_clock::now() + kCloseDrain;
           ++it;
           continue;
         }

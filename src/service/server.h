@@ -27,8 +27,8 @@
 // answered with kError instead of a frame the peer's decoder would reject
 // as hostile (and a supervising client would misread as a shard death).
 // A closing connection (version skew, peer EOF) keeps its fd in the poll
-// set until queued reply bytes drain or close_drain_timeout_s passes, so
-// the final kError/response is not dropped on EAGAIN. Hostile bytes never
+// set until queued reply bytes drain or 1 s passes, so the final
+// kError/response is not dropped on EAGAIN. Hostile bytes never
 // crash the server or desync other connections
 // (tests/service/service_server_test.cpp).
 
@@ -48,14 +48,8 @@ namespace vire::service {
 
 struct ServerConfig {
   std::filesystem::path socket_path;
-  /// Frame payload cap handed to each connection's decoder.
-  std::size_t max_payload = kMaxFramePayload;
   /// Name returned in kHelloAck (diagnostics only).
   std::string server_name = "vire-service";
-  /// How long a closing connection may keep its fd around to finish sending
-  /// queued reply bytes (the version-mismatch kError, a response the peer
-  /// requested before EOF) once the socket stops accepting writes.
-  double close_drain_timeout_s = 1.0;
 };
 
 class ServiceServer {
@@ -91,8 +85,6 @@ class ServiceServer {
     /// POLLOUT until it drains or drain_deadline passes, then close.
     bool draining = false;
     std::chrono::steady_clock::time_point drain_deadline{};
-
-    explicit Connection(std::size_t max_payload) : decoder(max_payload) {}
   };
 
   void loop();

@@ -39,8 +39,37 @@ constexpr ShardState kAllStates[] = {ShardState::kStarting, ShardState::kUp,
 constexpr DeathCause kAllCauses[] = {DeathCause::kHeartbeatTimeout,
                                      DeathCause::kSocket, DeathCause::kWaitpid};
 
+/// Per-request read deadline on the supervisor->shard connection.
+constexpr double kRequestTimeoutS = 10.0;
+/// Jitter fraction applied to each backoff delay (deterministic, derived
+/// from the seed, shard id and restart count via splitmix64).
+constexpr double kRestartJitterFrac = 0.1;
+/// A shard continuously up this long gets its backoff counter reset.
+constexpr double kBackoffResetAfterS = 10.0;
+/// Events pulled per shard by one kTraceDump (bounds the reply frame).
+constexpr std::uint32_t kTracePullEvents = 4096;
+/// End-to-end ingest-to-fix SLO: a polled fix older than this bumps
+/// vire_fleet_slo_burn_total.
+constexpr double kIngestToFixSloS = 1.0;
+
 std::string shard_json(std::uint32_t id) {
   return "{\"shard\":" + std::to_string(id) + "}";
+}
+
+ControlJournalConfig journal_config(const SupervisorConfig& config,
+                                    support::IoFaultHook* fault_hook) {
+  // Checked before the journal opens, so a refused config creates nothing
+  // (an empty root would put the journal under the working directory).
+  if (config.shards < 1) {
+    throw std::invalid_argument("Supervisor: shards must be >= 1");
+  }
+  if (config.root_dir.empty()) {
+    throw std::invalid_argument("Supervisor: root_dir must be set");
+  }
+  ControlJournalConfig jc;
+  jc.dir = config.root_dir / "journal";
+  jc.fault_hook = fault_hook;
+  return jc;
 }
 
 }  // namespace
@@ -53,10 +82,8 @@ Supervisor::Supervisor(const env::Deployment& deployment,
       config_(std::move(config)),
       clock_(clock != nullptr ? clock : &steady_clock_),
       runner_(runner),
-      router_(config_.router) {
-  if (config_.shards < 1) {
-    throw std::invalid_argument("Supervisor: shards must be >= 1");
-  }
+      router_(config_.router),
+      journal_(journal_config(config_, journal_fault_hook)) {
   if (runner_ == nullptr) {
     owned_runner_ = std::make_unique<ProcessShardRunner>(
         config_.shardd_binary, config_.shardd_extra_args, clock_);
@@ -89,9 +116,6 @@ Supervisor::Supervisor(const env::Deployment& deployment,
       "Degraded kHold fixes served for tags of unreachable shards");
   heartbeats_total_ = &metrics_.counter("vire_supervisor_heartbeats_total", {},
                                         "Successful shard heartbeat acks");
-  oplog_dropped_ = &metrics_.counter(
-      "vire_supervisor_oplog_dropped_total", {},
-      "Op-log entries evicted by the capacity bound (no longer replayable)");
   oplog_overflow_ = &metrics_.counter(
       "vire_supervisor_oplog_overflow_total", {},
       "Op-log capacity overflows recovered via a journal-backed rebuild");
@@ -132,16 +156,9 @@ Supervisor::Supervisor(const env::Deployment& deployment,
       "Polled fixes whose ingest-to-fix latency exceeded the SLO");
   // Control journal first, membership second: a journal over an existing
   // root replaces the config_.shards bootstrap with the journaled truth.
-  if (config_.control_journal && !config_.root_dir.empty()) {
-    ControlJournalConfig jc;
-    jc.dir = config_.root_dir / "journal";
-    jc.fault_hook = journal_fault_hook;
-    journal_ = std::make_unique<ControlJournal>(std::move(jc));
-    journal_->attach_metrics(metrics_);
-    if (config_.fleet_tracing) journal_->attach_tracer(&tracer_);
-  }
-  RecoveredControlState recovered;
-  if (journal_ != nullptr) recovered = journal_->recover();
+  journal_.attach_metrics(metrics_);
+  if (config_.fleet_tracing) journal_.attach_tracer(&tracer_);
+  RecoveredControlState recovered = journal_.recover();
   if (recovered.recovered) {
     restore_from_journal(std::move(recovered));
   } else {
@@ -149,10 +166,8 @@ Supervisor::Supervisor(const env::Deployment& deployment,
       const auto id = static_cast<std::uint32_t>(i);
       router_.add_shard(id);
       shards_.emplace(id, make_shard(id));
-      if (journal_ != nullptr) {
-        journal_->record_add_shard(id);
-        journal_->record_shard_active(id);
-      }
+      journal_.record_add_shard(id);
+      journal_.record_shard_active(id);
     }
     next_shard_id_ = static_cast<std::uint32_t>(config_.shards);
   }
@@ -235,7 +250,7 @@ void Supervisor::start() {
   // Finish any join/drain a previous incarnation left mid-flight, then
   // collapse the replayed journal suffix into a fresh checkpoint.
   resume_membership();
-  if (journal_ != nullptr) write_control_checkpoint();
+  write_control_checkpoint();
   refresh_state_metrics();
 }
 
@@ -367,17 +382,14 @@ void Supervisor::ingest(std::span<const IngestBatch> run) {
     }
   }
   if (outgoing.empty()) return;
-  if (journal_ != nullptr) {
-    // Write-ahead: the run is journaled, in one write, before any delivery
-    // attempt, so a supervisor killed mid-ingest still replays it on
-    // restart.
-    auto group = journal_->batch();
-    for (Outgoing& out : outgoing) {
-      out.entry.journal_seq =
-          journal_->record_batch(out.shard, out.entry.sequence, out.entry.readings);
-    }
-    group.commit();
+  // Write-ahead: the run is journaled, in one write, before any delivery
+  // attempt, so a supervisor killed mid-ingest still replays it on restart.
+  auto group = journal_.batch();
+  for (Outgoing& out : outgoing) {
+    out.entry.journal_seq =
+        journal_.record_batch(out.shard, out.entry.sequence, out.entry.readings);
   }
+  group.commit();
   // Delivery: every shard gets its frames of the run in one send.
   std::vector<IngestBatch> frames;
   for (auto& [id, shard] : shards_) {
@@ -503,7 +515,7 @@ std::vector<engine::Fix> Supervisor::poll(sim::SimTime now,
     OpEntry entry;
     entry.kind = OpEntry::Kind::kPoll;
     entry.time = now;
-    if (journal_ != nullptr) entry.journal_seq = journal_->record_poll(id, now);
+    entry.journal_seq = journal_.record_poll(id, now);
     push_oplog(shard, std::move(entry));
     for (const auto& [tag, info] : tags_) {
       if (owner_of(tag) != id) continue;
@@ -567,20 +579,22 @@ std::string Supervisor::snapshot_prometheus() const {
   // Scraping mutates connection/supervision state; serialized by mutex_.
   auto* self = const_cast<Supervisor*>(this);
   std::lock_guard lock(self->mutex_);
-  std::string out = obs::to_prometheus(metrics_);
+  // One document, each family declared once: the supervisor's own series
+  // as they are, every shard's labelled with its process.
+  std::vector<obs::PrometheusPart> parts{{obs::to_prometheus(metrics_), {}}};
   for (auto& [id, shard] : self->shards_) {
     if (shard.state != ShardState::kUp || shard.client == nullptr) continue;
     try {
-      out += obs::relabel_prometheus(
-          shard.client->snapshot_prometheus(),
-          obs::label_pair("process", "shard-" + std::to_string(id)));
+      parts.push_back(
+          {shard.client->snapshot_prometheus(),
+           obs::label_pair("process", "shard-" + std::to_string(id))});
     } catch (const TransportError&) {
       self->handle_death(shard, DeathCause::kSocket);
     } catch (const std::exception&) {
       // kError response: skip this shard's scrape, keep the rest.
     }
   }
-  return out;
+  return obs::merge_prometheus(parts);
 }
 
 std::string Supervisor::snapshot_json() const {
@@ -621,13 +635,10 @@ std::string Supervisor::snapshot_json() const {
     out += ",\"anomaly_dumps\":" + std::to_string(shard.anomaly_dumps);
     out += '}';
   }
-  out += "],\"journal\":{\"enabled\":";
-  out += journal_ != nullptr ? "true" : "false";
-  if (journal_ != nullptr) {
-    out += ",\"next_sequence\":" + std::to_string(journal_->next_sequence());
-    out += ",\"since_checkpoint\":" +
-           std::to_string(journal_->appends_since_checkpoint());
-  }
+  out += "],\"journal\":{\"next_sequence\":" +
+         std::to_string(journal_.next_sequence());
+  out += ",\"since_checkpoint\":" +
+         std::to_string(journal_.appends_since_checkpoint());
   out += "},\"recovered\":";
   out += recovered_from_journal_ ? "true" : "false";
   out += "},\"metrics\":" + obs::to_json(metrics_) + "}";
@@ -637,7 +648,7 @@ std::string Supervisor::snapshot_json() const {
 void Supervisor::set_reference_ids(std::vector<sim::TagId> ids) {
   std::lock_guard lock(mutex_);
   reference_ids_ = std::move(ids);
-  if (journal_ != nullptr) journal_->record_set_reference(reference_ids_);
+  journal_.record_set_reference(reference_ids_);
   for (auto& [id, shard] : shards_) {
     if (shard.state != ShardState::kUp || shard.client == nullptr) {
       continue;  // re-applied during bring_up()
@@ -656,7 +667,7 @@ void Supervisor::track(sim::TagId tag, std::string name,
   TrackedTag& info = tags_[tag];
   info.name = std::move(name);
   info.zone = zone;
-  if (journal_ != nullptr) journal_->record_track(tag, info.name, info.zone);
+  journal_.record_track(tag, info.name, info.zone);
   ManagedShard& shard = shards_.at(owner_of(tag));
   if (shard.state != ShardState::kUp || shard.client == nullptr) return;
   try {
@@ -698,10 +709,7 @@ std::uint64_t Supervisor::trace_id_for(std::uint64_t sequence) const {
 
 void Supervisor::observe_ingest_to_fix(double latency_s) {
   ingest_to_fix_seconds_->observe(latency_s);
-  if (config_.ingest_to_fix_slo_s > 0.0 &&
-      latency_s > config_.ingest_to_fix_slo_s) {
-    slo_burn_->inc();
-  }
+  if (latency_s > kIngestToFixSloS) slo_burn_->inc();
 }
 
 obs::TraceDump Supervisor::trace_dump(std::size_t max_events) {
@@ -746,8 +754,7 @@ std::string Supervisor::fleet_trace_json() {
     if (!shard.offset.valid()) heartbeat_shard(shard);
     if (shard.state != ShardState::kUp) continue;  // the probe found it dead
     try {
-      obs::TraceDump dump = shard.client->trace_dump(
-          static_cast<std::uint32_t>(config_.trace_pull_events));
+      obs::TraceDump dump = shard.client->trace_dump(kTracePullEvents);
       // Rebase the shard's monotonic clock onto the supervisor's so spans
       // from different processes nest on one timeline.
       if (shard.offset.valid()) obs::rebase(dump, shard.offset.offset_us());
@@ -868,7 +875,7 @@ ShardLaunch Supervisor::launch_for(const ManagedShard& shard) const {
 std::unique_ptr<ServiceClient> Supervisor::connect(
     const ManagedShard& shard) const {
   ClientConfig cc;
-  cc.read_timeout_s = config_.request_timeout_s;
+  cc.read_timeout_s = kRequestTimeoutS;
   cc.peer_name = "supervisor";
   return std::make_unique<ServiceClient>(shard.socket, cc);
 }
@@ -955,7 +962,7 @@ void Supervisor::replay(ManagedShard& shard) {
   // The ack the shard recovered from its WAL may already cover every
   // evicted entry, which ends the overflow episode before any rebuild.
   trim_oplog(shard);
-  if (shard.oplog_overflow && journal_ != nullptr) {
+  if (shard.oplog_overflow) {
     // Capacity overflow evicted journal-backed entries (push_oplog): rebuild
     // the full un-acked suffix from the journal instead of replaying a
     // truncated one. overflow_floor kept the needed records from pruning,
@@ -964,8 +971,8 @@ void Supervisor::replay(ManagedShard& shard) {
     std::uint64_t records = 0;
     std::deque<OpEntry> rebuilt;
     for (auto& op :
-         journal_->collect_oplog(shard.id, shard.last_ack, shard.polls_done,
-                                 shard.overflow_floor, &records)) {
+         journal_.collect_oplog(shard.id, shard.last_ack, shard.polls_done,
+                                shard.overflow_floor, &records)) {
       OpEntry entry;
       entry.journal_seq = op.journal_sequence;
       if (op.kind == JournaledOp::Kind::kBatch) {
@@ -1033,9 +1040,7 @@ void Supervisor::replay(ManagedShard& shard) {
     // sequence gate): mark them executed so a later recovery replays only
     // polls this incarnation never delivered.
     shard.polls_done = polls_done;
-    if (journal_ != nullptr) {
-      journal_->record_polls_done(shard.id, polls_done);
-    }
+    journal_.record_polls_done(shard.id, polls_done);
   }
   // Heartbeat forces the shard to drain its queue and journal the replayed
   // suffix before we declare it up; the ack lets us trim the op-log.
@@ -1051,31 +1056,25 @@ void Supervisor::observe_ack(ManagedShard& shard, std::uint64_t ack) {
 
 void Supervisor::push_oplog(ManagedShard& shard, OpEntry entry) {
   if (shard.oplog.size() >= config_.oplog_capacity) {
-    OpEntry& victim = shard.oplog.front();
-    if (journal_ != nullptr && victim.journal_seq != 0) {
-      // The evicted entry survives in the control journal: mark the shard
-      // for a journal-backed op-log rebuild at its next bring-up (replay())
-      // instead of silently losing replayable history. overflow_floor pins
-      // the checkpoint floor so the suffix is not pruned meanwhile.
-      if (shard.overflow_floor == 0 ||
-          victim.journal_seq < shard.overflow_floor) {
-        shard.overflow_floor = victim.journal_seq;
-      }
-      if (victim.kind == OpEntry::Kind::kPoll) {
-        shard.overflow_evicted_poll = true;
-      } else {
-        shard.overflow_batch_high =
-            std::max(shard.overflow_batch_high, victim.sequence);
-      }
-      if (!shard.oplog_overflow) {
-        shard.oplog_overflow = true;
-        oplog_overflow_->inc();
-        tracer_.instant("supervisor.oplog_overflow", shard_json(shard.id),
-                        'g');
-      }
+    const OpEntry& victim = shard.oplog.front();
+    // The evicted entry survives in the control journal: mark the shard for
+    // a journal-backed op-log rebuild at its next bring-up (replay()).
+    // overflow_floor pins the checkpoint floor so the suffix is not pruned
+    // meanwhile.
+    if (shard.overflow_floor == 0 ||
+        victim.journal_seq < shard.overflow_floor) {
+      shard.overflow_floor = victim.journal_seq;
+    }
+    if (victim.kind == OpEntry::Kind::kPoll) {
+      shard.overflow_evicted_poll = true;
     } else {
-      // No journal to rebuild from: this entry really is gone.
-      oplog_dropped_->inc();
+      shard.overflow_batch_high =
+          std::max(shard.overflow_batch_high, victim.sequence);
+    }
+    if (!shard.oplog_overflow) {
+      shard.oplog_overflow = true;
+      oplog_overflow_->inc();
+      tracer_.instant("supervisor.oplog_overflow", shard_json(shard.id), 'g');
     }
     shard.oplog.pop_front();
   }
@@ -1124,7 +1123,7 @@ void Supervisor::handle_death(ManagedShard& shard, DeathCause cause) {
     shard.state = ShardState::kDown;
     shard.breaker_open_until = now + config_.breaker_cooldown_s;
     breaker_open_total_->inc();
-    if (journal_ != nullptr) journal_->record_breaker(shard.id, true);
+    journal_.record_breaker(shard.id, true);
     tracer_.instant("supervisor.breaker_open", shard_json(shard.id), 'g');
   } else {
     shard.state = ShardState::kBackoff;
@@ -1163,7 +1162,7 @@ bool Supervisor::try_revive(ManagedShard& shard) {
 void Supervisor::close_breaker(ManagedShard& shard) {
   shard.death_times.clear();
   shard.restart_count = 0;
-  if (journal_ != nullptr) journal_->record_breaker(shard.id, false);
+  journal_.record_breaker(shard.id, false);
   mark_up(shard);
 }
 
@@ -1196,7 +1195,7 @@ double Supervisor::backoff_delay(const ManagedShard& shard) const {
                          0x9e3779b97f4a7c15ULL);
   const double unit =
       static_cast<double>(support::splitmix64(state) >> 11) * 0x1.0p-53;
-  return delay * (1.0 + config_.restart_jitter_frac * (2.0 * unit - 1.0));
+  return delay * (1.0 + kRestartJitterFrac * (2.0 * unit - 1.0));
 }
 
 void Supervisor::heartbeat_shard(ManagedShard& shard) {
@@ -1220,7 +1219,7 @@ void Supervisor::heartbeat_shard(ManagedShard& shard) {
     observe_ack(shard, ack.last_ack_sequence);
     trim_oplog(shard);
     shard.last_heartbeat_ok = clock_->now();
-    if (clock_->now() - shard.up_since >= config_.backoff_reset_after_s) {
+    if (clock_->now() - shard.up_since >= kBackoffResetAfterS) {
       shard.restart_count = 0;  // stable for a while: forgive old crashes
     }
   } catch (const TimeoutError&) {
@@ -1238,14 +1237,12 @@ void Supervisor::heartbeat_shard(ManagedShard& shard) {
 
 ControlCheckpoint Supervisor::build_checkpoint() const {
   ControlCheckpoint state;
-  std::uint64_t floor = journal_->next_sequence();
+  std::uint64_t floor = journal_.next_sequence();
   for (const auto& [id, shard] : shards_) {
     for (const auto& entry : shard.oplog) {
-      if (entry.journal_seq != 0) floor = std::min(floor, entry.journal_seq);
+      floor = std::min(floor, entry.journal_seq);
     }
-    if (shard.oplog_overflow && shard.overflow_floor != 0) {
-      floor = std::min(floor, shard.overflow_floor);
-    }
+    if (shard.oplog_overflow) floor = std::min(floor, shard.overflow_floor);
   }
   state.journal_floor = floor;
   state.ingest_sequence = ingest_seq_;
@@ -1269,14 +1266,12 @@ ControlCheckpoint Supervisor::build_checkpoint() const {
 }
 
 void Supervisor::write_control_checkpoint() {
-  if (journal_ == nullptr) return;
   const obs::TraceSpan span(&tracer_, "supervisor.journal_checkpoint");
-  journal_->checkpoint(build_checkpoint());
+  journal_.checkpoint(build_checkpoint());
 }
 
 void Supervisor::maybe_checkpoint() {
-  if (journal_ == nullptr) return;
-  if (journal_->appends_since_checkpoint() <
+  if (journal_.appends_since_checkpoint() <
       config_.journal_checkpoint_every_ops) {
     return;
   }
@@ -1284,7 +1279,6 @@ void Supervisor::maybe_checkpoint() {
 }
 
 void Supervisor::drain_and_checkpoint() {
-  if (journal_ == nullptr) return;
   for (auto& [id, shard] : shards_) {
     if (shard.state != ShardState::kUp || shard.client == nullptr) continue;
     try {
@@ -1308,7 +1302,7 @@ std::uint64_t Supervisor::admin_add_shard() {
   }
   const std::uint32_t id = next_shard_id_++;
   // Journal the intent first: a supervisor killed mid-join resumes it.
-  if (journal_ != nullptr) journal_->record_add_shard(id);
+  journal_.record_add_shard(id);
   ManagedShard fresh = make_shard(id);
   fresh.phase = MemberPhase::kJoining;
   auto [it, inserted] = shards_.emplace(id, std::move(fresh));
@@ -1316,7 +1310,7 @@ std::uint64_t Supervisor::admin_add_shard() {
   if (!bring_up(shard)) {
     // Roll the membership record back — an id is cheap, a permanently
     // joining ghost member is not.
-    if (journal_ != nullptr) journal_->record_remove_shard(id);
+    journal_.record_remove_shard(id);
     shards_.erase(it);
     refresh_state_metrics();
     throw std::runtime_error("add_shard: new shard process failed to start");
@@ -1355,12 +1349,12 @@ std::uint64_t Supervisor::admin_remove_shard(std::uint32_t id) {
       throw std::runtime_error("remove_shard: shard " + std::to_string(id) +
                                " is unreachable; retry once it revives");
     }
-    if (journal_ != nullptr) journal_->record_shard_draining(id);
+    journal_.record_shard_draining(id);
     shard.phase = MemberPhase::kDraining;
   }
   const std::uint64_t moved = drain_shard(shard, /*in_router=*/was_active);
   release(shard, /*graceful=*/true);
-  if (journal_ != nullptr) journal_->record_remove_shard(id);
+  journal_.record_remove_shard(id);
   shards_.erase(it);
   membership_changes_remove_->inc();
   membership_moved_tags_->inc(moved);
@@ -1396,7 +1390,7 @@ void Supervisor::complete_join(ManagedShard& fresh) {
     migrate_tag_cross(tag, owner, now_owner);
     ++moved;
   }
-  if (journal_ != nullptr) journal_->record_shard_active(fresh.id);
+  journal_.record_shard_active(fresh.id);
   fresh.phase = MemberPhase::kActive;
   membership_changes_add_->inc();
   membership_moved_tags_->inc(moved);
@@ -1443,7 +1437,7 @@ void Supervisor::resume_membership() {
       } else if (shard.phase == MemberPhase::kDraining) {
         const std::uint64_t moved = drain_shard(shard, /*in_router=*/false);
         release(shard, /*graceful=*/true);
-        if (journal_ != nullptr) journal_->record_remove_shard(id);
+        journal_.record_remove_shard(id);
         shards_.erase(it);
         membership_changes_remove_->inc();
         membership_moved_tags_->inc(moved);

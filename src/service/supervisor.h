@@ -95,7 +95,8 @@ inline constexpr std::size_t kDeathCauseCount = 3;
 
 struct SupervisorConfig {
   int shards = 2;
-  /// Root for per-shard sockets (shard-<id>.sock) and data dirs (shard-<id>).
+  /// Root for per-shard sockets (shard-<id>.sock), data dirs (shard-<id>)
+  /// and the control journal (journal/). Required.
   std::filesystem::path root_dir;
   /// Path to the vire_shardd binary (the built-in process runner).
   std::filesystem::path shardd_binary;
@@ -108,8 +109,6 @@ struct SupervisorConfig {
 
   ShardRouterConfig router;
 
-  /// Per-request read deadline on the supervisor->shard connection.
-  double request_timeout_s = 10.0;
   /// Extra attempts a forwarded request gets after a transport failure
   /// (each attempt revives the shard first when possible).
   int request_retries = 2;
@@ -129,11 +128,6 @@ struct SupervisorConfig {
   double restart_backoff_initial_s = 0.05;
   double restart_backoff_max_s = 2.0;
   double restart_backoff_multiplier = 2.0;
-  /// Jitter fraction applied to each backoff delay (deterministic, derived
-  /// from `seed`, shard id and restart count via splitmix64).
-  double restart_jitter_frac = 0.1;
-  /// A shard continuously up this long gets its backoff counter reset.
-  double backoff_reset_after_s = 10.0;
 
   /// Breaker: this many deaths inside breaker_window_s opens the circuit.
   int breaker_max_deaths = 5;
@@ -146,24 +140,17 @@ struct SupervisorConfig {
   /// that hangs before serving.
   double spawn_wait_s = 10.0;
 
+  /// Seeds the restart jitter and the wire trace ids.
   std::uint64_t seed = 0;
   /// Per-shard op-log bound (entries). poll() acks every polled shard whose
   /// op-log is over half full, so a live shard overflows only when more than
   /// half the bound arrives between two polls. Overflow evicts the oldest
-  /// entry; with the control journal on, the evicted history stays
-  /// recoverable (the shard is marked for a journal-backed op-log rebuild at
-  /// its next bring-up and vire_supervisor_oplog_overflow_total counts the
-  /// episode). Only with the journal off is an evicted entry truly
-  /// unreplayable (vire_supervisor_oplog_dropped_total).
+  /// entry; the evicted history stays in the control journal (the shard is
+  /// marked for a journal-backed op-log rebuild at its next bring-up and
+  /// vire_supervisor_oplog_overflow_total counts the episode).
   std::size_t oplog_capacity = 4096;
 
-  /// Durable control plane: journal every control-plane op (ingest batches,
-  /// sequence allocations, membership and breaker transitions) to
-  /// <root_dir>/journal/ so a restarted supervisor rebuilds its op-log,
-  /// reseeds sequences, re-adopts orphaned shard processes and replays only
-  /// the un-acked suffix.
-  bool control_journal = true;
-  /// Journal appends between automatic control checkpoints.
+  /// Control-journal appends between automatic control checkpoints.
   std::uint64_t journal_checkpoint_every_ops = 1024;
 
   /// Fleet-wide tracing (docs/observability.md, "Fleet observability"):
@@ -172,15 +159,14 @@ struct SupervisorConfig {
   /// contexts are stamped on the wire regardless of this flag (the bytes are
   /// identical on or off), so merged polls stay bit-identical either way.
   bool fleet_tracing = false;
-  /// Events pulled per shard by one kTraceDump (bounds the reply frame).
-  std::size_t trace_pull_events = 4096;
-  /// End-to-end ingest-to-fix SLO; a polled fix older than this bumps
-  /// vire_fleet_slo_burn_total. <= 0 disables burn counting.
-  double ingest_to_fix_slo_s = 1.0;
 };
 
 class Supervisor : public Frontend {
  public:
+  /// Throws std::invalid_argument when config.root_dir is empty or
+  /// config.shards < 1, before any shard starts. Every control-plane op is
+  /// journaled write-ahead to <root_dir>/journal/, and a journal left there
+  /// by a previous supervisor is recovered here.
   /// `clock` may be null (a built-in SteadyClock is used); when provided it
   /// must outlive the supervisor. `runner` hosts the shards; null builds a
   /// ProcessShardRunner over config.shardd_binary. A caller's runner must
@@ -290,7 +276,7 @@ class Supervisor : public Frontend {
     std::uint64_t sequence = 0;               ///< kBatch
     std::vector<sim::RssiReading> readings;   ///< kBatch
     sim::SimTime time = 0.0;                  ///< kPoll (missed while dead)
-    /// Control-journal sequence of this entry (0 = journal disabled).
+    /// Control-journal sequence of this entry.
     std::uint64_t journal_seq = 0;
   };
 
@@ -443,7 +429,7 @@ class Supervisor : public Frontend {
   std::uint64_t ingest_seq_ = 0;
   bool started_ = false;
 
-  std::unique_ptr<ControlJournal> journal_;
+  ControlJournal journal_;
   std::uint32_t next_shard_id_ = 0;
   /// Latest poll time seen — the migration horizon cursor (checkpointed).
   double last_poll_time_ = 0.0;
@@ -459,7 +445,6 @@ class Supervisor : public Frontend {
   obs::Counter* replayed_polls_ = nullptr;
   obs::Counter* held_fixes_ = nullptr;
   obs::Counter* heartbeats_total_ = nullptr;
-  obs::Counter* oplog_dropped_ = nullptr;
   obs::Counter* oplog_overflow_ = nullptr;
   obs::Counter* adoptions_total_ = nullptr;
   obs::Counter* membership_changes_add_ = nullptr;

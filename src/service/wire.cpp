@@ -125,7 +125,7 @@ std::optional<Frame> FrameDecoder::next() {
     if (available < 4) return std::nullopt;
     const std::uint32_t frame_len = read_u32le(buffer_.data() + pos_);
     if (frame_len < kFrameOverhead ||
-        frame_len > max_payload_ + kFrameOverhead) {
+        frame_len > kMaxFramePayload + kFrameOverhead) {
       // The length prefix itself is garbage: there is no trustworthy frame
       // boundary to resync at, so the stream is dead.
       count(RejectReason::kOversized);

@@ -101,7 +101,7 @@ struct Frame {
 };
 
 enum class RejectReason : std::uint8_t {
-  kOversized = 0, ///< length prefix beyond max_payload (or below the minimum)
+  kOversized = 0, ///< length prefix beyond kMaxFramePayload (or below the minimum)
   kBadCrc = 1,
   kBadType = 2,
   kTruncated = 3, ///< connection closed mid-frame
@@ -124,9 +124,6 @@ inline constexpr std::size_t kRejectReasonCount = 6;
 /// connection; not thread-safe.
 class FrameDecoder {
  public:
-  explicit FrameDecoder(std::size_t max_payload = kMaxFramePayload) noexcept
-      : max_payload_(max_payload) {}
-
   void feed(std::string_view bytes) { buffer_.append(bytes); }
 
   /// Next complete, CRC-valid frame of a known type; nullopt when more bytes
@@ -163,7 +160,6 @@ class FrameDecoder {
  private:
   void count(RejectReason reason);
 
-  std::size_t max_payload_;
   std::string buffer_;
   std::size_t pos_ = 0;  ///< consumed prefix of buffer_
   bool failed_ = false;

@@ -17,11 +17,14 @@ namespace vire::support {
 
 namespace {
 
+constexpr int kMaxAttempts = 3;
+constexpr double kInitialBackoffS = 0.005;
+
 /// One write attempt: temp file, full write (with imposed faults), fsync,
 /// rename. Returns false on a retryable failure, throws only on programmer
 /// errors (unwritable parent that mkdir could not create).
 bool try_write_once(const std::filesystem::path& path, std::string_view contents,
-                    const std::filesystem::path& tmp, const AtomicWriteOptions& options,
+                    const std::filesystem::path& tmp, IoFaultHook* fault_hook,
                     std::string& error) {
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
@@ -32,8 +35,8 @@ bool try_write_once(const std::filesystem::path& path, std::string_view contents
   std::string buffer(contents);
   std::size_t write_len = buffer.size();
   bool fail_after_write = false;
-  if (options.fault_hook != nullptr) {
-    if (const auto fault = options.fault_hook->on_write(buffer.size())) {
+  if (fault_hook != nullptr) {
+    if (const auto fault = fault_hook->on_write(buffer.size())) {
       switch (fault->kind) {
         case IoFaultKind::kShortWrite:
           write_len = buffer.empty() ? 0 : fault->offset % buffer.size();
@@ -71,7 +74,7 @@ bool try_write_once(const std::filesystem::path& path, std::string_view contents
     ::unlink(tmp.c_str());
     return false;
   }
-  if (options.fsync && ::fsync(fd) != 0) {
+  if (::fsync(fd) != 0) {
     error = std::string("fsync: ") + std::strerror(errno);
     ::close(fd);
     ::unlink(tmp.c_str());
@@ -87,14 +90,12 @@ bool try_write_once(const std::filesystem::path& path, std::string_view contents
     ::unlink(tmp.c_str());
     return false;
   }
-  if (options.fsync) {
-    // Make the rename itself durable: fsync the containing directory.
-    const std::filesystem::path dir = path.parent_path();
-    const int dfd = ::open(dir.empty() ? "." : dir.c_str(), O_RDONLY | O_DIRECTORY);
-    if (dfd >= 0) {
-      ::fsync(dfd);
-      ::close(dfd);
-    }
+  // Make the rename itself durable: fsync the containing directory.
+  const std::filesystem::path dir = path.parent_path();
+  const int dfd = ::open(dir.empty() ? "." : dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (dfd >= 0) {
+    ::fsync(dfd);
+    ::close(dfd);
   }
   return true;
 }
@@ -102,30 +103,25 @@ bool try_write_once(const std::filesystem::path& path, std::string_view contents
 }  // namespace
 
 void atomic_write_file(const std::filesystem::path& path, std::string_view contents,
-                       const AtomicWriteOptions& options) {
-  if (options.max_attempts < 1) {
-    throw std::invalid_argument("atomic_write_file: max_attempts must be >= 1");
-  }
+                       IoFaultHook* fault_hook) {
   const std::filesystem::path dir = path.parent_path();
   if (!dir.empty()) std::filesystem::create_directories(dir);
   const std::filesystem::path tmp =
       path.string() + ".tmp." + std::to_string(static_cast<long>(::getpid()));
 
   std::string error;
-  double backoff_s = options.initial_backoff_s;
-  for (int attempt = 1; attempt <= options.max_attempts; ++attempt) {
-    if (try_write_once(path, contents, tmp, options, error)) return;
-    if (attempt < options.max_attempts) {
+  double backoff_s = kInitialBackoffS;
+  for (int attempt = 1; attempt <= kMaxAttempts; ++attempt) {
+    if (try_write_once(path, contents, tmp, fault_hook, error)) return;
+    if (attempt < kMaxAttempts) {
       log_warn("atomic_write_file(%s) attempt %d/%d failed (%s), retrying",
-               path.string().c_str(), attempt, options.max_attempts, error.c_str());
-      if (backoff_s > 0.0) {
-        std::this_thread::sleep_for(std::chrono::duration<double>(backoff_s));
-        backoff_s *= 2.0;
-      }
+               path.string().c_str(), attempt, kMaxAttempts, error.c_str());
+      std::this_thread::sleep_for(std::chrono::duration<double>(backoff_s));
+      backoff_s *= 2.0;
     }
   }
   throw std::runtime_error("atomic_write_file(" + path.string() + ") failed after " +
-                           std::to_string(options.max_attempts) +
+                           std::to_string(kMaxAttempts) +
                            " attempts: " + error);
 }
 

@@ -44,23 +44,13 @@ class IoFaultHook {
   virtual std::optional<IoFault> on_write(std::size_t size) = 0;
 };
 
-struct AtomicWriteOptions {
-  /// Total attempts before atomic_write_file throws (>= 1).
-  int max_attempts = 3;
-  /// Sleep before the first retry; doubles on every further retry.
-  double initial_backoff_s = 0.005;
-  /// fsync the temp file before the rename (and the directory after), so
-  /// the rename is durable, not just atomic. Benches may turn this off.
-  bool fsync = true;
-  /// Testing seam; nullptr in production.
-  IoFaultHook* fault_hook = nullptr;
-};
-
 /// Writes `contents` to `path` atomically: temp file in the same directory,
-/// optional fsync, rename over `path`. Parent directories are created.
-/// Transient failures (short write, ENOSPC, ...) are retried with
-/// exponential backoff up to `max_attempts`; std::runtime_error after that.
+/// fsync, rename over `path`, fsync of the directory. Parent directories are
+/// created. Transient failures (short write, ENOSPC, ...) are retried: 3
+/// attempts, sleeping 5 ms before the first retry and twice as long before
+/// each later one; std::runtime_error after that. `fault_hook` is a testing
+/// seam (fault::DiskFaultInjector); nullptr in production.
 void atomic_write_file(const std::filesystem::path& path, std::string_view contents,
-                       const AtomicWriteOptions& options = {});
+                       IoFaultHook* fault_hook = nullptr);
 
 }  // namespace vire::support

@@ -209,7 +209,7 @@ TEST(PrometheusExporter, RelabelInjectsLabelIntoEverySeries) {
       "\n"
       "not a metric line\n";
   const std::string out =
-      relabel_prometheus(text, label_pair("process", "shard-0"));
+      merge_prometheus({{text, label_pair("process", "shard-0")}});
   // Labelled series: the new pair joins the existing set.
   EXPECT_NE(out.find("demo_requests_total{process=\"shard-0\",code=\"200\"} 3"),
             std::string::npos)
@@ -231,12 +231,21 @@ TEST(PrometheusExporter, RelabelInjectsLabelIntoEverySeries) {
   // "not a metric line" has spaces, so the first token gains the label set —
   // lock the exact behavior either way by checking it is still present.
   EXPECT_NE(out.find("not"), std::string::npos);
+  // One part comes back line for line, in its own order.
+  EXPECT_EQ(out,
+            "# HELP demo_requests_total Requests served\n"
+            "# TYPE demo_requests_total counter\n"
+            "demo_requests_total{process=\"shard-0\",code=\"200\"} 3\n"
+            "demo_bare_total{process=\"shard-0\"} 7\n"
+            "demo_empty_braces_total{process=\"shard-0\"} 1\n"
+            "\n"
+            "not{process=\"shard-0\"} a metric line\n");
   // Idempotence of shape: relabelling exporter output still scrapes clean
   // (every series line keeps exactly one '{' and one '}').
   MetricsRegistry registry;
   registry.counter("demo_merge_total", label_pair("shard", "1")).inc(2);
-  const std::string merged = relabel_prometheus(
-      to_prometheus(registry), label_pair("process", "shard-1"));
+  const std::string merged = merge_prometheus(
+      {{to_prometheus(registry), label_pair("process", "shard-1")}});
   EXPECT_NE(
       merged.find("demo_merge_total{process=\"shard-1\",shard=\"1\"} 2"),
       std::string::npos)
@@ -250,7 +259,8 @@ TEST(PrometheusExporter, RelabelPreservesEscapedLabelValues) {
   const std::string text =
       "demo_path_total{path=\"say \\\"hi\\\"\"} 1\n"
       "demo_dir_total{dir=\"C:\\\\tmp\\\\\"} 2\n";
-  const std::string out = relabel_prometheus(text, label_pair("process", "s0"));
+  const std::string out =
+      merge_prometheus({{text, label_pair("process", "s0")}});
   EXPECT_NE(out.find("demo_path_total{process=\"s0\",path=\"say \\\"hi\\\"\"} 1"),
             std::string::npos)
       << out;
@@ -262,8 +272,8 @@ TEST(PrometheusExporter, RelabelPreservesEscapedLabelValues) {
 TEST(PrometheusExporter, RelabelEscapesInjectedValueViaLabelPair) {
   // label_pair escapes the injected value, so a hostile process name cannot
   // break the series syntax.
-  const std::string out = relabel_prometheus(
-      "demo_total 1\n", label_pair("process", "sh\"ard\\0"));
+  const std::string out = merge_prometheus(
+      {{"demo_total 1\n", label_pair("process", "sh\"ard\\0")}});
   EXPECT_NE(out.find("demo_total{process=\"sh\\\"ard\\\\0\"} 1"),
             std::string::npos)
       << out;
@@ -273,8 +283,8 @@ TEST(PrometheusExporter, RelabelPrependsToExistingProcessLabel) {
   // A series that already carries a process label (e.g. a shard scraped
   // through two supervisors) gains the outer pair FIRST — last-writer-wins
   // dedup is the scraper's problem; relabel must not drop either.
-  const std::string out = relabel_prometheus(
-      "demo_total{process=\"inner\"} 4\n", label_pair("process", "outer"));
+  const std::string out = merge_prometheus(
+      {{"demo_total{process=\"inner\"} 4\n", label_pair("process", "outer")}});
   EXPECT_NE(
       out.find("demo_total{process=\"outer\",process=\"inner\"} 4"),
       std::string::npos)
@@ -285,12 +295,54 @@ TEST(PrometheusExporter, RelabelPassthroughAndFinalLineWithoutNewline) {
   // HELP/TYPE/blank lines pass through byte-identical; empty input stays
   // empty; a final line without a trailing newline is still relabelled and
   // gains no newline.
-  EXPECT_EQ(relabel_prometheus("", label_pair("p", "x")), "");
-  EXPECT_EQ(relabel_prometheus("# HELP a b\n# TYPE a counter\n\n",
-                               label_pair("p", "x")),
+  EXPECT_EQ(merge_prometheus({{"", label_pair("p", "x")}}), "");
+  EXPECT_EQ(merge_prometheus(
+                {{"# HELP a b\n# TYPE a counter\n\n", label_pair("p", "x")}}),
             "# HELP a b\n# TYPE a counter\n\n");
-  EXPECT_EQ(relabel_prometheus("demo_total 9", label_pair("p", "x")),
+  EXPECT_EQ(merge_prometheus({{"demo_total 9", label_pair("p", "x")}}),
             "demo_total{p=\"x\"} 9");
+}
+
+TEST(PrometheusExporter, MergeDeclaresEachFamilyOnceWithSamplesInPartOrder) {
+  // Two shard scrapes of the same families: each # HELP / # TYPE appears
+  // once, every sample of a family follows it (histogram _bucket/_sum/_count
+  // lines stay with their family), parts in order; a family only the second
+  // part has comes last.
+  const std::string shard =
+      "# HELP demo_total Requests\n"
+      "# TYPE demo_total counter\n"
+      "demo_total{code=\"200\"} N\n"
+      "# TYPE demo_seconds histogram\n"
+      "demo_seconds_bucket{le=\"1\"} N\n"
+      "demo_seconds_bucket{le=\"+Inf\"} N\n"
+      "demo_seconds_sum N\n"
+      "demo_seconds_count N\n";
+  const auto with = [](std::string text, char value) {
+    for (char& c : text) {
+      if (c == 'N') c = value;
+    }
+    return text;
+  };
+  const std::string merged = merge_prometheus(
+      {{with(shard, '1'), label_pair("process", "shard-0")},
+       {with(shard, '2') + "# TYPE demo_extra gauge\ndemo_extra 5\n",
+        label_pair("process", "shard-1")}});
+  EXPECT_EQ(merged,
+            "# HELP demo_total Requests\n"
+            "# TYPE demo_total counter\n"
+            "demo_total{process=\"shard-0\",code=\"200\"} 1\n"
+            "demo_total{process=\"shard-1\",code=\"200\"} 2\n"
+            "# TYPE demo_seconds histogram\n"
+            "demo_seconds_bucket{process=\"shard-0\",le=\"1\"} 1\n"
+            "demo_seconds_bucket{process=\"shard-0\",le=\"+Inf\"} 1\n"
+            "demo_seconds_sum{process=\"shard-0\"} 1\n"
+            "demo_seconds_count{process=\"shard-0\"} 1\n"
+            "demo_seconds_bucket{process=\"shard-1\",le=\"1\"} 2\n"
+            "demo_seconds_bucket{process=\"shard-1\",le=\"+Inf\"} 2\n"
+            "demo_seconds_sum{process=\"shard-1\"} 2\n"
+            "demo_seconds_count{process=\"shard-1\"} 2\n"
+            "# TYPE demo_extra gauge\n"
+            "demo_extra{process=\"shard-1\"} 5\n");
 }
 
 TEST(RenderMetrics, TabulatesAllKinds) {

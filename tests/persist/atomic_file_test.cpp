@@ -79,12 +79,7 @@ TEST_F(AtomicFileTest, EnospcOnEveryAttemptThrowsAndPreservesOldContent) {
   fault::DiskFaultPlan plan;
   plan.enospc_at(0).enospc_at(1).enospc_at(2);
   fault::DiskFaultInjector injector(std::move(plan));
-  AtomicWriteOptions options;
-  options.max_attempts = 3;
-  options.initial_backoff_s = 0.0;
-  options.fault_hook = &injector;
-
-  EXPECT_THROW(atomic_write_file(path, "the replacement", options),
+  EXPECT_THROW(atomic_write_file(path, "the replacement", &injector),
                std::runtime_error);
   EXPECT_EQ(injector.faults_imposed(), 3u);
   // The reader-facing file is byte-for-byte the previous version.
@@ -97,12 +92,7 @@ TEST_F(AtomicFileTest, RetrySucceedsWhenOnlyFirstAttemptsFault) {
   fault::DiskFaultPlan plan;
   plan.enospc_at(0).short_write_at(1, /*offset=*/4);  // write 2 is clean
   fault::DiskFaultInjector injector(std::move(plan));
-  AtomicWriteOptions options;
-  options.max_attempts = 3;
-  options.initial_backoff_s = 0.0;
-  options.fault_hook = &injector;
-
-  atomic_write_file(path, "third time lucky", options);
+  atomic_write_file(path, "third time lucky", &injector);
   EXPECT_EQ(slurp(path), "third time lucky");
   EXPECT_EQ(injector.faults_imposed(), 2u);
   EXPECT_GE(injector.writes_seen(), 3u);
@@ -118,10 +108,7 @@ TEST_F(AtomicFileTest, CorruptByteIsSilentButAltersExactlyOneByte) {
   fault::DiskFaultPlan plan;
   plan.corrupt_byte_at(0, /*offset=*/5);
   fault::DiskFaultInjector injector(std::move(plan));
-  AtomicWriteOptions options;
-  options.fault_hook = &injector;
-
-  atomic_write_file(path, payload, options);
+  atomic_write_file(path, payload, &injector);
   const std::string on_disk = slurp(path);
   ASSERT_EQ(on_disk.size(), payload.size());
   std::size_t diffs = 0;

@@ -1,8 +1,8 @@
 // Unit tests for the segmented CRC-framed log (src/persist/framed_log.h),
 // the WAL discipline factored out for the supervisor's control journal:
 // roundtrip, rotation, reopen-resume, torn-tail truncation, prune, the
-// typed-payload validate hook, and batched group writes (same bytes, one
-// physical write, torn and failed batches).
+// typed-payload validate hook, batched group writes (same bytes, one
+// physical write, torn and failed batches) and the kEveryN fsync cadence.
 
 #include <algorithm>
 #include <cstdint>
@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "fault/disk_fault.h"
+#include "obs/trace.h"
 #include "persist/binary_io.h"
 #include "persist/framed_log.h"
 
@@ -315,6 +316,40 @@ TEST(FramedLogTest, AnExceptionInsideABatchStillWritesItsRecords) {
   const auto result = read_framed_log(dir, test_format());
   ASSERT_EQ(result.records.size(), 3u);
   EXPECT_EQ(result.records[1].payload, "also kept");
+}
+
+/// Appends `count` records one by one under kEveryN and returns the 1-based
+/// appends during which an fsync span was recorded.
+std::vector<int> fsync_points(const fs::path& dir,
+                              std::uint64_t segment_max_records, int count) {
+  obs::Tracer tracer;
+  tracer.set_enabled(true);
+  auto config = test_config(dir);
+  config.segment_max_records = segment_max_records;
+  config.fsync = FsyncPolicy::kEveryN;
+  FramedLog log(config);
+  log.attach_tracer(&tracer, "test.fsync");
+  std::vector<int> points;
+  for (int i = 1; i <= count; ++i) {
+    const std::uint64_t before = tracer.recorded();
+    log.append(1, "r");
+    if (tracer.recorded() != before) points.push_back(i);
+  }
+  return points;
+}
+
+TEST(FramedLogTest, EveryNFsyncsOncePer64Records) {
+  const fs::path dir = fresh_dir("vire_framed_log_every_n");
+  EXPECT_EQ(kFsyncEveryN, 64u);
+  EXPECT_EQ(fsync_points(dir, 1000, 200), (std::vector<int>{64, 128, 192}));
+}
+
+TEST(FramedLogTest, RotationSyncsTheUnsyncedRecordsFirst) {
+  // Records 65-100 are unsynced when record 101 opens the second segment:
+  // the rotation syncs them, and the count of 64 starts again from there.
+  const fs::path dir = fresh_dir("vire_framed_log_rotation_sync");
+  EXPECT_EQ(fsync_points(dir, 100, 200), (std::vector<int>{64, 101, 164}));
+  EXPECT_EQ(read_framed_log(dir, test_format()).records.size(), 200u);
 }
 
 }  // namespace
