@@ -33,7 +33,7 @@ namespace {
 
 /// Quadrant zone of a position within the deployment's sensing area (2x2
 /// zones, row-major: 0 = lower-left .. 3 = upper-right), registered with
-/// each tag as its zone-affinity hint.
+/// each tag as its label; the shard that owns a tag follows the hash ring.
 std::uint32_t zone_for_position(const vire::env::Deployment& deployment,
                                 vire::geom::Vec2 position) noexcept {
   const vire::geom::Aabb area = deployment.sensing_area();
@@ -109,7 +109,7 @@ int main() {
     const std::uint32_t zone = zone_for_position(deployment, asset.position);
     supervisor.track(asset.tag, asset.name, zone);
     std::printf("  %-12s zone %u -> shard %u\n", asset.name, zone,
-                supervisor.router().route(asset.tag, zone));
+                supervisor.router().route(asset.tag));
   }
 
   const fs::path socket_path = fs::temp_directory_path() / "vire_service_demo.sock";

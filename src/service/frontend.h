@@ -1,9 +1,14 @@
 #pragma once
-// Frontend: the request-handling surface the wire server drives
-// (docs/service.md). Two implementations exist — ShardedService (one
+// Frontend: the request protocol both service hosts serve (docs/service.md,
+// "Who serves what"). Two implementations exist — ShardedService (one
 // engine: a shard) and Supervisor (the coordinator of a fleet of shards) —
 // and ServiceServer speaks to either one, so a shard and vire_supervisord
-// share a single server/event-loop implementation.
+// share a single server/event-loop implementation. Requests only one host
+// serves are plain members of that host: the shard's recovery and
+// tag/seed state moves (kRecover, kExportTag, kImportTag, kSeedExport,
+// kSeedImport) on ShardedService, and the membership changes (kAddShard,
+// kRemoveShard) on Supervisor. ServiceServer reaches them through the
+// typed host it was constructed over and answers kError on the other one.
 //
 // Threading: like ShardedService, every mutating call comes from ONE driver
 // thread (the server's event loop); snapshot_* must additionally be safe
@@ -13,16 +18,13 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "engine/localization_engine.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "service/wire.h"
-#include "sim/middleware.h"
 #include "sim/types.h"
 
 namespace vire::service {
@@ -80,12 +82,6 @@ class Frontend {
   virtual void track(sim::TagId tag, std::string name,
                      std::optional<std::uint32_t> zone) = 0;
 
-  /// kRecover: run checkpoint+WAL recovery now; returns the recovered
-  /// last-ack sequence. Only meaningful for implementations that journal.
-  virtual std::uint64_t recover_now() {
-    throw std::runtime_error("recovery not supported by this frontend");
-  }
-
   /// kHeartbeat: liveness + durability cursor. The default (all zeros) is a
   /// valid "alive, nothing journaled" answer.
   virtual HeartbeatInfo heartbeat() { return {}; }
@@ -101,57 +97,6 @@ class Frontend {
   /// kProvenanceDump: flight-recorder provenance of every tracked tag as
   /// JSON; nullopt when the implementation records none.
   virtual std::optional<std::string> provenance_json() { return std::nullopt; }
-
-  // -- elastic membership (wire v4) --------------------------------------
-  // Implemented by ShardedService (a shard's tag and seed state moves) and
-  // by Supervisor (admin_* drive the add/remove state machine). Defaults
-  // throw; the server surfaces that as kError, so frontends that cannot
-  // migrate state refuse cleanly instead of silently dropping tags.
-
-  /// kExportTag: atomically export and untrack one tag's engine state.
-  /// Inner nullopt: the tag held no state (never updated) — still untracked.
-  virtual std::optional<engine::TagStateSnapshot> export_tag_state(
-      sim::TagId tag) {
-    (void)tag;
-    throw std::runtime_error("tag export not supported by this frontend");
-  }
-
-  /// kImportTag: register `tag` (name from the snapshot, optional zone pin)
-  /// and adopt its exported engine state.
-  virtual void import_tag_state(sim::TagId tag,
-                                std::optional<std::uint32_t> zone,
-                                const engine::TagStateSnapshot& state) {
-    (void)tag;
-    (void)zone;
-    (void)state;
-    throw std::runtime_error("tag import not supported by this frontend");
-  }
-
-  /// kSeedExport: reference-only engine + middleware seed (tracked tags and
-  /// their state stripped) for bootstrapping a joining shard.
-  virtual std::pair<engine::EngineStateSnapshot, sim::Middleware::Snapshot>
-  seed_export() {
-    throw std::runtime_error("seed export not supported by this frontend");
-  }
-
-  /// kSeedImport: restore a reference-only seed produced by seed_export.
-  virtual void seed_import(const engine::EngineStateSnapshot& engine_seed,
-                           const sim::Middleware::Snapshot& middleware_seed) {
-    (void)engine_seed;
-    (void)middleware_seed;
-    throw std::runtime_error("seed import not supported by this frontend");
-  }
-
-  /// kAddShard: join one shard and rebalance; returns the new shard id.
-  virtual std::uint64_t admin_add_shard() {
-    throw std::runtime_error("add-shard not supported by this frontend");
-  }
-
-  /// kRemoveShard: drain and retire shard `id`; returns tags moved away.
-  virtual std::uint64_t admin_remove_shard(std::uint32_t id) {
-    (void)id;
-    throw std::runtime_error("remove-shard not supported by this frontend");
-  }
 
   /// Registry the server parks connection decoder counters in.
   [[nodiscard]] virtual obs::MetricsRegistry& metrics() = 0;

@@ -12,6 +12,9 @@
 #include <list>
 #include <stdexcept>
 
+#include "service/sharded_service.h"
+#include "service/supervisor.h"
+
 namespace vire::service {
 
 namespace {
@@ -70,7 +73,28 @@ bool send_some(int fd, std::string& pending) {
 ServiceServer::ServiceServer(Frontend& frontend, ServerConfig config)
     : frontend_(frontend), config_(std::move(config)) {}
 
+ServiceServer::ServiceServer(ShardedService& shard, ServerConfig config)
+    : frontend_(shard), shard_(&shard), config_(std::move(config)) {}
+
+ServiceServer::ServiceServer(Supervisor& supervisor, ServerConfig config)
+    : frontend_(supervisor), supervisor_(&supervisor),
+      config_(std::move(config)) {}
+
 ServiceServer::~ServiceServer() { stop(); }
+
+ShardedService& ServiceServer::shard_host() const {
+  if (shard_ == nullptr) {
+    throw std::runtime_error("shard-only request not served by this host");
+  }
+  return *shard_;
+}
+
+Supervisor& ServiceServer::supervisor_host() const {
+  if (supervisor_ == nullptr) {
+    throw std::runtime_error("supervisor-only request not served by this host");
+  }
+  return *supervisor_;
+}
 
 void ServiceServer::start() {
   if (running_) return;
@@ -322,7 +346,7 @@ void ServiceServer::handle(Connection& conn, const Frame& frame) {
           send_frame(conn, MsgType::kError, "malformed recover payload");
           return;
         }
-        send_frame(conn, MsgType::kOk, encode_u64(frontend_.recover_now()));
+        send_frame(conn, MsgType::kOk, encode_u64(shard_host().recover_now()));
         return;
       }
       case MsgType::kExportTag: {
@@ -333,7 +357,7 @@ void ServiceServer::handle(Connection& conn, const Frame& frame) {
           return;
         }
         send_frame(conn, MsgType::kTagState,
-                   encode_tag_state(frontend_.export_tag_state(*tag)));
+                   encode_tag_state(shard_host().export_tag_state(*tag)));
         return;
       }
       case MsgType::kImportTag: {
@@ -343,7 +367,8 @@ void ServiceServer::handle(Connection& conn, const Frame& frame) {
           send_frame(conn, MsgType::kError, "malformed import_tag payload");
           return;
         }
-        frontend_.import_tag_state(request->tag, request->zone, request->state);
+        shard_host().import_tag_state(request->tag, request->zone,
+                                      request->state);
         send_frame(conn, MsgType::kOk, encode_u64(0));
         return;
       }
@@ -353,7 +378,7 @@ void ServiceServer::handle(Connection& conn, const Frame& frame) {
           send_frame(conn, MsgType::kError, "malformed seed_export payload");
           return;
         }
-        auto [engine_seed, middleware_seed] = frontend_.seed_export();
+        auto [engine_seed, middleware_seed] = shard_host().seed_export();
         send_frame(conn, MsgType::kSeedState,
                    encode_seed_state({std::move(engine_seed),
                                       std::move(middleware_seed)}));
@@ -366,7 +391,7 @@ void ServiceServer::handle(Connection& conn, const Frame& frame) {
           send_frame(conn, MsgType::kError, "malformed seed_import payload");
           return;
         }
-        frontend_.seed_import(seed->engine, seed->middleware);
+        shard_host().seed_import(seed->engine, seed->middleware);
         send_frame(conn, MsgType::kOk, encode_u64(0));
         return;
       }
@@ -376,7 +401,8 @@ void ServiceServer::handle(Connection& conn, const Frame& frame) {
           send_frame(conn, MsgType::kError, "malformed add_shard payload");
           return;
         }
-        send_frame(conn, MsgType::kOk, encode_u64(frontend_.admin_add_shard()));
+        send_frame(conn, MsgType::kOk,
+                   encode_u64(supervisor_host().admin_add_shard()));
         return;
       }
       case MsgType::kRemoveShard: {
@@ -387,7 +413,7 @@ void ServiceServer::handle(Connection& conn, const Frame& frame) {
           return;
         }
         send_frame(conn, MsgType::kOk,
-                   encode_u64(frontend_.admin_remove_shard(*id)));
+                   encode_u64(supervisor_host().admin_remove_shard(*id)));
         return;
       }
       default:
@@ -398,8 +424,9 @@ void ServiceServer::handle(Connection& conn, const Frame& frame) {
         return;
     }
   } catch (const std::exception& e) {
-    // A throwing frontend (recover() precondition, shard orchestration
-    // failure) is the requester's problem, never the server's.
+    // A throwing host (recover() precondition, shard orchestration
+    // failure, a request this host does not serve) is the requester's
+    // problem, never the server's.
     send_frame(conn, MsgType::kError, e.what());
   }
 }
@@ -428,7 +455,6 @@ void ServiceServer::loop() {
         auto& conn = connections.emplace_back();
         conn.fd = fd;
         conn.decoder.attach_metrics(frontend_.metrics());
-        ++accepted_;
       }
     }
     // Walk only the connections that were polled this round; ones accepted

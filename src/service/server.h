@@ -1,19 +1,22 @@
 #pragma once
-// Unix-domain-socket front end of a service Frontend (docs/service.md).
+// Unix-domain-socket front end of a service host (docs/service.md).
 //
 // ServiceServer accepts stream connections on a UDS path and speaks the
 // wire protocol (service/wire.h): clients stream kIngest/kIngestSeq batches
 // in (fire-and-forget; the ingest frames one read delivers reach the
 // frontend as one run) and issue kPoll / kLatestFix / kExplain / kSnapshot /
-// kHeartbeat / kTrack / kSetReference / kRecover requests that each get
-// exactly one response frame. The server runs its own event-loop thread,
-// which doubles as the frontend's single driver thread — while the server
-// is running, do not call the frontend's mutating API from elsewhere
-// (snapshot exports stay safe from any thread).
+// kHeartbeat / kTrack / kSetReference / ... requests that each get exactly
+// one response frame. The server runs its own event-loop thread, which
+// doubles as the host's single driver thread — while the server is running,
+// do not call the host's mutating API from elsewhere (snapshot exports stay
+// safe from any thread).
 //
-// The same server fronts both Frontend implementations: the one-engine
-// ShardedService of a shard (vire_shardd, InProcessShardRunner) and the
-// Supervisor that coordinates a fleet of them (vire_supervisord).
+// The same server fronts both hosts: the one-engine ShardedService of a
+// shard (vire_shardd, InProcessShardRunner) and the Supervisor that
+// coordinates a fleet of them (vire_supervisord). Both serve the Frontend
+// protocol; the constructor over each typed host also serves the requests
+// only that host serves (frontend.h; docs/service.md, "Who serves what").
+// Such a request reaching a server over any other host draws kError.
 //
 // Robustness: each connection owns a FrameDecoder registered with the
 // frontend's metrics registry, so every rejected frame lands in
@@ -35,7 +38,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
-#include <cstdint>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -46,6 +48,9 @@
 
 namespace vire::service {
 
+class ShardedService;
+class Supervisor;
+
 struct ServerConfig {
   std::filesystem::path socket_path;
   /// Name returned in kHelloAck (diagnostics only).
@@ -54,9 +59,12 @@ struct ServerConfig {
 
 class ServiceServer {
  public:
-  /// The frontend must outlive the server. The socket path is (re)created on
-  /// start() and unlinked on stop().
+  /// The host must outlive the server. The socket path is (re)created on
+  /// start() and unlinked on stop(). A server over a plain Frontend serves
+  /// only the shared protocol.
   ServiceServer(Frontend& frontend, ServerConfig config);
+  ServiceServer(ShardedService& shard, ServerConfig config);
+  ServiceServer(Supervisor& supervisor, ServerConfig config);
   ~ServiceServer();
 
   ServiceServer(const ServiceServer&) = delete;
@@ -69,10 +77,6 @@ class ServiceServer {
   void stop();
 
   [[nodiscard]] bool running() const noexcept { return running_; }
-  /// Connections accepted over the server's lifetime.
-  [[nodiscard]] std::uint64_t connections_accepted() const noexcept {
-    return accepted_;
-  }
 
  private:
   struct Connection {
@@ -98,16 +102,22 @@ class ServiceServer {
   /// Handles one decoded request frame; appends its response to the outbox.
   void handle(Connection& conn, const Frame& frame);
   void send_frame(Connection& conn, MsgType type, std::string_view payload);
+  /// The typed host a host-specific request needs; throws (answered with
+  /// kError) when this server fronts another host.
+  [[nodiscard]] ShardedService& shard_host() const;
+  [[nodiscard]] Supervisor& supervisor_host() const;
   static void flush_outbox(Connection& conn);
 
   Frontend& frontend_;
+  /// The typed host behind frontend_, when it is one (else null).
+  ShardedService* shard_ = nullptr;
+  Supervisor* supervisor_ = nullptr;
   ServerConfig config_;
   int listen_fd_ = -1;
   int wake_fds_[2] = {-1, -1};  ///< self-pipe to interrupt poll() on stop
   std::thread loop_thread_;
   /// Written by start()/stop(), read by the event-loop thread.
   std::atomic<bool> running_{false};
-  std::uint64_t accepted_ = 0;
 };
 
 }  // namespace vire::service

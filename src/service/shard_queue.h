@@ -2,29 +2,28 @@
 // Bounded MPSC op queue feeding one localization shard (docs/service.md).
 //
 // The service thread enqueues ops; exactly one shard worker thread pops and
-// executes them. FIFO order is the determinism backbone: because every op a
-// shard receives is executed in enqueue order by a single consumer, a
-// shard's engine sees the same ingest/evict/update sequence regardless of
-// scheduling — bit-identical fixes at any shard count fall out of that.
+// executes them. Three kinds exist: reading batches, control closures (a
+// poll's evict + update, a heartbeat probe, a tag move, ...) and stop. FIFO
+// order is the determinism backbone: because every op a shard receives is
+// executed in enqueue order by a single consumer, a shard's engine sees the
+// same ingest/evict/update sequence regardless of scheduling — bit-identical
+// fixes at any shard count fall out of that.
 //
 // Backpressure applies to reading batches only: a producer pushing into a
 // full queue waits for room (lossless, so the stream a shard sees never
-// depends on scheduling). Control ops (evict, update, control closures,
-// stop) always enqueue: dropping an update would desync the shard from the
-// poll schedule, and blocking one could deadlock the barrier that drains
-// the queue.
+// depends on scheduling). Control closures and stop always enqueue:
+// dropping a poll's update would desync the shard from the poll schedule,
+// and blocking one could deadlock the barrier that drains the queue.
 
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <utility>
 #include <vector>
 
-#include "engine/localization_engine.h"
 #include "sim/types.h"
 
 namespace vire::service {
@@ -39,13 +38,11 @@ class ShardQueue {
   };
 
   struct Op {
-    enum class Kind : std::uint8_t { kReadings, kEvict, kUpdate, kControl, kStop };
+    enum class Kind : std::uint8_t { kReadings, kControl, kStop };
     Kind kind = Kind::kReadings;
-    std::vector<sim::RssiReading> readings;           ///< kReadings
-    std::vector<Ack> acks;                            ///< kReadings, by end
-    sim::SimTime time = 0.0;                          ///< kEvict / kUpdate
-    std::function<void()> control;                    ///< kControl
-    std::promise<std::vector<engine::Fix>> fixes;     ///< kUpdate
+    std::vector<sim::RssiReading> readings;  ///< kReadings
+    std::vector<Ack> acks;                   ///< kReadings, by end
+    std::function<void()> control;           ///< kControl
   };
 
   explicit ShardQueue(std::size_t capacity)
@@ -75,24 +72,6 @@ class ShardQueue {
     not_empty_.notify_one();
   }
 
-  void push_evict(sim::SimTime now) {
-    Op op;
-    op.kind = Op::Kind::kEvict;
-    op.time = now;
-    push_control_op(std::move(op));
-  }
-
-  /// Enqueues an update boundary; the future resolves with the shard's fixes
-  /// once the worker has executed it (or with the exception it threw).
-  std::future<std::vector<engine::Fix>> push_update(sim::SimTime now) {
-    Op op;
-    op.kind = Op::Kind::kUpdate;
-    op.time = now;
-    auto future = op.fixes.get_future();
-    push_control_op(std::move(op));
-    return future;
-  }
-
   void push_control(std::function<void()> fn) {
     Op op;
     op.kind = Op::Kind::kControl;
@@ -109,8 +88,8 @@ class ShardQueue {
 
   /// Discards every queued op (a simulated shard crash: in-flight work is
   /// lost exactly as a killed process would lose it). Returns ops discarded.
-  /// Pending update promises are broken, so waiters see an exception rather
-  /// than a hang.
+  /// A discarded closure never runs, so nothing may be waiting on one: the
+  /// queue's one producer thread is the caller.
   std::size_t discard_pending() {
     std::deque<Op> discarded;
     {
@@ -119,7 +98,7 @@ class ShardQueue {
       reading_batches_ = 0;
     }
     not_full_.notify_all();
-    return discarded.size();  // promises in `discarded` break on destruction
+    return discarded.size();
   }
 
   /// Blocks until an op is available and dequeues it (single consumer).

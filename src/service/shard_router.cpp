@@ -48,30 +48,7 @@ std::vector<std::uint32_t> ShardRouter::shards() const {
   return {members_.begin(), members_.end()};
 }
 
-void ShardRouter::pin_tag(sim::TagId tag, std::uint32_t shard) {
-  if (!has_shard(shard)) {
-    throw std::invalid_argument("ShardRouter::pin_tag: shard is not a member");
-  }
-  tag_pins_[tag] = shard;
-}
-
-void ShardRouter::pin_zone(std::uint32_t zone, std::uint32_t shard) {
-  if (!has_shard(shard)) {
-    throw std::invalid_argument("ShardRouter::pin_zone: shard is not a member");
-  }
-  zone_pins_[zone] = shard;
-}
-
-std::uint32_t ShardRouter::route(sim::TagId tag,
-                                 std::optional<std::uint32_t> zone) const {
-  if (const auto it = tag_pins_.find(tag); it != tag_pins_.end()) {
-    if (has_shard(it->second)) return it->second;
-  }
-  if (zone.has_value()) {
-    if (const auto it = zone_pins_.find(*zone); it != zone_pins_.end()) {
-      if (has_shard(it->second)) return it->second;
-    }
-  }
+std::uint32_t ShardRouter::route(sim::TagId tag) const {
   if (ring_.empty()) {
     throw std::logic_error("ShardRouter::route: no shards on the ring");
   }

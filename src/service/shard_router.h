@@ -11,19 +11,14 @@
 // the keys it owned. tests/service/shard_router_test.cpp locks both
 // properties plus a chi-square uniformity bound.
 //
-// Zone affinity overrides sit above the ring, strongest first:
-//   pin_tag(tag, shard)   — this tag always routes to `shard`;
-//   pin_zone(zone, shard) — tags tagged with `zone` route to `shard`;
-//   the ring              — everything else.
-// Zones are caller-defined (the service derives them from the
-// env::Deployment sensing area); the router only matches ids.
+// The ring is the only rule: a tag's zone is a caller's label carried on
+// the wire and in the journals, never a routing input.
 //
-// Routing is a pure function of (configuration, membership, pins), never of
-// call order — the determinism contract extends through the service layer.
+// Routing is a pure function of (configuration, membership), never of call
+// order — the determinism contract extends through the service layer.
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <set>
 #include <vector>
 
@@ -56,17 +51,9 @@ class ShardRouter {
   [[nodiscard]] std::vector<std::uint32_t> shards() const;
   [[nodiscard]] std::size_t shard_count() const noexcept { return members_.size(); }
 
-  /// Affinity overrides (see file comment for precedence). Pinning to a
-  /// non-member shard throws std::invalid_argument.
-  void pin_tag(sim::TagId tag, std::uint32_t shard);
-  void unpin_tag(sim::TagId tag) { tag_pins_.erase(tag); }
-  void pin_zone(std::uint32_t zone, std::uint32_t shard);
-  void unpin_zone(std::uint32_t zone) { zone_pins_.erase(zone); }
-
-  /// Owner of `tag`: pin_tag > pin_zone (when `zone` is provided) > ring.
-  /// Throws std::logic_error when the ring is empty.
-  [[nodiscard]] std::uint32_t route(
-      sim::TagId tag, std::optional<std::uint32_t> zone = std::nullopt) const;
+  /// Owner of `tag`: the first ring point clockwise of its hash. Throws
+  /// std::logic_error when the ring is empty.
+  [[nodiscard]] std::uint32_t route(sim::TagId tag) const;
 
   [[nodiscard]] const ShardRouterConfig& config() const noexcept { return config_; }
 
@@ -81,8 +68,6 @@ class ShardRouter {
   /// from the same pure hashes.
   std::map<std::uint64_t, std::uint32_t> ring_;
   std::set<std::uint32_t> members_;
-  std::map<sim::TagId, std::uint32_t> tag_pins_;
-  std::map<std::uint32_t, std::uint32_t> zone_pins_;
 };
 
 }  // namespace vire::service

@@ -175,21 +175,6 @@ void ShardedService::worker_loop() {
           acked_.store(op.acks.back().sequence, std::memory_order_release);
         }
         break;
-      case ShardQueue::Op::Kind::kEvict:
-        middleware_.evict_stale(op.time);
-        break;
-      case ShardQueue::Op::Kind::kUpdate:
-        try {
-          // Marker journaled BEFORE the update, mirroring the single-engine
-          // persistence protocol: a crash mid-update replays it.
-          if (wal_ != nullptr) wal_->append_update_marker(op.time);
-          auto fixes = engine_.update(middleware_, op.time);
-          maybe_checkpoint(op.time);
-          op.fixes.set_value(std::move(fixes));
-        } catch (...) {
-          op.fixes.set_exception(std::current_exception());
-        }
-        break;
       case ShardQueue::Op::Kind::kControl:
         op.control();
         break;
@@ -352,9 +337,15 @@ std::vector<engine::Fix> ShardedService::poll(sim::SimTime now,
     const auto it = replayed_.find(time_key(now));
     if (it != replayed_.end()) fixes = it->second;
   } else {
-    flush_pending();
-    queue_.push_evict(now);
-    fixes = queue_.push_update(now).get();
+    fixes = run_on_worker([&] {
+      middleware_.evict_stale(now);
+      // Marker journaled BEFORE the update, mirroring the single-engine
+      // persistence protocol: a crash mid-update replays it.
+      if (wal_ != nullptr) wal_->append_update_marker(now);
+      auto update = engine_.update(middleware_, now);
+      maybe_checkpoint(now);
+      return update;
+    });
     gated_ = false;
     replayed_.clear();
   }

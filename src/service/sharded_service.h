@@ -11,7 +11,8 @@
 //     that end in it -> bounded ShardQueue -> one worker thread:
 //     Middleware (journals to the WAL, one write per op) ->
 //     LocalizationEngine
-//   poll(now) -> evict + update on the worker -> fixes in tag order
+//   poll(now) -> one worker closure: evict, WAL update marker, update,
+//     checkpoint -> fixes in tag order
 //   latest_fix / explain / metrics -> query API
 //
 // Determinism: the queue is FIFO with a single consumer, so the engine sees
@@ -98,9 +99,9 @@ class ShardedService : public Frontend {
 
   void set_reference_ids(std::vector<sim::TagId> ids) override;
 
-  /// Registers a tag for localization. The zone is a routing hint for the
-  /// coordinator and is ignored here. Register tags before streaming
-  /// readings — registration is not journaled.
+  /// Registers a tag for localization. The zone is the caller's label and
+  /// is ignored here. Register tags before streaming readings —
+  /// registration is not journaled.
   void track(sim::TagId tag, std::string name = {},
              std::optional<std::uint32_t> zone = std::nullopt) override;
 
@@ -135,10 +136,11 @@ class ShardedService : public Frontend {
   /// Recovers after a crash (ServiceConfig::recover must be set). Call
   /// once, before any ingest/poll.
   persist::RecoveryReport recover();
-  /// Idempotent wire-facing recovery (kRecover): runs recover() when this
-  /// service was constructed for recovery and has not recovered yet, then
-  /// returns last_ack_sequence(). Safe to call on an already-live service.
-  std::uint64_t recover_now() override;
+  /// Idempotent wire-facing recovery (kRecover, served only by a shard):
+  /// runs recover() when this service was constructed for recovery and has
+  /// not recovered yet, then returns last_ack_sequence(). Safe to call on
+  /// an already-live service.
+  std::uint64_t recover_now();
 
   /// Durability cursor: highest kAck marker durably journaled (0 when none).
   /// Batches at or below it survive any crash.
@@ -160,19 +162,19 @@ class ShardedService : public Frontend {
   /// on disk for a later recovery). Only destruction may follow.
   void kill();
 
-  /// Tag state moves for the supervisor's cross-shard migration (wire v4):
+  /// Tag state moves for the supervisor's cross-shard migration, served
+  /// only by a shard (kExportTag, kImportTag, kSeedExport, kSeedImport):
   /// export_tag_state atomically exports and untracks one tag;
   /// import_tag_state registers the tag and adopts the state;
   /// seed_export/seed_import carry the reference-only seed a joining shard
   /// starts from.
-  std::optional<engine::TagStateSnapshot> export_tag_state(
-      sim::TagId tag) override;
+  std::optional<engine::TagStateSnapshot> export_tag_state(sim::TagId tag);
   void import_tag_state(sim::TagId tag, std::optional<std::uint32_t> zone,
-                        const engine::TagStateSnapshot& state) override;
-  std::pair<engine::EngineStateSnapshot, sim::Middleware::Snapshot> seed_export()
-      override;
+                        const engine::TagStateSnapshot& state);
+  std::pair<engine::EngineStateSnapshot, sim::Middleware::Snapshot>
+  seed_export();
   void seed_import(const engine::EngineStateSnapshot& engine_seed,
-                   const sim::Middleware::Snapshot& middleware_seed) override;
+                   const sim::Middleware::Snapshot& middleware_seed);
 
   /// Service-level metrics (ingest, queue, polls, recovery). The engine's
   /// own registry is exported beside it by snapshot_*.
@@ -228,8 +230,8 @@ class ShardedService : public Frontend {
   bool recovered_ = false;
 
   /// Driver-thread ingest buffer: the next kReadings op (handed over when
-  /// full, at the end of a run holding an ack, by poll() and by every
-  /// worker round trip), and the acks of the batches that end in it.
+  /// full, at the end of a run holding an ack, and by every worker round
+  /// trip, poll() included), and the acks of the batches that end in it.
   std::vector<sim::RssiReading> pending_;
   std::vector<ShardQueue::Ack> pending_acks_;
   /// Worker-thread checkpoint cadence counter.

@@ -82,7 +82,6 @@ Supervisor::Supervisor(const env::Deployment& deployment,
       config_(std::move(config)),
       clock_(clock != nullptr ? clock : &steady_clock_),
       runner_(runner),
-      router_(config_.router),
       journal_(journal_config(config_, journal_fault_hook)) {
   if (runner_ == nullptr) {
     owned_runner_ = std::make_unique<ProcessShardRunner>(
@@ -345,7 +344,7 @@ void Supervisor::ingest(std::span<const IngestBatch> run) {
           if (shard.phase == MemberPhase::kActive) parts[id].push_back(reading);
         }
       } else {
-        parts[owner_of(reading.tag)].push_back(reading);
+        parts[router_.route(reading.tag)].push_back(reading);
       }
     }
     // A shard's sub-batch must fit one kIngestSeq frame — encode_frame
@@ -518,7 +517,7 @@ std::vector<engine::Fix> Supervisor::poll(sim::SimTime now,
     entry.journal_seq = journal_.record_poll(id, now);
     push_oplog(shard, std::move(entry));
     for (const auto& [tag, info] : tags_) {
-      if (owner_of(tag) != id) continue;
+      if (router_.route(tag) != id) continue;
       const auto it = latest_.find(tag);
       if (it == latest_.end()) continue;  // never fixed: nothing to hold
       engine::Fix held = it->second;
@@ -567,7 +566,7 @@ std::optional<engine::Fix> Supervisor::latest_fix(sim::TagId tag) const {
 
 std::optional<std::string> Supervisor::explain_json(sim::TagId tag) {
   std::lock_guard lock(mutex_);
-  const auto it = shards_.find(owner_of(tag));
+  const auto it = shards_.find(router_.route(tag));
   if (it == shards_.end()) return std::nullopt;
   auto result = with_shard(
       it->second, [tag](ServiceClient& c) { return c.explain(tag); });
@@ -668,7 +667,7 @@ void Supervisor::track(sim::TagId tag, std::string name,
   info.name = std::move(name);
   info.zone = zone;
   journal_.record_track(tag, info.name, info.zone);
-  ManagedShard& shard = shards_.at(owner_of(tag));
+  ManagedShard& shard = shards_.at(router_.route(tag));
   if (shard.state != ShardState::kUp || shard.client == nullptr) return;
   try {
     shard.client->track(TrackRequest{tag, info.name, info.zone});
@@ -821,12 +820,6 @@ void Supervisor::checkpoint_now() {
 // ---------------------------------------------------------------------------
 // Routing
 
-std::uint32_t Supervisor::owner_of(sim::TagId tag) const {
-  const auto it = tags_.find(tag);
-  return router_.route(tag,
-                       it != tags_.end() ? it->second.zone : std::nullopt);
-}
-
 bool Supervisor::is_reference(sim::TagId tag) const {
   return std::find(reference_ids_.begin(), reference_ids_.end(), tag) !=
          reference_ids_.end();
@@ -944,7 +937,7 @@ bool Supervisor::bring_up(ManagedShard& shard) {
       shard.client->set_reference_ids(reference_ids_);
     }
     for (const auto& [tag, info] : tags_) {
-      if (owner_of(tag) != shard.id) continue;
+      if (router_.route(tag) != shard.id) continue;
       shard.client->track(TrackRequest{tag, info.name, info.zone});
     }
     observe_ack(shard, shard.client->recover_now());
@@ -1370,7 +1363,7 @@ void Supervisor::complete_join(ManagedShard& fresh) {
   std::map<sim::TagId, std::uint32_t> old_owner;
   for (const auto& [tag, info] : tags_) {
     if (is_reference(tag)) continue;
-    old_owner[tag] = owner_of(tag);
+    old_owner[tag] = router_.route(tag);
   }
   // Seed the newcomer with the fleet's broadcast state (reference tags,
   // reader health, grids) from any reachable active donor, so its engine
@@ -1385,7 +1378,7 @@ void Supervisor::complete_join(ManagedShard& fresh) {
   router_.add_shard(fresh.id);
   std::uint64_t moved = 0;
   for (const auto& [tag, owner] : old_owner) {
-    const std::uint32_t now_owner = owner_of(tag);
+    const std::uint32_t now_owner = router_.route(tag);
     if (now_owner == owner) continue;
     migrate_tag_cross(tag, owner, now_owner);
     ++moved;
@@ -1406,12 +1399,12 @@ std::uint64_t Supervisor::drain_shard(ManagedShard& shard, bool in_router) {
   std::map<sim::TagId, std::uint32_t> old_owner;
   for (const auto& [tag, info] : tags_) {
     if (is_reference(tag)) continue;
-    old_owner[tag] = owner_of(tag);
+    old_owner[tag] = router_.route(tag);
   }
   router_.remove_shard(shard.id);
   std::uint64_t moved = 0;
   for (const auto& [tag, owner] : old_owner) {
-    const std::uint32_t now_owner = owner_of(tag);
+    const std::uint32_t now_owner = router_.route(tag);
     if (now_owner == owner) continue;
     migrate_tag_cross(tag, owner, now_owner);
     ++moved;

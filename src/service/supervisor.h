@@ -107,8 +107,6 @@ struct SupervisorConfig {
   double middleware_window_s = 10.0;
   int checkpoint_every_updates = 8;
 
-  ShardRouterConfig router;
-
   /// Extra attempts a forwarded request gets after a transport failure
   /// (each attempt revives the shard first when possible).
   int request_retries = 2;
@@ -230,14 +228,14 @@ class Supervisor : public Frontend {
   /// {"fleet":[{"shard":N,"provenance":{...}},...]} — explain_fix-style
   /// introspection against a live fleet through one connection.
   std::optional<std::string> provenance_json() override;
-  /// Live membership (wire kAddShard/kRemoveShard): spawn + seed + migrate a
-  /// new shard process into the fleet, returning its id; or drain shard `id`
-  /// (WAL-suffix migration of every tag it owns) and retire its process,
-  /// returning the number of tags moved. Both journal the state machine
-  /// (joining -> active -> draining) so an interrupted change resumes after
-  /// a supervisor restart.
-  std::uint64_t admin_add_shard() override;
-  std::uint64_t admin_remove_shard(std::uint32_t id) override;
+  /// Live membership (kAddShard/kRemoveShard, served only by a supervisor):
+  /// spawn + seed + migrate a new shard process into the fleet, returning
+  /// its id; or drain shard `id` (WAL-suffix migration of every tag it owns)
+  /// and retire its process, returning the number of tags moved. Both
+  /// journal the state machine (joining -> active -> draining) so an
+  /// interrupted change resumes after a supervisor restart.
+  std::uint64_t admin_add_shard();
+  std::uint64_t admin_remove_shard(std::uint32_t id);
   [[nodiscard]] obs::MetricsRegistry& metrics() noexcept override {
     return metrics_;
   }
@@ -327,7 +325,6 @@ class Supervisor : public Frontend {
     std::map<std::uint64_t, double> pending_batches;
   };
 
-  [[nodiscard]] std::uint32_t owner_of(sim::TagId tag) const;
   [[nodiscard]] bool is_reference(sim::TagId tag) const;
 
   /// Builds a ManagedShard record (paths + lazily-registered per-shard

@@ -65,7 +65,7 @@ enum class MsgType : std::uint8_t {
   kHello = 6,     ///< version handshake; kHelloAck, or kError + close on skew
   kHeartbeat = 7, ///< liveness probe; responds kHeartbeatAck
   kIngestSeq = 8, ///< sequenced reading batch; fire-and-forget, acked via WAL
-  kTrack = 9,     ///< register one tag (name + optional zone pin); kOk
+  kTrack = 9,     ///< register one tag (name + optional zone label); kOk
   kSetReference = 10, ///< declare the reference-tag id set; responds kOk
   kRecover = 11,  ///< run checkpoint+WAL recovery now; kOk(u64 last_ack)
   kTraceDump = 12,      ///< pull the span ring (u32 max events); kTraceDumpReply

@@ -1,13 +1,14 @@
 // The service's core acceptance bar: merged poll() output is fix-for-fix
 // BIT-IDENTICAL to a single-engine run over the same reading stream and
-// poll schedule, at any shard count — including
-// after a shard crash+recovery, live add/remove-shard rebalances and a
-// supervisor that disappears mid-stream and is replaced. The multi-shard
-// cases run a Supervisor over an InProcessShardRunner (every shard a
-// one-engine ShardedService behind a server thread), so nothing forks and
-// the whole suite runs under TSan. The one-engine host's own recovery —
-// construct-with-recover plus a whole-stream re-feed, after a clean drop
-// and after a fork+SIGKILL — is checked directly.
+// poll schedule, at any shard count — including after a shard
+// crash+recovery, live add/remove-shard rebalances (called directly and
+// sent over the wire) and a supervisor that disappears mid-stream and is
+// replaced; a request only one host serves draws kError from the other.
+// The multi-shard cases run a Supervisor over an InProcessShardRunner
+// (every shard a one-engine ShardedService behind a server thread), so
+// nothing forks and the whole suite runs under TSan. The one-engine host's
+// own recovery — construct-with-recover plus a whole-stream re-feed, after
+// a clean drop and after a fork+SIGKILL — is checked directly.
 //
 // Harness: one simulator run is captured through a ReadingRecorder into
 // per-segment reading batches (warmup, then one segment per poll interval);
@@ -23,6 +24,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <memory>
@@ -35,6 +37,8 @@
 #include "engine/localization_engine.h"
 #include "env/environment.h"
 #include "fault/disk_fault.h"
+#include "service/client.h"
+#include "service/server.h"
 #include "service/shard_runner.h"
 #include "service/sharded_service.h"
 #include "service/supervisor.h"
@@ -138,6 +142,13 @@ fs::path fresh_root(const std::string& name) {
   return root;
 }
 
+/// Room for a supervisor's admin round trip under a sanitizer.
+ClientConfig patient_client() {
+  ClientConfig config;
+  config.read_timeout_s = 60.0;
+  return config;
+}
+
 SupervisorConfig fleet_config(const fs::path& root, int shards) {
   SupervisorConfig config;
   config.shards = shards;
@@ -239,7 +250,7 @@ TEST(ShardEquivalenceTest, KilledShardRecoversBitIdentically) {
 
   constexpr int kCrashAfterPoll = 5;
   const std::uint32_t victim =
-      fleet->router().route(capture.tracked[0].first, std::nullopt);
+      fleet->router().route(capture.tracked[0].first);
   fleet->ingest(capture.segments[0]);
   for (int poll = 0; poll < kPolls; ++poll) {
     fleet->ingest(capture.segments[static_cast<std::size_t>(poll) + 1]);
@@ -366,7 +377,7 @@ TEST(ShardEquivalenceTest, MissedPollsAndLaterBatchesReplayInOrder) {
   config.heartbeat_timeout_s = 1e9;
   auto fleet = make_fleet(capture, config, runner, &clock);
   const std::uint32_t victim =
-      fleet->router().route(capture.tracked[0].first, std::nullopt);
+      fleet->router().route(capture.tracked[0].first);
 
   fleet->ingest(capture.segments[0]);
   for (int poll = 0; poll < kPolls; ++poll) {
@@ -527,27 +538,113 @@ TEST(ShardEquivalenceTest, TornWalTailIsCountedOnce) {
 }
 
 TEST(ShardEquivalenceTest, LiveRebalanceKeepsBitIdentity) {
+  // The same stream, add and remove twice: called on the supervisor, and
+  // sent through a ServiceClient to a ServiceServer over it (kIngest,
+  // kPoll, kAddShard, kRemoveShard), whose thread then drives it alone.
   const Capture& capture = shared_capture();
-  const fs::path root = fresh_root("vire_equivalence_rebalance");
+  for (const bool over_wire : {false, true}) {
+    SCOPED_TRACE(over_wire ? "over the wire" : "direct");
+    const fs::path root = fresh_root("vire_equivalence_rebalance");
+    InProcessShardRunner runner;
+    auto fleet = make_fleet(capture, fleet_config(root, 2), runner);
+    ServerConfig server_config;
+    server_config.socket_path = root / "supervisor.sock";
+    ServiceServer server(*fleet, server_config);
+    std::unique_ptr<ServiceClient> client;
+    if (over_wire) {
+      server.start();
+      client = std::make_unique<ServiceClient>(server_config.socket_path,
+                                               patient_client());
+    }
+    const auto ingest = [&](const std::vector<sim::RssiReading>& readings) {
+      if (client) {
+        client->stream(readings);
+      } else {
+        fleet->ingest(readings);
+      }
+    };
+
+    std::uint32_t added = 0;
+    ingest(capture.segments[0]);
+    for (int poll = 0; poll < kPolls; ++poll) {
+      ingest(capture.segments[static_cast<std::size_t>(poll) + 1]);
+      const sim::SimTime now = capture.poll_times[poll];
+      const auto fixes = client ? client->poll(now) : fleet->poll(now);
+      expect_poll_identical(fixes, capture.golden[poll], poll);
+      if (poll == 3) {
+        added = static_cast<std::uint32_t>(client ? client->add_shard()
+                                                  : fleet->admin_add_shard());
+        EXPECT_EQ(fleet->shard_count(), 3u);
+      }
+      if (poll == 7) {
+        // Zero moved tags is legal.
+        (void)(client ? client->remove_shard(added)
+                      : fleet->admin_remove_shard(added));
+        EXPECT_EQ(fleet->shard_count(), 2u);
+        EXPECT_TRUE(runner.exited(added));
+      }
+    }
+    client.reset();
+    server.stop();
+    fleet->stop();
+    fs::remove_all(root);
+  }
+}
+
+/// Sends a request its host does not serve: it must draw kError (the
+/// client's std::runtime_error), not cost the connection, so the next
+/// heartbeat on it is still answered.
+void expect_refused(ServiceClient& client, const char* what,
+                    const std::function<void()>& request) {
+  SCOPED_TRACE(what);
+  static std::uint64_t probe = 0;
+  try {
+    request();
+    ADD_FAILURE() << "served";
+  } catch (const TransportError& e) {
+    ADD_FAILURE() << "connection failed: " << e.what();
+    return;
+  } catch (const std::runtime_error&) {
+  }
+  ++probe;
+  EXPECT_EQ(client.heartbeat(probe).seq, probe);
+}
+
+TEST(ShardEquivalenceTest, HostSpecificRequestsAreRefusedOnTheOtherHost) {
+  const Capture& capture = shared_capture();
+  const fs::path root = fresh_root("vire_equivalence_wrong_host");
   InProcessShardRunner runner;
   auto fleet = make_fleet(capture, fleet_config(root, 2), runner);
+  auto host = make_host(capture, root / "host");
+  ServerConfig supervisor_config;
+  supervisor_config.socket_path = root / "supervisor.sock";
+  ServiceServer supervisor_server(*fleet, supervisor_config);
+  supervisor_server.start();
+  ServerConfig host_config;
+  host_config.socket_path = root / "host.sock";
+  ServiceServer host_server(*host, host_config);
+  host_server.start();
 
-  std::uint32_t added = 0;
-  fleet->ingest(capture.segments[0]);
-  for (int poll = 0; poll < kPolls; ++poll) {
-    fleet->ingest(capture.segments[static_cast<std::size_t>(poll) + 1]);
-    const auto fixes = fleet->poll(capture.poll_times[poll]);
-    expect_poll_identical(fixes, capture.golden[poll], poll);
-    if (poll == 3) {
-      added = static_cast<std::uint32_t>(fleet->admin_add_shard());
-      EXPECT_EQ(fleet->shard_count(), 3u);
-    }
-    if (poll == 7) {
-      (void)fleet->admin_remove_shard(added);  // zero moved tags is legal
-      EXPECT_EQ(fleet->shard_count(), 2u);
-      EXPECT_TRUE(runner.exited(added));
-    }
+  {
+    ServiceClient to_supervisor(supervisor_config.socket_path,
+                                patient_client());
+    const sim::TagId tag = capture.tracked[0].first;
+    expect_refused(to_supervisor, "kRecover",
+                   [&] { (void)to_supervisor.recover_now(); });
+    expect_refused(to_supervisor, "kExportTag",
+                   [&] { (void)to_supervisor.export_tag_state(tag); });
+    expect_refused(to_supervisor, "kSeedExport",
+                   [&] { (void)to_supervisor.seed_export(); });
+
+    ServiceClient to_host(host_config.socket_path, patient_client());
+    expect_refused(to_host, "kAddShard", [&] { (void)to_host.add_shard(); });
+    expect_refused(to_host, "kRemoveShard",
+                   [&] { (void)to_host.remove_shard(0); });
   }
+  EXPECT_EQ(fleet->shard_count(), 2u);
+  host_server.stop();
+  supervisor_server.stop();
+  host.reset();
   fleet->stop();
   fs::remove_all(root);
 }
@@ -564,9 +661,9 @@ TEST(ShardEquivalenceTest, RebalanceMovesTagStateExactly) {
     (void)fleet->poll(capture.poll_times[poll]);
   }
   const sim::TagId tag = capture.tracked[1].first;
-  const std::uint32_t owner = fleet->router().route(tag, std::nullopt);
+  const std::uint32_t owner = fleet->router().route(tag);
   EXPECT_GE(fleet->admin_remove_shard(owner), 1u);
-  EXPECT_NE(fleet->router().route(tag, std::nullopt), owner);
+  EXPECT_NE(fleet->router().route(tag), owner);
   for (int poll = 5; poll < kPolls; ++poll) {
     fleet->ingest(capture.segments[static_cast<std::size_t>(poll) + 1]);
     const auto fixes = fleet->poll(capture.poll_times[poll]);
@@ -824,7 +921,7 @@ TEST(ShardEquivalenceTest, IngestRunMeetingADeadShardReplaysEachBatchOnce) {
   ManualClock clock;
   auto fleet = make_fleet(capture, fleet_config(root, 2), runner, &clock);
   const std::uint32_t victim =
-      fleet->router().route(capture.tracked[0].first, std::nullopt);
+      fleet->router().route(capture.tracked[0].first);
 
   fleet->ingest(capture.segments[0]);
   fleet->ingest(capture.segments[1]);
@@ -841,7 +938,7 @@ TEST(ShardEquivalenceTest, IngestRunMeetingADeadShardReplaysEachBatchOnce) {
       return std::find(capture.reference_ids.begin(),
                        capture.reference_ids.end(),
                        r.tag) != capture.reference_ids.end() ||
-             fleet->router().route(r.tag, std::nullopt) == victim;
+             fleet->router().route(r.tag) == victim;
     });
   }
   ASSERT_GT(victim_batches, 1u);

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <future>
 #include <thread>
 #include <vector>
 
@@ -20,19 +19,22 @@ sim::RssiReading reading(sim::TagId tag) {
 
 TEST(ShardQueueTest, PopsInFifoOrder) {
   ShardQueue queue(16);
+  std::vector<int> ran;
   queue.push_readings({reading(1)});
-  queue.push_evict(2.0);
+  queue.push_control([&] { ran.push_back(2); });
   queue.push_readings({reading(3)});
-  auto f = queue.push_update(4.0);
+  queue.push_control([&] { ran.push_back(4); });
   EXPECT_EQ(queue.pop().kind, ShardQueue::Op::Kind::kReadings);
-  EXPECT_EQ(queue.pop().kind, ShardQueue::Op::Kind::kEvict);
   auto op = queue.pop();
+  ASSERT_EQ(op.kind, ShardQueue::Op::Kind::kControl);
+  op.control();
+  op = queue.pop();
   ASSERT_EQ(op.kind, ShardQueue::Op::Kind::kReadings);
   EXPECT_EQ(op.readings[0].tag, 3u);
   op = queue.pop();
-  ASSERT_EQ(op.kind, ShardQueue::Op::Kind::kUpdate);
-  op.fixes.set_value({});
-  EXPECT_EQ(f.get().size(), 0u);
+  ASSERT_EQ(op.kind, ShardQueue::Op::Kind::kControl);
+  op.control();
+  EXPECT_EQ(ran, (std::vector<int>{2, 4}));
 }
 
 TEST(ShardQueueTest, FullQueueWaitsForRoomAndCounts) {
@@ -54,25 +56,29 @@ TEST(ShardQueueTest, ControlOpsBypassCapacity) {
   ShardQueue queue(1);
   queue.push_readings({reading(1)});
   // None of these may block despite the full queue.
-  queue.push_evict(1.0);
-  auto f = queue.push_update(2.0);
+  queue.push_control([] {});
   queue.push_control([] {});
   queue.push_stop();
-  EXPECT_EQ(queue.depth(), 5u);
+  EXPECT_EQ(queue.depth(), 4u);
   EXPECT_EQ(queue.blocked(), 0u);
-  (void)queue.pop();
-  (void)queue.pop();
-  queue.pop().fixes.set_value({});
-  (void)f.get();
+  EXPECT_EQ(queue.pop().kind, ShardQueue::Op::Kind::kReadings);
+  EXPECT_EQ(queue.pop().kind, ShardQueue::Op::Kind::kControl);
+  EXPECT_EQ(queue.pop().kind, ShardQueue::Op::Kind::kControl);
+  EXPECT_EQ(queue.pop().kind, ShardQueue::Op::Kind::kStop);
 }
 
-TEST(ShardQueueTest, DiscardPendingBreaksUpdatePromises) {
-  ShardQueue queue(8);
+TEST(ShardQueueTest, DiscardPendingDropsEveryOpAndFreesRoom) {
+  ShardQueue queue(1);
+  bool ran = false;
   queue.push_readings({reading(1)});
-  auto f = queue.push_update(1.0);
+  queue.push_control([&] { ran = true; });
   EXPECT_EQ(queue.discard_pending(), 2u);
   EXPECT_EQ(queue.depth(), 0u);
-  EXPECT_THROW(f.get(), std::future_error) << "waiter must not hang";
+  // The discarded batch no longer counts against the capacity.
+  queue.push_readings({reading(2)});
+  EXPECT_EQ(queue.blocked(), 0u);
+  EXPECT_EQ(queue.pop().readings[0].tag, 2u);
+  EXPECT_FALSE(ran);
 }
 
 TEST(ShardQueueTest, HighWaterTracksDeepestQueue) {

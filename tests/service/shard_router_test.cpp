@@ -1,6 +1,5 @@
-// Property tests for the consistent-hash ShardRouter (ISSUE 7 satellite):
-// distribution uniformity, minimal movement on membership change, and
-// affinity precedence.
+// Property tests for the consistent-hash ShardRouter: distribution
+// uniformity and minimal movement on membership change.
 
 #include "service/shard_router.h"
 
@@ -40,7 +39,7 @@ ShardRouter make_router(int shards, int virtual_nodes = 64) {
 
 TEST(ShardRouterTest, EmptyRingThrows) {
   ShardRouter router;
-  EXPECT_THROW((void)router.route(1, std::nullopt), std::logic_error);
+  EXPECT_THROW((void)router.route(1), std::logic_error);
 }
 
 TEST(ShardRouterTest, InvalidVirtualNodesThrows) {
@@ -53,7 +52,7 @@ TEST(ShardRouterTest, RoutingIsDeterministic) {
   auto a = make_router(4);
   auto b = make_router(4);
   for (const auto id : fuzz_ids(1000)) {
-    EXPECT_EQ(a.route(id, std::nullopt), b.route(id, std::nullopt));
+    EXPECT_EQ(a.route(id), b.route(id));
   }
 }
 
@@ -70,7 +69,7 @@ TEST(ShardRouterTest, DistributionIsUniformChiSquare) {
   constexpr std::size_t kKeys = 100000;
   auto router = make_router(kShards, /*virtual_nodes=*/512);
   std::map<std::uint32_t, double> counts;
-  for (const auto id : fuzz_ids(kKeys)) counts[router.route(id, std::nullopt)] += 1;
+  for (const auto id : fuzz_ids(kKeys)) counts[router.route(id)] += 1;
   ASSERT_EQ(counts.size(), kShards) << "some shard owns no keys at all";
   const double expected = static_cast<double>(kKeys) / kShards;
   double chi2 = 0.0;
@@ -85,7 +84,7 @@ TEST(ShardRouterTest, DistributionIsUniformChiSquare) {
   auto coarse = make_router(kShards);
   std::map<std::uint32_t, double> coarse_counts;
   for (const auto id : fuzz_ids(kKeys)) {
-    coarse_counts[coarse.route(id, std::nullopt)] += 1;
+    coarse_counts[coarse.route(id)] += 1;
   }
   ASSERT_EQ(coarse_counts.size(), kShards);
   for (const auto& [shard, observed] : coarse_counts) {
@@ -100,12 +99,12 @@ TEST(ShardRouterTest, AddShardMovesOnlyOntoNewShardAndFewKeys) {
   auto router = make_router(kShards);
   const auto ids = fuzz_ids(kKeys);
   std::map<sim::TagId, std::uint32_t> before;
-  for (const auto id : ids) before[id] = router.route(id, std::nullopt);
+  for (const auto id : ids) before[id] = router.route(id);
 
   router.add_shard(kShards);
   std::size_t moved = 0;
   for (const auto id : ids) {
-    const auto now = router.route(id, std::nullopt);
+    const auto now = router.route(id);
     if (now != before.at(id)) {
       // Exact consistent-hash property: a key only ever moves ONTO the
       // added shard; keys between untouched ring points cannot move.
@@ -123,13 +122,13 @@ TEST(ShardRouterTest, RemoveShardMovesOnlyRemovedShardsKeys) {
   auto router = make_router(4);
   const auto ids = fuzz_ids(kKeys);
   std::map<sim::TagId, std::uint32_t> before;
-  for (const auto id : ids) before[id] = router.route(id, std::nullopt);
+  for (const auto id : ids) before[id] = router.route(id);
 
   constexpr std::uint32_t kRemoved = 2;
   router.remove_shard(kRemoved);
   EXPECT_FALSE(router.has_shard(kRemoved));
   for (const auto id : ids) {
-    const auto now = router.route(id, std::nullopt);
+    const auto now = router.route(id);
     if (before.at(id) == kRemoved) {
       EXPECT_NE(now, kRemoved);
     } else {
@@ -137,40 +136,6 @@ TEST(ShardRouterTest, RemoveShardMovesOnlyRemovedShardsKeys) {
       EXPECT_EQ(now, before.at(id));
     }
   }
-}
-
-TEST(ShardRouterTest, PinPrecedenceTagOverZoneOverRing) {
-  auto router = make_router(4);
-  const sim::TagId tag = 77;
-  const auto ring_owner = router.route(tag, 1);
-
-  router.pin_zone(1, (ring_owner + 1) % 4);
-  EXPECT_EQ(router.route(tag, 1), (ring_owner + 1) % 4);
-  // A tag without that zone is untouched by the zone pin.
-  EXPECT_EQ(router.route(tag, std::nullopt), ring_owner);
-
-  router.pin_tag(tag, (ring_owner + 2) % 4);
-  EXPECT_EQ(router.route(tag, 1), (ring_owner + 2) % 4) << "tag pin beats zone pin";
-
-  router.unpin_tag(tag);
-  EXPECT_EQ(router.route(tag, 1), (ring_owner + 1) % 4);
-  router.unpin_zone(1);
-  EXPECT_EQ(router.route(tag, 1), ring_owner);
-}
-
-TEST(ShardRouterTest, PinToUnknownShardThrows) {
-  auto router = make_router(2);
-  EXPECT_THROW(router.pin_tag(1, 9), std::invalid_argument);
-  EXPECT_THROW(router.pin_zone(0, 9), std::invalid_argument);
-}
-
-TEST(ShardRouterTest, StalePinFallsBackToRing) {
-  auto router = make_router(3);
-  router.pin_tag(5, 2);
-  router.remove_shard(2);
-  const auto owner = router.route(5, std::nullopt);
-  EXPECT_TRUE(router.has_shard(owner));
-  EXPECT_NE(owner, 2u);
 }
 
 }  // namespace
