@@ -1,9 +1,18 @@
 // Performance: batch localization throughput of one serial
 // LocalizationEngine. One simulated testbed, a fleet of static tags, and
-// repeated update() rounds against a fixed middleware snapshot — so after
-// the first round the unchanged-reference skip keeps the virtual grid
-// cached and the measurement isolates the per-tag locates, which are the
-// server's hot path. Fleets scale by shard processes, not inside the engine.
+// repeated update() rounds with the virtual grid built once and then cached
+// (a long refresh interval), so the measurement isolates the per-tag work,
+// which is the server's hot path. Fleets scale by shard processes, not
+// inside the engine.
+//
+// The engine skips a tag's locate when neither the grid nor the tag's RSSI
+// bits changed since its last one (docs/algorithm.md, "Reused locates").
+// The gated rate, tags_per_sec, therefore alternates two middleware windows
+// taken 5 simulated seconds apart, so that every tag's vector changes and
+// every round runs every locate; the bench exits non-zero if any of those
+// rounds reused a locate. tags_per_sec_reused then repeats rounds on one
+// window, where every locate is reused: the cost of the per-tag wrapper
+// alone.
 //
 // Then it times every tag's locate on its own and splits the cost between
 // intersection locates and those that fall back to the union of the reader
@@ -19,6 +28,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -80,7 +90,9 @@ int main() {
   }
   simulator.run_for(40.0);
   const sim::SimTime now = simulator.now();
-  const sim::Middleware& middleware = simulator.middleware();
+  const sim::Middleware middleware = simulator.middleware();
+  simulator.run_for(5.0);
+  const sim::Middleware next_window = simulator.middleware();
 
   obs::BenchReport report;
   report.name = "perf_engine_batch";
@@ -96,18 +108,48 @@ int main() {
   engine::LocalizationEngine engine(deployment, config);
   engine.set_reference_ids(reference_ids);
   for (const auto id : tags) engine.track(id);
+  const obs::Counter& reused =
+      engine.metrics().counter("vire_engine_locates_reused_total", {});
 
-  (void)engine.update(middleware, now);  // warm-up: builds the grid
-  const auto start = std::chrono::steady_clock::now();
-  for (int r = 0; r < rounds; ++r) (void)engine.update(middleware, now);
-  const auto stop = std::chrono::steady_clock::now();
-  const double seconds = std::chrono::duration<double>(stop - start).count();
-  const double mean_update_ms = 1e3 * seconds / rounds;
-  const double tags_per_sec =
-      static_cast<double>(tag_count) * rounds / std::max(1e-12, seconds);
-  std::printf("%16s %14s\n", "mean update ms", "tags/sec");
-  std::printf("%16.3f %14.0f\n", mean_update_ms, tags_per_sec);
+  // Each phase's update times advance by one second a round; they only feed
+  // the trackers and the health monitor, never the cached grid.
+  sim::SimTime t = now;
+  (void)engine.update(middleware, t);  // warm-up: builds the grid
+  struct Phase {
+    double seconds = 0.0;
+    std::uint64_t reused = 0;
+  };
+  const auto run_phase = [&](bool alternate) {
+    const std::uint64_t reused_before = reused.value();
+    const auto start = std::chrono::steady_clock::now();
+    for (int r = 0; r < rounds; ++r) {
+      t += 1.0;
+      (void)engine.update(alternate && r % 2 == 0 ? next_window : middleware, t);
+    }
+    const auto stop = std::chrono::steady_clock::now();
+    return Phase{std::chrono::duration<double>(stop - start).count(),
+                 reused.value() - reused_before};
+  };
+  const Phase fresh = run_phase(true);
+  if (rounds % 2 == 1) (void)engine.update(middleware, t += 1.0);
+  const Phase repeat = run_phase(false);
+
+  const auto rate = [&](const Phase& phase) {
+    return static_cast<double>(tag_count) * rounds / std::max(1e-12, phase.seconds);
+  };
+  const double mean_update_ms = 1e3 * fresh.seconds / rounds;
+  const double tags_per_sec = rate(fresh);
+  const double tags_per_sec_reused = rate(repeat);
+  std::printf("%-26s %16s %14s %16s\n", "rounds", "mean update ms", "tags/sec",
+              "locates reused");
+  std::printf("%-26s %16.3f %14.0f %16llu\n", "alternating windows (gated)",
+              mean_update_ms, tags_per_sec,
+              static_cast<unsigned long long>(fresh.reused));
+  std::printf("%-26s %16.3f %14.0f %16llu\n", "one window (all reused)",
+              1e3 * repeat.seconds / rounds, tags_per_sec_reused,
+              static_cast<unsigned long long>(repeat.reused));
   report.results.emplace_back("tags_per_sec", tags_per_sec);
+  report.results.emplace_back("tags_per_sec_reused", tags_per_sec_reused);
   report.throughput = tags_per_sec;
 
   // Per-locate cost split. Elimination falls back to the union of the reader
@@ -179,6 +221,12 @@ int main() {
   const auto json_path = obs::write_bench_report(report);
   std::printf("\nCSV written to bench_out/perf_engine_batch.csv\n");
   std::printf("JSON report written to %s\n", json_path.string().c_str());
+  if (fresh.reused != 0) {
+    std::printf(
+        "\nLOCATES REUSED in the alternating rounds: tags_per_sec does not price\n"
+        "every locate. The two windows must differ for every tag.\n");
+    return 1;
+  }
   if (fallback_us.empty()) {
     std::printf(
         "\nNO UNION-FALLBACK LOCATE in this batch: the throughput above does not\n"

@@ -1,6 +1,9 @@
 #include "engine/localization_engine.h"
 
+#include <algorithm>
 #include <cmath>
+#include <bit>
+#include <cstdint>
 #include <exception>
 #include <limits>
 #include <stdexcept>
@@ -31,6 +34,33 @@ bool same_readings(const std::vector<sim::RssiVector>& a,
   return true;
 }
 
+/// Bit equality of two RSSI vectors. Unlike ==, NaN matches the same NaN and
+/// -0 does not match +0, so equal bits mean locate_summary() sees the same
+/// input.
+bool same_bits(const sim::RssiVector& a, const sim::RssiVector& b) noexcept {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(), [](double x, double y) {
+    return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+  });
+}
+
+/// The first slot whose id is not below `id`, in slots sorted by id.
+template <typename Slots>
+auto slot_bound(Slots& slots, sim::TagId id) {
+  return std::lower_bound(slots.begin(), slots.end(), id,
+                          [](const auto& slot, sim::TagId key) { return slot.id < key; });
+}
+
+/// The slot of `id`, inserted with only its id set when absent.
+template <typename Slot>
+Slot& insert_slot(std::vector<Slot>& slots, sim::TagId id) {
+  auto it = slot_bound(slots, id);
+  if (it == slots.end() || it->id != id) {
+    it = slots.insert(it, Slot{});
+    it->id = id;
+  }
+  return *it;
+}
+
 /// Blanks quarantined readers' entries out of an RSSI vector. NaN is exactly
 /// "not detected", which every downstream consumer (elimination, LANDMARC
 /// signal distance, the grid interpolation) already skips.
@@ -42,20 +72,6 @@ void apply_mask(sim::RssiVector& rssi, const std::vector<bool>& mask) {
 }
 
 }  // namespace
-
-std::string_view to_string(FixQuality q) noexcept {
-  switch (q) {
-    case FixQuality::kOk:
-      return "ok";
-    case FixQuality::kDegraded:
-      return "degraded";
-    case FixQuality::kHold:
-      return "hold";
-    case FixQuality::kInvalid:
-      return "invalid";
-  }
-  return "invalid";
-}
 
 LocalizationEngine::LocalizationEngine(const env::Deployment& deployment,
                                        EngineConfig config)
@@ -91,6 +107,10 @@ LocalizationEngine::LocalizationEngine(const env::Deployment& deployment,
   inst_.fallback_locates = &metrics_.counter(
       "vire_engine_fallback_locates_total", {},
       "Fixes produced by the LANDMARC k-NN fallback path");
+  inst_.locates_reused = &metrics_.counter(
+      "vire_engine_locates_reused_total", {},
+      "VIRE locates answered from the tag's memo: the same grid generation and "
+      "the same RSSI bits as the tag's previous locate");
   inst_.grid_rebuilds = &metrics_.counter(
       "vire_engine_grid_rebuilds_total", {},
       "Virtual-grid rebuilds from fresh reference readings");
@@ -159,60 +179,63 @@ void LocalizationEngine::set_reference_ids(std::vector<sim::TagId> ids) {
   last_reference_rssi_.clear();  // readings of old ids are not comparable
 }
 
+LocalizationEngine::TagState* LocalizationEngine::find_tag(sim::TagId id) noexcept {
+  const auto it = slot_bound(tags_, id);
+  return it != tags_.end() && it->id == id ? &*it : nullptr;
+}
+
+const LocalizationEngine::TagState* LocalizationEngine::find_tag(
+    sim::TagId id) const noexcept {
+  return const_cast<LocalizationEngine*>(this)->find_tag(id);
+}
+
 void LocalizationEngine::track(sim::TagId id, std::string name) {
-  tracked_[id] = name.empty() ? "tag-" + std::to_string(id) : std::move(name);
+  insert_slot(tags_, id).name = name.empty() ? "tag-" + std::to_string(id) : std::move(name);
 }
 
 void LocalizationEngine::untrack(sim::TagId id) {
-  tracked_.erase(id);
-  trackers_.erase(id);
-  last_good_.erase(id);
-  last_quality_.erase(id);
+  if (const TagState* slot = find_tag(id)) {
+    tags_.erase(tags_.begin() + (slot - tags_.data()));
+  }
 }
 
 std::optional<TagStateSnapshot> LocalizationEngine::export_tag(sim::TagId id) const {
-  const auto tracked = tracked_.find(id);
-  if (tracked == tracked_.end()) return std::nullopt;
+  const TagState* slot = find_tag(id);
+  if (slot == nullptr) return std::nullopt;
   TagStateSnapshot state;
-  state.name = tracked->second;
-  if (const auto it = trackers_.find(id); it != trackers_.end()) {
+  state.name = slot->name;
+  if (slot->tracker) {
     state.has_tracker = true;
-    state.tracker = it->second.state();
+    state.tracker = slot->tracker->state();
   }
-  if (const auto it = last_good_.find(id); it != last_good_.end()) {
+  if (slot->last_good) {
     state.has_last_good = true;
-    state.last_good_time = it->second.time;
-    state.last_good_position = it->second.position;
-    state.last_good_smoothed = it->second.smoothed;
+    state.last_good_time = slot->last_good->time;
+    state.last_good_position = slot->last_good->position;
+    state.last_good_smoothed = slot->last_good->smoothed;
   }
-  if (const auto it = last_quality_.find(id); it != last_quality_.end()) {
+  if (slot->last_quality) {
     state.has_last_quality = true;
-    state.last_quality = it->second;
+    state.last_quality = *slot->last_quality;
   }
   return state;
 }
 
 void LocalizationEngine::import_tag(sim::TagId id, const TagStateSnapshot& state) {
   track(id, state.name);
+  TagState& slot = *find_tag(id);
+  slot.tracker.reset();
   if (state.has_tracker) {
-    auto [it, inserted] =
-        trackers_.try_emplace(id, core::TrackingFilter(config_.tracking));
-    (void)inserted;
-    it->second.restore(state.tracker);
-  } else {
-    trackers_.erase(id);
+    slot.tracker.emplace(config_.tracking).restore(state.tracker);
   }
+  slot.last_good.reset();
   if (state.has_last_good) {
-    last_good_[id] = {state.last_good_time, state.last_good_position,
-                      state.last_good_smoothed};
-  } else {
-    last_good_.erase(id);
+    slot.last_good = LastGood{state.last_good_time, state.last_good_position,
+                              state.last_good_smoothed};
   }
-  if (state.has_last_quality) {
-    last_quality_[id] = state.last_quality;
-  } else {
-    last_quality_.erase(id);
-  }
+  slot.last_quality.reset();
+  if (state.has_last_quality) slot.last_quality = state.last_quality;
+  slot.memo_generation = 0;
 }
 
 std::pair<std::filesystem::path, std::filesystem::path>
@@ -230,7 +253,6 @@ LocalizationEngine::dump_provenance(const std::filesystem::path& dir,
 EngineStateSnapshot LocalizationEngine::snapshot() const {
   EngineStateSnapshot snap;
   snap.reference_ids = reference_ids_;
-  snap.tracked.assign(tracked_.begin(), tracked_.end());
   snap.health = health_.snapshot();
   snap.has_last_refresh = last_refresh_.has_value();
   snap.last_refresh = last_refresh_.value_or(0.0);
@@ -238,17 +260,15 @@ EngineStateSnapshot LocalizationEngine::snapshot() const {
   snap.grid_rebuilds = grid_rebuilds_;
   snap.fix_sequence = fix_sequence_;
   snap.auto_dumps = auto_dumps_;
-  snap.trackers.reserve(trackers_.size());
-  for (const auto& [tag, tracker] : trackers_) {
-    snap.trackers.push_back({tag, tracker.state()});
-  }
-  snap.last_good.reserve(last_good_.size());
-  for (const auto& [tag, hold] : last_good_) {
-    snap.last_good.push_back({tag, hold.time, hold.position, hold.smoothed});
-  }
-  snap.last_quality.reserve(last_quality_.size());
-  for (const auto& [tag, quality] : last_quality_) {
-    snap.last_quality.push_back({tag, quality});
+  snap.tracked.reserve(tags_.size());
+  for (const TagState& slot : tags_) {
+    snap.tracked.emplace_back(slot.id, slot.name);
+    if (slot.tracker) snap.trackers.push_back({slot.id, slot.tracker->state()});
+    if (slot.last_good) {
+      snap.last_good.push_back({slot.id, slot.last_good->time,
+                                slot.last_good->position, slot.last_good->smoothed});
+    }
+    if (slot.last_quality) snap.last_quality.push_back({slot.id, *slot.last_quality});
   }
   return snap;
 }
@@ -261,11 +281,33 @@ void LocalizationEngine::restore(const EngineStateSnapshot& snapshot) {
         "LocalizationEngine::restore: snapshot reference count does not match "
         "the deployment");
   }
+  // Per-tag state is kept only for tracked tags; a snapshot with state for an
+  // untracked one was not written by an engine.
+  std::vector<TagState> tags;
+  tags.reserve(snapshot.tracked.size());
+  for (const auto& [tag, name] : snapshot.tracked) insert_slot(tags, tag).name = name;
+  const auto slot_of = [&tags](sim::TagId tag) -> TagState& {
+    const auto it = slot_bound(tags, tag);
+    if (it == tags.end() || it->id != tag) {
+      throw std::invalid_argument(
+          "LocalizationEngine::restore: snapshot holds per-tag state for an "
+          "untracked tag");
+    }
+    return *it;
+  };
+  for (const EngineStateSnapshot::Tracker& t : snapshot.trackers) {
+    slot_of(t.tag).tracker.emplace(config_.tracking).restore(t.state);
+  }
+  for (const EngineStateSnapshot::Hold& h : snapshot.last_good) {
+    slot_of(h.tag).last_good = LastGood{h.time, h.position, h.smoothed};
+  }
+  for (const EngineStateSnapshot::Quality& q : snapshot.last_quality) {
+    slot_of(q.tag).last_quality = q.quality;
+  }
   health_.restore(snapshot.health);  // validates the reader count
 
   reference_ids_ = snapshot.reference_ids;
-  tracked_.clear();
-  for (const auto& [tag, name] : snapshot.tracked) tracked_[tag] = name;
+  tags_ = std::move(tags);
   if (snapshot.has_last_refresh) {
     last_refresh_ = snapshot.last_refresh;
   } else {
@@ -276,35 +318,20 @@ void LocalizationEngine::restore(const EngineStateSnapshot& snapshot) {
   fix_sequence_ = snapshot.fix_sequence;
   auto_dumps_ = snapshot.auto_dumps;
 
-  trackers_.clear();
-  for (const EngineStateSnapshot::Tracker& t : snapshot.trackers) {
-    auto [it, inserted] = trackers_.try_emplace(
-        t.tag, core::TrackingFilter(config_.tracking));
-    (void)inserted;
-    it->second.restore(t.state);
-  }
-  last_good_.clear();
-  for (const EngineStateSnapshot::Hold& h : snapshot.last_good) {
-    last_good_[h.tag] = {h.time, h.position, h.smoothed};
-  }
-  last_quality_.clear();
-  for (const EngineStateSnapshot::Quality& q : snapshot.last_quality) {
-    last_quality_[q.tag] = q.quality;
-  }
-
   // Rebuild the virtual grid the checkpointed engine was running on, from the
   // stored (post-mask) reference readings. Deliberately no metric increments
   // and no grid_rebuilds_ bump: the persistence layer restores counters
   // registry-wide, and refresh_references()'s unchanged-skip must see exactly
   // the state the uninterrupted engine had.
+  ++grid_generation_;
   if (grid_rebuilds_ > 0 && !last_reference_rssi_.empty()) {
     localizer_.set_reference_rssi(last_reference_rssi_);
   }
 }
 
 const core::TrackingFilter* LocalizationEngine::tracker(sim::TagId id) const {
-  const auto it = trackers_.find(id);
-  return it == trackers_.end() ? nullptr : &it->second;
+  const TagState* slot = find_tag(id);
+  return slot != nullptr && slot->tracker ? &*slot->tracker : nullptr;
 }
 
 obs::Counter* LocalizationEngine::quality_counter(FixQuality q) const noexcept {
@@ -369,6 +396,7 @@ void LocalizationEngine::refresh_references(
                                          : std::string("-1")) +
                                 "}"
                           : std::string{});
+    ++grid_generation_;
     if (partial) {
       localizer_.update_reference_rssi(reference_rssi, dirty_readers);
     } else {
@@ -402,7 +430,7 @@ std::vector<Fix> LocalizationEngine::update(const sim::Middleware& middleware,
   const obs::TraceSpan update_span(
       &tracer_, "engine.update",
       tracer_.enabled() ? "{\"sim_time\":" + std::to_string(now) +
-                              ",\"tags\":" + std::to_string(tracked_.size()) + "}"
+                              ",\"tags\":" + std::to_string(tags_.size()) + "}"
                         : std::string{});
 
   // Reference readings are fetched on every update: the health monitor needs
@@ -446,32 +474,38 @@ std::vector<Fix> LocalizationEngine::update(const sim::Middleware& middleware,
 
   // Snapshot the batch in tag order, locate every item, then merge in tag
   // order. Keeping the locates in their own phase lets the stage="locate"
-  // histogram and the engine.locate span time them alone. Each item keeps
-  // the compact LocateSummary (position and provenance), not the per-node
-  // vectors of a full VireResult, until the merge.
+  // histogram and the engine.locate span time them alone. A tag's locate
+  // lands in its slot's memo (the compact LocateSummary, not the per-node
+  // vectors of a full VireResult), where the merge reads it.
   struct Item {
-    sim::TagId id;
-    const std::string* name;
-    sim::RssiVector rssi;
+    TagState* slot = nullptr;
     int valid_readers = 0;
-    std::optional<core::LocateSummary> result;
+    /// The tag's VIRE locate for this update (in its slot), or null.
+    const core::LocateSummary* result = nullptr;
+    /// locate_summary() was skipped: the memo matched.
+    bool reused = false;
     std::optional<landmarc::LandmarcResult> fallback;
     core::LocateStats stats;
   };
   std::vector<Item> items;
-  items.reserve(tracked_.size());
-  for (const auto& [id, name] : tracked_) {
-    Item item{id, &name, middleware.rssi_vector(id), 0, std::nullopt,
-              std::nullopt, {}};
-    if (degraded_mode) apply_mask(item.rssi, mask);
-    for (double v : item.rssi) {
+  items.reserve(tags_.size());
+  for (TagState& slot : tags_) {
+    sim::RssiVector rssi = middleware.rssi_vector(slot.id);
+    if (degraded_mode) apply_mask(rssi, mask);
+    if (!same_bits(rssi, slot.rssi)) {
+      slot.rssi = std::move(rssi);
+      slot.memo_generation = 0;
+    }
+    Item item;
+    item.slot = &slot;
+    for (double v : slot.rssi) {
       if (!std::isnan(v)) ++item.valid_readers;
     }
     items.push_back(std::move(item));
   }
 
-  // Histograms are fed in the merge below; a locate writes only its own
-  // item (results and timings).
+  // Histograms and counters are fed in the merge below; a locate writes only
+  // its own item and its own slot's memo.
   {
     const obs::ScopedTimer locate_timer(inst_.stage_locate);
     const obs::TraceSpan span(
@@ -479,31 +513,40 @@ std::vector<Fix> LocalizationEngine::update(const sim::Middleware& middleware,
         tracer_.enabled() ? "{\"items\":" + std::to_string(items.size()) + "}"
                           : std::string{});
     for (Item& item : items) {
+      TagState& slot = *item.slot;
       const bool tracing = tracer_.enabled();
       const double locate_start_us = tracing ? tracer_.now_us() : 0.0;
       if (item.valid_readers >= config_.min_valid_readers && item.valid_readers > 0) {
-        item.result = localizer_.locate_summary(item.rssi, &item.stats);
-        if (tracing && item.result) {
-          // Elimination runs first inside locate(), weighting follows; both
-          // durations come from the stage timers, so the child spans are laid
-          // end to end from the measured locate start.
-          const std::string tag_args = "{\"tag\":" + std::to_string(item.id) + "}";
-          const double elim_end_us =
-              locate_start_us + 1e6 * item.stats.elimination_seconds;
-          tracer_.complete("engine.elimination", locate_start_us, elim_end_us,
-                           tag_args);
-          tracer_.complete("engine.weighting", elim_end_us,
-                           elim_end_us + 1e6 * item.stats.weighting_seconds,
-                           tag_args);
+        // locate_summary() is a pure function of the grid and the vector, so
+        // a memo from the same grid generation and the same RSSI bits is
+        // exactly what it would return (docs/algorithm.md, "Reused locates").
+        item.reused = slot.memo_generation == grid_generation_;
+        if (!item.reused) {
+          slot.located = localizer_.locate_summary(slot.rssi, &item.stats);
+          slot.memo_generation = grid_generation_;
+          if (tracing && slot.located) {
+            // Elimination runs first inside locate(), weighting follows; both
+            // durations come from the stage timers, so the child spans are
+            // laid end to end from the measured locate start.
+            const std::string tag_args = "{\"tag\":" + std::to_string(slot.id) + "}";
+            const double elim_end_us =
+                locate_start_us + 1e6 * item.stats.elimination_seconds;
+            tracer_.complete("engine.elimination", locate_start_us, elim_end_us,
+                             tag_args);
+            tracer_.complete("engine.weighting", elim_end_us,
+                             elim_end_us + 1e6 * item.stats.weighting_seconds,
+                             tag_args);
+          }
         }
+        if (slot.located) item.result = &*slot.located;
       }
-      if (!item.result && fallback_ready &&
+      if (item.result == nullptr && fallback_ready &&
           item.valid_readers >= config_.degradation.fallback_min_readers) {
-        item.fallback = fallback_.locate(item.rssi);
+        item.fallback = fallback_.locate(slot.rssi);
       }
       if (tracing) {
         tracer_.complete("engine.locate_tag", locate_start_us, tracer_.now_us(),
-                         "{\"tag\":" + std::to_string(item.id) + "}");
+                         "{\"tag\":" + std::to_string(slot.id) + "}");
       }
     }
   }
@@ -514,18 +557,22 @@ std::vector<Fix> LocalizationEngine::update(const sim::Middleware& middleware,
   fixes.reserve(items.size());
   bool quality_drop = false;
   const double merge_start_us = tracer_.enabled() ? tracer_.now_us() : 0.0;
-  for (Item& item : items) {
+  for (const Item& item : items) {
+    TagState& slot = *item.slot;
     Fix fix;
-    fix.tag = item.id;
-    fix.name = *item.name;
+    fix.tag = slot.id;
+    fix.name = slot.name;
     fix.time = now;
-    if (item.result) {
+    if (item.reused) inst_.locates_reused->inc();
+    if (item.result != nullptr) {
       fix.valid = true;
       fix.quality = degraded_mode ? FixQuality::kDegraded : FixQuality::kOk;
       fix.position = item.result->estimate.position;
       fix.survivor_count = item.result->estimate.survivor_count;
-      inst_.stage_elimination->observe(item.stats.elimination_seconds);
-      inst_.stage_weighting->observe(item.stats.weighting_seconds);
+      if (!item.reused) {
+        inst_.stage_elimination->observe(item.stats.elimination_seconds);
+        inst_.stage_weighting->observe(item.stats.weighting_seconds);
+      }
       inst_.survivors->observe(static_cast<double>(fix.survivor_count));
       inst_.refinement_steps->observe(
           static_cast<double>(item.result->refinement_steps));
@@ -539,25 +586,23 @@ std::vector<Fix> LocalizationEngine::update(const sim::Middleware& middleware,
     if (fix.valid) {
       inst_.fixes_valid->inc();
       if (config_.enable_tracking) {
-        auto [it, inserted] =
-            trackers_.try_emplace(item.id, core::TrackingFilter(config_.tracking));
-        (void)inserted;
-        fix.smoothed_position = it->second.update(now, fix.position);
+        if (!slot.tracker) slot.tracker.emplace(config_.tracking);
+        fix.smoothed_position = slot.tracker->update(now, fix.position);
       } else {
         fix.smoothed_position = fix.position;
       }
-      last_good_[item.id] = {now, fix.position, fix.smoothed_position};
+      slot.last_good = LastGood{now, fix.position, fix.smoothed_position};
     } else {
       // Neither path produced a position: serve the last good fix while it
       // is fresh enough, otherwise report invalid (position stays at the
       // default origin — never NaN; consumers must check valid/quality).
-      const auto held = last_good_.find(item.id);
-      if (held != last_good_.end() && config_.degradation.hold_max_age_s > 0.0 &&
-          now - held->second.time <= config_.degradation.hold_max_age_s) {
+      const std::optional<LastGood>& held = slot.last_good;
+      if (held && config_.degradation.hold_max_age_s > 0.0 &&
+          now - held->time <= config_.degradation.hold_max_age_s) {
         fix.quality = FixQuality::kHold;
-        fix.position = held->second.position;
-        fix.smoothed_position = held->second.smoothed;
-        fix.age_s = now - held->second.time;
+        fix.position = held->position;
+        fix.smoothed_position = held->smoothed;
+        fix.age_s = now - held->time;
       } else {
         fix.quality = FixQuality::kInvalid;
       }
@@ -568,43 +613,42 @@ std::vector<Fix> LocalizationEngine::update(const sim::Middleware& middleware,
     // Quality-transition tracking: a tag leaving kOk is the anomaly trigger;
     // every transition becomes a global instant so Perfetto lines it up with
     // the fault markers that caused it.
-    const auto prev = last_quality_.find(item.id);
-    const FixQuality previous =
-        prev == last_quality_.end() ? fix.quality : prev->second;
+    const FixQuality previous = slot.last_quality.value_or(fix.quality);
     if (previous != fix.quality) {
       if (tracer_.enabled()) {
         tracer_.instant("engine.quality_transition",
-                        "{\"tag\":" + std::to_string(item.id) + ",\"from\":\"" +
+                        "{\"tag\":" + std::to_string(slot.id) + ",\"from\":\"" +
                             std::string(to_string(previous)) + "\",\"to\":\"" +
                             std::string(to_string(fix.quality)) + "\"}",
                         'g');
       }
       if (previous == FixQuality::kOk) quality_drop = true;
     }
-    last_quality_[item.id] = fix.quality;
+    slot.last_quality = fix.quality;
 
     if (recorder_.capacity() > 0) {
       obs::FixRecord rec;
       rec.sequence = fix_sequence_++;
       rec.time = now;
-      rec.tag = static_cast<std::uint32_t>(item.id);
+      rec.tag = static_cast<std::uint32_t>(slot.id);
       rec.name = fix.name;
-      rec.quality = std::string(to_string(fix.quality));
-      rec.decision = item.result        ? "vire"
-                     : item.fallback    ? "fallback"
-                     : fix.quality == FixQuality::kHold ? "hold"
-                                                        : "none";
+      rec.quality = fix.quality;
+      rec.decision = item.result != nullptr ? obs::FixDecision::kVire
+                     : item.fallback        ? obs::FixDecision::kFallback
+                     : fix.quality == FixQuality::kHold ? obs::FixDecision::kHold
+                                                        : obs::FixDecision::kNone;
       rec.valid = fix.valid;
       rec.used_fallback = fix.used_fallback;
+      rec.locate_reused = item.reused;
       rec.age_s = fix.age_s;
       rec.x = fix.position.x;
       rec.y = fix.position.y;
-      rec.readers.reserve(item.rssi.size());
-      for (std::size_t k = 0; k < item.rssi.size(); ++k) {
+      rec.readers.reserve(slot.rssi.size());
+      for (std::size_t k = 0; k < slot.rssi.size(); ++k) {
         rec.readers.push_back(
-            {item.rssi[k], k < mask.size() ? static_cast<bool>(mask[k]) : true});
+            {slot.rssi[k], k < mask.size() ? static_cast<bool>(mask[k]) : true});
       }
-      if (item.result) {
+      if (item.result != nullptr) {
         const core::LocateSummary& located = *item.result;
         rec.refinement.initial_threshold_db = located.initial_threshold_db;
         rec.refinement.final_threshold_db = located.final_threshold_db;

@@ -24,11 +24,11 @@
 // stream (tests/service/shard_equivalence_test.cpp). update() runs in three
 // phases (snapshot the batch in tag order, locate every tag, merge in tag
 // order) so the stage="locate" histogram and the engine.locate span time the
-// locates alone.
+// locates alone. A tag whose RSSI bits and virtual grid are unchanged since
+// its last locate reuses it (docs/algorithm.md, "Reused locates").
 
 #include <cstdint>
 #include <filesystem>
-#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -112,15 +112,10 @@ struct EngineConfig {
 /// Confidence ladder of a Fix, from best to worst. kOk and kDegraded carry a
 /// fresh position (valid == true); kHold re-serves the last good position;
 /// kInvalid has no usable position (the coordinates are the default origin,
-/// never NaN — check quality/valid, not the numbers).
-enum class FixQuality {
-  kOk,        ///< all readers healthy, full VIRE estimate
-  kDegraded,  ///< produced while readers were quarantined (VIRE subset or fallback)
-  kHold,      ///< last good fix re-served within the staleness cap
-  kInvalid,   ///< nothing usable (and no recent fix to hold)
-};
-
-[[nodiscard]] std::string_view to_string(FixQuality q) noexcept;
+/// never NaN — check quality/valid, not the numbers). The flight recorder
+/// stores the same type, so the enum lives in obs/flight_recorder.h.
+using FixQuality = obs::FixQuality;
+using obs::to_string;
 
 /// The engine's complete mutable state, for crash-safe checkpoints
 /// (src/persist/). Everything update() reads or writes across calls is here:
@@ -215,7 +210,7 @@ class LocalizationEngine {
   /// Registers `id` (as by track()) and reinstates its exported state. An
   /// existing tag's state is replaced.
   void import_tag(sim::TagId id, const TagStateSnapshot& state);
-  [[nodiscard]] std::size_t tracked_count() const noexcept { return tracked_.size(); }
+  [[nodiscard]] std::size_t tracked_count() const noexcept { return tags_.size(); }
 
   /// Pulls reference + tracking readings from the middleware at time `now`,
   /// assessing reader health, refreshing the virtual grid if due, and
@@ -295,6 +290,7 @@ class LocalizationEngine {
     obs::Counter* fixes_invalid = nullptr;
     obs::Counter* fixes_quality[4] = {nullptr, nullptr, nullptr, nullptr};
     obs::Counter* fallback_locates = nullptr;
+    obs::Counter* locates_reused = nullptr;
     obs::Counter* grid_rebuilds = nullptr;
     obs::Counter* grid_partial_rebuilds = nullptr;
     obs::Counter* grid_skips_rate_limited = nullptr;
@@ -319,27 +315,51 @@ class LocalizationEngine {
     geom::Vec2 smoothed;
   };
 
+  /// Everything the engine keeps for one tracked tag.
+  struct TagState {
+    sim::TagId id = 0;
+    std::string name;
+    /// Created by the tag's first valid fix (when tracking is enabled).
+    std::optional<core::TrackingFilter> tracker;
+    std::optional<LastGood> last_good;
+    /// Previous update's quality, for the quality-transition anomaly trigger
+    /// (a tag leaving kOk).
+    std::optional<FixQuality> last_quality;
+    /// Locate memo (docs/algorithm.md, "Reused locates"). `rssi` is the
+    /// post-mask vector of the tag's latest update; when memo_generation is
+    /// nonzero, `located` is what locate_summary(rssi) returned on grid
+    /// generation memo_generation. Never checkpointed: a restored, imported
+    /// or re-tracked tag starts empty and recomputes the same fix.
+    sim::RssiVector rssi;
+    std::uint64_t memo_generation = 0;
+    std::optional<core::LocateSummary> located;
+  };
+
+  /// The slot of `id`, or nullptr when it is not tracked.
+  [[nodiscard]] TagState* find_tag(sim::TagId id) noexcept;
+  [[nodiscard]] const TagState* find_tag(sim::TagId id) const noexcept;
+
   env::Deployment deployment_;
   EngineConfig config_;
   core::VireLocalizer localizer_;
   landmarc::LandmarcLocalizer fallback_;
   HealthMonitor health_;
   std::vector<sim::TagId> reference_ids_;
-  std::map<sim::TagId, std::string> tracked_;
-  std::map<sim::TagId, core::TrackingFilter> trackers_;
-  std::map<sim::TagId, LastGood> last_good_;
+  /// One slot per tracked tag, sorted by id: the tag order of update()'s
+  /// fixes and of snapshot()'s lists.
+  std::vector<TagState> tags_;
   std::optional<sim::SimTime> last_refresh_;
   /// Reference readings behind the current virtual grid; a refresh whose
   /// readings match is skipped without rebuilding.
   std::vector<sim::RssiVector> last_reference_rssi_;
   int grid_rebuilds_ = 0;
+  /// Bumped whenever the localizer's grid changes (every interpolation and
+  /// restore()); a locate memo is valid only on its own generation.
+  std::uint64_t grid_generation_ = 1;
   obs::MetricsRegistry metrics_;
   Instruments inst_;
   obs::Tracer tracer_;
   obs::FlightRecorder recorder_;
-  /// Previous update's quality per tag, for the quality-transition anomaly
-  /// trigger (a tag leaving kOk).
-  std::map<sim::TagId, FixQuality> last_quality_;
   std::uint64_t fix_sequence_ = 0;
   int auto_dumps_ = 0;
 };

@@ -47,6 +47,34 @@ std::optional<FixRecord> FlightRecorder::last_for_tag(std::uint32_t tag) const {
 
 void FlightRecorder::clear() { head_.store(0, std::memory_order_release); }
 
+std::string_view to_string(FixQuality q) noexcept {
+  switch (q) {
+    case FixQuality::kOk:
+      return "ok";
+    case FixQuality::kDegraded:
+      return "degraded";
+    case FixQuality::kHold:
+      return "hold";
+    case FixQuality::kInvalid:
+      return "invalid";
+  }
+  return "invalid";
+}
+
+std::string_view to_string(FixDecision d) noexcept {
+  switch (d) {
+    case FixDecision::kVire:
+      return "vire";
+    case FixDecision::kFallback:
+      return "fallback";
+    case FixDecision::kHold:
+      return "hold";
+    case FixDecision::kNone:
+      return "none";
+  }
+  return "none";
+}
+
 namespace {
 
 std::string json_escape(const std::string& s) {
@@ -76,8 +104,8 @@ std::string to_json(const FixRecord& rec) {
   std::ostringstream out;
   out << "{\"sequence\":" << rec.sequence << ",\"time\":" << json_number(rec.time)
       << ",\"tag\":" << rec.tag << ",\"name\":\"" << json_escape(rec.name)
-      << "\",\"quality\":\"" << json_escape(rec.quality) << "\",\"decision\":\""
-      << json_escape(rec.decision) << "\",\"valid\":" << (rec.valid ? "true" : "false")
+      << "\",\"quality\":\"" << to_string(rec.quality) << "\",\"decision\":\""
+      << to_string(rec.decision) << "\",\"valid\":" << (rec.valid ? "true" : "false")
       << ",\"used_fallback\":" << (rec.used_fallback ? "true" : "false")
       << ",\"age_s\":" << json_number(rec.age_s) << ",\"position\":["
       << json_number(rec.x) << "," << json_number(rec.y) << "],\"readers\":[";
@@ -120,7 +148,9 @@ std::string to_text(const FixRecord& rec) {
   out << "fix #" << rec.sequence << "  tag " << rec.tag;
   if (!rec.name.empty()) out << " (" << rec.name << ")";
   out << "  t=" << format_double(rec.time) << " s\n";
-  out << "  quality: " << rec.quality << "  decision: " << rec.decision;
+  out << "  quality: " << to_string(rec.quality)
+      << "  decision: " << to_string(rec.decision);
+  if (rec.locate_reused) out << "  [locate reused]";
   if (rec.used_fallback) out << "  [landmarc fallback]";
   if (rec.age_s > 0.0) out << "  age " << format_double(rec.age_s) << " s";
   out << "\n  position: (" << format_double(rec.x) << ", " << format_double(rec.y)

@@ -20,9 +20,28 @@
 #include <filesystem>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace vire::obs {
+
+/// Confidence ladder of a fix, from best to worst (engine::FixQuality names
+/// this type; docs/robustness.md). kOk and kDegraded carry a fresh position;
+/// kHold re-serves the last good one; kInvalid has no usable position.
+enum class FixQuality {
+  kOk,        ///< all readers healthy, full VIRE estimate
+  kDegraded,  ///< produced while readers were quarantined (VIRE subset or fallback)
+  kHold,      ///< last good fix re-served within the staleness cap
+  kInvalid,   ///< nothing usable (and no recent fix to hold)
+};
+
+/// Which rung of the degradation ladder answered a fix.
+enum class FixDecision { kVire, kFallback, kHold, kNone };
+
+/// "ok" / "degraded" / "hold" / "invalid".
+[[nodiscard]] std::string_view to_string(FixQuality q) noexcept;
+/// "vire" / "fallback" / "hold" / "none".
+[[nodiscard]] std::string_view to_string(FixDecision d) noexcept;
 
 /// One reader's contribution to a fix: the (health-masked) RSSI it reported
 /// for the tag and the health monitor's verdict at that update.
@@ -54,9 +73,12 @@ struct FixRecord {
   double time = 0.0;           ///< engine update time (sim seconds)
   std::uint32_t tag = 0;
   std::string name;
-  std::string quality;   ///< "ok" / "degraded" / "hold" / "invalid"
-  std::string decision;  ///< which ladder rung answered: "vire" / "fallback" / "hold" / "none"
+  FixQuality quality = FixQuality::kInvalid;
+  FixDecision decision = FixDecision::kNone;
   bool valid = false;
+  /// The VIRE locate was answered from the tag's memo (same grid, same RSSI
+  /// bits as its previous locate); its stage seconds are then 0.
+  bool locate_reused = false;
   bool used_fallback = false;
   double age_s = 0.0;  ///< staleness of a held fix
   double x = 0.0, y = 0.0;

@@ -13,7 +13,6 @@
 #include <stdexcept>
 
 #include "service/sharded_service.h"
-#include "service/supervisor.h"
 
 namespace vire::service {
 
@@ -76,10 +75,6 @@ ServiceServer::ServiceServer(Frontend& frontend, ServerConfig config)
 ServiceServer::ServiceServer(ShardedService& shard, ServerConfig config)
     : frontend_(shard), shard_(&shard), config_(std::move(config)) {}
 
-ServiceServer::ServiceServer(Supervisor& supervisor, ServerConfig config)
-    : frontend_(supervisor), supervisor_(&supervisor),
-      config_(std::move(config)) {}
-
 ServiceServer::~ServiceServer() { stop(); }
 
 ShardedService& ServiceServer::shard_host() const {
@@ -89,11 +84,11 @@ ShardedService& ServiceServer::shard_host() const {
   return *shard_;
 }
 
-Supervisor& ServiceServer::supervisor_host() const {
-  if (supervisor_ == nullptr) {
+const ServiceServer::Membership& ServiceServer::membership() const {
+  if (!membership_.add_shard) {
     throw std::runtime_error("supervisor-only request not served by this host");
   }
-  return *supervisor_;
+  return membership_;
 }
 
 void ServiceServer::start() {
@@ -402,7 +397,7 @@ void ServiceServer::handle(Connection& conn, const Frame& frame) {
           return;
         }
         send_frame(conn, MsgType::kOk,
-                   encode_u64(supervisor_host().admin_add_shard()));
+                   encode_u64(membership().add_shard()));
         return;
       }
       case MsgType::kRemoveShard: {
@@ -413,7 +408,7 @@ void ServiceServer::handle(Connection& conn, const Frame& frame) {
           return;
         }
         send_frame(conn, MsgType::kOk,
-                   encode_u64(supervisor_host().admin_remove_shard(*id)));
+                   encode_u64(membership().remove_shard(*id)));
         return;
       }
       default:

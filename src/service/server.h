@@ -38,7 +38,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -64,6 +66,8 @@ class ServiceServer {
   /// only the shared protocol.
   ServiceServer(Frontend& frontend, ServerConfig config);
   ServiceServer(ShardedService& shard, ServerConfig config);
+  /// Defined in supervisor.cpp, so that only a binary that links the
+  /// Supervisor links its membership calls (vire_shardd links neither).
   ServiceServer(Supervisor& supervisor, ServerConfig config);
   ~ServiceServer();
 
@@ -102,16 +106,24 @@ class ServiceServer {
   /// Handles one decoded request frame; appends its response to the outbox.
   void handle(Connection& conn, const Frame& frame);
   void send_frame(Connection& conn, MsgType type, std::string_view payload);
-  /// The typed host a host-specific request needs; throws (answered with
-  /// kError) when this server fronts another host.
+  /// Fleet membership (kAddShard / kRemoveShard), installed only by the
+  /// Supervisor constructor.
+  struct Membership {
+    std::function<std::uint64_t()> add_shard;
+    std::function<std::uint64_t(std::uint32_t)> remove_shard;
+  };
+
+  /// What a host-specific request needs; throws (answered with kError) when
+  /// this server fronts another host.
   [[nodiscard]] ShardedService& shard_host() const;
-  [[nodiscard]] Supervisor& supervisor_host() const;
+  [[nodiscard]] const Membership& membership() const;
   static void flush_outbox(Connection& conn);
 
   Frontend& frontend_;
-  /// The typed host behind frontend_, when it is one (else null).
+  /// The shard host behind frontend_, when it is one (else null).
   ShardedService* shard_ = nullptr;
-  Supervisor* supervisor_ = nullptr;
+  /// Empty unless frontend_ is a Supervisor.
+  Membership membership_;
   ServerConfig config_;
   int listen_fd_ = -1;
   int wake_fds_[2] = {-1, -1};  ///< self-pipe to interrupt poll() on stop

@@ -9,6 +9,7 @@
 
 #include "obs/exporters.h"
 #include "persist/wal.h"
+#include "service/server.h"
 #include "support/rng.h"
 
 namespace vire::service {
@@ -1549,6 +1550,14 @@ auto Supervisor::with_shard(ManagedShard& shard, Fn fn, int first_attempt)
     // retrying a request the shard rejected would not change the answer.
   }
   return std::nullopt;
+}
+
+ServiceServer::ServiceServer(Supervisor& supervisor, ServerConfig config)
+    : ServiceServer(static_cast<Frontend&>(supervisor), std::move(config)) {
+  membership_.add_shard = [&supervisor] { return supervisor.admin_add_shard(); };
+  membership_.remove_shard = [&supervisor](std::uint32_t id) {
+    return supervisor.admin_remove_shard(id);
+  };
 }
 
 }  // namespace vire::service

@@ -79,13 +79,18 @@ void Middleware::ingest(const RssiReading& reading) {
   }
   if (readings_ingested_ != nullptr) readings_ingested_->inc();
   if (journal_ != nullptr) journal_->on_accepted(reading);
-  // Opportunistic per-link eviction keeps deques short without a global
+  // Opportunistic per-link eviction keeps windows short without a global
   // scan. Same strict half-open window rule as evict_stale().
-  const SimTime cutoff = reading.time - config_.window_s;
-  while (!samples.empty() && samples.front().time <= cutoff) {
-    samples.pop_front();
-    if (samples_evicted_ != nullptr) samples_evicted_->inc();
-  }
+  evict_front(samples, reading.time - config_.window_s);
+}
+
+void Middleware::evict_front(Window& samples, SimTime cutoff) {
+  const auto keep = std::find_if(samples.begin(), samples.end(),
+                                 [cutoff](const Sample& s) { return s.time > cutoff; });
+  const auto evicted = static_cast<std::uint64_t>(keep - samples.begin());
+  if (evicted == 0) return;
+  samples.erase(samples.begin(), keep);
+  if (samples_evicted_ != nullptr) samples_evicted_->inc(evicted);
 }
 
 void Middleware::evict_stale(SimTime now) {
@@ -96,10 +101,7 @@ void Middleware::evict_stale(SimTime now) {
   const SimTime cutoff = now - config_.window_s;
   for (auto it = links_.begin(); it != links_.end();) {
     auto& samples = it->second;
-    while (!samples.empty() && samples.front().time <= cutoff) {
-      samples.pop_front();
-      if (samples_evicted_ != nullptr) samples_evicted_->inc();
-    }
+    evict_front(samples, cutoff);
     if (samples.empty()) {
       it = links_.erase(it);
     } else {
@@ -108,7 +110,7 @@ void Middleware::evict_stale(SimTime now) {
   }
 }
 
-double Middleware::aggregate(const std::deque<Sample>& samples) const {
+double Middleware::aggregate(const Window& samples) const {
   if (samples.size() < config_.min_samples || samples.empty()) return kNan;
   std::vector<double> values;
   values.reserve(samples.size());

@@ -10,7 +10,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <map>
 #include <vector>
@@ -132,11 +131,17 @@ class Middleware {
  private:
   using LinkKey = std::pair<TagId, ReaderId>;
 
-  [[nodiscard]] double aggregate(const std::deque<Sample>& samples) const;
+  /// One link's window, oldest first. A vector, not a deque: a window holds
+  /// a handful of samples, and a deque's first block alone is 512 bytes.
+  using Window = std::vector<Sample>;
+  [[nodiscard]] double aggregate(const Window& samples) const;
+  /// Drops the leading samples at or before `cutoff` (the window rule of
+  /// evict_stale()) and counts them.
+  void evict_front(Window& samples, SimTime cutoff);
 
   int reader_count_;
   MiddlewareConfig config_;
-  std::map<LinkKey, std::deque<Sample>> links_;
+  std::map<LinkKey, Window> links_;
   /// Optional instrumentation (null until attach_metrics). The NaN counter
   /// is bumped from const accessors — counters are atomic, so this stays a
   /// logically-const side channel.

@@ -87,7 +87,7 @@ Session run_session(std::uint64_t seed, int rounds) {
     session.rounds.push_back(engine.update(simulator.middleware(), simulator.now()));
     for (const obs::FixRecord& rec : engine.flight_recorder().snapshot()) {
       const auto& steps = rec.refinement.survivors_per_step;
-      if (rec.time == simulator.now() && rec.decision == "vire" && !steps.empty() &&
+      if (rec.time == simulator.now() && rec.decision == obs::FixDecision::kVire && !steps.empty() &&
           steps.back() == 0) {
         ++session.union_fallbacks;
       }

@@ -206,7 +206,9 @@ TEST(TracePipeline, FirstDegradedFixRecordExplainsTheFix) {
   const ScenarioRun run = run_scenario({true, 256, {}});
   const auto it =
       std::find_if(run.records.begin(), run.records.end(),
-                   [](const obs::FixRecord& r) { return r.quality == "degraded"; });
+                   [](const obs::FixRecord& r) {
+                     return r.quality == obs::FixQuality::kDegraded;
+                   });
   ASSERT_NE(it, run.records.end()) << "no degraded fix was recorded";
   const obs::FixRecord& rec = *it;
 
@@ -220,7 +222,7 @@ TEST(TracePipeline, FirstDegradedFixRecordExplainsTheFix) {
 
   // Three healthy readers still satisfy the VIRE quorum: the degraded fix
   // came from the subset pipeline, with a full refinement walk.
-  EXPECT_EQ(rec.decision, "vire");
+  EXPECT_EQ(rec.decision, obs::FixDecision::kVire);
   EXPECT_TRUE(rec.valid);
   EXPECT_GT(rec.refinement.initial_threshold_db, 0.0);
   EXPECT_GT(rec.refinement.final_threshold_db, 0.0);

@@ -23,8 +23,8 @@ FixRecord sample_record(std::uint64_t sequence, std::uint32_t tag) {
   rec.time = 45.0;
   rec.tag = tag;
   rec.name = "pallet";
-  rec.quality = "degraded";
-  rec.decision = "vire";
+  rec.quality = FixQuality::kDegraded;
+  rec.decision = FixDecision::kVire;
   rec.valid = true;
   rec.x = 1.5;
   rec.y = 2.25;
@@ -145,12 +145,22 @@ TEST(FlightRecorderText, ExplainsTheFixHumanReadably) {
 
 TEST(FlightRecorderText, HoldFixShowsAge) {
   FixRecord rec = sample_record(3, 1);
-  rec.quality = "hold";
-  rec.decision = "hold";
+  rec.quality = FixQuality::kHold;
+  rec.decision = FixDecision::kHold;
   rec.age_s = 12.5;
   const std::string text = to_text(rec);
   EXPECT_NE(text.find("quality: hold  decision: hold  age 12.5 s"),
             std::string::npos);
+}
+
+TEST(FlightRecorderText, ReusedLocateIsMarked) {
+  FixRecord rec = sample_record(4, 1);
+  rec.locate_reused = true;
+  EXPECT_NE(to_text(rec).find("quality: degraded  decision: vire  [locate reused]"),
+            std::string::npos);
+  // The JSON export has no field for it: its bytes are those of a locate
+  // that ran.
+  EXPECT_EQ(to_json(rec), to_json(sample_record(4, 1)));
 }
 
 class FlightDumpTest : public ::testing::Test {
