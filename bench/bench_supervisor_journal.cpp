@@ -15,11 +15,13 @@
 //   * recover         — cold-start latency of checkpoint load + suffix fold,
 //     which bounds supervisor failover time: takeover ~ journal-suffix
 //     length / recovery rate;
-//   * op-log rebuild  — collect_oplog(), the overflow escape hatch
-//     (push_oplog eviction): shard 0 owes the newest 260 batches (one
-//     ingest_stream poll interval), rebuilt once by a full-journal scan and
-//     once from the overflow floor the supervisor passes, which walks the
-//     older records without decoding them. Both must return the same suffix.
+//   * revival read    — collect_oplog(), how a revived shard's un-acked
+//     suffix comes back from the journal: shard 0 owes the newest 260
+//     batches (one ingest_stream poll interval). It is read once by a
+//     full-journal walk and once from the floor the supervisor passes (the
+//     oldest entry its op-log indexes), which starts at the segment holding
+//     the floor and leaves older segments unread. Both must return the same
+//     suffix.
 //
 // Env knobs: VIRE_JOURNAL_OPS      journaled batches (default 20000)
 //            VIRE_JOURNAL_BATCH    readings per batch (default 8)
@@ -91,7 +93,7 @@ int main() {
   journal->record_add_shard(1);
   journal->record_shard_active(1);
   // Shard 0 holds the odd batch sequences; it has acked all but its newest
-  // `tail` batches, and the first un-acked one is the rebuild's floor.
+  // `tail` batches, and the first un-acked one is the revival read's floor.
   const int tail = std::min(260, ops / 2);
   const auto last_ack = static_cast<std::uint64_t>(ops - 2 * tail);
   std::uint64_t floor = 0;
@@ -150,22 +152,22 @@ int main() {
           ? static_cast<double>(replayed) * recovers / recover_elapsed
           : 0.0;
 
-  // 4. Op-log rebuild: the overflow escape hatch re-scans the journal for
-  // one member's un-acked suffix, from sequence 0 and from the floor.
-  service::ControlJournal rebuild(config);
-  (void)rebuild.recover();
+  // 4. Revival read: one member's un-acked suffix read back from the journal
+  // a live supervisor has open, from sequence 0 and from the floor.
+  service::ControlJournal live(config);
+  (void)live.recover();
   std::uint64_t full_records = 0;
   auto collect_start = std::chrono::steady_clock::now();
-  const auto oplog = rebuild.collect_oplog(0, last_ack, 0, 0, &full_records);
+  const auto oplog = live.collect_oplog(0, last_ack, 0, 0, &full_records);
   const double collect_ms = seconds_since(collect_start) * 1000.0;
   std::uint64_t floor_records = 0;
   collect_start = std::chrono::steady_clock::now();
   const auto from_floor =
-      rebuild.collect_oplog(0, last_ack, 0, floor, &floor_records);
+      live.collect_oplog(0, last_ack, 0, floor, &floor_records);
   const double collect_floor_ms = seconds_since(collect_start) * 1000.0;
-  bool rebuilds_match = from_floor.size() == oplog.size();
-  for (std::size_t i = 0; rebuilds_match && i < oplog.size(); ++i) {
-    rebuilds_match =
+  bool reads_match = from_floor.size() == oplog.size();
+  for (std::size_t i = 0; reads_match && i < oplog.size(); ++i) {
+    reads_match =
         from_floor[i].journal_sequence == oplog[i].journal_sequence &&
         from_floor[i].readings.size() == oplog[i].readings.size();
   }
@@ -177,14 +179,14 @@ int main() {
               "%0.0f ops/s)\n",
               recover_ms, static_cast<unsigned long long>(replayed),
               static_cast<unsigned long long>(owed), replay_rate);
-  std::printf("op-log rebuild   : %10.3f ms  full scan (%llu records "
+  std::printf("revival read     : %10.3f ms  full walk (%llu records "
               "decoded, %zu entries kept for shard 0)\n",
               collect_ms, static_cast<unsigned long long>(full_records),
               oplog.size());
   std::printf("                   %10.3f ms  from the floor (%llu records "
               "decoded, %zu entries kept%s)\n",
               collect_floor_ms, static_cast<unsigned long long>(floor_records),
-              from_floor.size(), rebuilds_match ? "" : ", MISMATCH");
+              from_floor.size(), reads_match ? "" : ", MISMATCH");
 
   obs::BenchReport bench;
   bench.name = "supervisor_journal";
@@ -206,5 +208,5 @@ int main() {
   std::printf("\nreport: %s\n", path.string().c_str());
 
   fs::remove_all(scratch);
-  return replayed > 0 && owed > 0 && !oplog.empty() && rebuilds_match ? 0 : 1;
+  return replayed > 0 && owed > 0 && !oplog.empty() && reads_match ? 0 : 1;
 }

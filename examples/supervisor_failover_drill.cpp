@@ -427,8 +427,7 @@ int main(int argc, char** argv) {
         "vire_supervisor_journal_replayed_ops_total",
         "vire_supervisor_adoptions_total",
         "vire_supervisor_replayed_batches_total",
-        "vire_supervisor_membership_changes_total",
-        "vire_supervisor_oplog_overflow_total"}) {
+        "vire_supervisor_membership_changes_total"}) {
     if (prom.find(needle) == std::string::npos) {
       std::printf("  FAIL: merged scrape is missing %s\n", needle);
       return 1;

@@ -218,6 +218,9 @@ class TraceSpan {
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
+  /// Replaces the args the span ends with, for args its own work computes.
+  void set_args(std::string args) { args_ = std::move(args); }
+
  private:
   Tracer* tracer_;
   const char* name_;

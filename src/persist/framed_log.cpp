@@ -81,13 +81,15 @@ struct SegmentScan {
 /// Scans one segment file: validates the header, then walks records until
 /// the first CRC failure, rejected record or EOF. `visit` sees each record
 /// only when the header's start sequence equals `expected_start` (0 = any);
-/// on a mismatch the scan stops right after the header. Returns nullopt
-/// when the header itself is unreadable (the whole segment is then treated
-/// as corrupt).
+/// on a mismatch the scan stops right after the header. Records below
+/// `from_sequence` are stepped over by their length, unchecked and unvisited.
+/// Returns nullopt when the header itself is unreadable (the whole segment
+/// is then treated as corrupt).
 std::optional<SegmentScan> scan_segment(const std::filesystem::path& path,
                                         const FramedLogFormat& format,
                                         std::uint64_t expected_start,
-                                        const RecordVisitor& visit) {
+                                        const RecordVisitor& visit,
+                                        std::uint64_t from_sequence) {
   const auto file = read_file(path);
   if (!file || file->size() < kHeaderSize ||
       std::memcmp(file->data(), format.magic, 4) != 0) {
@@ -115,6 +117,12 @@ std::optional<SegmentScan> scan_segment(const std::filesystem::path& path,
     if (data.size() - pos < kRecordOverhead + payload_len) {
       scan.corrupt_tail = true;
       break;
+    }
+    if (scan.start_sequence + scan.records < from_sequence) {
+      ++scan.records;
+      pos += kRecordOverhead + payload_len;
+      scan.valid_bytes = pos;
+      continue;
     }
     const std::string_view checked = data.substr(pos + 4, 1 + payload_len);
     const std::uint32_t crc =
@@ -145,13 +153,17 @@ struct LogWalk {
 };
 
 LogWalk walk_log(const std::filesystem::path& dir, const FramedLogFormat& format,
-                 const RecordVisitor& visit) {
+                 const RecordVisitor& visit, std::uint64_t from_sequence = 0) {
   LogWalk walk;
   const auto segments = list_segments(dir, format);
   std::size_t i = 0;
+  // Segment i ends where segment i + 1 starts: skip it when that is at or
+  // below from_sequence.
+  while (i + 1 < segments.size() && segments[i + 1].first <= from_sequence) ++i;
   for (; i < segments.size(); ++i) {
     const auto scan =
-        scan_segment(segments[i].second, format, walk.scan.next_sequence, visit);
+        scan_segment(segments[i].second, format, walk.scan.next_sequence, visit,
+                     from_sequence);
     if (!scan) {
       // Unreadable header: the whole segment is one corrupt unit.
       ++walk.scan.corrupt_records;
@@ -183,8 +195,9 @@ LogWalk walk_log(const std::filesystem::path& dir, const FramedLogFormat& format
 
 FramedLogScan scan_framed_log(const std::filesystem::path& dir,
                               const FramedLogFormat& format,
-                              const RecordVisitor& visit) {
-  return walk_log(dir, format, visit).scan;
+                              const RecordVisitor& visit,
+                              std::uint64_t from_sequence) {
+  return walk_log(dir, format, visit, from_sequence).scan;
 }
 
 FramedLogReadResult read_framed_log(const std::filesystem::path& dir,

@@ -96,9 +96,16 @@ struct FramedLogReadResult : FramedLogScan {
 /// return marks that record corrupt: the walk stops there exactly as at a
 /// CRC failure. A missing directory reads as an empty log. The payload view
 /// is valid only during the call.
+///
+/// With `from_sequence` set, the walk starts at the segment that holds it,
+/// leaves every segment wholly below it unread and steps over the records
+/// below it by their length, so none of them can end the walk. Only a log
+/// whose valid prefix is already known may be read this way: one whose
+/// writer is open in the reading process.
 FramedLogScan scan_framed_log(const std::filesystem::path& dir,
                               const FramedLogFormat& format,
-                              const RecordVisitor& visit);
+                              const RecordVisitor& visit,
+                              std::uint64_t from_sequence = 0);
 
 /// Reads every valid record with sequence >= `from_sequence`; `validate`
 /// (optional) extends the torn-tail rule to undecodable payloads.

@@ -285,15 +285,29 @@ void fold_op(std::uint64_t sequence, std::uint8_t type, Op& op,
   }
 }
 
+/// The member an op is addressed to: the u32 every payload but kTrack's and
+/// kSetReference's starts with. nullopt for those two.
+std::optional<std::uint32_t> addressed_shard(std::uint8_t type,
+                                             std::string_view payload) {
+  if (type == kOpTrack || type == kOpSetReference) return std::nullopt;
+  return persist::ByteReader(payload).u32();
+}
+
 /// Folds every journal record with sequence >= `from_sequence` under `dir`
 /// into `state` and `oplogs`, counting the records decoded in `decoded`.
-/// With `only_shard` set, folds just the ops addressed to that member.
 ///
-/// Records below `from_sequence` are CRC-walked but not decoded. That keeps
-/// the torn-tail rule: the journal's writer validated every retained record
-/// with decode_op when it reopened the log (ControlJournal's constructor),
-/// so a record older than the floor always decodes, and the walk still stops
-/// at the first bad CRC of any retained segment.
+/// Without `only_shard` (recover()) every retained segment is walked and
+/// every record at or above the floor decoded: that decode is the torn-tail
+/// check. Records below the floor are CRC-walked but not decoded, since the
+/// journal's writer validated every retained record with decode_op when it
+/// reopened the log (ControlJournal's constructor).
+///
+/// With `only_shard` set (collect_oplog(), the live read) just that member's
+/// ops are decoded and folded, and the walk starts at the segment holding
+/// `from_sequence`. That is sound because this process has the journal's
+/// writer open: the writer validated every retained segment at open and
+/// truncated any torn tail, and this process wrote the rest, so no segment
+/// below the floor can end the valid prefix.
 persist::FramedLogScan fold_journal(const std::filesystem::path& dir,
                                     std::uint64_t from_sequence,
                                     std::optional<std::uint32_t> only_shard,
@@ -304,13 +318,15 @@ persist::FramedLogScan fold_journal(const std::filesystem::path& dir,
       dir, journal_format(),
       [&](std::uint64_t sequence, std::uint8_t type, std::string_view payload) {
         if (sequence < from_sequence) return true;
+        if (only_shard && addressed_shard(type, payload) != only_shard) {
+          return true;
+        }
         if (!decode_op(type, payload, op)) return false;
         ++decoded;
-        const bool addressed = type != kOpTrack && type != kOpSetReference;
-        if (only_shard && !(addressed && op.shard == *only_shard)) return true;
         fold_op(sequence, type, op, state, oplogs);
         return true;
-      });
+      },
+      only_shard ? from_sequence : 0);
 }
 
 }  // namespace
@@ -355,7 +371,7 @@ RecoveredControlState ControlJournal::recover() {
 
 std::deque<JournaledOp> ControlJournal::collect_oplog(
     std::uint32_t shard, std::uint64_t last_ack, std::uint64_t polls_done,
-    std::uint64_t from_sequence, std::uint64_t* records_decoded) {
+    std::uint64_t from_sequence, std::uint64_t* records_decoded) const {
   ControlCheckpoint state;
   state.members.push_back(
       {shard, MemberPhase::kActive, last_ack, /*breaker_open=*/false, polls_done});
@@ -387,7 +403,7 @@ std::uint64_t ControlJournal::record_set_reference(
 
 std::uint64_t ControlJournal::record_batch(
     std::uint32_t shard, std::uint64_t batch_sequence,
-    const std::vector<sim::RssiReading>& readings) {
+    std::span<const sim::RssiReading> readings) {
   persist::ByteWriter w;
   w.u32(shard);
   w.u64(batch_sequence);

@@ -40,6 +40,7 @@
 #include <filesystem>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -72,15 +73,20 @@ struct ControlJournalConfig {
   support::IoFaultHook* fault_hook = nullptr;
 };
 
-/// One op-log entry rebuilt from the journal: a batch the shard has not
-/// acked, or a poll a down shard still owes.
-struct JournaledOp {
+/// One op-log entry: a batch the shard has not acked, or a poll a down
+/// shard still owes. The supervisor's op-log holds only these; the payload
+/// stays in the journal.
+struct OpRef {
   enum class Kind : std::uint8_t { kBatch, kPoll };
   Kind kind = Kind::kBatch;
   std::uint64_t journal_sequence = 0;
-  std::uint64_t batch_sequence = 0;            ///< kBatch only
-  std::vector<sim::RssiReading> readings;      ///< kBatch only
-  sim::SimTime time = 0.0;                     ///< kPoll only
+  std::uint64_t batch_sequence = 0;  ///< kBatch only
+};
+
+/// An op-log entry read back from the journal with its payload.
+struct JournaledOp : OpRef {
+  std::vector<sim::RssiReading> readings;  ///< kBatch only
+  sim::SimTime time = 0.0;                 ///< kPoll only
 };
 
 /// The folded control-plane state a checkpoint persists and recovery
@@ -139,7 +145,7 @@ class ControlJournal {
                              std::optional<std::uint32_t> zone);
   std::uint64_t record_set_reference(const std::vector<sim::TagId>& ids);
   std::uint64_t record_batch(std::uint32_t shard, std::uint64_t batch_sequence,
-                             const std::vector<sim::RssiReading>& readings);
+                             std::span<const sim::RssiReading> readings);
   std::uint64_t record_poll(std::uint32_t shard, sim::SimTime time);
   std::uint64_t record_add_shard(std::uint32_t shard);
   std::uint64_t record_shard_active(std::uint32_t shard);
@@ -149,17 +155,16 @@ class ControlJournal {
   std::uint64_t record_polls_done(std::uint32_t shard,
                                   std::uint64_t through_sequence);
 
-  /// Re-reads the journal from disk and rebuilds one member's un-acked
-  /// op-log suffix: batches above `last_ack` plus polls above `polls_done`.
-  /// This is the overflow escape hatch — when the in-memory op-log evicted
-  /// journaled entries (push_oplog capacity), bring_up rebuilds the full
-  /// suffix from here instead of silently losing the evicted prefix.
-  /// Records below `from_sequence` (the oldest evicted entry) are walked but
-  /// not decoded; `records_decoded`, when set, receives how many were.
+  /// Reads one live member's un-acked op-log suffix back from disk, with
+  /// payloads: its batches above `last_ack` plus its polls above
+  /// `polls_done`, from journal sequence `from_sequence` on (the oldest
+  /// entry the member's op-log holds). This is what a revived shard is sent
+  /// and what migration re-feeds. Only that member's records are decoded;
+  /// `records_decoded`, when set, receives how many were.
   [[nodiscard]] std::deque<JournaledOp> collect_oplog(
       std::uint32_t shard, std::uint64_t last_ack, std::uint64_t polls_done,
       std::uint64_t from_sequence = 0,
-      std::uint64_t* records_decoded = nullptr);
+      std::uint64_t* records_decoded = nullptr) const;
 
   /// Opens a group write (persist::FramedLog::Batch): the records appended
   /// until it commits reach the log in one write(2), byte for byte what

@@ -52,6 +52,8 @@ constexpr std::uint32_t kTracePullEvents = 4096;
 /// End-to-end ingest-to-fix SLO: a polled fix older than this bumps
 /// vire_fleet_slo_burn_total.
 constexpr double kIngestToFixSloS = 1.0;
+/// Ingest stamps kept per shard between polls; the oldest goes first.
+constexpr std::size_t kMaxPendingBatches = 4096;
 
 std::string shard_json(std::uint32_t id) {
   return "{\"shard\":" + std::to_string(id) + "}";
@@ -116,9 +118,6 @@ Supervisor::Supervisor(const env::Deployment& deployment,
       "Degraded kHold fixes served for tags of unreachable shards");
   heartbeats_total_ = &metrics_.counter("vire_supervisor_heartbeats_total", {},
                                         "Successful shard heartbeat acks");
-  oplog_overflow_ = &metrics_.counter(
-      "vire_supervisor_oplog_overflow_total", {},
-      "Op-log capacity overflows recovered via a journal-backed rebuild");
   adoptions_total_ = &metrics_.counter(
       "vire_supervisor_adoptions_total", {},
       "Orphaned shard processes re-adopted after a supervisor restart");
@@ -191,23 +190,12 @@ void Supervisor::restore_from_journal(RecoveredControlState recovered) {
     shard.phase = member.phase;
     shard.last_ack = member.last_ack;
     shard.polls_done = member.polls_done;
-    // The un-acked suffix: freshest batch sequences must stay above every
-    // journaled one, which restore already guarantees via ingest_sequence.
-    auto ops = recovered.oplogs.find(member.id);
+    // The un-acked suffix, indexed: replay() reads the payloads back.
+    // Freshest batch sequences must stay above every journaled one, which
+    // restore already guarantees via ingest_sequence.
+    const auto ops = recovered.oplogs.find(member.id);
     if (ops != recovered.oplogs.end()) {
-      for (auto& op : ops->second) {
-        OpEntry entry;
-        entry.journal_seq = op.journal_sequence;
-        if (op.kind == JournaledOp::Kind::kBatch) {
-          entry.kind = OpEntry::Kind::kBatch;
-          entry.sequence = op.batch_sequence;
-          entry.readings = std::move(op.readings);
-        } else {
-          entry.kind = OpEntry::Kind::kPoll;
-          entry.time = op.time;
-        }
-        shard.oplog.push_back(std::move(entry));
-      }
+      shard.oplog.assign(ops->second.begin(), ops->second.end());
     }
     if (member.breaker_open) {
       // Re-open the breaker where it stood: the shard was crash-looping
@@ -327,16 +315,22 @@ void Supervisor::ingest(std::span<const IngestBatch> run) {
   std::lock_guard lock(mutex_);
   // Route the whole run first. Each client batch keeps its own sequence,
   // op-log entries and journal records, made in the order one call per
-  // batch would make them; only the writes and sends are shared.
+  // batch would make them; only the writes and sends are shared. The
+  // journal records and the frames view the routed parts, which live until
+  // the run is sent.
   struct Outgoing {
     std::uint32_t shard = 0;
-    OpEntry entry;
+    std::uint64_t sequence = 0;
+    std::span<const sim::RssiReading> readings;
+    std::uint64_t journal_seq = 0;
   };
+  std::vector<std::map<std::uint32_t, std::vector<sim::RssiReading>>> routed(
+      run.size());
   std::vector<Outgoing> outgoing;
-  for (const IngestBatch& batch : run) {
-    if (batch.readings.empty()) continue;
-    std::map<std::uint32_t, std::vector<sim::RssiReading>> parts;
-    for (const sim::RssiReading& reading : batch.readings) {
+  for (std::size_t b = 0; b < run.size(); ++b) {
+    if (run[b].readings.empty()) continue;
+    auto& parts = routed[b];
+    for (const sim::RssiReading& reading : run[b].readings) {
       if (is_reference(reading.tag)) {
         // Broadcast to active members only: a joining shard gets the
         // reference history with its seed, a draining one is already
@@ -349,10 +343,9 @@ void Supervisor::ingest(std::span<const IngestBatch> run) {
       }
     }
     // A shard's sub-batch must fit one kIngestSeq frame — encode_frame
-    // refuses anything bigger, and an oversized entry in the op-log would
-    // make every future replay (hence every bring_up) fail. Chunk the
-    // largest part's way, one sequence per chunk index so acks stay a plain
-    // cursor.
+    // refuses anything bigger, and an oversized journal record would make
+    // every future replay (hence every bring_up) fail. Chunk the largest
+    // part's way, one sequence per chunk index so acks stay a plain cursor.
     std::size_t chunks = 1;
     for (const auto& [id, sub] : parts) {
       chunks = std::max(
@@ -360,24 +353,19 @@ void Supervisor::ingest(std::span<const IngestBatch> run) {
     }
     const std::uint64_t base = ingest_seq_;
     ingest_seq_ += chunks;
-    for (auto& [id, sub] : parts) {
+    for (const auto& [id, sub] : parts) {
       ManagedShard& shard = shards_.at(id);
       for (std::size_t off = 0; off < sub.size(); off += kMaxReadingsPerBatch) {
         const std::size_t len = std::min(kMaxReadingsPerBatch, sub.size() - off);
-        Outgoing out;
-        out.shard = id;
-        out.entry.kind = OpEntry::Kind::kBatch;
-        out.entry.sequence = base + 1 + off / kMaxReadingsPerBatch;
-        out.entry.readings.assign(
-            sub.begin() + static_cast<std::ptrdiff_t>(off),
-            sub.begin() + static_cast<std::ptrdiff_t>(off + len));
+        const std::uint64_t sequence = base + 1 + off / kMaxReadingsPerBatch;
+        outgoing.push_back({id, sequence, std::span(sub).subspan(off, len),
+                            /*journal_seq=*/0});
         // The ingest stamp feeds the e2e histogram at the poll that
         // materializes this batch's fixes.
-        if (shard.pending_batches.size() >= config_.oplog_capacity) {
+        if (shard.pending_batches.size() >= kMaxPendingBatches) {
           shard.pending_batches.erase(shard.pending_batches.begin());
         }
-        shard.pending_batches.emplace(out.entry.sequence, tracer_.now_us());
-        outgoing.push_back(std::move(out));
+        shard.pending_batches.emplace(sequence, tracer_.now_us());
       }
     }
   }
@@ -386,8 +374,8 @@ void Supervisor::ingest(std::span<const IngestBatch> run) {
   // attempt, so a supervisor killed mid-ingest still replays it on restart.
   auto group = journal_.batch();
   for (Outgoing& out : outgoing) {
-    out.entry.journal_seq =
-        journal_.record_batch(out.shard, out.entry.sequence, out.entry.readings);
+    out.journal_seq =
+        journal_.record_batch(out.shard, out.sequence, out.readings);
   }
   group.commit();
   // Delivery: every shard gets its frames of the run in one send.
@@ -396,30 +384,28 @@ void Supervisor::ingest(std::span<const IngestBatch> run) {
     frames.clear();
     for (const Outgoing& out : outgoing) {
       if (out.shard != id) continue;
+      shard.oplog.push_back(
+          {OpRef::Kind::kBatch, out.journal_seq, out.sequence});
       // Trace context is stamped UNCONDITIONALLY (same wire bytes whether
       // fleet tracing is on or off), so enabling tracing cannot perturb the
       // stream the shards see.
-      const std::uint64_t sequence = out.entry.sequence;
-      frames.push_back({out.entry.readings, sequence,
-                        obs::TraceContext{trace_id_for(sequence), sequence}});
+      frames.push_back({out.readings, out.sequence,
+                        obs::TraceContext{trace_id_for(out.sequence),
+                                          out.sequence}});
     }
-    if (frames.empty()) continue;
-    // A shard that is not up gets nothing now: the op-log holds its batches
-    // and replay() delivers them at the next revival.
-    bool died = false;
-    if (shard.state == ShardState::kUp && shard.client != nullptr) {
-      try {
-        shard.client->stream_sequenced(frames);
-      } catch (const TransportError&) {
-        // No inline restart on the ingest path: the op-log covers the
-        // batches, and the next poll/tick revives the shard.
-        died = true;
-      }
+    // A shard that is not up gets nothing now: the op-log indexes its
+    // batches and replay() delivers them at the next revival.
+    if (frames.empty() || shard.state != ShardState::kUp ||
+        shard.client == nullptr) {
+      continue;
     }
-    for (Outgoing& out : outgoing) {
-      if (out.shard == id) push_oplog(shard, std::move(out.entry));
+    try {
+      shard.client->stream_sequenced(frames);
+    } catch (const TransportError&) {
+      // No inline restart on the ingest path: the op-log covers the
+      // batches, and the next poll/tick revives the shard.
+      handle_death(shard, DeathCause::kSocket);
     }
-    if (died) handle_death(shard, DeathCause::kSocket);
   }
   maybe_checkpoint();
 }
@@ -512,11 +498,8 @@ std::vector<engine::Fix> Supervisor::poll(sim::SimTime now,
     }
     // Shard unreachable (breaker open / revival failed): journal the missed
     // poll so revival replays it, and answer its tags from last-known fixes.
-    OpEntry entry;
-    entry.kind = OpEntry::Kind::kPoll;
-    entry.time = now;
-    entry.journal_seq = journal_.record_poll(id, now);
-    push_oplog(shard, std::move(entry));
+    shard.oplog.push_back(
+        {OpRef::Kind::kPoll, journal_.record_poll(id, now), /*batch=*/0});
     for (const auto& [tag, info] : tags_) {
       if (router_.route(tag) != id) continue;
       const auto it = latest_.find(tag);
@@ -533,21 +516,6 @@ std::vector<engine::Fix> Supervisor::poll(sim::SimTime now,
       // (still-growing) latency of batches stranded behind the dead shard.
       observe_ingest_to_fix((shard_end_us - oldest_stamp_us) / 1e6);
     }
-  }
-  // Ack refresh: tick() heartbeats only every heartbeat_interval_s, and a
-  // fast stream fills an op-log long before that, which would overflow it
-  // and leave the next revival a rebuild from the journal. A shard polled
-  // just now has drained its queue, so one heartbeat is a cheap round trip
-  // that trims its op-log to the un-acked tail.
-  for (const auto& polled : sent) {
-    ManagedShard& shard = *polled.first;
-    if (shard.state != ShardState::kUp || shard.client == nullptr ||
-        shard.oplog.size() <= config_.oplog_capacity / 2) {
-      continue;
-    }
-    const obs::TraceSpan refresh(&tracer_, "supervisor.ack_refresh",
-                                 shard_json(shard.id));
-    heartbeat_shard(shard);
   }
   if (refused != nullptr) std::rethrow_exception(refused);
   std::sort(merged.begin(), merged.end(),
@@ -951,90 +919,57 @@ bool Supervisor::bring_up(ManagedShard& shard) {
 }
 
 void Supervisor::replay(ManagedShard& shard) {
-  const obs::TraceSpan span(&tracer_, "supervisor.replay",
-                            shard_json(shard.id));
-  // The ack the shard recovered from its WAL may already cover every
-  // evicted entry, which ends the overflow episode before any rebuild.
+  obs::TraceSpan span(&tracer_, "supervisor.replay", shard_json(shard.id));
+  // The ack the shard recovered from its WAL trims the op-log first, so
+  // only what the shard lacks is read back.
   trim_oplog(shard);
-  if (shard.oplog_overflow) {
-    // Capacity overflow evicted journal-backed entries (push_oplog): rebuild
-    // the full un-acked suffix from the journal instead of replaying a
-    // truncated one. overflow_floor kept the needed records from pruning,
-    // and nothing older than it can still be owed, so the fold starts there.
-    const double rebuild_start_us = tracer_.now_us();
-    std::uint64_t records = 0;
-    std::deque<OpEntry> rebuilt;
-    for (auto& op :
-         journal_.collect_oplog(shard.id, shard.last_ack, shard.polls_done,
-                                shard.overflow_floor, &records)) {
-      OpEntry entry;
-      entry.journal_seq = op.journal_sequence;
-      if (op.kind == JournaledOp::Kind::kBatch) {
-        entry.kind = OpEntry::Kind::kBatch;
-        entry.sequence = op.batch_sequence;
-        entry.readings = std::move(op.readings);
-      } else {
-        entry.kind = OpEntry::Kind::kPoll;
-        entry.time = op.time;
-      }
-      rebuilt.push_back(std::move(entry));
-    }
-    if (tracer_.enabled()) {
-      tracer_.complete("supervisor.oplog_rebuild", rebuild_start_us,
-                       tracer_.now_us(),
-                       "{\"shard\":" + std::to_string(shard.id) +
-                           ",\"from\":" + std::to_string(shard.overflow_floor) +
-                           ",\"records\":" + std::to_string(records) +
-                           ",\"kept\":" + std::to_string(rebuilt.size()) + "}");
-    }
-    shard.oplog = std::move(rebuilt);
-    end_overflow(shard);
-  }
-  std::uint64_t polls_done = shard.polls_done;
+  std::uint64_t records = 0;
+  const std::deque<JournaledOp> owed = read_oplog(shard, &records);
+  span.set_args("{\"shard\":" + std::to_string(shard.id) +
+                ",\"records\":" + std::to_string(records) +
+                ",\"kept\":" + std::to_string(owed.size()) + "}");
+  const std::uint64_t polls_journaled = shard.polls_done;
   // Consecutive un-acked batches go out in one send, made before the next
-  // poll (and before any op-log erase moves the readings they view).
+  // poll.
   std::vector<IngestBatch> batches;
   const auto send_batches = [&] {
     if (batches.empty()) return;
     shard.client->stream_sequenced(batches);
     batches.clear();
   };
-  for (auto it = shard.oplog.begin(); it != shard.oplog.end();) {
-    if (it->kind == OpEntry::Kind::kBatch) {
-      if (it->sequence > shard.last_ack) {
-        batches.push_back({it->readings, it->sequence, {}});
-        replayed_batches_->inc();
-        replayed_readings_->inc(it->readings.size());
-      }
-      ++it;  // trimmed below once the shard acks it durably
-    } else {
-      send_batches();
-      // A poll the shard never saw: execute it now so the shard's engine
-      // state advances through the same update sequence as the original
-      // timeline (its WAL gate substitutes any updates it already journaled).
-      try {
-        const std::vector<engine::Fix> fixes = shard.client->poll(it->time);
-        for (const engine::Fix& fix : fixes) latest_[fix.tag] = fix;
-        replayed_polls_->inc();
-      } catch (const TransportError&) {
-        throw;  // shard died mid-replay: bring_up fails and reschedules
-      } catch (const std::exception&) {
-        // kError: the shard is alive but REFUSED this poll (e.g. polled
-        // before set_reference_ids). A healthy engine would have refused
-        // the original identically, so dropping it cannot diverge the
-        // timeline — keeping it would crash-loop bring_up forever.
-      }
-      if (it->journal_seq > polls_done) polls_done = it->journal_seq;
-      it = shard.oplog.erase(it);
+  for (const JournaledOp& op : owed) {
+    if (op.kind == OpRef::Kind::kBatch) {
+      batches.push_back({op.readings, op.batch_sequence, {}});
+      replayed_batches_->inc();
+      replayed_readings_->inc(op.readings.size());
+      continue;  // trimmed once the shard acks it durably
     }
+    send_batches();
+    // A poll the shard never saw: execute it now so the shard's engine
+    // state advances through the same update sequence as the original
+    // timeline (its WAL gate substitutes any updates it already journaled).
+    try {
+      const std::vector<engine::Fix> fixes = shard.client->poll(op.time);
+      for (const engine::Fix& fix : fixes) latest_[fix.tag] = fix;
+      replayed_polls_->inc();
+    } catch (const TransportError&) {
+      throw;  // shard died mid-replay: bring_up fails and reschedules
+    } catch (const std::exception&) {
+      // kError: the shard is alive but REFUSED this poll (e.g. polled
+      // before set_reference_ids). A healthy engine would have refused
+      // the original identically, so dropping it cannot diverge the
+      // timeline — keeping it would crash-loop bring_up forever.
+    }
+    // Executed: the op-log and the journal read drop it alike from now on.
+    shard.polls_done = op.journal_sequence;
+    trim_oplog(shard);
   }
   send_batches();
-  if (polls_done > shard.polls_done) {
+  if (shard.polls_done > polls_journaled) {
     // Journaled polls are NOT idempotent the way batches are (no shard-side
     // sequence gate): mark them executed so a later recovery replays only
     // polls this incarnation never delivered.
-    shard.polls_done = polls_done;
-    journal_.record_polls_done(shard.id, polls_done);
+    journal_.record_polls_done(shard.id, shard.polls_done);
   }
   // Heartbeat forces the shard to drain its queue and journal the replayed
   // suffix before we declare it up; the ack lets us trim the op-log.
@@ -1043,60 +978,37 @@ void Supervisor::replay(ManagedShard& shard) {
   trim_oplog(shard);
 }
 
+std::deque<JournaledOp> Supervisor::read_oplog(const ManagedShard& shard,
+                                               std::uint64_t* records) const {
+  if (shard.oplog.empty()) return {};
+  std::deque<JournaledOp> ops = journal_.collect_oplog(
+      shard.id, shard.last_ack, shard.polls_done,
+      shard.oplog.front().journal_sequence, records);
+  const bool same = std::equal(
+      ops.begin(), ops.end(), shard.oplog.begin(), shard.oplog.end(),
+      [](const OpRef& read, const OpRef& indexed) {
+        return read.kind == indexed.kind &&
+               read.journal_sequence == indexed.journal_sequence;
+      });
+  if (!same) {
+    throw std::runtime_error(
+        "supervisor: the control journal's un-acked records for shard " +
+        std::to_string(shard.id) + " do not match its op-log");
+  }
+  return ops;
+}
+
 void Supervisor::observe_ack(ManagedShard& shard, std::uint64_t ack) {
   shard.last_ack = ack;
   if (ack > ingest_seq_) ingest_seq_ = ack;
 }
 
-void Supervisor::push_oplog(ManagedShard& shard, OpEntry entry) {
-  if (shard.oplog.size() >= config_.oplog_capacity) {
-    const OpEntry& victim = shard.oplog.front();
-    // The evicted entry survives in the control journal: mark the shard for
-    // a journal-backed op-log rebuild at its next bring-up (replay()).
-    // overflow_floor pins the checkpoint floor so the suffix is not pruned
-    // meanwhile.
-    if (shard.overflow_floor == 0 ||
-        victim.journal_seq < shard.overflow_floor) {
-      shard.overflow_floor = victim.journal_seq;
-    }
-    if (victim.kind == OpEntry::Kind::kPoll) {
-      shard.overflow_evicted_poll = true;
-    } else {
-      shard.overflow_batch_high =
-          std::max(shard.overflow_batch_high, victim.sequence);
-    }
-    if (!shard.oplog_overflow) {
-      shard.oplog_overflow = true;
-      oplog_overflow_->inc();
-      tracer_.instant("supervisor.oplog_overflow", shard_json(shard.id), 'g');
-    }
-    shard.oplog.pop_front();
-  }
-  shard.oplog.push_back(std::move(entry));
-}
-
 void Supervisor::trim_oplog(ManagedShard& shard) {
-  const std::uint64_t ack = shard.last_ack;
-  shard.oplog.erase(
-      std::remove_if(shard.oplog.begin(), shard.oplog.end(),
-                     [ack](const OpEntry& e) {
-                       return e.kind == OpEntry::Kind::kBatch &&
-                              e.sequence <= ack;
-                     }),
-      shard.oplog.end());
-  // Every evicted entry is acked, so the trim would have dropped it anyway:
-  // no rebuild is owed, and the journal floor follows the acks again.
-  if (shard.oplog_overflow && !shard.overflow_evicted_poll &&
-      ack >= shard.overflow_batch_high) {
-    end_overflow(shard);
-  }
-}
-
-void Supervisor::end_overflow(ManagedShard& shard) {
-  shard.oplog_overflow = false;
-  shard.overflow_floor = 0;
-  shard.overflow_batch_high = 0;
-  shard.overflow_evicted_poll = false;
+  std::erase_if(shard.oplog, [&shard](const OpRef& e) {
+    return e.kind == OpRef::Kind::kBatch
+               ? e.batch_sequence <= shard.last_ack
+               : e.journal_sequence <= shard.polls_done;
+  });
 }
 
 void Supervisor::handle_death(ManagedShard& shard, DeathCause cause) {
@@ -1231,12 +1143,13 @@ void Supervisor::heartbeat_shard(ManagedShard& shard) {
 
 ControlCheckpoint Supervisor::build_checkpoint() const {
   ControlCheckpoint state;
+  // The oldest record any op-log still indexes (op-logs are in journal
+  // order).
   std::uint64_t floor = journal_.next_sequence();
   for (const auto& [id, shard] : shards_) {
-    for (const auto& entry : shard.oplog) {
-      floor = std::min(floor, entry.journal_seq);
+    if (!shard.oplog.empty()) {
+      floor = std::min(floor, shard.oplog.front().journal_sequence);
     }
-    if (shard.oplog_overflow) floor = std::min(floor, shard.overflow_floor);
   }
   state.journal_floor = floor;
   state.ingest_sequence = ingest_seq_;
@@ -1510,13 +1423,11 @@ std::vector<sim::RssiReading> Supervisor::migration_readings_cross(
   const double horizon = last_poll_time_ - config_.middleware_window_s;
   auto readings =
       persist::wal_tag_window(source.data_dir / "shard-0" / "wal", tag, horizon);
-  // Un-acked batches never reached the source's WAL; their readings live
-  // only in our op-log. Append them after the WAL suffix (they are newer
-  // than every acked reading by construction).
-  for (const auto& entry : source.oplog) {
-    if (entry.kind != OpEntry::Kind::kBatch) continue;
-    if (entry.sequence <= source.last_ack) continue;
-    for (const auto& reading : entry.readings) {
+  // Un-acked batches never reached the source's WAL; their readings are
+  // read back from the control journal. Append them after the WAL suffix
+  // (they are newer than every acked reading by construction).
+  for (const JournaledOp& op : read_oplog(source)) {
+    for (const auto& reading : op.readings) {  // a poll has none
       if (reading.tag == tag && reading.time > horizon) {
         readings.push_back(reading);
       }

@@ -25,30 +25,34 @@
 // tags are answered from last-known fixes with FixQuality::kHold — graceful
 // degradation, never a stall.
 //
-// Durability + bit-identity: every ingest batch gets a sequence and is held
-// in a per-shard op-log until the shard's heartbeat reports the batch
-// durably journaled (WAL kAck marker, persist/wal.h). On restart the shard
+// Durability + bit-identity: every ingest batch gets a sequence and is
+// journaled write-ahead to the control journal (below), which holds it until
+// the shard's heartbeat reports the batch durably journaled in the shard's
+// own WAL (kAck marker, persist/wal.h). A per-shard op-log indexes those
+// un-acked journal records, without their readings. On restart the shard
 // runs its normal checkpoint+WAL recovery, reports the last acked batch,
-// and the supervisor replays exactly the un-acked suffix — plus any polls
-// that could not be delivered while the shard was dead — in original order.
+// and the supervisor reads the un-acked suffix back from the journal and
+// replays exactly it — plus any polls that could not be delivered while the
+// shard was dead — in original order.
 // Combined with the shard's own resume gate this keeps the merged poll
 // stream fix-for-fix bit-identical to an uninterrupted single-engine run
 // (tests/service/supervisor_chaos_test.cpp).
 //
 // Durable control plane (docs/service.md, "Supervisor failover & elastic
 // membership"): the control-plane state that used to live only in this
-// process — op-logs, the ingest cursor, router membership, breaker states —
-// is journaled write-ahead to <root>/journal/ (service/control_journal.h)
-// and checkpointed periodically. A supervisor restarted over an existing
-// root rebuilds all of it, re-adopts still-running shards through its
-// runner (for processes: pidfile + socket handshake; it cannot waitpid
-// them, so liveness is kill(pid,0)/ESRCH) or restarts dead ones, and
-// replays only the un-acked suffix — merged polls stay bit-identical
-// through a SIGKILL of the *supervisor* itself. Membership is elastic at
-// runtime: admin_add_shard / admin_remove_shard (wire kAddShard /
-// kRemoveShard) walk a journaled joining->active->draining state machine,
-// seed newcomers with a reference-only snapshot and re-feed moved tags from
-// the source shard's WAL suffix through normal ingest.
+// process — op-log indexes, the ingest cursor, router membership, breaker
+// states — is journaled write-ahead to <root>/journal/
+// (service/control_journal.h) and checkpointed periodically. A supervisor
+// restarted over an existing root rebuilds all of it, re-adopts
+// still-running shards through its runner (for processes: pidfile + socket
+// handshake; it cannot waitpid them, so liveness is kill(pid,0)/ESRCH) or
+// restarts dead ones, and replays only the un-acked suffix — merged polls
+// stay bit-identical through a SIGKILL of the *supervisor* itself.
+// Membership is elastic at runtime: admin_add_shard / admin_remove_shard
+// (wire kAddShard / kRemoveShard) walk a journaled
+// joining->active->draining state machine, seed newcomers with a
+// reference-only snapshot and re-feed moved tags from the source shard's
+// WAL suffix through normal ingest.
 
 #include <sys/types.h>
 
@@ -140,13 +144,6 @@ struct SupervisorConfig {
 
   /// Seeds the restart jitter and the wire trace ids.
   std::uint64_t seed = 0;
-  /// Per-shard op-log bound (entries). poll() acks every polled shard whose
-  /// op-log is over half full, so a live shard overflows only when more than
-  /// half the bound arrives between two polls. Overflow evicts the oldest
-  /// entry; the evicted history stays in the control journal (the shard is
-  /// marked for a journal-backed op-log rebuild at its next bring-up and
-  /// vire_supervisor_oplog_overflow_total counts the episode).
-  std::size_t oplog_capacity = 4096;
 
   /// Control-journal appends between automatic control checkpoints.
   std::uint64_t journal_checkpoint_every_ops = 1024;
@@ -198,7 +195,7 @@ class Supervisor : public Frontend {
   void tick();
 
   // Frontend. ingest() assigns each batch of the run an internal sequence
-  // and holds it in the owning shards' op-logs until durably acked; the
+  // and indexes it in the owning shards' op-logs until durably acked; the
   // run's batches reach the control journal in one write, made before any
   // shard sees them, and each shard gets its share in one send. poll()
   // sends every shard its poll (reviving dead ones inline when the breaker
@@ -268,16 +265,6 @@ class Supervisor : public Frontend {
   [[nodiscard]] obs::Tracer& tracer() noexcept { return tracer_; }
 
  private:
-  struct OpEntry {
-    enum class Kind : std::uint8_t { kBatch, kPoll };
-    Kind kind = Kind::kBatch;
-    std::uint64_t sequence = 0;               ///< kBatch
-    std::vector<sim::RssiReading> readings;   ///< kBatch
-    sim::SimTime time = 0.0;                  ///< kPoll (missed while dead)
-    /// Control-journal sequence of this entry.
-    std::uint64_t journal_seq = 0;
-  };
-
   struct ManagedShard {
     std::uint32_t id = 0;
     std::filesystem::path socket;
@@ -297,20 +284,11 @@ class Supervisor : public Frontend {
     std::uint64_t last_ack = 0;   ///< durably journaled batch cursor
     std::deque<double> death_times;
     double breaker_open_until = 0.0;
-    /// Un-acked batches + undelivered polls, in original order.
-    std::deque<OpEntry> oplog;
-    /// Capacity overflow evicted journal-backed entries: rebuild the op-log
-    /// from the control journal at the next bring-up (replay()). The episode
-    /// ends early once an ack covers every evicted entry (trim_oplog()).
-    bool oplog_overflow = false;
-    /// Journal sequence of the oldest evicted entry — holds the checkpoint
-    /// floor down so the needed suffix is never pruned before the rebuild.
-    std::uint64_t overflow_floor = 0;
-    /// Highest batch sequence evicted in this episode.
-    std::uint64_t overflow_batch_high = 0;
-    /// True when the episode evicted a kPoll entry: polls are not acked, so
-    /// only the rebuild can end such an episode.
-    bool overflow_evicted_poll = false;
+    /// The op-log: un-acked batches + undelivered polls, in journal order.
+    /// An index of control-journal records, which hold the payloads; after
+    /// trim_oplog() it is exactly the shard's records above last_ack and
+    /// polls_done that collect_oplog() reads back.
+    std::deque<OpRef> oplog;
     /// Journal sequence through which journaled polls have been executed.
     std::uint64_t polls_done = 0;
     /// Clock offset of this shard's trace clock vs the supervisor's,
@@ -345,18 +323,22 @@ class Supervisor : public Frontend {
   /// Start (or adopt) + connect + handshake + re-register + recover +
   /// replay. Returns false (shard killed) on any failure.
   bool bring_up(ManagedShard& shard);
+  /// Reads the op-log's payloads back from the journal and re-sends them.
   void replay(ManagedShard& shard);
-  void push_oplog(ManagedShard& shard, OpEntry entry);
+  /// The shard's op-log read back from the control journal, with payloads.
+  /// Throws std::runtime_error when the journal's records are not the
+  /// index's, so a revival fails rather than replaying a wrong suffix.
+  [[nodiscard]] std::deque<JournaledOp> read_oplog(
+      const ManagedShard& shard,
+      std::uint64_t* records_decoded = nullptr) const;
   /// Records a durable-ack cursor learned from the shard (recovery or
   /// heartbeat) and keeps ingest_seq_ strictly above every cursor: a WAL can
   /// carry acks from a previous supervisor incarnation, and a fresh batch
   /// numbered at or below such a cursor would be dropped as a duplicate by
   /// the shard and trimmed as acked here — silent data loss.
   void observe_ack(ManagedShard& shard, std::uint64_t ack);
-  /// Drops acked batches and ends an overflow episode every evicted entry of
-  /// which is acked: the in-memory op-log is then the whole un-acked suffix.
-  void trim_oplog(ManagedShard& shard);
-  static void end_overflow(ManagedShard& shard);
+  /// Drops acked batches and executed polls from the op-log.
+  static void trim_oplog(ManagedShard& shard);
   void handle_death(ManagedShard& shard, DeathCause cause);
   /// Restart a non-UP shard if policy allows (waits out a pending backoff up
   /// to inline_revival_max_wait_s, else defers to tick(); respects an open
@@ -442,7 +424,6 @@ class Supervisor : public Frontend {
   obs::Counter* replayed_polls_ = nullptr;
   obs::Counter* held_fixes_ = nullptr;
   obs::Counter* heartbeats_total_ = nullptr;
-  obs::Counter* oplog_overflow_ = nullptr;
   obs::Counter* adoptions_total_ = nullptr;
   obs::Counter* membership_changes_add_ = nullptr;
   obs::Counter* membership_changes_remove_ = nullptr;

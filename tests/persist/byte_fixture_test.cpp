@@ -282,7 +282,7 @@ TEST(ByteFixtureTest, ControlJournalRecoversFixtureState) {
     expect_reading(ops[0].readings[i], readings[i]);
   }
 
-  // The overflow path re-reads the whole journal for one live member.
+  // A revival reads one live member's op-log back from the journal.
   const auto rebuilt = journal.collect_oplog(0, 0, 0);
   ASSERT_EQ(rebuilt.size(), 1u);
   EXPECT_EQ(rebuilt[0].journal_sequence, 8u);

@@ -1,10 +1,11 @@
 // Unit tests for the supervisor's durable control journal
 // (src/service/control_journal.h): op-record/recover roundtrips, checkpoint
-// fold + prune, the per-member op-log suffix rebuild (collect_oplog), and
+// fold + prune, the per-member op-log suffix read (collect_oplog), and
 // torn-tail / corrupt-checkpoint degradation. Pure file I/O — no processes,
 // so these run everywhere (including the single-core CI box).
 
 #include <cstdint>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -61,8 +62,9 @@ TEST(ControlJournalTest, JournalSuffixFoldsWithoutCheckpoint) {
     journal.record_track(7, "asset-7", 0);
     journal.record_track(9, "asset-9", std::nullopt);
     journal.record_set_reference({1, 2, 3});
-    journal.record_batch(0, 1, {reading(1.0, 7, -50.0)});
-    journal.record_batch(0, 2, {reading(1.5, 9, -48.0), reading(1.5, 7, -51.0)});
+    journal.record_batch(0, 1, std::vector{reading(1.0, 7, -50.0)});
+    journal.record_batch(
+        0, 2, std::vector{reading(1.5, 9, -48.0), reading(1.5, 7, -51.0)});
     journal.record_poll(0, 2.0);
     journal.record_breaker(0, true);
   }
@@ -108,7 +110,8 @@ TEST(ControlJournalTest, CheckpointFoldsPrunesAndSuffixReplays) {
     journal.record_add_shard(0);
     journal.record_shard_active(0);
     for (std::uint64_t seq = 1; seq <= 6; ++seq) {
-      journal.record_batch(0, seq, {reading(0.1 * double(seq), 7, -50.0)});
+      journal.record_batch(0, seq,
+                           std::vector{reading(0.1 * double(seq), 7, -50.0)});
     }
     EXPECT_EQ(journal.appends_since_checkpoint(), 8u);
 
@@ -199,7 +202,7 @@ TEST(ControlJournalTest, RemoveShardErasesMemberAndOplog) {
     journal.record_add_shard(1);
     journal.record_shard_active(0);
     journal.record_shard_draining(1);
-    journal.record_batch(1, 1, {reading(1.0, 7, -50.0)});
+    journal.record_batch(1, 1, std::vector{reading(1.0, 7, -50.0)});
     journal.record_remove_shard(1);
   }
   ControlJournal journal(journal_config(dir));
@@ -218,7 +221,8 @@ TEST(ControlJournalTest, CollectOplogRebuildsTheSuffixFromDisk) {
   journal.record_add_shard(0);
   journal.record_add_shard(1);
   for (std::uint64_t seq = 1; seq <= 5; ++seq) {
-    journal.record_batch(seq % 2, seq, {reading(0.1 * double(seq), 7, -50.0)});
+    journal.record_batch(seq % 2, seq,
+                         std::vector{reading(0.1 * double(seq), 7, -50.0)});
   }
   const auto poll_seq = journal.record_poll(0, 9.0);
   journal.record_polls_done(0, poll_seq);
@@ -237,25 +241,50 @@ TEST(ControlJournalTest, CollectOplogRebuildsTheSuffixFromDisk) {
   EXPECT_EQ(other[2].batch_sequence, 5u);
 }
 
-// The supervisor's rebuild folds from the oldest evicted entry (its
-// overflow floor), not from sequence 0: everything older is acked or done,
-// so both folds must return the same suffix while the bounded one decodes
-// fewer records. Segments of 4 records put the floor mid-log.
+/// Writes 40 batches alternating between shards 0 and 1, one poll owed by
+/// shard 0 after batch 30 and a track; returns the journal sequence of batch
+/// 21, the first one shard 0 has not acked when it acked through batch 20.
+std::uint64_t write_two_shard_log(ControlJournal& journal) {
+  std::uint64_t floor = 0;
+  journal.record_add_shard(0);
+  journal.record_add_shard(1);
+  for (std::uint64_t seq = 1; seq <= 40; ++seq) {
+    const auto journal_seq = journal.record_batch(
+        seq % 2, seq,
+        std::vector{reading(0.1 * double(seq), 7, -50.0 - double(seq))});
+    if (seq == 21) floor = journal_seq;
+    if (seq == 30) (void)journal.record_poll(0, 3.0);
+  }
+  journal.record_track(7, "pallet", std::nullopt);
+  return floor;
+}
+
+void expect_same_ops(const std::deque<JournaledOp>& got,
+                     const std::deque<JournaledOp>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].kind, want[i].kind) << i;
+    EXPECT_EQ(got[i].journal_sequence, want[i].journal_sequence) << i;
+    EXPECT_EQ(got[i].batch_sequence, want[i].batch_sequence) << i;
+    EXPECT_EQ(got[i].time, want[i].time) << i;
+    ASSERT_EQ(got[i].readings.size(), want[i].readings.size()) << i;
+    for (std::size_t r = 0; r < want[i].readings.size(); ++r) {
+      EXPECT_EQ(got[i].readings[r].rssi_dbm, want[i].readings[r].rssi_dbm);
+    }
+  }
+}
+
+// The supervisor reads a member's op-log back from the oldest entry it
+// indexes, not from sequence 0: everything older is acked or done, so both
+// reads return the same suffix, and each decodes only that member's
+// records. Segments of 4 records put the floor mid-log.
 TEST(ControlJournalTest, CollectOplogFromTheFloorMatchesTheFullScan) {
   const fs::path dir = fresh_dir("vire_cj_collect_floor");
   std::uint64_t floor = 0;
   {
     ControlJournal journal(journal_config(dir));
     (void)journal.recover();
-    journal.record_add_shard(0);
-    journal.record_add_shard(1);
-    for (std::uint64_t seq = 1; seq <= 40; ++seq) {
-      const auto journal_seq = journal.record_batch(
-          seq % 2, seq, {reading(0.1 * double(seq), 7, -50.0 - double(seq))});
-      if (seq == 21) floor = journal_seq;  // shard 0 acked through 20
-      if (seq == 30) (void)journal.record_poll(0, 3.0);
-    }
-    journal.record_track(7, "pallet", std::nullopt);
+    floor = write_two_shard_log(journal);
   }
   ASSERT_NE(floor, 0u);
   ControlJournal journal(journal_config(dir));
@@ -265,21 +294,36 @@ TEST(ControlJournalTest, CollectOplogFromTheFloorMatchesTheFullScan) {
   const auto full = journal.collect_oplog(0, /*last_ack=*/20, /*polls_done=*/0,
                                           0, &full_records);
   const auto bounded = journal.collect_oplog(0, 20, 0, floor, &floor_records);
-  ASSERT_EQ(bounded.size(), full.size());
   ASSERT_EQ(full.size(), 11u) << "batches 22..40 of shard 0 plus one poll";
-  for (std::size_t i = 0; i < full.size(); ++i) {
-    EXPECT_EQ(bounded[i].kind, full[i].kind) << i;
-    EXPECT_EQ(bounded[i].journal_sequence, full[i].journal_sequence) << i;
-    EXPECT_EQ(bounded[i].batch_sequence, full[i].batch_sequence) << i;
-    EXPECT_EQ(bounded[i].time, full[i].time) << i;
-    ASSERT_EQ(bounded[i].readings.size(), full[i].readings.size()) << i;
-    for (std::size_t r = 0; r < full[i].readings.size(); ++r) {
-      EXPECT_EQ(bounded[i].readings[r].rssi_dbm, full[i].readings[r].rssi_dbm);
-    }
+  expect_same_ops(bounded, full);
+  EXPECT_EQ(full_records, 22u)
+      << "shard 0's kAddShard, its 20 batches and its poll";
+  EXPECT_EQ(floor_records, full.size())
+      << "only shard 0's records at or above the floor are decoded";
+}
+
+// The live read starts at the segment holding its floor: a segment below it
+// is never opened, so damage there cannot cut the suffix short. (recover()
+// still walks every segment; this journal's writer validated them at open.)
+TEST(ControlJournalTest, LiveCollectOplogSkipsSegmentsBelowTheFloor) {
+  const fs::path dir = fresh_dir("vire_cj_collect_skip");
+  ControlJournal journal(journal_config(dir));
+  (void)journal.recover();
+  (void)write_two_shard_log(journal);
+  constexpr std::uint64_t kInThirdSegment = 10;  // segments hold 9..12
+  ASSERT_TRUE(fs::exists(dir / "ops-000000000009.log"));
+  const auto before = journal.collect_oplog(0, /*last_ack=*/20,
+                                            /*polls_done=*/0, 0);
+  ASSERT_EQ(before.size(), 11u);
+
+  const fs::path first = dir / "ops-000000000001.log";
+  ASSERT_TRUE(fs::exists(first));
+  {
+    std::fstream f(first, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(static_cast<std::streamoff>(fs::file_size(first)) - 8);
+    f.put('!');
   }
-  EXPECT_EQ(full_records, journal.next_sequence() - 1) << "every record";
-  EXPECT_EQ(floor_records, journal.next_sequence() - floor)
-      << "only the records at or above the floor are decoded";
+  expect_same_ops(journal.collect_oplog(0, 20, 0, kInThirdSegment), before);
 }
 
 TEST(ControlJournalTest, CorruptCheckpointFallsBackToTheJournal) {
@@ -289,7 +333,7 @@ TEST(ControlJournalTest, CorruptCheckpointFallsBackToTheJournal) {
     (void)journal.recover();
     journal.record_add_shard(0);
     journal.record_shard_active(0);
-    journal.record_batch(0, 1, {reading(1.0, 7, -50.0)});
+    journal.record_batch(0, 1, std::vector{reading(1.0, 7, -50.0)});
     ControlCheckpoint state;
     state.journal_floor = 1;  // checkpoint does not advance past anything
     state.ingest_sequence = 1;
@@ -320,7 +364,7 @@ TEST(ControlJournalTest, TornJournalTailIsCountedAndDropped) {
     ControlJournal journal(journal_config(dir));
     (void)journal.recover();
     journal.record_add_shard(0);
-    journal.record_batch(0, 1, {reading(1.0, 7, -50.0)});
+    journal.record_batch(0, 1, std::vector{reading(1.0, 7, -50.0)});
   }
   // Corrupt the last record's payload byte-for-byte like a torn write.
   fs::path last;

@@ -288,15 +288,14 @@ std::uint64_t counter_value(Supervisor& fleet, const std::string& name) {
   return counter != nullptr ? counter->value() : 0;
 }
 
-// tick() never heartbeats here (heartbeat_interval_s = 1e6), so only the
-// poll acks. The poll refreshes the ack cursor of every shard whose op-log
-// is over half full, which keeps each op-log within half its capacity plus
-// one poll interval of batches: it never overflows, and a killed shard is
-// revived from the in-memory op-log, bit-identically.
-TEST(ShardEquivalenceTest, PollAcksKeepTheOplogFromOverflowing) {
+// tick() never heartbeats here (heartbeat_interval_s = 1e6) and the poll
+// sends none, so nothing acks between polls and the op-logs keep every
+// batch. A shard killed in the middle of a poll interval is revived by the
+// next poll, reading its un-acked suffix back from the control journal, and
+// every poll stays bit-identical to the uninterrupted run.
+TEST(ShardEquivalenceTest, KillMidPollIntervalRevivesBitIdentically) {
   const Capture& capture = shared_capture();
-  constexpr std::size_t kCapacity = 64;
-  constexpr std::size_t kBatches = 10 * kCapacity;
+  constexpr std::size_t kBatches = 640;
   constexpr std::size_t kPollEvery = 20;
   constexpr std::size_t kKillAfterBatch = 327;  // mid poll interval
   std::vector<sim::RssiReading> stream;
@@ -306,10 +305,9 @@ TEST(ShardEquivalenceTest, PollAcksKeepTheOplogFromOverflowing) {
   ASSERT_GE(stream.size(), kBatches);
 
   const auto run = [&](bool kill_shard_0) {
-    const fs::path root = fresh_root("vire_equivalence_ack_refresh");
+    const fs::path root = fresh_root("vire_equivalence_mid_interval");
     InProcessShardRunner runner;
     SupervisorConfig config = fleet_config(root, 2);
-    config.oplog_capacity = kCapacity;
     config.heartbeat_interval_s = 1e6;
     auto fleet = make_fleet(capture, config, runner);
     std::vector<std::vector<engine::Fix>> polls;
@@ -321,15 +319,14 @@ TEST(ShardEquivalenceTest, PollAcksKeepTheOplogFromOverflowing) {
       fleet->ingest(std::vector<sim::RssiReading>(begin, end));
       if (kill_shard_0 && b == kKillAfterBatch) runner.kill(0);
       if ((b + 1) % kPollEvery != 0) continue;
-      for (const std::size_t length : oplog_lengths(*fleet)) {
-        EXPECT_LE(length, kCapacity / 2 + kPollEvery) << "batch " << b;
-      }
       polls.push_back(fleet->poll((end - 1)->time));
     }
-    EXPECT_EQ(counter_value(*fleet, "vire_supervisor_oplog_overflow_total"), 0u);
-    EXPECT_GT(counter_value(*fleet, "vire_supervisor_heartbeats_total"), 0u)
-        << "the poll-time refresh must have acked";
     EXPECT_EQ(fleet->restarts(), kill_shard_0 ? 1u : 0u);
+    if (kill_shard_0) {
+      EXPECT_GT(
+          counter_value(*fleet, "vire_supervisor_replayed_batches_total"), 0u)
+          << "the batches ingested while shard 0 was dead replay";
+    }
     fleet->stop();
     fs::remove_all(root);
     return polls;

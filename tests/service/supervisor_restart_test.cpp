@@ -503,8 +503,8 @@ TEST(SupervisorRestartTest, ShardddRejectsReadyFdThatIsNotAnOpenDescriptor) {
 }
 
 // --------------------------------------------------------------------------
-// Durable control plane (ISSUE 10): journal recovery, orphan adoption,
-// mixed shard fates and the op-log overflow rebuild.
+// Durable control plane: journal recovery, orphan adoption, mixed shard
+// fates and the revival's journal read.
 
 /// Double-forks a vire_shardd so it is reparented to init — the exact
 /// topology a SIGKILLed supervisor leaves behind — and writes the pidfile
@@ -585,9 +585,9 @@ TEST(SupervisorRestartTest, JournalRestartHandlesMixedShardFates) {
     }
     journal.record_track(7, "asset-7", std::nullopt);
     journal.record_track(8, "asset-8", std::nullopt);
-    journal.record_batch(0, 1, {make_reading(1.0, 7)});
-    journal.record_batch(1, 2, {make_reading(1.0, 8)});
-    journal.record_batch(2, 3, {make_reading(1.5, 7)});
+    journal.record_batch(0, 1, std::vector{make_reading(1.0, 7)});
+    journal.record_batch(1, 2, std::vector{make_reading(1.0, 8)});
+    journal.record_batch(2, 3, std::vector{make_reading(1.5, 7)});
     journal.record_breaker(2, true);
   }
   const pid_t orphan =
@@ -668,12 +668,12 @@ TEST(SupervisorRestartTest, JournalRestartHandlesMixedShardFates) {
   fs::remove_all(root);
 }
 
-// Op-log overflow regression: overflowing oplog_capacity while a shard is
-// down must NOT lose batches — the shard is marked for a journal-backed
-// rebuild and every batch replays at the next bring-up.
-TEST(SupervisorRestartTest, OplogOverflowRebuildsFromJournalWithoutLoss) {
+// A shard held down while batches arrive loses none of them: its op-log
+// indexes every batch, the control journal holds their readings, and the
+// revival reads all of them back and replays them.
+TEST(SupervisorRestartTest, HeldDownShardReplaysEveryBatchFromTheJournal) {
   SKIP_ON_SINGLE_CORE();
-  const fs::path root = fs::temp_directory_path() / "vire_supervisor_overflow";
+  const fs::path root = fs::temp_directory_path() / "vire_supervisor_held_down";
   fs::remove_all(root);
   fs::create_directories(root);
 
@@ -681,7 +681,6 @@ TEST(SupervisorRestartTest, OplogOverflowRebuildsFromJournalWithoutLoss) {
   config.shards = 1;
   config.root_dir = root;
   config.shardd_binary = VIRE_SHARDD_PATH;
-  config.oplog_capacity = 4;
   config.restart_backoff_initial_s = 30.0;  // hold the shard down
   config.spawn_wait_s = 120.0;
   config.heartbeat_interval_s = 1e6;
@@ -696,14 +695,9 @@ TEST(SupervisorRestartTest, OplogOverflowRebuildsFromJournalWithoutLoss) {
   supervisor.tick();
   ASSERT_EQ(supervisor.shard_state(0), ShardState::kBackoff);
 
-  // 8 batches into a 4-entry op-log: 4 evictions, all journal-backed.
   for (int i = 0; i < 8; ++i) {
     supervisor.ingest({make_reading(1.0 + 0.1 * i, 7)});
   }
-  const auto* overflow =
-      supervisor.metrics().find_counter("vire_supervisor_oplog_overflow_total");
-  ASSERT_NE(overflow, nullptr);
-  EXPECT_EQ(overflow->value(), 1u) << "one overflow episode";
 
   clock.advance(35.0);
   const auto deadline =
@@ -713,10 +707,10 @@ TEST(SupervisorRestartTest, OplogOverflowRebuildsFromJournalWithoutLoss) {
     supervisor.tick();
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
-  // The rebuild re-read ALL 8 batches from the journal: the shard's durable
-  // ack reaches the newest sequence, including the 4 evicted entries.
+  // The revival read ALL 8 batches back from the journal: the shard's
+  // durable ack reaches the newest sequence.
   EXPECT_GE(supervisor.heartbeat().last_ack_sequence, 8u)
-      << "evicted batches must replay from the journal";
+      << "every batch must replay from the journal";
   const auto* replayed = supervisor.metrics().find_counter(
       "vire_supervisor_replayed_batches_total");
   ASSERT_NE(replayed, nullptr);
@@ -726,13 +720,12 @@ TEST(SupervisorRestartTest, OplogOverflowRebuildsFromJournalWithoutLoss) {
   fs::remove_all(root);
 }
 
-// An overflow episode ends once an ack covers every evicted batch: the
-// journal floor then follows the acks again, so the next checkpoint prunes
-// the segments the episode held. Without the end, the floor stayed at the
-// first evicted entry for the supervisor's whole life and the journal grew
-// without bound. One shard, up throughout, and no polls, so only the
-// heartbeat acks.
-TEST(SupervisorRestartTest, AckedOverflowEpisodeEndsAndFreesTheJournal) {
+// The journal floor follows the op-log: batches a dead shard owes pin it, so
+// a checkpoint keeps every segment holding them, and once the revival's ack
+// covers them the next checkpoint prunes those segments. 4200 batches cross
+// the first journal segment (4096 records), so the revival reads across
+// the rotation. One shard and no polls, so only the revival acks.
+TEST(SupervisorRestartTest, RevivalReplaysAcrossASegmentAndFreesTheJournal) {
   SKIP_ON_SINGLE_CORE();
   const fs::path root = fs::temp_directory_path() / "vire_supervisor_episode";
   fs::remove_all(root);
@@ -742,37 +735,47 @@ TEST(SupervisorRestartTest, AckedOverflowEpisodeEndsAndFreesTheJournal) {
   config.shards = 1;
   config.root_dir = root;
   config.shardd_binary = VIRE_SHARDD_PATH;
-  config.oplog_capacity = 4;
+  config.restart_backoff_initial_s = 30.0;  // hold the shard down
   config.spawn_wait_s = 120.0;
-  config.heartbeat_interval_s = 1.0;
+  config.heartbeat_interval_s = 1e6;
   config.heartbeat_timeout_s = 1e9;
   FakeClock clock;
   Supervisor supervisor(env::Deployment::paper_testbed(), config, &clock);
   supervisor.start();
   ASSERT_EQ(supervisor.shard_state(0), ShardState::kUp);
 
-  // More batches than one journal segment holds (4096 records), so the
-  // first segment is closed behind the evicted entries.
-  for (int i = 0; i < 4200; ++i) {
-    supervisor.ingest({make_reading(1.0 + 0.001 * i, 7)});
-  }
-  const auto* overflow =
-      supervisor.metrics().find_counter("vire_supervisor_oplog_overflow_total");
-  ASSERT_NE(overflow, nullptr);
-  EXPECT_EQ(overflow->value(), 1u) << "one overflow episode";
+  ASSERT_EQ(::kill(supervisor.shard_pid(0), SIGKILL), 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  supervisor.tick();
+  ASSERT_EQ(supervisor.shard_state(0), ShardState::kBackoff);
 
+  constexpr std::uint64_t kBatches = 4200;
+  for (std::uint64_t i = 0; i < kBatches; ++i) {
+    supervisor.ingest({make_reading(1.0 + 0.001 * static_cast<double>(i), 7)});
+  }
   const fs::path first_segment = root / "journal" / "ops-000000000001.log";
   supervisor.checkpoint_now();
   EXPECT_TRUE(fs::exists(first_segment))
-      << "an open episode pins the journal floor at its oldest eviction";
+      << "un-acked batches pin the journal floor at the oldest of them";
 
-  clock.advance(2.0);
-  supervisor.tick();  // the heartbeat acks every batch
-  EXPECT_EQ(supervisor.heartbeat().last_ack_sequence, 4200u);
+  clock.advance(35.0);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(120);
+  while (supervisor.shard_state(0) != ShardState::kUp) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    supervisor.tick();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_EQ(supervisor.heartbeat().last_ack_sequence, kBatches);
+  const auto* replayed = supervisor.metrics().find_counter(
+      "vire_supervisor_replayed_batches_total");
+  ASSERT_NE(replayed, nullptr);
+  EXPECT_EQ(replayed->value(), kBatches)
+      << "every batch replays, across the segment rotation";
+  EXPECT_NE(supervisor.snapshot_json().find("\"oplog\":0"), std::string::npos);
   supervisor.checkpoint_now();
   EXPECT_FALSE(fs::exists(first_segment))
-      << "an acked episode ends and the floor follows the acks again";
-  EXPECT_NE(supervisor.snapshot_json().find("\"oplog\":0"), std::string::npos);
+      << "once acked, the floor follows the acks and the segment is pruned";
 
   supervisor.stop();
   fs::remove_all(root);
