@@ -2,7 +2,6 @@
 
 #include <array>
 #include <fstream>
-#include <sstream>
 
 namespace vire::persist {
 
@@ -53,11 +52,16 @@ std::uint32_t crc32(std::string_view data) noexcept {
 }
 
 std::optional<std::string> read_file(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return std::move(buf).str();
+  // One read into a string sized once: a stream copy would grow its buffer
+  // by doubling, holding up to twice the file at the peak.
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  const std::streamoff size = in ? std::streamoff(in.tellg()) : -1;
+  if (size < 0) return std::nullopt;
+  std::string data(static_cast<std::size_t>(size), '\0');
+  in.seekg(0);
+  in.read(data.data(), static_cast<std::streamsize>(data.size()));
+  data.resize(static_cast<std::size_t>(in.gcount()));  // a file cut meanwhile
+  return data;
 }
 
 std::string seal(std::string_view magic, std::string_view body) {

@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -20,6 +21,7 @@ namespace {
 
 constexpr std::size_t kHeaderSize = 4 + 4 + 8;      // magic + version + start_seq
 constexpr std::size_t kRecordOverhead = 4 + 1 + 4;  // len + type + crc
+constexpr std::uint64_t kNoEnd = std::numeric_limits<std::uint64_t>::max();
 
 std::filesystem::path segment_path(const std::filesystem::path& dir,
                                    const FramedLogFormat& format,
@@ -76,20 +78,22 @@ struct SegmentScan {
   std::uint64_t records = 0;        ///< valid records
   std::size_t valid_bytes = 0;      ///< header + valid records
   bool corrupt_tail = false;        ///< bytes after the valid prefix
+  bool at_end = false;              ///< stopped at the walk's end_sequence
 };
 
 /// Scans one segment file: validates the header, then walks records until
 /// the first CRC failure, rejected record or EOF. `visit` sees each record
 /// only when the header's start sequence equals `expected_start` (0 = any);
 /// on a mismatch the scan stops right after the header. Records below
-/// `from_sequence` are stepped over by their length, unchecked and unvisited.
-/// Returns nullopt when the header itself is unreadable (the whole segment
-/// is then treated as corrupt).
+/// `from_sequence` are stepped over by their length, unchecked and unvisited;
+/// the scan stops before `end_sequence`. Returns nullopt when the header
+/// itself is unreadable (the whole segment is then treated as corrupt).
 std::optional<SegmentScan> scan_segment(const std::filesystem::path& path,
                                         const FramedLogFormat& format,
                                         std::uint64_t expected_start,
                                         const RecordVisitor& visit,
-                                        std::uint64_t from_sequence) {
+                                        std::uint64_t from_sequence,
+                                        std::uint64_t end_sequence) {
   const auto file = read_file(path);
   if (!file || file->size() < kHeaderSize ||
       std::memcmp(file->data(), format.magic, 4) != 0) {
@@ -109,6 +113,10 @@ std::optional<SegmentScan> scan_segment(const std::filesystem::path& path,
   if (expected_start != 0 && scan.start_sequence != expected_start) return scan;
   std::size_t pos = kHeaderSize;
   while (pos < data.size()) {
+    if (scan.start_sequence + scan.records >= end_sequence) {
+      scan.at_end = true;
+      break;
+    }
     if (data.size() - pos < kRecordOverhead) {
       scan.corrupt_tail = true;
       break;
@@ -146,14 +154,16 @@ struct LogWalk {
   std::filesystem::path last_path;   ///< segment holding the prefix's end
   std::uint64_t last_records = 0;    ///< valid records in it
   std::size_t last_valid_bytes = 0;  ///< its valid length
-  bool torn = false;                 ///< bytes follow its valid length
+  bool torn = false;  ///< bytes may follow its valid length: cut there
   /// Segments wholly past the valid prefix (unreadable header, sequence
   /// gap, or anything after a torn segment).
   std::vector<std::filesystem::path> beyond;
 };
 
+/// Walks the valid prefix from `from_sequence` to `end_sequence` (scan_segment).
 LogWalk walk_log(const std::filesystem::path& dir, const FramedLogFormat& format,
-                 const RecordVisitor& visit, std::uint64_t from_sequence = 0) {
+                 const RecordVisitor& visit, std::uint64_t from_sequence,
+                 std::uint64_t end_sequence) {
   LogWalk walk;
   const auto segments = list_segments(dir, format);
   std::size_t i = 0;
@@ -163,7 +173,7 @@ LogWalk walk_log(const std::filesystem::path& dir, const FramedLogFormat& format
   for (; i < segments.size(); ++i) {
     const auto scan =
         scan_segment(segments[i].second, format, walk.scan.next_sequence, visit,
-                     from_sequence);
+                     from_sequence, end_sequence);
     if (!scan) {
       // Unreadable header: the whole segment is one corrupt unit.
       ++walk.scan.corrupt_records;
@@ -179,9 +189,9 @@ LogWalk walk_log(const std::filesystem::path& dir, const FramedLogFormat& format
     walk.last_path = segments[i].second;
     walk.last_records = scan->records;
     walk.last_valid_bytes = scan->valid_bytes;
-    if (scan->corrupt_tail) {
+    if (scan->corrupt_tail || scan->at_end) {
       // Sequence continuity ends at the first bad record.
-      ++walk.scan.corrupt_records;
+      if (scan->corrupt_tail) ++walk.scan.corrupt_records;
       walk.torn = true;
       ++i;
       break;
@@ -195,9 +205,8 @@ LogWalk walk_log(const std::filesystem::path& dir, const FramedLogFormat& format
 
 FramedLogScan scan_framed_log(const std::filesystem::path& dir,
                               const FramedLogFormat& format,
-                              const RecordVisitor& visit,
-                              std::uint64_t from_sequence) {
-  return walk_log(dir, format, visit, from_sequence).scan;
+                              const RecordVisitor& visit) {
+  return walk_log(dir, format, visit, 0, kNoEnd).scan;
 }
 
 FramedLogReadResult read_framed_log(const std::filesystem::path& dir,
@@ -226,15 +235,21 @@ FramedLog::FramedLog(FramedLogConfig config) : config_(std::move(config)) {
   }
   std::filesystem::create_directories(config_.dir);
 
-  // Resume after the valid prefix of any existing log: truncate the torn
-  // segment at its last valid record and drop every later segment, so
-  // appended records extend a log read_framed_log() fully accepts.
-  const LogWalk walk = walk_log(
-      config_.dir, config_.format,
+  // Resume after the valid prefix of any existing log, so appended records
+  // extend a log read_framed_log() fully accepts.
+  open_log(
       [this](std::uint64_t sequence, std::uint8_t type, std::string_view payload) {
         return !config_.validate || config_.validate(sequence, type, payload);
-      });
-  truncated_ = walk.scan.corrupt_records;
+      },
+      0, kNoEnd);
+}
+
+void FramedLog::open_log(const RecordVisitor& visit, std::uint64_t from_sequence,
+                         std::uint64_t end_sequence) {
+  close_segment();
+  const LogWalk walk =
+      walk_log(config_.dir, config_.format, visit, from_sequence, end_sequence);
+  truncated_ += walk.scan.corrupt_records;
   if (walk.torn) std::filesystem::resize_file(walk.last_path, walk.last_valid_bytes);
   for (const auto& path : walk.beyond) std::filesystem::remove(path);
 
@@ -254,6 +269,21 @@ FramedLog::FramedLog(FramedLogConfig config) : config_(std::move(config)) {
     sequence_ = walk.scan.next_sequence;
     open_segment(sequence_);
   }
+  reopen_ = false;
+}
+
+void FramedLog::abandon_batch() noexcept {
+  const std::uint64_t lost = sequence_ - batch_start_;
+  sequence_ = batch_start_;
+  appended_ -= lost;
+  pending_.clear();
+  close_segment();
+  reopen_ = true;
+}
+
+void FramedLog::read_from(std::uint64_t from_sequence,
+                          const RecordVisitor& visit) const {
+  (void)walk_log(config_.dir, config_.format, visit, from_sequence, sequence_);
 }
 
 FramedLog::~FramedLog() {
@@ -333,17 +363,30 @@ void FramedLog::write_pending() {
   try {
     physical_write(pending_.bytes());
   } catch (...) {
-    pending_.clear();
+    abandon_batch();
     throw;
   }
   pending_.clear();
 }
 
 std::uint64_t FramedLog::append(std::uint8_t type, std::string_view payload) {
+  if (reopen_) {
+    // Cut the log back to the records before the failed write. All of them
+    // are on disk whole (see read_from): the walk checks only the last.
+    open_log([](std::uint64_t, std::uint8_t, std::string_view) { return true; },
+             sequence_ > 1 ? sequence_ - 1 : 0, sequence_);
+    batch_start_ = std::min(batch_start_, sequence_);
+  }
+  if (!batching_) batch_start_ = sequence_;
   if (segment_records_ >= config_.segment_max_records) {
     write_pending();  // a record never straddles two segments
     if (config_.fsync != FsyncPolicy::kOff && unsynced_ > 0) fsync_segment();
-    open_segment(sequence_);
+    try {
+      open_segment(sequence_);
+    } catch (...) {
+      abandon_batch();
+      throw;
+    }
   }
   encode_record(pending_, type, payload);
   if (!batching_) write_pending();

@@ -22,6 +22,12 @@
 // it is open and hands them to the segment in one write(2). The bytes on disk
 // are those of appending the records one by one; only the number of physical
 // writes changes.
+//
+// A failed write (short write, ENOSPC) loses its whole batch, or its lone
+// append outside one: the writer takes back the sequences it handed out for
+// it and, at its next append, cuts the log back to the records before it.
+// So every sequence a writer has returned and not taken back names the same
+// record on disk.
 
 #include <cstdint>
 #include <filesystem>
@@ -96,16 +102,9 @@ struct FramedLogReadResult : FramedLogScan {
 /// return marks that record corrupt: the walk stops there exactly as at a
 /// CRC failure. A missing directory reads as an empty log. The payload view
 /// is valid only during the call.
-///
-/// With `from_sequence` set, the walk starts at the segment that holds it,
-/// leaves every segment wholly below it unread and steps over the records
-/// below it by their length, so none of them can end the walk. Only a log
-/// whose valid prefix is already known may be read this way: one whose
-/// writer is open in the reading process.
 FramedLogScan scan_framed_log(const std::filesystem::path& dir,
                               const FramedLogFormat& format,
-                              const RecordVisitor& visit,
-                              std::uint64_t from_sequence = 0);
+                              const RecordVisitor& visit);
 
 /// Reads every valid record with sequence >= `from_sequence`; `validate`
 /// (optional) extends the torn-tail rule to undecodable payloads.
@@ -125,7 +124,10 @@ class FramedLog {
   /// one by one. Outside a Batch, append() is a batch of one.
   class Batch {
    public:
-    explicit Batch(FramedLog& log) noexcept : log_(&log) { log.batching_ = true; }
+    explicit Batch(FramedLog& log) noexcept : log_(&log) {
+      log.batching_ = true;
+      log.batch_start_ = log.sequence_;
+    }
     /// Writes the records still pending when commit() was not reached (an
     /// exception is unwinding); a failure of that write is logged.
     ~Batch();
@@ -134,7 +136,8 @@ class FramedLog {
     Batch& operator=(const Batch&) = delete;
 
     /// Closes the batch and writes its records; throws what the write throws
-    /// (short write, ENOSPC). Later calls do nothing.
+    /// (short write, ENOSPC), and the batch's records are then lost. Later
+    /// calls do nothing.
     void commit();
 
    private:
@@ -148,8 +151,18 @@ class FramedLog {
   FramedLog& operator=(const FramedLog&) = delete;
 
   /// Appends one record; returns the global sequence it received. Inside a
-  /// Batch the record reaches the file when the batch commits.
+  /// Batch the record reaches the file when the batch commits. A write that
+  /// throws takes back the sequences of its batch (next_sequence() returns
+  /// to the batch's first); the next append first cuts the log back there.
   std::uint64_t append(std::uint8_t type, std::string_view payload);
+
+  /// Calls `visit` for each record from `from_sequence` up to
+  /// next_sequence(), in order, until it returns false. Segments wholly
+  /// below `from_sequence` are left unread and the records below it are
+  /// stepped over by their length: this writer validated every segment it
+  /// kept when it opened the log and wrote every later record itself, so
+  /// nothing below the floor can end the valid prefix.
+  void read_from(std::uint64_t from_sequence, const RecordVisitor& visit) const;
 
   /// Writes any pending records and fsyncs the current segment now,
   /// regardless of policy.
@@ -179,6 +192,14 @@ class FramedLog {
   [[nodiscard]] const FramedLogConfig& config() const noexcept { return config_; }
 
  private:
+  /// Makes the log end before `end_sequence`: walks it from `from_sequence`
+  /// with `visit`, truncates the segment holding the end of its valid prefix
+  /// there, deletes every later segment and opens the segment to append to.
+  void open_log(const RecordVisitor& visit, std::uint64_t from_sequence,
+                std::uint64_t end_sequence);
+  /// A write failed: take back the sequences of the batch (or lone append) it
+  /// belonged to and close the segment until the next append reopens it.
+  void abandon_batch() noexcept;
   void open_segment(std::uint64_t start_sequence);
   void close_segment() noexcept;
   void physical_write(std::string_view buffer);
@@ -192,7 +213,11 @@ class FramedLog {
   int fd_ = -1;
   ByteWriter pending_;  ///< encoded records not yet written
   bool batching_ = false;  ///< a Batch is open
+  /// A write failed: the next append cuts the log back to sequence_ first.
+  bool reopen_ = false;
   std::uint64_t sequence_ = 0;        ///< next record's global sequence
+  /// First sequence of the open Batch, or of the append outside one.
+  std::uint64_t batch_start_ = 0;
   std::uint64_t segment_records_ = 0; ///< records in the open segment
   std::uint64_t appended_ = 0;
   std::uint64_t truncated_ = 0;

@@ -285,48 +285,34 @@ void fold_op(std::uint64_t sequence, std::uint8_t type, Op& op,
   }
 }
 
-/// The member an op is addressed to: the u32 every payload but kTrack's and
-/// kSetReference's starts with. nullopt for those two.
-std::optional<std::uint32_t> addressed_shard(std::uint8_t type,
-                                             std::string_view payload) {
-  if (type == kOpTrack || type == kOpSetReference) return std::nullopt;
-  return persist::ByteReader(payload).u32();
-}
-
-/// Folds every journal record with sequence >= `from_sequence` under `dir`
-/// into `state` and `oplogs`, counting the records decoded in `decoded`.
+/// A visitor that folds every journal record with sequence >= `from_sequence`
+/// into `state` and `oplogs`, counting the records decoded in `decoded`. With
+/// `only_shard` set it folds just the ops addressed to that member (every
+/// payload but kTrack's and kSetReference's starts with the member's u32),
+/// and reads only their payloads past that prefix.
 ///
-/// Without `only_shard` (recover()) every retained segment is walked and
-/// every record at or above the floor decoded: that decode is the torn-tail
-/// check. Records below the floor are CRC-walked but not decoded, since the
-/// journal's writer validated every retained record with decode_op when it
-/// reopened the log (ControlJournal's constructor).
-///
-/// With `only_shard` set (collect_oplog(), the live read) just that member's
-/// ops are decoded and folded, and the walk starts at the segment holding
-/// `from_sequence`. That is sound because this process has the journal's
-/// writer open: the writer validated every retained segment at open and
-/// truncated any torn tail, and this process wrote the rest, so no segment
-/// below the floor can end the valid prefix.
-persist::FramedLogScan fold_journal(const std::filesystem::path& dir,
-                                    std::uint64_t from_sequence,
+/// Records below the floor are stepped over undecoded: the journal's writer
+/// validated every retained record with decode_op when it reopened the log
+/// (ControlJournal's constructor), so a record older than the floor always
+/// decodes. recover() walks every retained segment and decodes every record
+/// at or above the floor: that decode is its torn-tail check.
+persist::RecordVisitor fold_visitor(std::uint64_t from_sequence,
                                     std::optional<std::uint32_t> only_shard,
                                     ControlCheckpoint& state, OpLogs& oplogs,
                                     std::uint64_t& decoded) {
-  Op op;
-  return persist::scan_framed_log(
-      dir, journal_format(),
-      [&](std::uint64_t sequence, std::uint8_t type, std::string_view payload) {
-        if (sequence < from_sequence) return true;
-        if (only_shard && addressed_shard(type, payload) != only_shard) {
-          return true;
-        }
-        if (!decode_op(type, payload, op)) return false;
-        ++decoded;
-        fold_op(sequence, type, op, state, oplogs);
-        return true;
-      },
-      only_shard ? from_sequence : 0);
+  return [=, &state, &oplogs, &decoded, op = Op{}](
+             std::uint64_t sequence, std::uint8_t type,
+             std::string_view payload) mutable {
+    if (sequence < from_sequence) return true;
+    if (only_shard && (type == kOpTrack || type == kOpSetReference ||
+                       persist::ByteReader(payload).u32() != only_shard)) {
+      return true;
+    }
+    if (!decode_op(type, payload, op)) return false;
+    ++decoded;
+    fold_op(sequence, type, op, state, oplogs);
+    return true;
+  };
 }
 
 }  // namespace
@@ -357,9 +343,10 @@ RecoveredControlState ControlJournal::recover() {
     result.state = std::move(snapshot);
   }
 
-  const auto scan = fold_journal(config_.dir, result.state.journal_floor,
-                                 std::nullopt, result.state, result.oplogs,
-                                 result.replayed_ops);
+  const auto scan = persist::scan_framed_log(
+      config_.dir, journal_format(),
+      fold_visitor(result.state.journal_floor, std::nullopt, result.state,
+                   result.oplogs, result.replayed_ops));
   result.corrupt_records = scan.corrupt_records + log_.truncated_records();
   if (result.replayed_ops > 0) result.recovered = true;
   if (replayed_metric_ != nullptr) replayed_metric_->inc(result.replayed_ops);
@@ -377,7 +364,8 @@ std::deque<JournaledOp> ControlJournal::collect_oplog(
       {shard, MemberPhase::kActive, last_ack, /*breaker_open=*/false, polls_done});
   OpLogs oplogs;
   std::uint64_t decoded = 0;
-  (void)fold_journal(config_.dir, from_sequence, shard, state, oplogs, decoded);
+  log_.read_from(from_sequence,
+                 fold_visitor(from_sequence, shard, state, oplogs, decoded));
   if (records_decoded != nullptr) *records_decoded = decoded;
   return std::move(oplogs[shard]);
 }

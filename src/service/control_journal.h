@@ -159,8 +159,11 @@ class ControlJournal {
   /// payloads: its batches above `last_ack` plus its polls above
   /// `polls_done`, from journal sequence `from_sequence` on (the oldest
   /// entry the member's op-log holds). This is what a revived shard is sent
-  /// and what migration re-feeds. Only that member's records are decoded;
-  /// `records_decoded`, when set, receives how many were.
+  /// and what migration re-feeds. It reads through the journal's writer
+  /// (persist::FramedLog::read_from): from the segment holding
+  /// `from_sequence` up to the last record the writer has kept, so the
+  /// records of a failed write are never read. Only that member's records
+  /// are decoded; `records_decoded`, when set, receives how many were.
   [[nodiscard]] std::deque<JournaledOp> collect_oplog(
       std::uint32_t shard, std::uint64_t last_ack, std::uint64_t polls_done,
       std::uint64_t from_sequence = 0,

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -298,6 +299,108 @@ TEST(FramedLogTest, EnospcAtBatchEndSurfacesAsAnException) {
   log.append(1, "two");
   EXPECT_THROW(batch.commit(), std::runtime_error);
   EXPECT_TRUE(read_framed_log(dir, test_format()).records.empty());
+}
+
+/// Payloads of every record read_from() visits from `from_sequence`.
+std::vector<std::string> read_payloads(const FramedLog& log,
+                                       std::uint64_t from_sequence) {
+  std::vector<std::string> payloads;
+  log.read_from(from_sequence,
+                [&](std::uint64_t, std::uint8_t, std::string_view payload) {
+                  payloads.emplace_back(payload);
+                  return true;
+                });
+  return payloads;
+}
+
+// A failed batch write takes its sequences back: the writer's reads stop
+// before them at once, and its next append cuts the log back there, so the
+// sequence append() returned names the record on disk. A full disk writes
+// nothing; a short write leaves a torn record that the cut removes.
+TEST(FramedLogTest, FailedBatchIsTakenBackAndCutAtTheNextAppend) {
+  for (const bool torn : {false, true}) {
+    SCOPED_TRACE(torn ? "short write" : "ENOSPC");
+    const fs::path dir = fresh_dir("vire_framed_log_batch_taken_back");
+    fault::DiskFaultPlan plan;
+    // Write 0 is the header, write 1 the first record, write 2 the batch.
+    if (torn) {
+      plan.short_write_at(2, 9 + 10 + 4);
+    } else {
+      plan.enospc_at(2);
+    }
+    fault::DiskFaultInjector injector(std::move(plan));
+    auto config = test_config(dir);
+    config.segment_max_records = 1000;
+    config.fault_hook = &injector;
+    FramedLog log(config);
+    EXPECT_EQ(log.append(1, "first"), 1u);
+    {
+      FramedLog::Batch batch(log);
+      for (int i = 0; i < 3; ++i) log.append(1, std::string(10, 'p'));
+      EXPECT_THROW(batch.commit(), std::runtime_error);
+    }
+    EXPECT_EQ(injector.faults_imposed(), 1u);
+    EXPECT_EQ(log.next_sequence(), 2u);
+    EXPECT_EQ(log.appended_count(), 1u);
+    EXPECT_EQ(read_payloads(log, 0), (std::vector<std::string>{"first"}));
+
+    EXPECT_EQ(log.append(2, "after"), 2u);
+    EXPECT_EQ(read_payloads(log, 0),
+              (std::vector<std::string>{"first", "after"}));
+    const auto healed = read_framed_log(dir, test_format());
+    ASSERT_EQ(healed.records.size(), 2u);
+    EXPECT_EQ(healed.records[1].sequence, 2u);
+    EXPECT_EQ(healed.records[1].payload, "after");
+    EXPECT_EQ(healed.corrupt_records, 0u);
+  }
+}
+
+// A batch that fails at a rotation loses the records it already wrote to the
+// full segment too, and the new segment whose header failed is deleted.
+TEST(FramedLogTest, BatchFailingAtRotationIsTakenBackWhole) {
+  const fs::path dir = fresh_dir("vire_framed_log_batch_rotation");
+  fault::DiskFaultPlan plan;
+  // Write 0 is the first header, write 1 the batch's first four records and
+  // write 2 the second segment's header.
+  plan.enospc_at(2);
+  fault::DiskFaultInjector injector(std::move(plan));
+  auto config = test_config(dir);
+  config.fault_hook = &injector;
+  FramedLog log(config);
+  {
+    FramedLog::Batch batch(log);
+    for (int i = 0; i < 4; ++i) log.append(1, "lost");
+    EXPECT_THROW(log.append(1, "fails"), std::runtime_error);
+  }
+  EXPECT_EQ(log.next_sequence(), 1u);
+  EXPECT_TRUE(read_payloads(log, 0).empty())
+      << "the records already in the first segment are taken back too";
+
+  EXPECT_EQ(log.append(2, "kept"), 1u);
+  const auto healed = read_framed_log(dir, test_format());
+  ASSERT_EQ(healed.records.size(), 1u);
+  EXPECT_EQ(healed.records[0].payload, "kept");
+  EXPECT_EQ(healed.corrupt_records, 0u);
+  EXPECT_EQ(segment_count(dir), 1u);
+}
+
+// read_from() starts at the segment holding its floor: a record corrupted in
+// an earlier segment neither ends nor changes the read.
+TEST(FramedLogTest, ReadFromSkipsTheSegmentsBelowItsFloor) {
+  const fs::path dir = fresh_dir("vire_framed_log_read_from");
+  FramedLog log(test_config(dir));  // 4 records per segment
+  for (int i = 1; i <= 10; ++i) log.append(1, "r" + std::to_string(i));
+  const std::vector<std::string> tail{"r7", "r8", "r9", "r10"};
+  ASSERT_EQ(read_payloads(log, 7), tail);
+
+  const fs::path first = dir / "t-000000000001.log";
+  std::fstream file(first, std::ios::in | std::ios::out | std::ios::binary);
+  file.seekp(16 + 9);  // header + the first record's framing: its payload
+  file.put('X');
+  file.close();
+  EXPECT_EQ(read_framed_log(dir, test_format()).records.size(), 0u)
+      << "a full walk stops at the corrupt record";
+  EXPECT_EQ(read_payloads(log, 7), tail);
 }
 
 TEST(FramedLogTest, AnExceptionInsideABatchStillWritesItsRecords) {

@@ -160,12 +160,12 @@ SupervisorConfig fleet_config(const fs::path& root, int shards) {
 }
 
 /// A started supervisor over `runner`, registered with the capture's tags.
-std::unique_ptr<Supervisor> make_fleet(const Capture& capture,
-                                       const SupervisorConfig& config,
-                                       ShardRunner& runner,
-                                       Clock* clock = nullptr) {
+std::unique_ptr<Supervisor> make_fleet(
+    const Capture& capture, const SupervisorConfig& config, ShardRunner& runner,
+    Clock* clock = nullptr, support::IoFaultHook* journal_fault_hook = nullptr) {
   auto supervisor = std::make_unique<Supervisor>(
-      env::Deployment::paper_testbed(), config, clock, &runner);
+      env::Deployment::paper_testbed(), config, clock, &runner,
+      journal_fault_hook);
   supervisor->start();
   supervisor->set_reference_ids(capture.reference_ids);
   for (const auto& [tag, name] : capture.tracked) {
@@ -951,6 +951,68 @@ TEST(ShardEquivalenceTest, IngestRunMeetingADeadShardReplaysEachBatchOnce) {
       << "the revival's ack covers every replayed batch";
   fleet->stop();
   fs::remove_all(root);
+}
+
+// A journal write that fails (a full disk, or a write torn partway) loses
+// the ingest run it carried: the call throws, and none of its batches is
+// indexed or sent. The journal's writer takes their records back, so a shard
+// killed afterwards reads exactly its op-log back at the revival, and with
+// the client's retry of the run every poll stays bit-identical.
+TEST(ShardEquivalenceTest, FailedJournalWriteLeavesTheRevivalWhole) {
+  const Capture& capture = shared_capture();
+  const auto batches = batches_of(capture.segments[1], 32);
+  ASSERT_GT(batches.size(), 2u);
+  // The journal writes before the run, counted in a run without faults: the
+  // supervisor's writes follow its calls alone.
+  std::uint64_t writes_before_run = 0;
+  {
+    const fs::path root = fresh_root("vire_equivalence_journal_fault");
+    InProcessShardRunner runner;
+    ManualClock clock;
+    fault::DiskFaultInjector writes({});
+    auto fleet =
+        make_fleet(capture, fleet_config(root, 2), runner, &clock, &writes);
+    fleet->ingest(capture.segments[0]);
+    writes_before_run = writes.writes_seen();
+    fleet->stop();
+    fs::remove_all(root);
+  }
+
+  for (const bool torn : {false, true}) {
+    SCOPED_TRACE(torn ? "short write" : "ENOSPC");
+    fault::DiskFaultPlan plan;
+    if (torn) {
+      // Past the run's first record (one 32-reading batch is about 730
+      // bytes), so whole records precede the tear.
+      plan.short_write_at(writes_before_run, 1000);
+    } else {
+      plan.enospc_at(writes_before_run);
+    }
+    fault::DiskFaultInjector injector(std::move(plan));
+    const fs::path root = fresh_root("vire_equivalence_journal_fault");
+    InProcessShardRunner runner;
+    ManualClock clock;
+    auto fleet =
+        make_fleet(capture, fleet_config(root, 2), runner, &clock, &injector);
+    const std::uint32_t victim =
+        fleet->router().route(capture.tracked[0].first);
+
+    fleet->ingest(capture.segments[0]);
+    EXPECT_THROW(fleet->ingest(as_run(batches)), std::runtime_error);
+    EXPECT_EQ(injector.faults_imposed(), 1u);
+    runner.kill(victim);
+    fleet->ingest(as_run(batches));  // the client's retry
+
+    expect_poll_identical(fleet->poll(capture.poll_times[0]), capture.golden[0],
+                          0);
+    EXPECT_EQ(fleet->restarts(), 1u);
+    EXPECT_EQ(fleet->shard_state(victim), ShardState::kUp);
+    fleet->ingest(capture.segments[2]);
+    expect_poll_identical(fleet->poll(capture.poll_times[1]), capture.golden[1],
+                          1);
+    fleet->stop();
+    fs::remove_all(root);
+  }
 }
 
 }  // namespace
